@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"testing"
 
+	"lowsensing"
 	"lowsensing/internal/arrivals"
 	"lowsensing/internal/core"
 	"lowsensing/internal/harness"
@@ -245,22 +246,12 @@ func BenchmarkEngineMemory(b *testing.B) {
 			runtime.GC()
 			var m0 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			src, err := arrivals.NewPoisson(0.2, packets, uint64(i)+42)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e, err := sim.NewEngine(sim.Params{
+			r, err := lowsensing.Scenario{
 				Seed:          uint64(i) + 42,
-				Arrivals:      src,
-				NewStation:    core.MustFactory(core.Default()),
-				ReuseStations: true,
+				Arrivals:      lowsensing.PoissonArrivals(0.2, packets),
 				MaxSlots:      1 << 34,
 				RetainPackets: retain,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, err := e.Run()
+			}.Run()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -274,7 +265,6 @@ func BenchmarkEngineMemory(b *testing.B) {
 				liveBytes += d
 			}
 			runtime.KeepAlive(r)
-			runtime.KeepAlive(e)
 		}
 		b.ReportMetric(float64(liveBytes)/float64(b.N), "live-B/run")
 	}

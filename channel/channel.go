@@ -130,7 +130,8 @@ type ReusableStation interface {
 }
 
 // Windowed is implemented by stations that expose a backoff window, which
-// probes use to compute contention and the paper's potential function.
+// bound recorders use to compute contention and the paper's potential
+// function.
 type Windowed interface {
 	Window() float64
 }

@@ -193,11 +193,9 @@ func merge(per []sim.Result, routed []int64) Result {
 	return r
 }
 
-// jain computes the Jain fairness index over per-channel completed
-// counts; 1 when nothing completed anywhere. The formula is inlined from
-// stats.Jain (which powers the root package's cross-class fairness, so the
-// two indices are directly comparable) to keep the recorder-off cluster
-// path's per-run allocation footprint fixed.
+// jain computes stats.Jain over per-channel completed counts (1 when
+// nothing completed anywhere), inlined with the same summation order so the
+// recorder-off cluster path's per-run allocation footprint stays fixed.
 func jain(per []sim.Result) float64 {
 	var sum, sumSq float64
 	for i := range per {

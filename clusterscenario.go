@@ -212,8 +212,8 @@ func (cs ClusterScenario) Run() (ClusterResult, error) {
 // RunObserved executes the scenario with a per-channel recorder built by
 // mk (called once per channel with the channel index; a nil return leaves
 // that channel unobserved). Each recorder receives its own channel's
-// event stream and is flushed when the channel finishes. Observed runs
-// take the engine's general resolver, like single-channel observed runs.
+// event stream and is flushed when the channel finishes. Observing a
+// channel never changes how it executes.
 func (cs ClusterScenario) RunObserved(mk func(ch int) Recorder) (ClusterResult, error) {
 	cfg, err := cs.config()
 	if err != nil {

@@ -63,10 +63,11 @@ func run(args []string, out, errW io.Writer) error {
 
 	tr := &trace.Tracer{}
 	wt := &trace.WindowTracker{}
-	// The ASCII tracer consumes the engine's structured event stream — the
-	// same obs.SlotEvents an NDJSON sink serializes; the window tracker
-	// needs engine internals and stays on the Probe hook.
-	rec := obs.Recorder(tr)
+	// Every consumer is a recorder on the engine's one event stream: the
+	// ASCII tracer takes the same obs.SlotEvents an NDJSON sink
+	// serializes, and the window tracker is bound to the engine to read its
+	// active windows.
+	rec := obs.Multi(tr, wt)
 	var (
 		jsonSink  *obs.NDJSON
 		jsonFlush func() error
@@ -88,7 +89,7 @@ func run(args []string, out, errW io.Writer) error {
 			}
 			return err
 		}
-		rec = obs.Multi(tr, jsonSink)
+		rec = obs.Multi(tr, wt, jsonSink)
 	}
 	params := sim.Params{
 		Seed:       *seed,
@@ -99,7 +100,6 @@ func run(args []string, out, errW io.Writer) error {
 		ReuseStations: true,
 		MaxSlots:      1 << 24,
 		Recorder:      rec,
-		Probe:         wt.Probe,
 	}
 	if *jamTo > *jamFrom {
 		iv, err := jamming.NewInterval(*jamFrom, *jamTo)
@@ -112,6 +112,7 @@ func run(args []string, out, errW io.Writer) error {
 	if err != nil {
 		return err
 	}
+	wt.Bind(e)
 	r, err := e.Run()
 	if err != nil {
 		return err

@@ -68,7 +68,7 @@ func NewLogBackoffFactory(spec lowsensing.ProtocolSpec) (lowsensing.StationFacto
 	}, nil
 }
 
-// Window returns the current window w0·(k+1)·log2(k+2) (for probes).
+// Window returns the current window w0·(k+1)·log2(k+2) (for window-sampling recorders).
 func (l *LogBackoff) Window() float64 {
 	k := float64(l.collisions)
 	return float64(l.w0) * (k + 1) * math.Log2(k+2)

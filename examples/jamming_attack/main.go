@@ -16,6 +16,7 @@ import (
 
 	"lowsensing"
 	"lowsensing/internal/plot"
+	"lowsensing/obs"
 )
 
 func main() {
@@ -35,7 +36,7 @@ func main() {
 		lowsensing.WithSeed(seed),
 		lowsensing.WithBernoulliArrivals(rate, packets),
 		lowsensing.WithBurstJamming(jamStart, jamEnd),
-		lowsensing.WithCollector(col),
+		lowsensing.WithRecorder(col),
 	).Run()
 	if err != nil {
 		log.Fatal(err)
@@ -68,18 +69,18 @@ func main() {
 		Render())
 
 	// Scenario 2: reactive attacker with a budget, aimed at packet 0. The
-	// victim's stats stream out through a packet sink — default runs keep
-	// no per-packet table.
+	// victim's stats stream out through a packet recorder — default runs
+	// keep no per-packet table.
 	var victim lowsensing.PacketStats
 	res2, err := lowsensing.NewSimulation(
 		lowsensing.WithSeed(seed),
 		lowsensing.WithBatchArrivals(512),
 		lowsensing.WithReactiveJamming(0, 64),
-		lowsensing.WithPacketSink(func(p lowsensing.PacketStats) {
+		lowsensing.WithRecorder(obs.PacketFunc(func(p lowsensing.PacketStats) {
 			if p.ID == 0 {
 				victim = p
 			}
-		}),
+		})),
 	).Run()
 	if err != nil {
 		log.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"lowsensing/internal/arrivals"
 	"lowsensing/internal/jamming"
 	"lowsensing/internal/sim"
+	"lowsensing/obs"
 )
 
 // TestLongStreamSoak runs half a million slots of jammed, steadily arriving
@@ -27,26 +28,19 @@ func TestLongStreamSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	minImplicit := 1.0
-	var maxBacklog int64
+	w := &soakWatch{minImplicit: 1}
 	e, err := sim.NewEngine(sim.Params{
 		Seed:       424244,
 		Arrivals:   src,
 		NewStation: MustFactory(Default()),
 		Jammer:     jam,
 		MaxSlots:   horizon,
-		Probe: func(e *sim.Engine, _ int64) {
-			if v := e.ImplicitThroughputNow(); v < minImplicit {
-				minImplicit = v
-			}
-			if b := e.Backlog(); b > maxBacklog {
-				maxBacklog = b
-			}
-		},
+		Recorder:   w,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.Bind(e)
 	r, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -55,14 +49,31 @@ func TestLongStreamSoak(t *testing.T) {
 	if r.Arrived < horizon/10 {
 		t.Fatalf("suspiciously few arrivals: %d", r.Arrived)
 	}
-	if minImplicit < 0.05 {
-		t.Fatalf("implicit throughput collapsed to %v at some checkpoint", minImplicit)
+	if w.minImplicit < 0.05 {
+		t.Fatalf("implicit throughput collapsed to %v at some checkpoint", w.minImplicit)
 	}
-	if maxBacklog > 2000 {
-		t.Fatalf("backlog blew up to %d", maxBacklog)
+	if w.maxBacklog > 2000 {
+		t.Fatalf("backlog blew up to %d", w.maxBacklog)
 	}
 	// Everything but the in-flight tail must have been delivered.
 	if undelivered := r.Arrived - r.Completed; undelivered > 200 {
 		t.Fatalf("%d packets undelivered at horizon", undelivered)
 	}
 }
+
+// soakWatch is a bound recorder tracking the lowest implicit throughput and
+// the highest backlog over every resolved slot.
+type soakWatch struct {
+	e           *sim.Engine
+	minImplicit float64
+	maxBacklog  int64
+}
+
+func (w *soakWatch) Bind(e *sim.Engine) { w.e = e }
+
+func (w *soakWatch) RecordSlot(ev obs.SlotEvent) {
+	w.minImplicit = min(w.minImplicit, w.e.ImplicitThroughputNow())
+	w.maxBacklog = max(w.maxBacklog, ev.Backlog)
+}
+
+func (w *soakWatch) RecordPacket(obs.PacketEvent) {}

@@ -8,8 +8,8 @@ import (
 	"lowsensing/internal/core"
 	"lowsensing/internal/jamming"
 	"lowsensing/internal/metrics"
-	"lowsensing/internal/sim"
 	"lowsensing/internal/stats"
+	"lowsensing/obs"
 )
 
 func init() {
@@ -123,11 +123,11 @@ func runE6(rc RunConfig) (*Table, error) {
 			lowsensing.WithMaxSlots(capFor(n, budget)),
 			// The victim's access count streams out through the sink; the
 			// fleet-wide mean and max come from the accumulators.
-			lowsensing.WithPacketSink(func(p sim.PacketStats) {
+			lowsensing.WithRecorder(obs.PacketFunc(func(p obs.PacketEvent) {
 				if p.ID == 0 {
 					targetAcc = float64(p.Accesses())
 				}
-			}),
+			})),
 		}
 		if budget > 0 {
 			// The global ReactiveAll jammer and the Spent() diagnostics have

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"lowsensing"
-	"lowsensing/internal/metrics"
-	"lowsensing/internal/sim"
 	"lowsensing/internal/stats"
+	"lowsensing/obs"
 )
 
 func init() {
@@ -56,18 +55,18 @@ func runE10(rc RunConfig) (*Table, error) {
 			lowsensing.WithBatchArrivals(n),
 			lowsensing.WithProtocol(rows[point].proto),
 			lowsensing.WithMaxSlots(capFor(n, 0)),
-			lowsensing.WithPacketSink(func(p sim.PacketStats) {
+			lowsensing.WithRecorder(obs.PacketFunc(func(p obs.PacketEvent) {
 				recordLat(p)
 				accs = append(accs, float64(p.Accesses()))
-			}),
+			})),
 		)
 		if err != nil {
 			return e10rep{}, err
 		}
 		s := stats.Summarize(lats)
 		out := e10rep{
-			jainLat: metrics.JainIndex(lats),
-			jainAcc: metrics.JainIndex(accs),
+			jainLat: stats.Jain(lats),
+			jainAcc: stats.Jain(accs),
 			p50:     s.Median,
 			p99:     s.P99,
 		}

@@ -201,7 +201,7 @@ func runE13(rc RunConfig) (*Table, error) {
 		r, err := run(seed,
 			lowsensing.WithBernoulliArrivals(lambda, n),
 			lowsensing.WithMaxSlots(int64(float64(n)/lambda)+(1<<18)),
-			lowsensing.WithCollector(col),
+			lowsensing.WithRecorder(col),
 		)
 		if err != nil {
 			return e13rep{}, err

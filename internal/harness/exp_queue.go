@@ -67,7 +67,7 @@ func aqtRun(seed uint64, s int64, lambda float64, windows int64, every int64) (*
 	r, err := run(seed,
 		lowsensing.WithQueueArrivals(s, lambda, windows),
 		lowsensing.WithMaxSlots(s*windows),
-		lowsensing.WithCollector(col),
+		lowsensing.WithRecorder(col),
 	)
 	return col, r, err
 }
@@ -187,7 +187,7 @@ func runE8(rc RunConfig) (*Table, error) {
 	r, err := one(rc, "E8",
 		lowsensing.WithBatchArrivals(n),
 		lowsensing.WithMaxSlots(capFor(n, 0)),
-		lowsensing.WithCollector(col),
+		lowsensing.WithRecorder(col),
 	)
 	if err != nil {
 		return nil, err
@@ -240,7 +240,7 @@ func runE9(rc RunConfig) (*Table, error) {
 	r, err := one(rc, "E9",
 		lowsensing.WithBatchArrivals(n),
 		lowsensing.WithMaxSlots(capFor(n, 0)),
-		lowsensing.WithTracer(tr),
+		lowsensing.WithRecorder(tr),
 	)
 	if err != nil {
 		return nil, err
@@ -315,7 +315,7 @@ func runA1(rc RunConfig) (*Table, error) {
 			lowsensing.WithQueueArrivals(aqtS, 0.1, windows),
 			lowsensing.WithLowSensing(cfg),
 			lowsensing.WithMaxSlots(aqtS*windows),
-			lowsensing.WithCollector(col),
+			lowsensing.WithRecorder(col),
 		); err != nil {
 			return a1rep{}, err
 		}

@@ -64,7 +64,7 @@ func runE14(rc RunConfig) (*Table, error) {
 			lowsensing.WithBernoulliArrivals(lambda, 0), // unbounded
 			lowsensing.WithJammer(jam),
 			lowsensing.WithMaxSlots(horizon),
-			lowsensing.WithCollector(col),
+			lowsensing.WithRecorder(col),
 		)
 		return e14out{r: r, col: col}, err
 	})
@@ -105,7 +105,7 @@ func runE15(rc RunConfig) (*Table, error) {
 	_, err := one(rc, "E15/base",
 		lowsensing.WithBatchArrivals(n),
 		lowsensing.WithMaxSlots(capFor(n, 0)),
-		lowsensing.WithPacketSink(latencySink(&baseLats)),
+		lowsensing.WithRecorder(latencySink(&baseLats)),
 	)
 	if err != nil {
 		return nil, err
@@ -132,7 +132,7 @@ func runE15(rc RunConfig) (*Table, error) {
 		opts := []lowsensing.Option{
 			lowsensing.WithBatchArrivals(n),
 			lowsensing.WithMaxSlots(capFor(n, 8*n)),
-			lowsensing.WithPacketSink(latencySink(&lats)),
+			lowsensing.WithRecorder(latencySink(&lats)),
 		}
 		if rate > 0 {
 			// Historical experiment-local jam seed stream (seed^0xe15).

@@ -8,6 +8,7 @@ import (
 	"lowsensing/internal/runner"
 	"lowsensing/internal/sim"
 	"lowsensing/internal/stats"
+	"lowsensing/obs"
 )
 
 // Scale selects how large the experiment sweeps are. Tests and benchmarks
@@ -167,11 +168,11 @@ func one(rc RunConfig, expID string, opts ...lowsensing.Option) (sim.Result, err
 	return rs[0][0], nil
 }
 
-// latencySink returns a PacketSink that appends every delivered packet's
-// latency to *dst — the standard way experiments observe latencies without
-// retaining per-packet tables.
-func latencySink(dst *[]float64) func(sim.PacketStats) {
-	return func(p sim.PacketStats) {
+// latencySink returns a packet recorder that appends every delivered
+// packet's latency to *dst — the standard way experiments observe latencies
+// without retaining per-packet tables.
+func latencySink(dst *[]float64) obs.PacketFunc {
+	return func(p obs.PacketEvent) {
 		if lat := p.Latency(); lat >= 0 {
 			*dst = append(*dst, float64(lat))
 		}

@@ -9,9 +9,10 @@ import (
 	"lowsensing/internal/core"
 	"lowsensing/internal/sim"
 	"lowsensing/internal/stats"
+	"lowsensing/obs"
 )
 
-// Sample is one probe observation. Slot numbers refer to resolved slots
+// Sample is one Collector observation. Slot numbers refer to resolved slots
 // (slots in which some station accessed the channel); quantities are as of
 // the end of that slot.
 type Sample struct {
@@ -26,9 +27,12 @@ type Sample struct {
 	Potential          core.Potential
 }
 
-// Collector samples engine state during a run. Attach its Probe method via
-// sim.Params.Probe. The zero value samples every resolved slot with the
-// default potential coefficients; set Every to thin the series.
+// Collector samples engine state during a run. It is an obs.Recorder that
+// reads the engine through the sim.EngineBound contract: attach it as (or
+// inside) sim.Params.Recorder and Bind it to the engine before the run —
+// lowsensing.WithRecorder does both. The zero value samples every resolved
+// slot with the default potential coefficients; set Every to thin the
+// series.
 type Collector struct {
 	// Every is the minimum number of slots between samples (0 or 1 means
 	// sample every resolved slot).
@@ -37,13 +41,26 @@ type Collector struct {
 	// core.DefaultPotentialParams.
 	Params core.PotentialParams
 
+	e       *sim.Engine
 	samples []Sample
 	nextAt  int64
 	winBuf  []float64
 }
 
-// Probe implements the sim.Params.Probe signature.
-func (c *Collector) Probe(e *sim.Engine, slot int64) {
+// Bind implements sim.EngineBound: the collector samples e's state.
+func (c *Collector) Bind(e *sim.Engine) { c.e = e }
+
+// RecordPacket implements obs.Recorder; packet events are ignored.
+func (c *Collector) RecordPacket(obs.PacketEvent) {}
+
+// RecordSlot implements obs.Recorder: it samples the bound engine's state
+// as of the end of the resolved slot.
+func (c *Collector) RecordSlot(ev obs.SlotEvent) {
+	e := c.e
+	if e == nil {
+		panic("metrics: Collector.RecordSlot before Bind: attach it with lowsensing.WithRecorder, or call Bind(engine) after sim.NewEngine")
+	}
+	slot := ev.Slot
 	if slot < c.nextAt {
 		return
 	}
@@ -168,9 +185,9 @@ func (m EnergyModel) PacketJoules(p sim.PacketStats, lastSlot int64) float64 {
 }
 
 // RunJoules sums PacketJoules over a run and also returns the mean per
-// packet (0 if no packets). It reads the retained per-packet records, so
-// the run must have been made with sim.Params.RetainPackets; for long
-// streams, fold PacketJoules over a PacketSink instead.
+// packet (0 if no packets). It reads the retained per-packet records
+// (Result.Packets, Scenario.RetainPackets); for long streams, fold
+// PacketJoules over an obs.PacketFunc recorder instead.
 func (m EnergyModel) RunJoules(r sim.Result) (total, meanPerPacket float64) {
 	for _, p := range r.Packets {
 		total += m.PacketJoules(p, r.LastSlot)
@@ -181,29 +198,10 @@ func (m EnergyModel) RunJoules(r sim.Result) (total, meanPerPacket float64) {
 	return total, meanPerPacket
 }
 
-// JainIndex computes Jain's fairness index (Σx)²/(n·Σx²) of a sample:
-// 1 means perfectly equal, 1/n means one packet took everything. It is the
-// standard measure for the fairness question the paper's conclusion raises
-// (LOW-SENSING BACKOFF is not guaranteed fair).
-func JainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
 // LatencySample extracts the latency of every delivered packet. It reads
-// the retained per-packet records, so the run must have been made with
-// sim.Params.RetainPackets (or use a PacketSink and collect latencies
-// directly on streams too long to retain).
+// the retained per-packet records (Result.Packets, Scenario.RetainPackets);
+// on streams too long to retain, collect latencies through an
+// obs.PacketFunc recorder instead.
 func LatencySample(r sim.Result) []float64 {
 	out := make([]float64, 0, len(r.Packets))
 	for _, p := range r.Packets {

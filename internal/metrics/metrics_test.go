@@ -1,25 +1,28 @@
 package metrics
 
 import (
+	"strings"
 	"testing"
 
 	"lowsensing/internal/arrivals"
 	"lowsensing/internal/core"
 	"lowsensing/internal/sim"
+	"lowsensing/obs"
 )
 
-func runWithCollector(t *testing.T, c *Collector, n int64) sim.Result {
+func collect(t *testing.T, c *Collector, n int64) sim.Result {
 	t.Helper()
 	e, err := sim.NewEngine(sim.Params{
 		Seed:       21,
 		Arrivals:   arrivals.NewBatch(n),
 		NewStation: core.MustFactory(core.Default()),
 		MaxSlots:   1 << 22,
-		Probe:      c.Probe,
+		Recorder:   c,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Bind(e)
 	r, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +32,7 @@ func runWithCollector(t *testing.T, c *Collector, n int64) sim.Result {
 
 func TestCollectorSamples(t *testing.T) {
 	c := &Collector{}
-	r := runWithCollector(t, c, 64)
+	r := collect(t, c, 64)
 	if r.Completed != 64 {
 		t.Fatalf("completed = %d", r.Completed)
 	}
@@ -64,9 +67,9 @@ func TestCollectorSamples(t *testing.T) {
 
 func TestCollectorEveryThins(t *testing.T) {
 	dense := &Collector{}
-	runWithCollector(t, dense, 64)
+	collect(t, dense, 64)
 	sparse := &Collector{Every: 50}
-	runWithCollector(t, sparse, 64)
+	collect(t, sparse, 64)
 	if len(sparse.Samples()) >= len(dense.Samples()) {
 		t.Fatalf("thinning failed: %d vs %d", len(sparse.Samples()), len(dense.Samples()))
 	}
@@ -80,7 +83,7 @@ func TestCollectorEveryThins(t *testing.T) {
 
 func TestMaxBacklogAndMinImplicit(t *testing.T) {
 	c := &Collector{}
-	runWithCollector(t, c, 128)
+	collect(t, c, 128)
 	if mb := c.MaxBacklog(); mb < 120 || mb > 128 {
 		t.Fatalf("max backlog = %d", mb)
 	}
@@ -95,7 +98,7 @@ func TestMaxBacklogAndMinImplicit(t *testing.T) {
 
 func TestSeriesExtraction(t *testing.T) {
 	c := &Collector{}
-	runWithCollector(t, c, 32)
+	collect(t, c, 32)
 	n := len(c.Samples())
 	for _, name := range []string{"slot", "backlog", "implicit", "contention", "phi", "potN", "potH", "potL"} {
 		s := c.Series(name)
@@ -115,7 +118,7 @@ func TestSeriesExtraction(t *testing.T) {
 
 func TestSeriesUnknownPanics(t *testing.T) {
 	c := &Collector{}
-	runWithCollector(t, c, 8)
+	collect(t, c, 8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unknown series did not panic")
@@ -126,7 +129,7 @@ func TestSeriesUnknownPanics(t *testing.T) {
 
 func TestSummarizeEnergy(t *testing.T) {
 	c := &Collector{}
-	r := runWithCollector(t, c, 64)
+	r := collect(t, c, 64)
 	es := SummarizeEnergy(r)
 	if es.Undelivered != 0 {
 		t.Fatalf("undelivered = %d", es.Undelivered)
@@ -191,27 +194,6 @@ func TestDefaultEnergyModelOrdering(t *testing.T) {
 	}
 }
 
-func TestJainIndex(t *testing.T) {
-	if got := JainIndex(nil); got != 1 {
-		t.Fatalf("empty = %v", got)
-	}
-	if got := JainIndex([]float64{5, 5, 5, 5}); got != 1 {
-		t.Fatalf("equal = %v", got)
-	}
-	if got := JainIndex([]float64{0, 0, 0}); got != 1 {
-		t.Fatalf("all-zero = %v", got)
-	}
-	// One packet takes everything: index = 1/n.
-	if got := JainIndex([]float64{10, 0, 0, 0}); got != 0.25 {
-		t.Fatalf("monopoly = %v, want 0.25", got)
-	}
-	// Mild skew sits in between.
-	got := JainIndex([]float64{1, 2, 3, 4})
-	if got <= 0.25 || got >= 1 {
-		t.Fatalf("skewed = %v", got)
-	}
-}
-
 func TestLatencySample(t *testing.T) {
 	r := sim.Result{Packets: []sim.PacketStats{
 		{Arrival: 0, Departure: 4},
@@ -222,6 +204,17 @@ func TestLatencySample(t *testing.T) {
 	if len(got) != 2 || got[0] != 5 || got[1] != 1 {
 		t.Fatalf("latencies = %v", got)
 	}
+}
+
+// TestCollectorUnboundPanics: a Collector attached without Bind fails
+// loudly, naming the missing call, instead of sampling nothing.
+func TestCollectorUnboundPanics(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "Bind") {
+			t.Fatalf("panic %q does not name Bind", msg)
+		}
+	}()
+	(&Collector{}).RecordSlot(obs.SlotEvent{})
 }
 
 func TestSummarizeEnergyUndelivered(t *testing.T) {

@@ -56,7 +56,7 @@ func NewBEBFactory(initialWindow, maxWindow int64) (channel.StationFactory, erro
 // Reset implements channel.ReusableStation: back to the initial window.
 func (b *BEB) Reset(_ int64, _ *prng.Source) { b.window = b.init }
 
-// Window returns the current window (for probes).
+// Window returns the current window (for window-sampling recorders).
 func (b *BEB) Window() float64 { return float64(b.window) }
 
 // ScheduleNext implements channel.Station.
@@ -273,7 +273,7 @@ func NewMWUFactory(cfg MWUConfig) (channel.StationFactory, error) {
 // Reset implements channel.ReusableStation: back to the initial rate.
 func (m *MWU) Reset(_ int64, _ *prng.Source) { m.p = m.pInit }
 
-// Window reports 1/p so MWU can participate in window-based probes.
+// Window reports 1/p so MWU can participate in window-based recorders.
 func (m *MWU) Window() float64 { return 1 / m.p }
 
 // ScheduleNext implements channel.Station: MWU accesses (listens in) every

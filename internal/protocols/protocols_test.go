@@ -9,17 +9,21 @@ import (
 	"lowsensing/channel"
 	"lowsensing/internal/arrivals"
 	"lowsensing/internal/sim"
+	"lowsensing/obs"
 	"lowsensing/prng"
 )
 
+// runBatch runs an n-packet batch and returns its result with Packets
+// holding every packet's record in emission order.
 func runBatch(t *testing.T, factory channel.StationFactory, n, maxSlots int64, seed uint64) sim.Result {
 	t.Helper()
+	var packets []sim.PacketStats
 	e, err := sim.NewEngine(sim.Params{
-		Seed:          seed,
-		Arrivals:      arrivals.NewBatch(n),
-		NewStation:    factory,
-		MaxSlots:      maxSlots,
-		RetainPackets: true,
+		Seed:       seed,
+		Arrivals:   arrivals.NewBatch(n),
+		NewStation: factory,
+		MaxSlots:   maxSlots,
+		Recorder:   obs.PacketFunc(func(p obs.PacketEvent) { packets = append(packets, p) }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -28,6 +32,7 @@ func runBatch(t *testing.T, factory channel.StationFactory, n, maxSlots int64, s
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.Packets = packets
 	return r
 }
 
@@ -50,9 +55,9 @@ func TestBEBCompletesBatch(t *testing.T) {
 		t.Fatalf("completed = %d", r.Completed)
 	}
 	// BEB is send-only: listens must be zero.
-	for i, p := range r.Packets {
+	for _, p := range r.Packets {
 		if p.Listens != 0 {
-			t.Fatalf("packet %d listened %d times", i, p.Listens)
+			t.Fatalf("packet %d listened %d times", p.ID, p.Listens)
 		}
 	}
 }
@@ -159,9 +164,9 @@ func TestMWUListensEverySlot(t *testing.T) {
 	}
 	// Every packet accesses the channel in every slot it is alive, so its
 	// access count equals its latency.
-	for i, p := range r.Packets {
+	for _, p := range r.Packets {
 		if p.Accesses() != p.Latency() {
-			t.Fatalf("packet %d: accesses %d != latency %d", i, p.Accesses(), p.Latency())
+			t.Fatalf("packet %d: accesses %d != latency %d", p.ID, p.Accesses(), p.Latency())
 		}
 	}
 	if r.Throughput() < 0.1 {

@@ -56,7 +56,7 @@ func (s *Sawtooth) startEpoch(i int) {
 // window returns the current sub-phase's window size.
 func (s *Sawtooth) window() int64 { return 1 << uint(s.epoch-s.sub) }
 
-// Window exposes the current sub-phase window for probes.
+// Window exposes the current sub-phase window for window-sampling recorders.
 func (s *Sawtooth) Window() float64 { return float64(s.window()) }
 
 // advance moves to the next sub-phase (or next epoch).

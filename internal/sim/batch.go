@@ -44,18 +44,19 @@ import (
 // the station sees the same Observation and ScheduleNext calls with the
 // same rng stream, stateful jammers see the same CountRange/Jammed sequence
 // (pure RangeJammers are call-order free by contract), busy-period, jam,
-// and energy accounting advance identically, and the engine's public read
+// and energy accounting advance identically, the engine's public read
 // surface (CurrentSlot, Last*, Backlog, ...) is maintained per slot so
-// engine-bound adversaries cannot tell the difference. EngineStats agree on
+// engine-bound adversaries and recorders cannot tell the difference, and
+// the Recorder receives the same SlotEvent/PacketEvent stream in the same
+// order (each slot's event after its departure). EngineStats agree on
 // everything semantic (SlotsResolved, EventsScheduled, lifecycle counters);
 // only the wheel-mechanics counters (WheelCascades, HeapOverflows) and
 // BatchedSlots itself can differ. The batching on/off property test pins
 // all of this down for every registered protocol × jammer × arrival kind.
 //
-// The path declines to engage (Engine.batchOK) when a Recorder or Probe
-// needs the per-slot event stream, when RetainPackets is set, when the
-// jammer is reactive (it must see every slot's sender set), or when
-// Params.DisableBatching asks for the general resolver.
+// The path declines to engage (Engine.batchOK) when the jammer is reactive
+// (it must see every slot's sender set), when churn or faults add per-slot
+// effects, or when Params.DisableBatching asks for the general resolver.
 
 // resolveRun resolves slot t — which has at least one pending event — and,
 // when t's accessor turns out to be alone with nothing else pending nearby,
@@ -77,14 +78,14 @@ func (e *Engine) resolveRun(t int64) {
 	if limit < t {
 		// A further arrival batch is pending at t itself; the general
 		// resolver handles the slot.
-		e.resolveSlot(t)
+		e.resolveRecorded(t)
 		return
 	}
 	ev, ok := e.events.popAtMost(t)
 	if !ok {
 		noEventPanic(t)
 	}
-	// Probe the wheel for the next pending event after the one popped. A
+	// Peek at the wheel for the next pending event after the one popped. A
 	// hit at t means a second accessor shares the slot — contended, so the
 	// event goes back (a mechanical re-insertion, not a new schedule) and
 	// the general resolver takes over. A later hit caps the run; a miss
@@ -93,7 +94,7 @@ func (e *Engine) resolveRun(t int64) {
 		if s2 == t {
 			e.events.Push(ev)
 			e.events.pushes--
-			e.resolveSlot(t)
+			e.resolveRecorded(t)
 			return
 		}
 		limit = s2 - 1
@@ -195,6 +196,7 @@ func (e *Engine) runStation(idx int32, t, limit int64) {
 				e.closedActive += t - e.busyStart + 1
 				e.busy = false
 			}
+			e.recordSlot()
 			return
 		}
 		next, send := scheduleStation(ss, t+1, &ss.rng)
@@ -203,6 +205,7 @@ func (e *Engine) runStation(idx int32, t, limit int64) {
 		}
 		ss.nextSlot = next
 		ss.willSend = send
+		e.recordSlot()
 		if next > limit {
 			// The run is over; the station's event re-enters the wheel and
 			// the main loop resumes. Push counts this schedule.

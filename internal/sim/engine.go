@@ -19,31 +19,19 @@ type Params struct {
 	Jammer     Jammer
 	NewStation StationFactory
 	MaxSlots   int64
-	// Probe, if non-nil, is invoked after every resolved slot with the
-	// engine and the slot number. Probes may inspect the engine through
-	// its read accessors but must not mutate it.
-	Probe func(e *Engine, slot int64)
-	// Recorder, if non-nil, receives the run's structured event stream: an
-	// obs.SlotEvent after every resolved slot (before Probe) and an
-	// obs.PacketEvent for every packet — delivered packets at departure in
-	// departure order, packets abandoned by churn at their leave slot with
-	// Departure = DepartureAbandoned, undelivered packets at the end of the
-	// run in arrival order with Departure = -1. The packet events of packets
-	// departing (or abandoning) at slot t precede t's slot event. A nil
-	// Recorder costs one predictable branch per slot and keeps the hot path
-	// allocation-free.
+	// Recorder, if non-nil, is the run's one observer. It receives an
+	// obs.SlotEvent after every resolved slot and an obs.PacketEvent for
+	// every packet — delivered packets at departure in departure order,
+	// packets abandoned by churn at their leave slot with Departure =
+	// DepartureAbandoned, undelivered packets at the end of the run in
+	// arrival order with Departure = -1. The packet events of packets
+	// departing (or abandoning) at slot t precede t's slot event. Both
+	// resolvers emit the identical stream, so attaching a recorder never
+	// changes how the run executes; a recorder that also implements
+	// EngineBound may read the engine's accessors from inside its
+	// callbacks once bound. A nil Recorder costs one predictable branch per
+	// slot and keeps the hot path allocation-free.
 	Recorder obs.Recorder
-	// PacketSink, if non-nil, receives every packet's final PacketStats:
-	// delivered packets as they depart (in departure order), undelivered
-	// packets (Departure = -1) at the end of the run in arrival order. The
-	// engine keeps nothing for sunk packets, so a sink observes per-packet
-	// data on streams of any length at O(backlog) engine memory.
-	PacketSink func(PacketStats)
-	// RetainPackets, when true, keeps every packet's PacketStats and
-	// returns them in Result.Packets, indexed by packet id — O(arrivals)
-	// memory. The default (false) keeps only the streaming accumulators in
-	// Result.Energy, so live engine state is O(backlog), not O(arrivals).
-	RetainPackets bool
 	// DisableBatching turns off the batch resolution fast path (batch.go)
 	// and forces every slot through the general resolver. Results are
 	// bit-identical either way (the equivalence the property tests pin
@@ -95,7 +83,7 @@ const faultStream = 0x666c7473 // "flts"
 //
 // Live state is O(backlog): departed packets' slot-table entries are
 // recycled through a free list, their statistics folded into streaming
-// accumulators (and handed to Params.PacketSink, if set) at departure.
+// accumulators (and handed to Params.Recorder, if set) at departure.
 type Engine struct {
 	params   Params
 	jammer   Jammer
@@ -122,10 +110,8 @@ type Engine struct {
 
 	events timingWheel
 
-	// Streaming per-packet statistics (always on) and the opt-in
-	// per-packet record (RetainPackets).
-	energy   EnergyStats
-	retained []PacketStats
+	// Streaming per-packet statistics (always on).
+	energy EnergyStats
 
 	// Pending arrival batch (peeked from the source).
 	pendSlot  int64
@@ -153,7 +139,7 @@ type Engine struct {
 	slotStations []int32
 	slotSenders  []int64
 
-	// Last resolved slot, for probes.
+	// Last resolved slot, for recorders and adaptive adversaries.
 	lastOutcome   Outcome
 	lastSenders   int
 	lastAccessors int
@@ -238,10 +224,12 @@ func NewEngine(p Params) (*Engine, error) {
 	return e, nil
 }
 
-// EngineBound is implemented by adversary components (arrival sources,
-// jammers) that adapt to the observable state of the system. The engine
-// calls Bind once, before the run starts. Bound components must use only
-// the engine's read accessors.
+// EngineBound is implemented by components that read the observable state
+// of the system: adaptive adversaries (arrival sources, jammers), which the
+// engine binds itself in NewEngine, and recorders sampling engine state
+// (metrics.Collector, trace.WindowTracker), which whoever attaches them
+// binds before the run starts. Bind is called once; bound components must
+// use only the engine's read accessors.
 type EngineBound interface {
 	Bind(e *Engine)
 }
@@ -258,9 +246,6 @@ func (e *Engine) Run() (Result, error) {
 		return Result{}, fmt.Errorf("sim: Engine.Run mixed with stepped API (StepTo/InjectAt)")
 	}
 	e.ran = true
-	// The batch fast path synthesizes no per-slot event stream, so any
-	// per-slot observer (recorder, probe) forces the general resolver; a
-	// reactive jammer must see every slot's sender set for the same reason.
 	// Decided here, not at construction, so the flag reflects the params the
 	// run actually starts with. See batch.go for the per-run-of-slots
 	// conditions.
@@ -270,14 +255,15 @@ func (e *Engine) Run() (Result, error) {
 }
 
 func (e *Engine) decideBatchOK() {
-	// Churn and faults force the general resolver: abandon events and
-	// fault-stream draws are per-slot effects the batch path does not
-	// replay. The fault-free, churn-free path is untouched — which is also
-	// what makes runs with faults on trivially identical across the
-	// batched/general setting.
+	// A reactive jammer must see every slot's sender set, and churn and
+	// faults are per-slot effects (abandon events, fault-stream draws) the
+	// batch path does not replay, so each forces the general resolver. The
+	// fault-free, churn-free path is untouched — which is also what makes
+	// runs with faults on trivially identical across the batched/general
+	// setting. Observation is not a condition: both resolvers emit the same
+	// Recorder stream.
 	p := &e.params
-	e.batchOK = !p.DisableBatching && p.Recorder == nil && p.Probe == nil &&
-		!p.RetainPackets && e.react == nil && p.Faults == nil && p.Lifetime == nil
+	e.batchOK = !p.DisableBatching && e.react == nil && p.Faults == nil && p.Lifetime == nil
 }
 
 // advance is the scheduler loop shared by Run and the stepped API: it
@@ -328,24 +314,32 @@ func (e *Engine) advance(limit int64) {
 
 		// Resolve the channel only if some station accesses slot t. The
 		// batch fast path (batch.go) takes over whole uncontended runs of
-		// slots when permitted; it implies Recorder and Probe are nil.
+		// slots when permitted.
 		if resolve {
 			if e.batchOK {
 				e.resolveRun(t)
-				continue
-			}
-			// A false return means every due event was a churn abandon: no
-			// station accessed the channel, so there is no slot to record
-			// or probe.
-			if e.resolveSlot(t) {
-				if e.params.Recorder != nil {
-					e.params.Recorder.RecordSlot(e.LastSlotEvent())
-				}
-				if e.params.Probe != nil {
-					e.params.Probe(e, t)
-				}
+			} else {
+				e.resolveRecorded(t)
 			}
 		}
+	}
+}
+
+// resolveRecorded resolves slot t through the general resolver and hands
+// the slot to the recorder. A false resolveSlot means every due event was
+// a churn abandon: no station accessed the channel, so there is no slot to
+// record.
+func (e *Engine) resolveRecorded(t int64) {
+	if e.resolveSlot(t) {
+		e.recordSlot()
+	}
+}
+
+// recordSlot emits the just-resolved slot to the recorder, if any. Both
+// resolvers call it once per resolved slot, after the slot's departures.
+func (e *Engine) recordSlot() {
+	if e.params.Recorder != nil {
+		e.params.Recorder.RecordSlot(e.LastSlotEvent())
 	}
 }
 
@@ -496,9 +490,6 @@ func (e *Engine) injectBatch(t, count int64) {
 			e.liveHead = idx
 		}
 		e.liveTail = idx
-		if e.params.RetainPackets {
-			e.retained = append(e.retained, PacketStats{ID: id, Arrival: t, Departure: -1})
-		}
 		// Cap the event at the leave slot: the station is woken there to
 		// abandon instead of to act.
 		evSlot := next
@@ -666,13 +657,7 @@ func (e *Engine) abandonStation(idx int32) {
 	ss := &e.stations[idx]
 	e.abandoned++
 	e.activeCount--
-	e.finishPacket(PacketStats{
-		ID:        ss.id,
-		Arrival:   ss.arrival,
-		Departure: DepartureAbandoned,
-		Sends:     ss.sends,
-		Listens:   ss.listens,
-	}, ss.firstSend, ss.leaveAt)
+	e.finishPacket(ss, DepartureAbandoned, ss.leaveAt)
 	if ss.prevLive >= 0 {
 		e.stations[ss.prevLive].nextLive = ss.nextLive
 	} else {
@@ -726,19 +711,13 @@ func (e *Engine) crashStation(idx int32, t, down int64) {
 }
 
 // depart finalizes a delivered packet: folds its statistics into the
-// accumulators (and sink/retained record), unlinks it from the live list,
-// and recycles its slot-table entry.
+// accumulators (and the recorder), unlinks it from the live list, and
+// recycles its slot-table entry.
 //
 //lsbvet:hotpath
 func (e *Engine) depart(idx int32, t int64) {
 	ss := &e.stations[idx]
-	e.finishPacket(PacketStats{
-		ID:        ss.id,
-		Arrival:   ss.arrival,
-		Departure: t,
-		Sends:     ss.sends,
-		Listens:   ss.listens,
-	}, ss.firstSend, -1)
+	e.finishPacket(ss, t, -1)
 	if ss.prevLive >= 0 {
 		e.stations[ss.prevLive].nextLive = ss.nextLive
 	} else {
@@ -764,29 +743,23 @@ func (e *Engine) depart(idx int32, t int64) {
 	e.freeList = append(e.freeList, idx)
 }
 
-// finishPacket routes one packet's final statistics to the accumulators,
-// the retained record, the sink, and the recorder. firstSend and leftAt
-// (the churn abandon slot, -1 for delivered packets and survivors) are
-// carried alongside PacketStats (not inside it) so the differential
-// reference engine's bit-exact PacketStats comparison is untouched.
-func (e *Engine) finishPacket(p PacketStats, firstSend, leftAt int64) {
+// finishPacket closes the lifecycle of the packet in ss — departure is its
+// delivery slot, DepartureAbandoned, or -1 for a survivor, and leftAt the
+// churn abandon slot (-1 otherwise) — folding its record into the
+// accumulators and handing it to the recorder.
+func (e *Engine) finishPacket(ss *stationState, departure, leftAt int64) {
+	p := PacketStats{
+		ID:        ss.id,
+		Arrival:   ss.arrival,
+		FirstSend: ss.firstSend,
+		Departure: departure,
+		LeftAt:    leftAt,
+		Sends:     ss.sends,
+		Listens:   ss.listens,
+	}
 	e.energy.AddPacket(p)
-	if e.params.RetainPackets {
-		e.retained[p.ID] = p
-	}
-	if e.params.PacketSink != nil {
-		e.params.PacketSink(p)
-	}
 	if e.params.Recorder != nil {
-		e.params.Recorder.RecordPacket(obs.PacketEvent{
-			ID:        p.ID,
-			Arrival:   p.Arrival,
-			FirstSend: firstSend,
-			Departure: p.Departure,
-			LeftAt:    leftAt,
-			Sends:     p.Sends,
-			Listens:   p.Listens,
-		})
+		e.params.Recorder.RecordPacket(p)
 	}
 }
 
@@ -818,24 +791,15 @@ func (e *Engine) result() Result {
 	for idx := e.liveHead; idx >= 0; {
 		ss := &e.stations[idx]
 		next := ss.nextLive
-		e.finishPacket(PacketStats{
-			ID:        ss.id,
-			Arrival:   ss.arrival,
-			Departure: -1,
-			Sends:     ss.sends,
-			Listens:   ss.listens,
-		}, ss.firstSend, -1)
+		e.finishPacket(ss, -1, -1)
 		idx = next
 	}
 	r.Energy = e.energy
-	if e.params.RetainPackets {
-		r.Packets = e.retained
-	}
 	r.EngineStats = e.Stats()
 	return r
 }
 
-// --- read accessors for probes and adaptive adversaries ---
+// --- read accessors for bound recorders and adaptive adversaries ---
 
 // Backlog returns the number of packets currently in the system.
 func (e *Engine) Backlog() int64 { return e.activeCount }
@@ -873,7 +837,7 @@ func (e *Engine) ImplicitThroughputNow() float64 {
 }
 
 // LastOutcome returns the outcome of the most recently resolved slot; only
-// meaningful inside a Probe callback.
+// meaningful inside a recorder's RecordSlot.
 func (e *Engine) LastOutcome() Outcome { return e.lastOutcome }
 
 // LastSenders returns the number of stations that transmitted in the most
@@ -889,8 +853,8 @@ func (e *Engine) LastJammed() bool { return e.lastJammed }
 
 // LastSlotEvent returns the most recently resolved slot as a structured
 // obs.SlotEvent — the same view a Params.Recorder receives. Only
-// meaningful inside a Probe callback (or after at least one resolved
-// slot).
+// meaningful inside a recorder's RecordSlot (or after at least one
+// resolved slot).
 func (e *Engine) LastSlotEvent() obs.SlotEvent {
 	return obs.SlotEvent{
 		Slot:      e.curSlot,
@@ -915,9 +879,9 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // VisitActiveWindows calls fn with the window of every active station that
-// exposes one, in arrival order. It is intended for probes computing
-// contention or the paper's potential function; cost is linear in the
-// current backlog (departed stations are recycled, not scanned).
+// exposes one, in arrival order. It is intended for bound recorders
+// computing contention or the paper's potential function; cost is linear
+// in the current backlog (departed stations are recycled, not scanned).
 func (e *Engine) VisitActiveWindows(fn func(w float64)) {
 	for idx := e.liveHead; idx >= 0; idx = e.stations[idx].nextLive {
 		if w, ok := e.stations[idx].st.(Windowed); ok {

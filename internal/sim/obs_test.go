@@ -316,10 +316,48 @@ func TestWindowedRecorderMemoryIsWindowBounded(t *testing.T) {
 	t.Logf("%d packets, %d windows, %d allocations", n, windows, allocs)
 }
 
+// TestWindowLatencyMatchesEnergy: the windowed series and the engine's
+// accumulators fold the same packet record, so on a Poisson LSB stream the
+// windows' latency tallies sum exactly to Result.Energy.Latency.
+func TestWindowLatencyMatchesEnergy(t *testing.T) {
+	src, err := arrivals.NewPoisson(0.05, 2000, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := obs.NewWindows(256, nil)
+	e, err := NewEngine(Params{
+		Seed:          4,
+		Arrivals:      src,
+		NewStation:    core.MustFactory(core.Default()),
+		ReuseStations: true,
+		Recorder:      ws,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var sum, count int64
+	for _, w := range ws.Stats() {
+		sum += w.Latency.Sum
+		count += w.Latency.Count
+	}
+	if count == 0 || sum != r.Energy.Latency.Sum || count != r.Energy.Latency.Count {
+		t.Fatalf("windows latency sum/count %d/%d, Result.Energy %d/%d",
+			sum, count, r.Energy.Latency.Sum, r.Energy.Latency.Count)
+	}
+}
+
 // BenchmarkRecorderOverhead measures the engine's per-packet cost with no
-// recorder (the branch-only baseline), a bounded in-memory Ring, and a
-// windowed metrics pipeline. The nil case must report 0 allocs/op;
-// benchdiff guards it against BENCH_engine.json.
+// recorder (the branch-only baseline), a bounded in-memory Ring, a
+// windowed metrics pipeline, and an obs.PacketFunc sink. Observed runs
+// take the batch path like unobserved ones. The nil case must report 0
+// allocs/op; benchdiff guards every row against BENCH_engine.json.
 func BenchmarkRecorderOverhead(b *testing.B) {
 	bench := func(b *testing.B, rec obs.Recorder) {
 		src, err := arrivals.NewBernoulli(0.15, int64(b.N), 42)
@@ -347,5 +385,9 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 	b.Run("windows", func(b *testing.B) {
 		sink := obs.NewNDJSON(io.Discard)
 		bench(b, obs.NewWindows(1024, sink.RecordWindow))
+	})
+	b.Run("packets", func(b *testing.B) {
+		var accesses int64
+		bench(b, obs.PacketFunc(func(p obs.PacketEvent) { accesses += p.Accesses() }))
 	})
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -50,13 +51,14 @@ func TestEngineInvariantsUnderChaos(t *testing.T) {
 		if jam {
 			jammer = chaosJammer{seed: seed}
 		}
+		pt := &packetTable{}
 		e, err := NewEngine(Params{
-			Seed:          seed,
-			Arrivals:      &traceSource{batches: batches},
-			NewStation:    func(int64, *prng.Source) Station { return chaosStation{} },
-			Jammer:        jammer,
-			MaxSlots:      3000,
-			RetainPackets: true,
+			Seed:       seed,
+			Arrivals:   &traceSource{batches: batches},
+			NewStation: func(int64, *prng.Source) Station { return chaosStation{} },
+			Jammer:     jammer,
+			MaxSlots:   3000,
+			Recorder:   pt,
 		})
 		if err != nil {
 			t.Logf("engine: %v", err)
@@ -91,7 +93,7 @@ func TestEngineInvariantsUnderChaos(t *testing.T) {
 		}
 		undelivered := int64(0)
 		var sends int64
-		for _, p := range r.Packets {
+		for _, p := range *pt {
 			if p.Departure >= 0 && p.Departure < p.Arrival {
 				t.Log("departed before arrival")
 				return false
@@ -126,14 +128,15 @@ func TestEngineInvariantsUnderChaos(t *testing.T) {
 func TestEngineDeterminismProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int64(nRaw%30) + 2
-		run := func() Result {
+		run := func() (Result, packetTable) {
+			pt := &packetTable{}
 			e, err := NewEngine(Params{
-				Seed:          seed,
-				Arrivals:      &batchSource{count: n},
-				NewStation:    func(int64, *prng.Source) Station { return chaosStation{} },
-				Jammer:        chaosJammer{seed: seed},
-				MaxSlots:      2000,
-				RetainPackets: true,
+				Seed:       seed,
+				Arrivals:   &batchSource{count: n},
+				NewStation: func(int64, *prng.Source) Station { return chaosStation{} },
+				Jammer:     chaosJammer{seed: seed},
+				MaxSlots:   2000,
+				Recorder:   pt,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -142,19 +145,15 @@ func TestEngineDeterminismProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return r
+			return r, *pt
 		}
-		a, b := run(), run()
+		a, pa := run()
+		b, pb := run()
 		if a.ActiveSlots != b.ActiveSlots || a.Completed != b.Completed ||
 			a.JammedSlots != b.JammedSlots || a.LastSlot != b.LastSlot {
 			return false
 		}
-		for i := range a.Packets {
-			if a.Packets[i] != b.Packets[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(pa, pb)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -27,15 +27,17 @@
 // implements channel.ReusableStation — and per-packet statistics are
 // folded at departure into constant-memory streaming accumulators
 // (Result.Energy: counts, exact sums, and log-bucketed histograms with
-// quantile queries). Per-packet records are opt-in: set
-// Params.RetainPackets to materialize Result.Packets (O(arrivals) memory),
-// or Params.PacketSink to stream each packet's final PacketStats out of
-// the engine without retaining anything.
+// quantile queries). The engine itself never retains per-packet records:
+// Params.Recorder receives every packet's closed record as an
+// obs.PacketEvent, so a caller that wants them can stream them out (an
+// obs.PacketFunc) or keep them (O(arrivals) memory, its own choice).
+// Attaching a recorder changes nothing about how the run executes.
 package sim
 
 import (
 	"lowsensing/channel"
 	"lowsensing/internal/stats"
+	"lowsensing/obs"
 )
 
 // The engine-facing contracts — the protocol, arrivals, and adversary
@@ -79,40 +81,15 @@ const (
 	OutcomeNoisy   = channel.OutcomeNoisy
 )
 
-// PacketStats records the lifetime and energy of one packet. ID is the
-// packet's global arrival index (0-based). Departure is -1 if the packet
-// was still in the system when the run ended, and DepartureAbandoned (-2)
-// if it left undelivered under churn. Energy in the paper's sense
-// is Sends + Listens: each slot in which the packet accessed the channel
-// costs one unit (a sending packet need not also listen, so a
-// send-and-listen slot costs one access, counted as a send).
-type PacketStats struct {
-	ID        int64
-	Arrival   int64
-	Departure int64
-	Sends     int64
-	Listens   int64
-}
+// PacketStats is the engine's per-packet record: obs.PacketEvent, the
+// record every Params.Recorder receives, so there is one packet type and
+// one Latency (arrival to success inclusive).
+type PacketStats = obs.PacketEvent
 
 // DepartureAbandoned is the PacketStats.Departure sentinel of a packet
 // that left the system undelivered under churn (Params.Lifetime) — as
 // opposed to -1, a survivor still in the system when the run ended.
-const DepartureAbandoned = int64(-2)
-
-// Abandoned reports whether the packet left undelivered under churn.
-func (p PacketStats) Abandoned() bool { return p.Departure == DepartureAbandoned }
-
-// Accesses returns the packet's total channel accesses.
-func (p PacketStats) Accesses() int64 { return p.Sends + p.Listens }
-
-// Latency returns the number of slots from arrival to success inclusive,
-// or -1 if the packet never departed.
-func (p PacketStats) Latency() int64 {
-	if p.Departure < 0 {
-		return -1
-	}
-	return p.Departure - p.Arrival + 1
-}
+const DepartureAbandoned = obs.DepartureAbandoned
 
 // EnergyStats holds the streaming per-packet accumulators the engine
 // maintains for every run: one Tally (count, exact sum, min/max, second
@@ -274,10 +251,10 @@ type Result struct {
 	// Degradation holds per-class deltas against a fault-free baseline
 	// run. Only RunWithBaseline-style drivers populate it.
 	Degradation []ClassDelta
-	// Packets holds per-packet statistics indexed by packet id. It is
-	// populated only when Params.RetainPackets is set (O(arrivals)
-	// memory); use Params.PacketSink to observe per-packet data on long
-	// streams without retention.
+	// Packets holds per-packet statistics indexed by packet id. The engine
+	// never populates it; the public Scenario layer fills it when
+	// Scenario.RetainPackets is set (O(arrivals) memory), from the same
+	// Recorder stream any caller can observe.
 	Packets []PacketStats
 	// EngineStats holds the engine's self-metrics, always populated by the
 	// engine. It describes engine mechanics, not protocol behavior, and is

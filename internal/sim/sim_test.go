@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"lowsensing/obs"
 	"lowsensing/prng"
 )
 
@@ -101,10 +102,11 @@ func TestRunTwiceFails(t *testing.T) {
 
 func TestSinglePacketImmediateSuccess(t *testing.T) {
 	rec := map[int64]*scriptStation{}
+	pt := &packetTable{}
 	e, err := NewEngine(Params{
-		Arrivals:      &batchSource{slot: 5, count: 1},
-		NewStation:    scriptedFactory(map[int64][]scriptStep{0: {{0, true}}}, rec),
-		RetainPackets: true,
+		Arrivals:   &batchSource{slot: 5, count: 1},
+		NewStation: scriptedFactory(map[int64][]scriptStep{0: {{0, true}}}, rec),
+		Recorder:   pt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +124,7 @@ func TestSinglePacketImmediateSuccess(t *testing.T) {
 	if r.Throughput() != 1 || r.ImplicitThroughput() != 1 {
 		t.Fatalf("throughput = %v / %v", r.Throughput(), r.ImplicitThroughput())
 	}
-	p := r.Packets[0]
+	p := (*pt)[0]
 	if p.Arrival != 5 || p.Departure != 5 || p.Sends != 1 || p.Listens != 0 {
 		t.Fatalf("packet stats = %+v", p)
 	}
@@ -143,10 +145,11 @@ func TestCollisionThenResolution(t *testing.T) {
 		0: {{0, true}, {0, true}},
 		1: {{0, true}, {1, true}},
 	}
+	pt := &packetTable{}
 	e, err := NewEngine(Params{
-		Arrivals:      &batchSource{count: 2},
-		NewStation:    scriptedFactory(scripts, rec),
-		RetainPackets: true,
+		Arrivals:   &batchSource{count: 2},
+		NewStation: scriptedFactory(scripts, rec),
+		Recorder:   pt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +173,8 @@ func TestCollisionThenResolution(t *testing.T) {
 	if rec[0].obs[1].Outcome != OutcomeSuccess || !rec[0].obs[1].Succeeded {
 		t.Fatalf("retry observation = %+v", rec[0].obs[1])
 	}
-	if r.Packets[0].Sends != 2 || r.Packets[1].Sends != 2 {
-		t.Fatalf("send counts = %d,%d", r.Packets[0].Sends, r.Packets[1].Sends)
+	if (*pt)[0].Sends != 2 || (*pt)[1].Sends != 2 {
+		t.Fatalf("send counts = %d,%d", (*pt)[0].Sends, (*pt)[1].Sends)
 	}
 }
 
@@ -183,16 +186,16 @@ func TestListenerHearsOthersSuccessAndSilence(t *testing.T) {
 		0: {{0, false}, {0, false}, {0, true}},
 		1: {{0, true}},
 	}
+	pt := &packetTable{}
 	e, err := NewEngine(Params{
-		Arrivals:      &batchSource{count: 2},
-		NewStation:    scriptedFactory(scripts, rec),
-		RetainPackets: true,
+		Arrivals:   &batchSource{count: 2},
+		NewStation: scriptedFactory(scripts, rec),
+		Recorder:   pt,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.Run()
-	if err != nil {
+	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	obs := rec[0].obs
@@ -208,11 +211,11 @@ func TestListenerHearsOthersSuccessAndSilence(t *testing.T) {
 	if obs[2].Outcome != OutcomeSuccess || !obs[2].Succeeded {
 		t.Fatalf("slot 2 obs = %+v", obs[2])
 	}
-	if r.Packets[0].Listens != 2 || r.Packets[0].Sends != 1 {
-		t.Fatalf("packet 0 energy = %+v", r.Packets[0])
+	if (*pt)[0].Listens != 2 || (*pt)[0].Sends != 1 {
+		t.Fatalf("packet 0 energy = %+v", (*pt)[0])
 	}
-	if r.Packets[0].Accesses() != 3 {
-		t.Fatalf("accesses = %d", r.Packets[0].Accesses())
+	if (*pt)[0].Accesses() != 3 {
+		t.Fatalf("accesses = %d", (*pt)[0].Accesses())
 	}
 }
 
@@ -311,11 +314,12 @@ func (jamFirstSlot) CountRange(from, to int64) int64 {
 func TestJammedSendDoesNotSucceed(t *testing.T) {
 	rec := map[int64]*scriptStation{}
 	scripts := map[int64][]scriptStep{0: {{0, true}, {0, true}}}
+	pt := &packetTable{}
 	e, err := NewEngine(Params{
-		Arrivals:      &batchSource{count: 1},
-		NewStation:    scriptedFactory(scripts, rec),
-		Jammer:        jamFirstSlot{},
-		RetainPackets: true,
+		Arrivals:   &batchSource{count: 1},
+		NewStation: scriptedFactory(scripts, rec),
+		Jammer:     jamFirstSlot{},
+		Recorder:   pt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -327,8 +331,8 @@ func TestJammedSendDoesNotSucceed(t *testing.T) {
 	if rec[0].obs[0].Succeeded || rec[0].obs[0].Outcome != OutcomeNoisy {
 		t.Fatalf("jammed send observation = %+v", rec[0].obs[0])
 	}
-	if r.Packets[0].Departure != 1 {
-		t.Fatalf("departure = %d, want 1", r.Packets[0].Departure)
+	if (*pt)[0].Departure != 1 {
+		t.Fatalf("departure = %d, want 1", (*pt)[0].Departure)
 	}
 	// Throughput counts jammed slots as non-wasted: (T+J)/S = (1+1)/2.
 	if got := r.Throughput(); got != 1 {
@@ -345,12 +349,13 @@ func TestSkippedRangeJamAccounting(t *testing.T) {
 	// unobserved-range jams exactly like any other skipped stretch. (A
 	// regression test: the tail (last access, MaxSlots] used to be dropped
 	// from both totals.)
+	pt := &packetTable{}
 	e, err := NewEngine(Params{
-		Arrivals:      &batchSource{count: 1},
-		NewStation:    scriptedFactory(map[int64][]scriptStep{0: {{9, true}, {90, true}}}, nil),
-		Jammer:        alwaysJam{},
-		MaxSlots:      50,
-		RetainPackets: true,
+		Arrivals:   &batchSource{count: 1},
+		NewStation: scriptedFactory(map[int64][]scriptStep{0: {{9, true}, {90, true}}}, nil),
+		Jammer:     alwaysJam{},
+		MaxSlots:   50,
+		Recorder:   pt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -373,8 +378,8 @@ func TestSkippedRangeJamAccounting(t *testing.T) {
 	if r.LastSlot != 9 {
 		t.Fatalf("LastSlot = %d, want 9 (the last slot the engine worked)", r.LastSlot)
 	}
-	if r.Packets[0].Departure != -1 || r.Packets[0].Latency() != -1 {
-		t.Fatalf("stuck packet stats = %+v", r.Packets[0])
+	if (*pt)[0].Departure != -1 || (*pt)[0].Latency() != -1 {
+		t.Fatalf("stuck packet stats = %+v", (*pt)[0])
 	}
 }
 
@@ -451,33 +456,54 @@ func TestReactiveJammerSeesSenders(t *testing.T) {
 	}
 }
 
-func TestProbeAndVisitWindows(t *testing.T) {
-	probed := 0
+// slotHook is a bound test recorder: fn runs after every resolved slot
+// with the engine it was bound to.
+type slotHook struct {
+	e  *Engine
+	fn func(e *Engine, ev obs.SlotEvent)
+}
+
+func (h *slotHook) Bind(e *Engine)               { h.e = e }
+func (h *slotHook) RecordSlot(ev obs.SlotEvent)  { h.fn(h.e, ev) }
+func (h *slotHook) RecordPacket(obs.PacketEvent) {}
+
+// runHooked runs p with fn attached as a bound slot recorder.
+func runHooked(t *testing.T, p Params, fn func(e *Engine, ev obs.SlotEvent)) Result {
+	t.Helper()
+	h := &slotHook{fn: fn}
+	p.Recorder = h
+	e, err := NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Bind(e)
+	r, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func TestBoundRecorderReadsEngine(t *testing.T) {
+	recorded := 0
 	var backlogSeen int64
-	e, err := NewEngine(Params{
+	runHooked(t, Params{
 		Arrivals: &batchSource{count: 2},
 		NewStation: scriptedFactory(map[int64][]scriptStep{
 			0: {{0, true}},
 			1: {{1, true}},
 		}, nil),
-		Probe: func(e *Engine, slot int64) {
-			probed++
-			if b := e.Backlog(); b > backlogSeen {
-				backlogSeen = b
-			}
-			if e.CurrentSlot() != slot {
-				t.Errorf("CurrentSlot = %d, probe slot = %d", e.CurrentSlot(), slot)
-			}
-		},
+	}, func(e *Engine, ev obs.SlotEvent) {
+		recorded++
+		if b := e.Backlog(); b > backlogSeen {
+			backlogSeen = b
+		}
+		if e.CurrentSlot() != ev.Slot || e.LastSlotEvent() != ev {
+			t.Errorf("engine at slot %d (%+v), recorded %+v", e.CurrentSlot(), e.LastSlotEvent(), ev)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if probed != 2 {
-		t.Fatalf("probe called %d times, want 2", probed)
+	if recorded != 2 {
+		t.Fatalf("recorder called %d times, want 2", recorded)
 	}
 	if backlogSeen != 1 {
 		// Backlog is observed after slot resolution: 1 after slot 0.
@@ -494,7 +520,8 @@ type windowedStation struct {
 func (w *windowedStation) Window() float64 { return w.w }
 
 func TestVisitActiveWindows(t *testing.T) {
-	e, err := NewEngine(Params{
+	var sum float64
+	runHooked(t, Params{
 		Arrivals: &batchSource{count: 3},
 		NewStation: func(id int64, _ *prng.Source) Station {
 			return &windowedStation{
@@ -502,20 +529,12 @@ func TestVisitActiveWindows(t *testing.T) {
 				w:             float64(10 * (id + 1)),
 			}
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	e.params.Probe = func(eng *Engine, slot int64) {
-		if slot == 0 {
+	}, func(eng *Engine, ev obs.SlotEvent) {
+		if ev.Slot == 0 {
 			sum = 0
 			eng.VisitActiveWindows(func(w float64) { sum += w })
 		}
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	})
 	// After slot 0, station 0 departed; stations 1 (w=20) and 2 (w=30)
 	// remain active.
 	if sum != 50 {
@@ -525,7 +544,7 @@ func TestVisitActiveWindows(t *testing.T) {
 
 func TestImplicitThroughputNowAndAccessors(t *testing.T) {
 	var seen []float64
-	e, err := NewEngine(Params{
+	r := runHooked(t, Params{
 		Arrivals: &batchSource{count: 4},
 		NewStation: scriptedFactory(map[int64][]scriptStep{
 			0: {{0, true}},
@@ -533,37 +552,30 @@ func TestImplicitThroughputNowAndAccessors(t *testing.T) {
 			2: {{2, true}},
 			3: {{3, true}},
 		}, nil),
-		Probe: func(e *Engine, slot int64) {
-			seen = append(seen, e.ImplicitThroughputNow())
-			if e.Arrived() != 4 {
-				t.Errorf("Arrived = %d", e.Arrived())
-			}
-			if e.JammedSoFar() != 0 {
-				t.Errorf("JammedSoFar = %d", e.JammedSoFar())
-			}
-			if e.Completed() != slot+1 {
-				t.Errorf("Completed = %d at slot %d", e.Completed(), slot)
-			}
-			if e.ActiveSlotsSoFar() != slot+1 {
-				t.Errorf("ActiveSlotsSoFar = %d at slot %d", e.ActiveSlotsSoFar(), slot)
-			}
-		},
+	}, func(e *Engine, ev obs.SlotEvent) {
+		slot := ev.Slot
+		seen = append(seen, e.ImplicitThroughputNow())
+		if e.Arrived() != 4 {
+			t.Errorf("Arrived = %d", e.Arrived())
+		}
+		if e.JammedSoFar() != 0 {
+			t.Errorf("JammedSoFar = %d", e.JammedSoFar())
+		}
+		if e.Completed() != slot+1 {
+			t.Errorf("Completed = %d at slot %d", e.Completed(), slot)
+		}
+		if e.ActiveSlotsSoFar() != slot+1 {
+			t.Errorf("ActiveSlotsSoFar = %d at slot %d", e.ActiveSlotsSoFar(), slot)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// (N+J)/S = 4/S_t at each processed slot: 4, 2, 4/3, 1.
 	want := []float64{4, 2, 4.0 / 3, 1}
 	if len(seen) != len(want) {
-		t.Fatalf("probes = %v", seen)
+		t.Fatalf("samples = %v", seen)
 	}
 	for i := range want {
 		if seen[i] != want[i] {
-			t.Fatalf("implicit throughput at probe %d = %v, want %v", i, seen[i], want[i])
+			t.Fatalf("implicit throughput at sample %d = %v, want %v", i, seen[i], want[i])
 		}
 	}
 	if r.ImplicitThroughput() != 1 {

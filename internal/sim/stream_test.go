@@ -5,19 +5,34 @@ import (
 	"testing"
 
 	"lowsensing/internal/stats"
+	"lowsensing/obs"
 	"lowsensing/prng"
 )
 
-// TestPacketsOptIn: default runs keep only the streaming accumulators;
-// Result.Packets stays nil unless RetainPackets is set.
+// packetTable is a test recorder keeping every packet's closed record,
+// indexed by packet id — retention built on the Recorder stream.
+type packetTable []PacketStats
+
+func (pt *packetTable) RecordSlot(obs.SlotEvent) {}
+
+func (pt *packetTable) RecordPacket(p PacketStats) {
+	for int64(len(*pt)) <= p.ID {
+		*pt = append(*pt, PacketStats{})
+	}
+	(*pt)[p.ID] = p
+}
+
+// TestPacketsOptIn: the engine keeps only the streaming accumulators and
+// never fills Result.Packets; per-packet records come from the recorder,
+// and observing a run changes none of its accumulators.
 func TestPacketsOptIn(t *testing.T) {
-	run := func(retain bool) Result {
+	run := func(rec obs.Recorder) Result {
 		e, err := NewEngine(Params{
-			Seed:          1,
-			Arrivals:      &batchSource{count: 8},
-			NewStation:    func(int64, *prng.Source) Station { return chaosStation{} },
-			MaxSlots:      5000,
-			RetainPackets: retain,
+			Seed:       1,
+			Arrivals:   &batchSource{count: 8},
+			NewStation: func(int64, *prng.Source) Station { return chaosStation{} },
+			MaxSlots:   5000,
+			Recorder:   rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -28,7 +43,7 @@ func TestPacketsOptIn(t *testing.T) {
 		}
 		return r
 	}
-	def := run(false)
+	def := run(nil)
 	if def.Packets != nil {
 		t.Fatalf("default run retained %d packets", len(def.Packets))
 	}
@@ -39,9 +54,10 @@ func TestPacketsOptIn(t *testing.T) {
 		t.Fatalf("accesses from accumulators: mean %v max %d", def.MeanAccesses(), def.MaxAccesses())
 	}
 
-	ret := run(true)
-	if int64(len(ret.Packets)) != ret.Arrived {
-		t.Fatalf("retained %d packets, arrived %d", len(ret.Packets), ret.Arrived)
+	pt := &packetTable{}
+	ret := run(pt)
+	if ret.Packets != nil || int64(len(*pt)) != ret.Arrived {
+		t.Fatalf("recorder kept %d packets (Result.Packets %d), arrived %d", len(*pt), len(ret.Packets), ret.Arrived)
 	}
 	// Same seed: the two modes must agree on everything observable.
 	if def.Energy != ret.Energy {
@@ -53,17 +69,18 @@ func TestPacketsOptIn(t *testing.T) {
 }
 
 // TestEnergyAccumulatorMatchesRetained rebuilds the accumulators from the
-// retained per-packet records and checks they agree with what the engine
+// recorded per-packet records and checks they agree with what the engine
 // streamed (bit-exact for the integer fields and histograms; SumSq within
 // float tolerance because the engine accumulates in departure order).
 func TestEnergyAccumulatorMatchesRetained(t *testing.T) {
+	pt := &packetTable{}
 	e, err := NewEngine(Params{
-		Seed:          7,
-		Arrivals:      &traceSource{batches: [][2]int64{{0, 20}, {40, 10}, {41, 5}}},
-		NewStation:    func(int64, *prng.Source) Station { return chaosStation{} },
-		Jammer:        chaosJammer{seed: 7},
-		MaxSlots:      1500,
-		RetainPackets: true,
+		Seed:       7,
+		Arrivals:   &traceSource{batches: [][2]int64{{0, 20}, {40, 10}, {41, 5}}},
+		NewStation: func(int64, *prng.Source) Station { return chaosStation{} },
+		Jammer:     chaosJammer{seed: 7},
+		MaxSlots:   1500,
+		Recorder:   pt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +90,7 @@ func TestEnergyAccumulatorMatchesRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want EnergyStats
-	for _, p := range r.Packets {
+	for _, p := range *pt {
 		want.AddPacket(p)
 	}
 	if r.Energy.Undelivered != want.Undelivered {
@@ -96,26 +113,25 @@ func TestEnergyAccumulatorMatchesRetained(t *testing.T) {
 	}
 }
 
-// TestPacketSinkStreams checks the sink contract: every packet exactly
-// once, delivered packets in departure order, undelivered packets flushed
-// in arrival order at the end, and contents identical to the retained
-// records of an identical run.
+// TestPacketSinkStreams checks the packet-stream contract an obs.PacketFunc
+// sink sees: every packet exactly once, delivered packets in departure
+// order, undelivered packets flushed in arrival order at the end, and
+// contents identical to the id-indexed records of an identical run.
 func TestPacketSinkStreams(t *testing.T) {
-	build := func(sink func(PacketStats), retain bool) Params {
+	build := func(rec obs.Recorder) Params {
 		return Params{
 			Seed:       3,
 			Arrivals:   &traceSource{batches: [][2]int64{{0, 12}, {30, 6}}},
 			NewStation: func(int64, *prng.Source) Station { return chaosStation{} },
 			// Jamming from slot 40 on guarantees a mix: early packets
 			// deliver, the rest are stuck when MaxSlots truncates the run.
-			Jammer:        jamAfter{from: 40},
-			MaxSlots:      400,
-			PacketSink:    sink,
-			RetainPackets: retain,
+			Jammer:   jamAfter{from: 40},
+			MaxSlots: 400,
+			Recorder: rec,
 		}
 	}
 	var sunk []PacketStats
-	e, err := NewEngine(build(func(p PacketStats) { sunk = append(sunk, p) }, false))
+	e, err := NewEngine(build(obs.PacketFunc(func(p PacketStats) { sunk = append(sunk, p) })))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +167,13 @@ func TestPacketSinkStreams(t *testing.T) {
 		t.Fatalf("test instance should truncate with live packets (truncated=%v)", r.Truncated)
 	}
 
-	// Identical run with retention: same per-packet records.
-	e2, err := NewEngine(build(nil, true))
+	// Identical run recorded by id: same per-packet records.
+	pt := &packetTable{}
+	e2, err := NewEngine(build(pt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e2.Run()
-	if err != nil {
+	if _, err := e2.Run(); err != nil {
 		t.Fatal(err)
 	}
 	byID := make(map[int64]PacketStats, len(sunk))
@@ -167,9 +183,9 @@ func TestPacketSinkStreams(t *testing.T) {
 		}
 		byID[p.ID] = p
 	}
-	for _, p := range r2.Packets {
+	for _, p := range *pt {
 		if byID[p.ID] != p {
-			t.Fatalf("packet %d: sink %+v vs retained %+v", p.ID, byID[p.ID], p)
+			t.Fatalf("packet %d: sink %+v vs recorded %+v", p.ID, byID[p.ID], p)
 		}
 	}
 }

@@ -13,15 +13,17 @@
 // Result.Energy down to the floating-point second moments — a much
 // stronger check than statistical agreement. Churn (Params.Lifetime) and
 // station faults (Params.Faults, drawing the same dedicated stream in the
-// same per-slot id order) are mirrored call for call. RetainPackets and
-// PacketSink are honored with the engine's exact semantics. Cost is
-// O(MaxSlots × stations); use small instances.
+// same per-slot id order) are mirrored call for call, and Params.Recorder
+// receives the engine's exact event stream: a SlotEvent per resolved slot
+// and every packet's PacketEvent (FirstSend and LeftAt included), in the
+// engine's order. Cost is O(MaxSlots × stations); use small instances.
 package simref
 
 import (
 	"fmt"
 
 	"lowsensing/internal/sim"
+	"lowsensing/obs"
 	"lowsensing/prng"
 )
 
@@ -54,16 +56,17 @@ func Run(p sim.Params) (sim.Result, error) {
 	}
 
 	type st struct {
-		station  sim.Station
-		rng      *prng.Source
-		arrival  int64
-		depart   int64
-		sends    int64
-		listens  int64
-		nextSlot int64
-		leaveAt  int64 // churn leave slot; -1 means the packet never leaves
-		willSend bool
-		active   bool
+		station   sim.Station
+		rng       *prng.Source
+		arrival   int64
+		depart    int64
+		firstSend int64 // -1 until the packet's first transmission
+		sends     int64
+		listens   int64
+		nextSlot  int64
+		leaveAt   int64 // churn leave slot; -1 means the packet never leaves
+		willSend  bool
+		active    bool
 	}
 	var stations []*st
 
@@ -81,15 +84,15 @@ func Run(p sim.Params) (sim.Result, error) {
 	res := sim.Result{}
 	finish := func(id int64, s *st) {
 		ps := sim.PacketStats{
-			ID: id, Arrival: s.arrival, Departure: s.depart,
-			Sends: s.sends, Listens: s.listens,
+			ID: id, Arrival: s.arrival, FirstSend: s.firstSend, Departure: s.depart,
+			LeftAt: -1, Sends: s.sends, Listens: s.listens,
+		}
+		if s.depart == sim.DepartureAbandoned {
+			ps.LeftAt = s.leaveAt
 		}
 		res.Energy.AddPacket(ps)
-		if p.RetainPackets {
-			res.Packets[id] = ps
-		}
-		if p.PacketSink != nil {
-			p.PacketSink(ps)
+		if p.Recorder != nil {
+			p.Recorder.RecordPacket(ps)
 		}
 	}
 	active := int64(0)
@@ -119,12 +122,9 @@ func Run(p sim.Params) (sim.Result, error) {
 					}
 				}
 				stations = append(stations, &st{
-					station: station, rng: rng, arrival: slot, depart: -1,
+					station: station, rng: rng, arrival: slot, depart: -1, firstSend: -1,
 					nextSlot: next, leaveAt: leaveAt, willSend: send, active: true,
 				})
-				if p.RetainPackets {
-					res.Packets = append(res.Packets, sim.PacketStats{ID: id, Arrival: slot, Departure: -1})
-				}
 				if active == 0 {
 					busy, busyStart, jamCursor = true, slot, slot
 				}
@@ -227,6 +227,9 @@ func Run(p sim.Params) (sim.Result, error) {
 			sent := s.willSend
 			succeeded := sent && outcome == sim.OutcomeSuccess
 			if sent {
+				if s.sends == 0 {
+					s.firstSend = slot
+				}
 				s.sends++
 			} else {
 				s.listens++
@@ -287,6 +290,12 @@ func Run(p sim.Params) (sim.Result, error) {
 		if active == 0 && busy {
 			res.ActiveSlots += slot - busyStart + 1
 			busy = false
+		}
+		if p.Recorder != nil {
+			p.Recorder.RecordSlot(obs.SlotEvent{
+				Slot: slot, Outcome: outcome, Jammed: jammed,
+				Senders: len(senders), Accessors: len(accessors), Backlog: active,
+			})
 		}
 	}
 

@@ -1,6 +1,7 @@
 package simref
 
 import (
+	"slices"
 	"testing"
 
 	"lowsensing/internal/arrivals"
@@ -8,23 +9,43 @@ import (
 	"lowsensing/internal/jamming"
 	"lowsensing/internal/protocols"
 	"lowsensing/internal/sim"
+	"lowsensing/obs"
 	"lowsensing/prng"
 )
 
+// eventLog records a run's full Recorder stream, slot and packet events
+// interleaved in emission order.
+type eventLog struct {
+	slots   []obs.SlotEvent
+	packets []obs.PacketEvent
+	order   []bool // true = slot event
+}
+
+func (l *eventLog) RecordSlot(ev obs.SlotEvent) {
+	l.slots = append(l.slots, ev)
+	l.order = append(l.order, true)
+}
+
+func (l *eventLog) RecordPacket(pe obs.PacketEvent) {
+	l.packets = append(l.packets, pe)
+	l.order = append(l.order, false)
+}
+
 // diff runs the same Params through the event-driven engine and the naive
-// reference and asserts bit-identical results, with per-packet retention
-// switched on so the packet records can be compared too. Params factories
-// must be rebuilt per run, so diff takes a builder.
+// reference and asserts bit-identical results and identical Recorder event
+// streams — every resolved slot and every packet record, in the same
+// order. Params factories must be rebuilt per run, so diff takes a builder.
 func diff(t *testing.T, name string, build func() sim.Params) {
 	t.Helper()
+	refLog, engLog := &eventLog{}, &eventLog{}
 	pRef := build()
-	pRef.RetainPackets = true
+	pRef.Recorder = refLog
 	ref, err := Run(pRef)
 	if err != nil {
 		t.Fatalf("%s: simref: %v", name, err)
 	}
 	pEng := build()
-	pEng.RetainPackets = true
+	pEng.Recorder = engLog
 	e, err := sim.NewEngine(pEng)
 	if err != nil {
 		t.Fatalf("%s: engine: %v", name, err)
@@ -55,13 +76,24 @@ func diff(t *testing.T, name string, build func() sim.Params) {
 	if ref.Truncated != eng.Truncated {
 		t.Fatalf("%s: truncated %v vs %v", name, ref.Truncated, eng.Truncated)
 	}
-	if len(ref.Packets) != len(eng.Packets) {
-		t.Fatalf("%s: packet counts %d vs %d", name, len(ref.Packets), len(eng.Packets))
+	if len(refLog.slots) != len(engLog.slots) || int64(len(refLog.slots)) != eng.EngineStats.SlotsResolved {
+		t.Fatalf("%s: slot events %d vs %d (engine resolved %d slots)", name, len(refLog.slots), len(engLog.slots), eng.EngineStats.SlotsResolved)
 	}
-	for i := range ref.Packets {
-		if ref.Packets[i] != eng.Packets[i] {
-			t.Fatalf("%s: packet %d: %+v vs %+v", name, i, ref.Packets[i], eng.Packets[i])
+	for i := range refLog.slots {
+		if refLog.slots[i] != engLog.slots[i] {
+			t.Fatalf("%s: slot event %d: %+v vs engine %+v", name, i, refLog.slots[i], engLog.slots[i])
 		}
+	}
+	if len(refLog.packets) != len(engLog.packets) || int64(len(refLog.packets)) != ref.Arrived {
+		t.Fatalf("%s: packet events %d vs %d (arrived %d)", name, len(refLog.packets), len(engLog.packets), ref.Arrived)
+	}
+	for i := range refLog.packets {
+		if refLog.packets[i] != engLog.packets[i] {
+			t.Fatalf("%s: packet event %d: %+v vs engine %+v", name, i, refLog.packets[i], engLog.packets[i])
+		}
+	}
+	if !slices.Equal(refLog.order, engLog.order) {
+		t.Fatalf("%s: slot and packet events interleave differently", name)
 	}
 	// Both engines fold packets into the streaming accumulators in the same
 	// order, so even the floating-point second moments must be bit-equal.

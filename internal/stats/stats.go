@@ -61,8 +61,9 @@ func Summarize(xs []float64) Summary {
 // (Σx)² / (n·Σx²), which is 1 when all values are equal and 1/n when a
 // single value dominates. An empty or all-zero sample is perfectly fair
 // (1): nothing is distributed, so nothing is distributed unevenly. This is
-// the shared implementation behind cluster per-channel fairness and the
-// per-class fairness of multi-class scenarios.
+// the module's one Jain index: it scores per-class fairness of multi-class
+// scenarios and the per-packet fairness experiment, and cluster per-channel
+// fairness inlines the same formula.
 func Jain(xs []float64) float64 {
 	var sum, sumSq float64
 	for _, x := range xs {

@@ -17,6 +17,26 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
+func TestJainIndex(t *testing.T) {
+	if got := Jain(nil); got != 1 {
+		t.Fatalf("empty = %v", got)
+	}
+	if got := Jain([]float64{5, 5, 5, 5}); got != 1 {
+		t.Fatalf("equal = %v", got)
+	}
+	if got := Jain([]float64{0, 0, 0}); got != 1 {
+		t.Fatalf("all-zero = %v", got)
+	}
+	// One value takes everything: index = 1/n.
+	if got := Jain([]float64{10, 0, 0, 0}); got != 0.25 {
+		t.Fatalf("monopoly = %v, want 0.25", got)
+	}
+	// Mild skew sits in between.
+	if got := Jain([]float64{1, 2, 3, 4}); got <= 0.25 || got >= 1 {
+		t.Fatalf("skewed = %v", got)
+	}
+}
+
 func TestSummarizeKnown(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 {

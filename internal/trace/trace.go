@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 
-	"lowsensing/internal/sim"
 	"lowsensing/obs"
 )
 
@@ -19,9 +18,8 @@ type Event = obs.SlotEvent
 
 // Tracer records resolved slots. Limit bounds memory (0 means
 // DefaultLimit); once full, further events are dropped and the Dropped
-// counter grows. It implements obs.Recorder — attach it with
-// lowsensing.WithTracer or sim.Params.Recorder — and its Probe method
-// keeps the legacy sim.Params.Probe hookup working.
+// counter grows. It is an obs.Recorder: attach it with
+// lowsensing.WithRecorder or as (or inside) sim.Params.Recorder.
 type Tracer struct {
 	Limit   int
 	events  []Event
@@ -47,12 +45,6 @@ func (tr *Tracer) RecordSlot(ev Event) {
 // RecordPacket implements obs.Recorder; the ASCII timeline renders slots
 // only, so packet events are ignored.
 func (tr *Tracer) RecordPacket(obs.PacketEvent) {}
-
-// Probe implements the sim.Params.Probe signature; it records the same
-// event RecordSlot would receive from sim.Params.Recorder.
-func (tr *Tracer) Probe(e *sim.Engine, slot int64) {
-	tr.RecordSlot(e.LastSlotEvent())
-}
 
 // Events returns the recorded events in slot order.
 func (tr *Tracer) Events() []Event { return tr.events }

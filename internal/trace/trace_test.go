@@ -18,7 +18,7 @@ func runTraced(t *testing.T, tr *Tracer, n int64, jam sim.Jammer) sim.Result {
 		NewStation: core.MustFactory(core.Default()),
 		Jammer:     jam,
 		MaxSlots:   1 << 22,
-		Probe:      tr.Probe,
+		Recorder:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestTracerJammedEvents(t *testing.T) {
 		NewStation: core.MustFactory(core.Default()),
 		Jammer:     iv,
 		MaxSlots:   500,
-		Probe:      tr.Probe,
+		Recorder:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"lowsensing/internal/sim"
+	"lowsensing/obs"
 )
 
 // WindowSample records the distribution of active window sizes at one
@@ -18,21 +19,36 @@ type WindowSample struct {
 	WMin    float64
 }
 
-// WindowTracker samples the active stations' backoff windows during a run;
-// attach its Probe via sim.Params.Probe. Every is the minimum slot spacing
-// between samples (0 or 1 samples every resolved slot). The window
-// distribution is what the paper's potential function and interval analysis
-// track, so this is the instrument for watching Figure 1's state evolve.
+// WindowTracker samples the active stations' backoff windows during a run.
+// It is an obs.Recorder that reads the engine through the sim.EngineBound
+// contract: attach it as (or inside) sim.Params.Recorder and Bind it to the
+// engine before the run. Every is the minimum slot spacing between samples
+// (0 or 1 samples every resolved slot). The window distribution is what the
+// paper's potential function and interval analysis track, so this is the
+// instrument for watching Figure 1's state evolve.
 type WindowTracker struct {
 	Every int64
 
+	e       *sim.Engine
 	samples []WindowSample
 	nextAt  int64
 	buf     []float64
 }
 
-// Probe implements the sim.Params.Probe signature.
-func (w *WindowTracker) Probe(e *sim.Engine, slot int64) {
+// Bind implements sim.EngineBound: the tracker samples e's windows.
+func (w *WindowTracker) Bind(e *sim.Engine) { w.e = e }
+
+// RecordPacket implements obs.Recorder; packet events are ignored.
+func (w *WindowTracker) RecordPacket(obs.PacketEvent) {}
+
+// RecordSlot implements obs.Recorder: it samples the bound engine's active
+// windows as of the end of the resolved slot.
+func (w *WindowTracker) RecordSlot(ev obs.SlotEvent) {
+	e := w.e
+	if e == nil {
+		panic("trace: WindowTracker.RecordSlot before Bind: call Bind(engine) after sim.NewEngine")
+	}
+	slot := ev.Slot
 	if slot < w.nextAt {
 		return
 	}

@@ -16,11 +16,12 @@ func runTracked(t *testing.T, wt *WindowTracker, n int64) sim.Result {
 		Arrivals:   arrivals.NewBatch(n),
 		NewStation: core.MustFactory(core.Default()),
 		MaxSlots:   1 << 22,
-		Probe:      wt.Probe,
+		Recorder:   wt,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wt.Bind(e)
 	r, err := e.Run()
 	if err != nil {
 		t.Fatal(err)

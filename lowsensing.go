@@ -26,7 +26,8 @@
 // Default runs are constant-memory per live packet — the engine state and
 // the Result both stay O(backlog) on arbitrarily long streams, with energy
 // and latency statistics kept in streaming accumulators (Result.Energy).
-// Per-packet records are opt-in via WithRetainPacketStats or WithPacketSink.
+// Per-packet records are opt-in via WithRetainPacketStats, or stream out
+// through WithRecorder(obs.PacketFunc(...)) without retention.
 //
 // # Extension surface
 //
@@ -84,10 +85,12 @@ type Welford = stats.Welford
 type EnergySummary = metrics.EnergySummary
 
 // Collector samples backlog/throughput/potential time series during a run;
-// attach one with WithCollector.
+// it is a Recorder bound to the run's engine — attach one with
+// WithRecorder.
 type Collector = metrics.Collector
 
-// Tracer records per-slot channel events; attach one with WithTracer.
+// Tracer records per-slot channel events; it is a Recorder — attach one
+// with WithRecorder.
 type Tracer = trace.Tracer
 
 // Recorder consumes a run's structured event stream (slot and packet
@@ -184,9 +187,7 @@ type Simulation struct {
 	customArrivals ArrivalSource
 	customFactory  StationFactory
 	customJammer   Jammer
-	probes         []func(*sim.Engine, int64)
 	recorders      []Recorder
-	sink           func(PacketStats)
 	ran            bool
 }
 
@@ -202,8 +203,8 @@ type Option func(*Simulation)
 // O(backlog) state however many packets stream through, and the Result
 // carries streaming energy/latency accumulators instead of per-packet
 // records. Opt back into per-packet data with WithRetainPacketStats
-// (materializes Result.Packets, O(arrivals) memory) or WithPacketSink
-// (streams every packet's final stats out of the engine).
+// (materializes Result.Packets, O(arrivals) memory) or a recorder such as
+// obs.PacketFunc (streams every packet's final stats out of the engine).
 func NewSimulation(opts ...Option) *Simulation {
 	s := &Simulation{}
 	for _, opt := range opts {
@@ -214,7 +215,7 @@ func NewSimulation(opts ...Option) *Simulation {
 
 // Scenario returns the serializable description of this simulation. It is
 // complete — marshal it, store it, Run it later — unless custom instances
-// (WithArrivals, WithStations, WithJammer) or probes/sinks were attached;
+// (WithArrivals, WithStations, WithJammer) or recorders were attached;
 // those cannot be expressed as data and are absent from the Scenario.
 func (s *Simulation) Scenario() Scenario { return s.sc }
 
@@ -235,7 +236,10 @@ func (s *Simulation) Run() (Result, error) {
 	var faultModel FaultModel
 	src := s.customArrivals
 	factory := s.customFactory
-	sink := s.sink
+	// The run's observers: per-class accounting and packet retention are
+	// recorders like any caller's, and come first so a user recorder sees
+	// a packet after the run has accounted it.
+	var recs []Recorder
 	if len(s.sc.Classes) > 0 {
 		if s.customArrivals != nil || s.customFactory != nil {
 			return Result{}, errors.New("lowsensing: WithArrivals/WithStations cannot combine with Scenario.Classes (each class brings its own)")
@@ -248,7 +252,7 @@ func (s *Simulation) Run() (Result, error) {
 		factory = mc.factory()
 		lifetime = mc.lifetime()
 		faultModel = mc.faults()
-		sink = mc.sink(s.sink)
+		recs = append(recs, mc)
 	} else {
 		if src == nil {
 			var err error
@@ -283,17 +287,12 @@ func (s *Simulation) Run() (Result, error) {
 			return Result{}, err
 		}
 	}
-	var probe func(*sim.Engine, int64)
-	if len(s.probes) == 1 {
-		probe = s.probes[0]
-	} else if len(s.probes) > 1 {
-		probes := s.probes
-		probe = func(e *sim.Engine, slot int64) {
-			for _, p := range probes {
-				p(e, slot)
-			}
-		}
+	var retained *packetTable
+	if s.sc.RetainPackets {
+		retained = &packetTable{}
+		recs = append(recs, retained)
 	}
+	recs = append(recs, s.recorders...)
 	// Only past this point can the engine consume custom instances; earlier
 	// configuration errors leave the Simulation retryable, so a failed Run
 	// keeps reporting its real error rather than ErrReused.
@@ -304,9 +303,7 @@ func (s *Simulation) Run() (Result, error) {
 		NewStation: factory,
 		Jammer:     jammer,
 		MaxSlots:   s.sc.MaxSlots,
-		Probe:      probe,
-		Recorder:   obs.Multi(s.recorders...),
-		PacketSink: sink,
+		Recorder:   obs.Multi(recs...),
 		Lifetime:   lifetime,
 		Faults:     faultModel,
 		// Station recycling is safe exactly when the factory came from a
@@ -317,11 +314,15 @@ func (s *Simulation) Run() (Result, error) {
 		// so it keeps exact factory-per-packet semantics — and so does a
 		// multi-class run, whose factory varies by class.
 		ReuseStations:   s.customFactory == nil && mc == nil,
-		RetainPackets:   s.sc.RetainPackets,
 		DisableBatching: s.sc.DisableBatching,
 	})
 	if err != nil {
 		return Result{}, err
+	}
+	for _, r := range s.recorders {
+		if b, ok := r.(sim.EngineBound); ok {
+			b.Bind(e)
+		}
 	}
 	res, err := e.Run()
 	if err != nil {
@@ -330,7 +331,23 @@ func (s *Simulation) Run() (Result, error) {
 	if mc != nil {
 		mc.finalize(&res)
 	}
+	if retained != nil {
+		res.Packets = *retained
+	}
 	return res, nil
+}
+
+// packetTable is the recorder behind Scenario.RetainPackets: it keeps
+// every packet's closed record, indexed by packet id.
+type packetTable []PacketStats
+
+func (pt *packetTable) RecordSlot(SlotEvent) {}
+
+func (pt *packetTable) RecordPacket(p PacketEvent) {
+	if n := p.ID + 1; n > int64(len(*pt)) {
+		*pt = append(*pt, make([]PacketStats, n-int64(len(*pt)))...)
+	}
+	(*pt)[p.ID] = p
 }
 
 func (s *Simulation) fail(err error) {
@@ -340,8 +357,8 @@ func (s *Simulation) fail(err error) {
 }
 
 // FromScenario loads a whole scenario at once, replacing any previously
-// configured scenario fields and custom components. Probes and sinks
-// attached by other options are kept.
+// configured scenario fields and custom components. Recorders attached by
+// other options are kept.
 func FromScenario(sc Scenario) Option {
 	return func(s *Simulation) {
 		s.sc = sc
@@ -518,23 +535,17 @@ func WithClasses(classes ...ClassSpec) Option {
 	return func(s *Simulation) { s.sc.Classes = classes }
 }
 
-// WithCollector attaches a metrics collector that samples backlog,
-// contention, implicit throughput, and the potential function during the
-// run.
-func WithCollector(c *Collector) Option {
-	return func(s *Simulation) { s.probes = append(s.probes, c.Probe) }
-}
-
-// WithTracer attaches a per-slot event tracer. A Tracer is a Recorder, so
-// this is shorthand for WithRecorder(tr).
-func WithTracer(tr *Tracer) Option { return WithRecorder(tr) }
-
-// WithRecorder attaches a structured event recorder: it receives a
-// SlotEvent after every resolved slot and a PacketEvent for every packet
-// (delivered packets at departure, survivors at the end of the run with
+// WithRecorder attaches a structured event recorder, the run's one
+// observation hook: it receives a SlotEvent after every resolved slot and a
+// PacketEvent for every packet (delivered packets at departure, churn
+// abandons at their leave slot, survivors at the end of the run with
 // Departure = -1). Multiple recorders compose; see lowsensing/obs for
-// sinks, sampling decorators, and windowed time-series. Runs without a
-// recorder pay one predictable branch per slot.
+// sinks, sampling decorators, windowed time-series, and obs.PacketFunc
+// for a per-packet callback. A recorder implementing sim.EngineBound —
+// Collector, for instance — is bound to the run's engine before it starts
+// and may read the engine's accessors from its callbacks. Observing a run
+// never changes how it executes; runs without a recorder pay one
+// predictable branch per slot.
 func WithRecorder(r Recorder) Option {
 	return func(s *Simulation) {
 		if r != nil {
@@ -543,24 +554,11 @@ func WithRecorder(r Recorder) Option {
 	}
 }
 
-// WithProbe attaches a raw engine probe, called after every resolved slot.
-func WithProbe(p func(e *sim.Engine, slot int64)) Option {
-	return func(s *Simulation) { s.probes = append(s.probes, p) }
-}
-
-// WithPacketSink streams every packet's final PacketStats out of the
-// engine: delivered packets as they depart (in departure order),
-// undelivered packets (Departure = -1) at the end of the run in arrival
-// order. Nothing is retained, so sinks observe per-packet data on streams
-// of any length at O(backlog) engine memory.
-func WithPacketSink(sink func(PacketStats)) Option {
-	return func(s *Simulation) { s.sink = sink }
-}
-
 // WithRetainPacketStats materializes Result.Packets, indexed by packet id —
 // O(arrivals) memory. Default runs keep only the streaming accumulators in
 // Result.Energy; retain only when the analysis genuinely needs the full
-// per-packet table (use WithPacketSink otherwise).
+// per-packet table (stream packets through WithRecorder(obs.PacketFunc(...))
+// otherwise).
 func WithRetainPacketStats() Option {
 	return func(s *Simulation) { s.sc.RetainPackets = true }
 }

@@ -2,9 +2,10 @@ package lowsensing
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
-	"lowsensing/internal/sim"
+	"lowsensing/obs"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -163,7 +164,7 @@ func TestQueueArrivalsAndCollector(t *testing.T) {
 	res, err := NewSimulation(
 		WithSeed(4),
 		WithQueueArrivals(256, 0.1, 10),
-		WithCollector(col),
+		WithRecorder(col),
 		WithMaxSlots(2560),
 	).Run()
 	if err != nil {
@@ -180,16 +181,16 @@ func TestQueueArrivalsAndCollector(t *testing.T) {
 	}
 }
 
-func TestTracerAndMultipleProbes(t *testing.T) {
+func TestTracerAndMultipleRecorders(t *testing.T) {
 	tr := &Tracer{}
 	col := &Collector{}
-	probed := 0
+	ring := obs.NewRing(1 << 12)
 	res, err := NewSimulation(
 		WithSeed(5),
 		WithBatchArrivals(16),
-		WithTracer(tr),
-		WithCollector(col),
-		WithProbe(func(e *sim.Engine, slot int64) { probed++ }),
+		WithRecorder(tr),
+		WithRecorder(col),
+		WithRecorder(ring),
 	).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -197,12 +198,21 @@ func TestTracerAndMultipleProbes(t *testing.T) {
 	if res.Completed != 16 {
 		t.Fatalf("completed = %d", res.Completed)
 	}
-	if len(tr.Events()) == 0 || len(col.Samples()) == 0 || probed == 0 {
-		t.Fatalf("probes not all invoked: %d events, %d samples, %d raw",
-			len(tr.Events()), len(col.Samples()), probed)
+	slots := ring.Slots()
+	if len(tr.Events()) == 0 || len(slots) == 0 || ring.Dropped() != 0 {
+		t.Fatalf("recorders not all invoked: %d events, %d ring slots (%d dropped)",
+			len(tr.Events()), len(slots), ring.Dropped())
 	}
-	if len(tr.Events()) != probed {
-		t.Fatalf("tracer %d events vs raw probe %d calls", len(tr.Events()), probed)
+	// Every recorder sees the same slot stream; the bound Collector samples
+	// the engine at each of those slots.
+	if !reflect.DeepEqual(tr.Events(), slots) || len(col.Samples()) != len(slots) {
+		t.Fatalf("tracer %d events, ring %d slots, collector %d samples",
+			len(tr.Events()), len(slots), len(col.Samples()))
+	}
+	for i, s := range col.Samples() {
+		if s.Slot != slots[i].Slot || s.Backlog != slots[i].Backlog {
+			t.Fatalf("sample %d at slot %d backlog %d, slot event %+v", i, s.Slot, s.Backlog, slots[i])
+		}
 	}
 }
 
@@ -274,8 +284,8 @@ func TestOptionOrderIndependentOfSeed(t *testing.T) {
 }
 
 // TestPacketRetentionIsOptIn: default runs carry only the streaming
-// accumulators; WithRetainPacketStats materializes Packets and
-// WithPacketSink streams every packet without retention.
+// accumulators; WithRetainPacketStats materializes Packets and an
+// obs.PacketFunc recorder streams every packet without retention.
 func TestPacketRetentionIsOptIn(t *testing.T) {
 	def, err := NewSimulation(WithSeed(1), WithBatchArrivals(64)).Run()
 	if err != nil {
@@ -292,7 +302,7 @@ func TestPacketRetentionIsOptIn(t *testing.T) {
 	res, err := NewSimulation(
 		WithSeed(1),
 		WithBatchArrivals(64),
-		WithPacketSink(func(p PacketStats) { sunk = append(sunk, p) }),
+		WithRecorder(obs.PacketFunc(func(p PacketStats) { sunk = append(sunk, p) })),
 	).Run()
 	if err != nil {
 		t.Fatal(err)

@@ -166,29 +166,26 @@ func (c classFaults) Crash(id, slot int64, rng *prng.Source) (int64, bool) {
 	return 0, false
 }
 
-// sink returns the per-class accounting sink, chained in front of the
-// user's sink (if any). Every packet reaches the sink exactly once —
-// delivered, abandoned, or flushed as a survivor — so the per-class
-// conservation identity Arrived = Completed + Abandoned + Survivors holds
-// by construction.
-func (m *multiclassRun) sink(user func(PacketStats)) func(PacketStats) {
-	return func(p PacketStats) {
-		cr := &m.acc[m.classOf(p.ID)]
-		cr.Arrived++
-		switch {
-		case p.Departure >= 0:
-			cr.Completed++
-		case p.Departure == DepartureAbandoned:
-			cr.Abandoned++
-		default:
-			cr.Survivors++
-		}
-		cr.Energy.AddPacket(p)
-		if user != nil {
-			user(p)
-		}
+// RecordPacket makes the run its own per-class accounting recorder. Every
+// packet reaches it exactly once — delivered, abandoned, or flushed as a
+// survivor — so the per-class conservation identity Arrived = Completed +
+// Abandoned + Survivors holds by construction.
+func (m *multiclassRun) RecordPacket(p PacketEvent) {
+	cr := &m.acc[m.classOf(p.ID)]
+	cr.Arrived++
+	switch {
+	case p.Departure >= 0:
+		cr.Completed++
+	case p.Departure == DepartureAbandoned:
+		cr.Abandoned++
+	default:
+		cr.Survivors++
 	}
+	cr.Energy.AddPacket(p)
 }
+
+// RecordSlot implements Recorder; class accounting is per packet.
+func (m *multiclassRun) RecordSlot(SlotEvent) {}
 
 // finalize attaches the per-class results and the cross-class Jain fairness
 // index (over delivered fractions) to a finished run's Result.

@@ -3,15 +3,18 @@
 //
 // The central contract is Recorder, a consumer of typed events emitted by
 // the simulation engine as a run unfolds: a SlotEvent after every resolved
-// slot and a PacketEvent when a packet's lifecycle closes. Attach a
-// recorder to a run with lowsensing.WithRecorder (or Sweep.Observe for
-// every job of a sweep); the engine with no recorder attached pays one
-// predictable branch per slot and stays allocation-free.
+// slot and a PacketEvent when a packet's lifecycle closes. It is the
+// engine's only observation hook, and attaching one never changes how a
+// run executes. Attach a recorder to a run with lowsensing.WithRecorder (or
+// Sweep.Observe for every job of a sweep); the engine with no recorder
+// attached pays one predictable branch per slot and stays
+// allocation-free.
 //
 // Recorders compose. Multi fans events out to several recorders, EveryN
 // and SlotRange thin the slot stream, Ring keeps a bounded in-memory tail
-// with an explicit Dropped counter, Windows folds the stream into a
-// windowed time-series, and NDJSON / CSV serialize events to an io.Writer.
+// with an explicit Dropped counter, PacketFunc adapts a per-packet
+// closure, Windows folds the stream into a windowed time-series, and
+// NDJSON / CSV serialize events to an io.Writer.
 // Anything implementing the two-method Recorder interface slots into the
 // same pipeline.
 package obs
@@ -48,18 +51,21 @@ func (ev SlotEvent) Glyph() byte {
 }
 
 // DepartureAbandoned is the Departure sentinel of a packet that left the
-// system through population churn before being delivered. It mirrors the
-// engine's sim.DepartureAbandoned (obs does not import the engine); the
-// abandon slot itself is carried in LeftAt.
+// system through population churn before being delivered (the engine's
+// sim.DepartureAbandoned is this constant); the abandon slot itself is
+// carried in LeftAt.
 const DepartureAbandoned = int64(-2)
 
-// PacketEvent describes one packet's closed lifecycle. Delivered packets
-// are emitted at departure, in departure order; packets abandoning through
-// churn are emitted at their leave slot with Departure =
-// DepartureAbandoned and LeftAt set; packets still in the system when the
-// run ends are emitted once at the end, in arrival order, with
-// Departure = -1. FirstSend is the slot of the packet's first
-// transmission, or -1 if it never sent.
+// PacketEvent describes one packet's closed lifecycle; it is the engine's
+// only per-packet record (sim.PacketStats is this type). ID is the
+// packet's global arrival index. Delivered packets are emitted at
+// departure, in departure order; packets abandoning through churn are
+// emitted at their leave slot with Departure = DepartureAbandoned and
+// LeftAt set; packets still in the system when the run ends are emitted
+// once at the end, in arrival order, with Departure = -1. FirstSend is the
+// slot of the packet's first transmission, or -1 if it never sent. Energy
+// in the paper's sense is Sends + Listens: each slot in which the packet
+// accessed the channel costs one unit.
 type PacketEvent struct {
 	ID        int64
 	Arrival   int64
@@ -82,13 +88,13 @@ func (p PacketEvent) Delivered() bool { return p.Departure >= 0 }
 // churn (as opposed to surviving to the end of the run).
 func (p PacketEvent) Abandoned() bool { return p.Departure == DepartureAbandoned }
 
-// Latency returns Departure - Arrival for a delivered packet and -1
-// otherwise.
+// Latency returns the number of slots from arrival to success inclusive
+// (Departure - Arrival + 1) for a delivered packet and -1 otherwise.
 func (p PacketEvent) Latency() int64 {
 	if p.Departure < 0 {
 		return -1
 	}
-	return p.Departure - p.Arrival
+	return p.Departure - p.Arrival + 1
 }
 
 // Recorder consumes the engine's event stream. Events arrive in
@@ -101,6 +107,17 @@ type Recorder interface {
 	RecordSlot(SlotEvent)
 	RecordPacket(PacketEvent)
 }
+
+// PacketFunc adapts a per-packet callback to a Recorder that ignores slot
+// events — the way to stream every packet's closed record out of a run
+// without retaining anything.
+type PacketFunc func(PacketEvent)
+
+// RecordSlot implements Recorder; slot events are ignored.
+func (PacketFunc) RecordSlot(SlotEvent) {}
+
+// RecordPacket implements Recorder by calling f.
+func (f PacketFunc) RecordPacket(p PacketEvent) { f(p) }
 
 // Flusher is optionally implemented by recorders holding buffered or
 // partial state (sinks, Windows). Flush is called by the surface layer
@@ -205,8 +222,8 @@ type slotRange struct {
 
 // SlotRange restricts the wrapped recorder to the half-open slot interval
 // [from, to): slot events with from <= Slot < to, and packet events whose
-// lifetime intersects the interval (arrived before to, and departed at or
-// after from or not at all).
+// lifetime intersects the interval (arrived before to, and departed or
+// abandoned at or after from, or still in the system at the end).
 func SlotRange(r Recorder, from, to int64) Recorder {
 	if r == nil {
 		return nil
@@ -221,7 +238,11 @@ func (s *slotRange) RecordSlot(ev SlotEvent) {
 }
 
 func (s *slotRange) RecordPacket(p PacketEvent) {
-	if p.Arrival < s.to && (p.Departure < 0 || p.Departure >= s.from) {
+	end := p.Departure
+	if p.Abandoned() {
+		end = p.LeftAt
+	}
+	if p.Arrival < s.to && (end < 0 || end >= s.from) {
 		s.r.RecordPacket(p)
 	}
 }

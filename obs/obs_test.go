@@ -43,12 +43,22 @@ func TestPacketEventDerived(t *testing.T) {
 	if p.Accesses() != 8 {
 		t.Errorf("Accesses = %d, want 8", p.Accesses())
 	}
-	if !p.Delivered() || p.Latency() != 20 {
-		t.Errorf("Delivered/Latency = %v/%d, want true/20", p.Delivered(), p.Latency())
+	if !p.Delivered() || p.Latency() != 21 {
+		t.Errorf("Delivered/Latency = %v/%d, want true/21", p.Delivered(), p.Latency())
 	}
 	lost := PacketEvent{Arrival: 10, Departure: -1}
 	if lost.Delivered() || lost.Latency() != -1 {
 		t.Errorf("undelivered: Delivered/Latency = %v/%d, want false/-1", lost.Delivered(), lost.Latency())
+	}
+}
+
+func TestPacketFunc(t *testing.T) {
+	var got []PacketEvent
+	r := Recorder(PacketFunc(func(p PacketEvent) { got = append(got, p) }))
+	r.RecordSlot(slot(3))
+	r.RecordPacket(PacketEvent{ID: 4})
+	if len(got) != 1 || got[0].ID != 4 {
+		t.Fatalf("PacketFunc forwarded %+v, want packet 4 only", got)
 	}
 }
 
@@ -131,6 +141,9 @@ func TestSlotRange(t *testing.T) {
 		{PacketEvent{ID: 5, Arrival: 20, Departure: 40}, false}, // starts at to
 		{PacketEvent{ID: 6, Arrival: 0, Departure: -1}, true},   // never departed
 		{PacketEvent{ID: 7, Arrival: 30, Departure: -1}, false},
+		// Abandoned packets end at LeftAt, not at the end of the run.
+		{PacketEvent{ID: 8, Arrival: 0, Departure: DepartureAbandoned, LeftAt: 5}, false},
+		{PacketEvent{ID: 9, Arrival: 0, Departure: DepartureAbandoned, LeftAt: 12}, true},
 	}
 	for _, tc := range cases {
 		before := len(c.packets)

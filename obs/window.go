@@ -37,7 +37,7 @@ type WindowStat struct {
 	Backlog    int64
 	MaxBacklog int64
 	Accesses   stats.Tally // per departed packet: sends + listens
-	Latency    stats.Tally // per departed packet: departure - arrival
+	Latency    stats.Tally // per departed packet: PacketEvent.Latency
 }
 
 // Throughput returns successes per resolved slot in the window (0 if no

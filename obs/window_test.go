@@ -62,7 +62,7 @@ func TestWindowsPacketRoll(t *testing.T) {
 		t.Fatalf("Flush must emit the final partial window, got %d windows", len(emitted))
 	}
 	w1 := emitted[1]
-	if w1.Departures != 1 || w1.Accesses.Count != 1 || w1.Accesses.Sum != 5 || w1.Latency.Sum != 6 {
+	if w1.Departures != 1 || w1.Accesses.Count != 1 || w1.Accesses.Sum != 5 || w1.Latency.Sum != 7 {
 		t.Fatalf("window 1 departure stats = %+v", w1)
 	}
 	// Flush is idempotent.

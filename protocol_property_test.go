@@ -2,9 +2,11 @@ package lowsensing_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"lowsensing"
+	"lowsensing/internal/metrics"
 )
 
 // TestRegisteredProtocolInvariants runs every registered protocol kind —
@@ -29,6 +31,12 @@ import (
 // zero on both sides before the comparison; everything else, including
 // SlotsResolved, EventsScheduled, and the full streaming energy
 // accumulators, must agree exactly.
+//
+// Each combo also runs three observed ways — batched and general with a
+// capturing recorder plus a bound Collector, and batched with the capturing
+// recorder alone — pinning observation invariance: every path emits the
+// identical SlotEvent/PacketEvent stream, the Collector samples identically
+// on both resolvers, and an observed Result equals the unobserved one.
 func TestBatchingEquivalence(t *testing.T) {
 	const n = 48
 	protoFallback := map[string]lowsensing.ProtocolSpec{
@@ -84,7 +92,7 @@ func TestBatchingEquivalence(t *testing.T) {
 		}{kd.Kind, spec})
 	}
 
-	var batchedAnywhere int64
+	var batchedAnywhere, observedBatched int64
 	for _, kd := range lowsensing.ProtocolKinds() {
 		proto := lowsensing.ProtocolSpec{Kind: kd.Kind}
 		if _, err := proto.Factory(); err != nil {
@@ -128,13 +136,69 @@ func TestBatchingEquivalence(t *testing.T) {
 					if !reflect.DeepEqual(on, off) {
 						t.Fatalf("batching changed the result:\nbatched:  %+v\ngeneral:  %+v", on, off)
 					}
+
+					observe := func(disable, collect bool) (lowsensing.Result, eventStream, []metrics.Sample) {
+						sc.DisableBatching = disable
+						var stream eventStream
+						col := &lowsensing.Collector{Every: 64}
+						opts := []lowsensing.Option{lowsensing.WithRecorder(&stream)}
+						if collect {
+							opts = append(opts, lowsensing.WithRecorder(col))
+						}
+						r, err := sc.Simulation(opts...).Run()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !disable {
+							observedBatched += r.EngineStats.BatchedSlots
+						}
+						normalize(&r)
+						return r, stream, col.Samples()
+					}
+					obsOn, streamOn, samplesOn := observe(false, true)
+					obsOff, streamOff, samplesOff := observe(true, true)
+					_, streamBare, _ := observe(false, false)
+					if !reflect.DeepEqual(obsOn, on) || !reflect.DeepEqual(obsOff, on) {
+						t.Fatalf("observing changed the result:\nunobserved: %+v\nbatched:    %+v\ngeneral:    %+v", on, obsOn, obsOff)
+					}
+					if len(streamOn.slots) == 0 || !streamOn.equal(&streamOff) || !streamOn.equal(&streamBare) {
+						t.Fatalf("event streams differ: batched %d, general %d, recorder-only %d events",
+							len(streamOn.order), len(streamOff.order), len(streamBare.order))
+					}
+					if len(samplesOn) == 0 || !reflect.DeepEqual(samplesOn, samplesOff) {
+						t.Fatalf("Collector samples differ: batched %d, general %d", len(samplesOn), len(samplesOff))
+					}
 				})
 			}
 		}
 	}
-	if batchedAnywhere == 0 {
-		t.Fatal("batch fast path never engaged across the whole matrix; the equivalence test is vacuous")
+	if batchedAnywhere == 0 || observedBatched == 0 {
+		t.Fatalf("batch fast path engaged on %d unobserved and %d observed slots across the whole matrix; the equivalence test is vacuous",
+			batchedAnywhere, observedBatched)
 	}
+}
+
+// eventStream is a test recorder capturing a run's whole event stream:
+// both kinds of event plus their interleaving (order[i] is true for a slot
+// event).
+type eventStream struct {
+	slots   []lowsensing.SlotEvent
+	packets []lowsensing.PacketEvent
+	order   []bool
+}
+
+func (s *eventStream) RecordSlot(ev lowsensing.SlotEvent) {
+	s.slots = append(s.slots, ev)
+	s.order = append(s.order, true)
+}
+
+func (s *eventStream) RecordPacket(p lowsensing.PacketEvent) {
+	s.packets = append(s.packets, p)
+	s.order = append(s.order, false)
+}
+
+func (s *eventStream) equal(o *eventStream) bool {
+	return slices.Equal(s.slots, o.slots) && slices.Equal(s.packets, o.packets) && slices.Equal(s.order, o.order)
 }
 
 func TestRegisteredProtocolInvariants(t *testing.T) {

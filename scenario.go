@@ -79,7 +79,7 @@ func (sc Scenario) clone() Scenario {
 }
 
 // Simulation builds a runnable Simulation from the scenario; extra options
-// (probes, sinks, custom components) may be layered on top.
+// (recorders, custom components) may be layered on top.
 func (sc Scenario) Simulation(opts ...Option) *Simulation {
 	return NewSimulation(append([]Option{FromScenario(sc)}, opts...)...)
 }
