@@ -25,9 +25,10 @@
 // any worker count and bit-equal to a serial reference execution; the
 // TestClusterSerialShardedIdentical suite pins this down.
 //
-// The public entry points are the lowsensing root package's
-// ClusterScenario (declarative, registry-resolved) and this package's
-// Run (programmatic). Register new router kinds with
+// The public entry points are the lowsensing root package's Scenario with
+// Channels >= 1 (declarative, registry-resolved; Scenario.Run returns the
+// merged Total, ClusterScenario(sc).Run this package's full Result) and
+// this package's Run (programmatic). Register new router kinds with
 // lowsensing.RegisterRouter.
 package cluster
 
@@ -144,10 +145,6 @@ type Result struct {
 	// 1/C when one channel got everything. It is 1 when no packets
 	// completed anywhere.
 	Fairness float64
-	// Degradation compares the run against its fault-free baseline (one
-	// whole-cluster row). It is filled only by
-	// lowsensing.ClusterScenario.RunWithBaseline; plain Run leaves it nil.
-	Degradation []sim.ClassDelta
 }
 
 // ChannelSeed derives channel ch's engine seed from the cluster base

@@ -315,8 +315,8 @@ func (x *epochExec) round(c epochCmd) error {
 	return nil
 }
 
-// close releases the worker goroutines. Safe to call more than once is
-// not required; callers defer it exactly once.
+// close releases the worker goroutines. It is not idempotent (a second
+// call would close closed channels), so callers defer it exactly once.
 func (x *epochExec) close() {
 	for _, c := range x.cmds {
 		close(c)

@@ -11,8 +11,9 @@ import (
 // parser, mirroring FuzzParseScenario: malformed JSON, unknown router and
 // component kinds, unknown fields, duplicate keys (legal under strict
 // decoding — last value wins), absurd channel counts and numbers. The
-// invariants: the parser never panics, and anything it accepts survives a
-// marshal → re-parse round trip.
+// invariants: the parser never panics, it agrees with ParseScenario on
+// every input, and anything it accepts survives a marshal → re-parse
+// round trip.
 func FuzzParseClusterScenario(f *testing.F) {
 	for _, seed := range []string{
 		// Valid cluster scenarios across the built-in routers.
@@ -48,6 +49,13 @@ func FuzzParseClusterScenario(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cs, err := lowsensing.ParseClusterScenario(data)
+		// ParseClusterScenario is ParseScenario restricted to clusters: it
+		// accepts exactly the inputs ParseScenario accepts with channels >= 1.
+		sc, serr := lowsensing.ParseScenario(data)
+		if want := serr == nil && sc.Channels >= 1; (err == nil) != want {
+			t.Fatalf("ParseClusterScenario accepted=%v, want %v (ParseScenario err %v, cluster err %v)\ninput: %q",
+				err == nil, want, serr, err, data)
+		}
 		if err != nil {
 			return // rejected is fine; panicking or accepting garbage is not
 		}

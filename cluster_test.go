@@ -10,6 +10,7 @@ import (
 	"lowsensing"
 	"lowsensing/internal/runner"
 	"lowsensing/obs"
+	"lowsensing/prng"
 )
 
 // builtinRouters enumerates every built-in router spec, with sticky
@@ -192,6 +193,9 @@ func TestParseClusterScenarioErrors(t *testing.T) {
 		"no arrivals":      `{"channels": 2}`,
 		"unknown router":   `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "router": {"kind": "nope"}}`,
 		"unknown protocol": `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "protocol": {"kind": "nope"}}`,
+		"unknown jammer":   `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "jammer": {"kind": "nope"}}`,
+		"classes":          `{"channels": 2, "classes": [{"name": "a", "arrivals": {"kind": "batch", "n": 4}}]}`,
+		"retain packets":   `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "retain_packets": true}`,
 		"malformed":        `{"channels": `,
 	}
 	for name, spec := range cases {
@@ -247,16 +251,16 @@ func TestClusterRunObserved(t *testing.T) {
 	}
 }
 
-// TestSweepClusterJobs: a sweep with channels > 0 runs every job as a
-// cluster, and each progress report's Events sums every channel's engine
-// work — not channel 0's alone — so ETAs weigh cluster jobs correctly.
+// TestSweepClusterJobs: a sweep whose base has channels >= 1 runs every job
+// as a cluster, and each progress report's Events sums every channel's
+// engine work — not channel 0's alone — so ETAs weigh cluster jobs
+// correctly. Cluster bases that no job could run fail at build time.
 func TestSweepClusterJobs(t *testing.T) {
 	ss, err := lowsensing.ParseSweepSpec([]byte(`{
 		"id": "cluster-sweep",
 		"seed": 11,
-		"base": {"arrivals": {"kind": "poisson", "rate": 0.3, "n": 160}},
-		"channels": 4,
-		"router": {"kind": "roundrobin"},
+		"base": {"arrivals": {"kind": "poisson", "rate": 0.3, "n": 160},
+			"channels": 4, "router": {"kind": "roundrobin"}},
 		"axes": [{"name": "jam", "variants": [
 			{"label": "off"},
 			{"label": "on", "patch": {"jammer": {"kind": "random", "rate": 0.1, "budget": 40}}}
@@ -286,26 +290,212 @@ func TestSweepClusterJobs(t *testing.T) {
 		}
 	}
 
-	// Reproduce job 0 (point 0, rep 0) directly: same derived seed, same
-	// cluster shape. Its summed engine events must be exactly what the
-	// progress report carried, and strictly more than any single channel's.
-	direct := lowsensing.ClusterScenario{
-		Seed:     runner.DeriveSeed(11, "cluster-sweep", 0, 0),
-		Channels: 4,
-		Arrivals: lowsensing.PoissonArrivals(0.3, 160),
-		Router:   lowsensing.RouterSpec{Kind: lowsensing.RouterRoundRobin},
-		Workers:  1,
-	}
-	cr, err := direct.Run()
+	// Reproduce job 0 (point 0, rep 0) through Scenario.Run: same derived
+	// seed, same cluster shape. Its summed engine events must be exactly
+	// what the progress report carried, and strictly more than any single
+	// channel's.
+	direct := ss.Base
+	direct.Seed = runner.DeriveSeed(11, "cluster-sweep", 0, 0)
+	total, err := direct.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events[0] != cr.Total.EngineStats.EventsScheduled {
-		t.Fatalf("progress events %d != cluster total %d", events[0], cr.Total.EngineStats.EventsScheduled)
+	if events[0] != total.EngineStats.EventsScheduled {
+		t.Fatalf("progress events %d != cluster total %d", events[0], total.EngineStats.EventsScheduled)
+	}
+	if prs[0].Reps != 1 || prs[0].Completed != total.Completed || prs[0].ActiveSlots != total.ActiveSlots {
+		t.Fatalf("point 0 aggregate %+v does not fold the reproduced job %+v", prs[0], total)
+	}
+	cr, err := lowsensing.ClusterScenario(direct).Run()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for ch := range cr.PerChannel {
 		if per := cr.PerChannel[ch].EngineStats.EventsScheduled; per >= events[0] {
 			t.Fatalf("progress events %d not a sum: channel %d alone scheduled %d", events[0], ch, per)
 		}
+	}
+
+	// Bases no cluster can run are rejected when the sweep is built, not
+	// by every job at run time.
+	for name, base := range map[string]string{
+		"classes":        `{"channels": 2, "classes": [{"name": "a", "arrivals": {"kind": "batch", "n": 4}}]}`,
+		"retain packets": `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "retain_packets": true}`,
+	} {
+		ss, err := lowsensing.ParseSweepSpec([]byte(`{"base": ` + base + `}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ss.Sweep(); err == nil {
+			t.Errorf("cluster base with %s built a sweep", name)
+		}
+	}
+}
+
+// TestScenarioClusterDifferential: a Scenario with channels >= 1 and its
+// ClusterScenario conversion are one run — Scenario.Run returns exactly
+// the ClusterResult's Total, for every built-in router — and the cluster
+// JSON means the same through ParseScenario as through
+// ParseClusterScenario.
+func TestScenarioClusterDifferential(t *testing.T) {
+	for name, router := range builtinRouters() {
+		t.Run(name, func(t *testing.T) {
+			sc := lowsensing.Scenario(testCluster(router))
+			got, err := sc.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cr, err := lowsensing.ClusterScenario(sc).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, cr.Total) {
+				t.Fatalf("Scenario.Run differs from ClusterScenario.Run's Total:\n%+v\nvs\n%+v", got, cr.Total)
+			}
+
+			data, err := json.Marshal(testCluster(router))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := lowsensing.ParseScenario(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaPlain, err := plain.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, err := lowsensing.ParseClusterScenario(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaCluster, err := cs.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(viaPlain, viaCluster.Total) || !reflect.DeepEqual(viaPlain, got) {
+				t.Fatalf("%s runs differently through ParseScenario and ParseClusterScenario", data)
+			}
+		})
+	}
+}
+
+// countingRecorder counts the events it sees and how often it is flushed.
+type countingRecorder struct {
+	slots, packets, flushes int64
+}
+
+func (c *countingRecorder) RecordSlot(lowsensing.SlotEvent)     { c.slots++ }
+func (c *countingRecorder) RecordPacket(lowsensing.PacketEvent) { c.packets++ }
+func (c *countingRecorder) Flush() error                        { c.flushes++; return nil }
+
+// TestSimulationClusterRecorders: on a cluster scenario, WithRecorder
+// attaches one recorder every channel shares — it sees every channel's
+// packets and slots, the run is the unobserved run, and Run leaves the
+// flush to the caller (a sweep job flushes exactly once). Components a
+// cluster cannot use are rejected by name.
+func TestSimulationClusterRecorders(t *testing.T) {
+	for _, router := range []lowsensing.RouterSpec{
+		{Kind: lowsensing.RouterRoundRobin}, {Kind: lowsensing.RouterLeastBacklog},
+	} {
+		sc := lowsensing.Scenario(testCluster(router))
+		sc.Channels = 4
+		want, err := lowsensing.ClusterScenario(sc).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		perChannel := make([]*countingRecorder, sc.Channels)
+		if _, err := lowsensing.ClusterScenario(sc).RunObserved(func(ch int) lowsensing.Recorder {
+			perChannel[ch] = &countingRecorder{}
+			return perChannel[ch]
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var slots int64
+		for _, r := range perChannel {
+			slots += r.slots
+		}
+		rec := &countingRecorder{}
+		got, err := sc.Simulation(lowsensing.WithRecorder(rec)).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want.Total) {
+			t.Fatalf("%s: observed cluster run differs from unobserved", router.Kind)
+		}
+		if rec.packets != want.Total.Arrived || rec.slots != slots || rec.flushes != 0 {
+			t.Fatalf("%s: shared recorder saw %d packets, %d slots, %d flushes; want %d, %d, 0",
+				router.Kind, rec.packets, rec.slots, rec.flushes, want.Total.Arrived, slots)
+		}
+
+		swRec := &countingRecorder{}
+		if _, err := lowsensing.NewSweep(sc).Observe(func(lowsensing.Point, int) lowsensing.Recorder {
+			return swRec
+		}).Run(); err != nil {
+			t.Fatal(err)
+		}
+		if swRec.flushes != 1 {
+			t.Fatalf("%s: sweep flushed a cluster job's recorder %d times, want 1", router.Kind, swRec.flushes)
+		}
+	}
+
+	sc := lowsensing.Scenario(testCluster(lowsensing.RouterSpec{}))
+	src, err := lowsensing.BatchArrivals(4).Source(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jam, err := lowsensing.RandomJamming(0.1, 0).Jammer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]lowsensing.Option{
+		"WithArrivals": lowsensing.WithArrivals(src),
+		"WithStations": lowsensing.WithStations(func(int64, *prng.Source) lowsensing.Station { return nil }),
+		"WithJammer":   lowsensing.WithJammer(jam),
+		"engine-bound": lowsensing.WithRecorder(&lowsensing.Collector{Every: 8}),
+	} {
+		_, err := lowsensing.NewSimulation(lowsensing.FromScenario(sc), opt).Run()
+		if err == nil || !strings.Contains(err.Error(), "cluster") {
+			t.Errorf("%s on a cluster scenario: %v", name, err)
+		}
+	}
+}
+
+// TestScenarioClusterValidation: the cluster fields are checked like any
+// other part of a scenario.
+func TestScenarioClusterValidation(t *testing.T) {
+	base := lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(4)}
+	for name, edit := range map[string]func(*lowsensing.Scenario){
+		"negative channels": func(sc *lowsensing.Scenario) { sc.Channels = -1 },
+		"router without cluster": func(sc *lowsensing.Scenario) {
+			sc.Router = lowsensing.RouterSpec{Kind: lowsensing.RouterRoundRobin}
+		},
+		"unknown router": func(sc *lowsensing.Scenario) {
+			sc.Channels = 2
+			sc.Router = lowsensing.RouterSpec{Kind: "nope"}
+		},
+		"cluster with retention": func(sc *lowsensing.Scenario) {
+			sc.Channels = 2
+			sc.RetainPackets = true
+		},
+		"cluster with classes": func(sc *lowsensing.Scenario) {
+			sc.Channels = 1
+			sc.Arrivals = lowsensing.ArrivalsSpec{}
+			sc.Classes = []lowsensing.ClassSpec{{Name: "a", Arrivals: lowsensing.BatchArrivals(4)}}
+		},
+	} {
+		sc := base
+		edit(&sc)
+		if err := sc.Validate(); err == nil {
+			t.Errorf("%s validated", name)
+		}
+		if _, err := sc.Run(); err == nil {
+			t.Errorf("%s ran", name)
+		}
+	}
+	one := base
+	one.Channels = 1
+	if err := one.Validate(); err != nil {
+		t.Fatalf("one-channel cluster rejected: %v", err)
 	}
 }

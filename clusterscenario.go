@@ -1,20 +1,17 @@
 package lowsensing
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"maps"
 
 	"lowsensing/cluster"
-	"lowsensing/internal/arrivals"
 	"lowsensing/internal/sim"
 	"lowsensing/obs"
 )
 
 // This file is the declarative surface of the cluster subsystem: a
-// ClusterScenario describes a C-channel run (see the cluster package for
-// the execution model), and RouterSpec describes its router as data,
+// Scenario with Channels >= 1 describes a C-channel run (see the cluster
+// package for the execution model), ClusterScenario exposes its
+// per-channel breakdown, and RouterSpec describes its router as data,
 // resolved through the router registry exactly like protocols, arrivals,
 // and jammers.
 
@@ -84,130 +81,26 @@ func (r RouterSpec) Router(seed uint64) (Router, error) {
 	return factory(r, seed)
 }
 
-// ClusterScenario is the declarative description of one multi-channel
-// cluster run: C channels sharing the clock and the arrival stream, a
-// router assigning packets to channels, and per-channel protocol/jammer
-// dynamics. Like Scenario it is pure data — Run constructs every stateful
-// component fresh — and the JSON encoding round-trips.
-type ClusterScenario struct {
-	// Seed fixes the run's randomness; every channel derives its own
-	// stream (cluster.ChannelSeed), and the router is seeded from it too.
-	Seed uint64 `json:"seed,omitempty"`
-	// Channels is C, the number of slotted channels. Required, >= 1.
-	Channels int `json:"channels"`
-	// MaxSlots caps every channel's run length (0 means the engine
-	// default). Arrivals after it are dropped.
-	MaxSlots int64 `json:"max_slots,omitempty"`
-	// Arrivals is the cluster-wide packet arrival process. Required.
-	Arrivals ArrivalsSpec `json:"arrivals"`
-	// Protocol selects the contention-resolution protocol run on every
-	// channel. The zero value is LOW-SENSING BACKOFF with DefaultConfig.
-	Protocol ProtocolSpec `json:"protocol,omitzero"`
-	// Jammer selects the adversary; each channel gets its own
-	// independently seeded instance. The zero value means no jamming.
-	Jammer JammerSpec `json:"jammer,omitzero"`
-	// Router selects the routing policy. The zero value is RouterRandom.
-	Router RouterSpec `json:"router,omitzero"`
-	// Churn selects a population-churn process (zero value = none). The
-	// churn's join stream merges into the cluster-wide arrival stream — so
-	// joining packets are routed like any others — and its leave law gives
-	// every packet finite patience, keyed by the packet's channel-local id
-	// and arrival slot.
-	Churn ChurnSpec `json:"churn,omitzero"`
-	// Faults selects the station fault model injected on every channel
-	// (zero value = none); each channel draws from its own derived fault
-	// stream. Fault counts merge into Total.Faults.
-	Faults FaultSpec `json:"faults,omitzero"`
-	// DisableBatching forces every channel through the engine's general
-	// per-slot resolver. Results are bit-identical either way.
-	DisableBatching bool `json:"disable_batching,omitempty"`
+// ClusterScenario is a cluster Scenario (Channels >= 1) viewed through its
+// per-channel breakdown: where Scenario.Run returns the merged Result,
+// ClusterScenario(sc).Run returns the whole ClusterResult — every
+// channel's Result, the routing tally, and the fairness index. It is the
+// same data with the same JSON encoding; convert freely in either
+// direction.
+type ClusterScenario Scenario
 
-	// Workers bounds execution parallelism (<= 0 means GOMAXPROCS). An
-	// execution detail, not part of the scenario's meaning — results are
-	// byte-identical at any value — so it is not serialized.
-	Workers int `json:"-"`
-}
-
-// clone returns a deep copy (the component specs' Params maps are
-// copied), so patching a clone never writes through to the original.
-func (cs ClusterScenario) clone() ClusterScenario {
-	cs.Arrivals.Params = maps.Clone(cs.Arrivals.Params)
-	cs.Protocol.Params = maps.Clone(cs.Protocol.Params)
-	cs.Jammer.Params = maps.Clone(cs.Jammer.Params)
-	cs.Router.Params = maps.Clone(cs.Router.Params)
-	cs.Churn.Params = maps.Clone(cs.Churn.Params)
-	cs.Faults.Params = maps.Clone(cs.Faults.Params)
-	return cs
-}
-
-// config builds the cluster.Config the scenario describes, constructing
-// the seeded components.
-func (cs ClusterScenario) config() (cluster.Config, error) {
+// checkChannels rejects a ClusterScenario that describes no cluster.
+func (cs ClusterScenario) checkChannels() error {
 	if cs.Channels < 1 {
-		return cluster.Config{}, fmt.Errorf("lowsensing: ClusterScenario.Channels must be >= 1, got %d", cs.Channels)
+		return fmt.Errorf("lowsensing: ClusterScenario.Channels must be >= 1, got %d", cs.Channels)
 	}
-	src, err := cs.Arrivals.Source(cs.Seed)
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	factory, err := cs.Protocol.Factory()
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	rt, err := cs.Router.Router(cs.Seed)
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	ch, err := cs.Churn.Churn(cs.Seed)
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	var lifetime func(id, arrival int64) int64
-	if ch != nil {
-		if joins := ch.Joins(); joins != nil {
-			src = arrivals.NewMerge(src, joins)
-		}
-		lifetime = ch.LeaveSlot
-	}
-	model, err := cs.Faults.Model()
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	cfg := cluster.Config{
-		Channels:   cs.Channels,
-		Workers:    cs.Workers,
-		Seed:       cs.Seed,
-		MaxSlots:   cs.MaxSlots,
-		Arrivals:   src,
-		Router:     rt,
-		NewStation: factory,
-		Lifetime:   lifetime,
-		Faults:     model,
-		// Registered protocol kinds produce uniformly-configured stations
-		// (the RegisterProtocol contract), so recycling is always safe
-		// here — same rule as the single-channel Scenario layer.
-		ReuseStations:   true,
-		DisableBatching: cs.DisableBatching,
-	}
-	if cs.Jammer.Kind != "" {
-		jspec := cs.Jammer
-		cfg.NewJammer = func(_ int, seed uint64) (Jammer, error) {
-			return jspec.Jammer(seed)
-		}
-	}
-	return cfg, nil
+	return nil
 }
 
 // Run executes the cluster scenario once. All stateful components are
 // constructed fresh, so Run may be called repeatedly and concurrently on
 // copies.
-func (cs ClusterScenario) Run() (ClusterResult, error) {
-	cfg, err := cs.config()
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	return cluster.Run(cfg)
-}
+func (cs ClusterScenario) Run() (ClusterResult, error) { return cs.RunObserved(nil) }
 
 // RunObserved executes the scenario with a per-channel recorder built by
 // mk (called once per channel with the channel index; a nil return leaves
@@ -215,61 +108,117 @@ func (cs ClusterScenario) Run() (ClusterResult, error) {
 // event stream and is flushed when the channel finishes. Observing a
 // channel never changes how it executes.
 func (cs ClusterScenario) RunObserved(mk func(ch int) Recorder) (ClusterResult, error) {
-	cfg, err := cs.config()
+	if err := cs.checkChannels(); err != nil {
+		return ClusterResult{}, err
+	}
+	cfg, err := Scenario(cs).clusterConfig()
 	if err != nil {
 		return ClusterResult{}, err
 	}
-	cfg.NewRecorder = func(ch int) obs.Recorder { return mk(ch) }
+	if mk != nil {
+		cfg.NewRecorder = func(ch int) obs.Recorder { return mk(ch) }
+	}
 	return cluster.Run(cfg)
 }
 
-// FaultFree returns a copy of the cluster scenario with the churn and
-// fault specs stripped — the baseline RunWithBaseline measures degradation
-// against.
-func (cs ClusterScenario) FaultFree() ClusterScenario {
-	out := cs.clone()
-	out.Churn = ChurnSpec{}
-	out.Faults = FaultSpec{}
-	return out
-}
-
-// RunWithBaseline executes the cluster scenario and its FaultFree
-// counterpart and fills Result.Degradation with the whole-cluster delta
-// against the baseline (computed over the merged Totals). The two runs
-// share the seed, so the comparison isolates exactly the churn and fault
-// effects.
-func (cs ClusterScenario) RunWithBaseline() (ClusterResult, error) {
-	res, err := cs.Run()
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	base, err := cs.FaultFree().Run()
-	if err != nil {
-		return ClusterResult{}, fmt.Errorf("lowsensing: fault-free baseline: %w", err)
-	}
-	res.Degradation = sim.DegradationVs(res.Total, base.Total)
-	return res, nil
-}
-
-// Validate checks that every part of the scenario is constructible. It
-// builds (and discards) the seeded components, so a nil error means Run
-// cannot fail before the engines start.
+// Validate checks that the scenario describes a cluster and that every
+// part of it is constructible (see Scenario.Validate).
 func (cs ClusterScenario) Validate() error {
-	_, err := cs.config()
-	return err
+	if err := cs.checkChannels(); err != nil {
+		return err
+	}
+	return Scenario(cs).Validate()
 }
 
-// ParseClusterScenario decodes a JSON cluster scenario strictly (unknown
-// fields are errors, catching typos in spec files) and validates it.
+// ParseClusterScenario is ParseScenario for specs that must describe a
+// cluster: it additionally rejects Channels < 1.
 func ParseClusterScenario(data []byte) (ClusterScenario, error) {
-	var cs ClusterScenario
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cs); err != nil {
-		return ClusterScenario{}, fmt.Errorf("lowsensing: parsing cluster scenario: %w", err)
+	sc, err := ParseScenario(data)
+	if err != nil {
+		return ClusterScenario{}, err
 	}
-	if err := cs.Validate(); err != nil {
+	cs := ClusterScenario(sc)
+	if err := cs.checkChannels(); err != nil {
 		return ClusterScenario{}, err
 	}
 	return cs, nil
 }
+
+// clusterConfig builds the cluster.Config a Channels >= 1 scenario
+// describes, constructing the seeded components.
+func (sc Scenario) clusterConfig() (cluster.Config, error) {
+	if err := sc.validateShape(); err != nil {
+		return cluster.Config{}, err
+	}
+	w, err := sc.resolve(nil, nil)
+	if err != nil {
+		return cluster.Config{}, err
+	}
+	rt, err := sc.Router.Router(sc.Seed)
+	if err != nil {
+		return cluster.Config{}, err
+	}
+	cfg := cluster.Config{
+		Channels:   sc.Channels,
+		Workers:    sc.Workers,
+		Seed:       sc.Seed,
+		MaxSlots:   sc.MaxSlots,
+		Arrivals:   w.source,
+		Router:     rt,
+		NewStation: w.factory,
+		Lifetime:   w.lifetime,
+		Faults:     w.faults,
+		// Registered protocol kinds produce uniformly-configured stations
+		// (the RegisterProtocol contract), so recycling is always safe
+		// here — same rule as the single-channel engine.
+		ReuseStations:   true,
+		DisableBatching: sc.DisableBatching,
+	}
+	if sc.Jammer.Kind != "" {
+		jspec := sc.Jammer
+		cfg.NewJammer = func(_ int, seed uint64) (Jammer, error) {
+			return jspec.Jammer(seed)
+		}
+	}
+	return cfg, nil
+}
+
+// runCluster is Simulation.Run for a Channels != 0 scenario (negative
+// counts fail in clusterConfig's shape check): it runs the
+// cluster executor and returns the merged Total. Every channel builds its
+// own components from the spec, so custom instances cannot take part, and
+// a recorder bound to one engine has no cluster-wide meaning. Attached
+// recorders are shared by every channel: the channels then run serially,
+// so the shared stream is concatenated channel by channel under oblivious
+// routers and interleaved in epoch order under backlog-aware ones. Like
+// the single-channel path, Run leaves flushing to the caller — the
+// executor's per-channel flush is hidden from shared recorders.
+func (s *Simulation) runCluster() (Result, error) {
+	if s.customArrivals != nil || s.customFactory != nil || s.customJammer != nil {
+		return Result{}, fmt.Errorf("lowsensing: WithArrivals/WithStations/WithJammer cannot combine with a cluster scenario (every channel builds its own components from the spec)")
+	}
+	for _, r := range s.recorders {
+		if _, ok := r.(sim.EngineBound); ok {
+			return Result{}, fmt.Errorf("lowsensing: engine-bound recorder %T cannot observe a cluster run (it binds to a single engine)", r)
+		}
+	}
+	cfg, err := s.sc.clusterConfig()
+	if err != nil {
+		return Result{}, err
+	}
+	if rec := obs.Multi(s.recorders...); rec != nil {
+		shared := sharedRecorder{rec}
+		cfg.Workers = 1
+		cfg.NewRecorder = func(int) obs.Recorder { return shared }
+	}
+	cr, err := cluster.Run(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return cr.Total, nil
+}
+
+// sharedRecorder forwards a recorder's events but not its Flush, so the
+// cluster executor's per-channel flush skips a recorder every channel
+// shares.
+type sharedRecorder struct{ obs.Recorder }

@@ -19,15 +19,17 @@
 //	lsbsim -n 1024 -churn '{"kind":"poisson-join-leave","rate":0.05,"n":64,"leave_rate":0.02}'
 //	lsbsim -n 1024 -faults '{"kind":"sensing","false_busy":0.2,"false_idle":0.1}' -baseline
 //	lsbsim -spec scenario.json                    # whole scenario from JSON
+//	lsbsim -spec cluster.json -router roundrobin  # cluster spec, router overridden
 //	lsbsim -kinds                                 # list registered kinds
 //
-// With -channels >= 2 the same scenario runs as a multi-channel cluster:
-// arriving packets are assigned to channels by the -router policy (any
-// kind registered with lowsensing.RegisterRouter), every channel runs the
-// protocol independently, and the summary adds the routing balance, the
-// Jain fairness index, and one line per channel. -trace then multiplexes
-// all channels into one NDJSON file (run labels ch00, ch01, ...), and
-// -metrics writes the cluster-wide windowed roll-up.
+// With -channels >= 2, or a spec with "channels" >= 1, the scenario runs
+// as a multi-channel cluster: arriving packets are assigned to channels by
+// the router (-router, or the spec's "router"; any kind registered with
+// lowsensing.RegisterRouter), every channel runs the protocol
+// independently, and the summary adds the routing balance, the Jain
+// fairness index, and one line per channel. -trace then multiplexes all
+// channels into one NDJSON file (run labels ch00, ch01, ...), and -metrics
+// writes the cluster-wide windowed roll-up.
 package main
 
 import (
@@ -91,9 +93,9 @@ func run(args []string, out io.Writer) error {
 		churn     = fs.String("churn", "", "population churn spec as JSON, e.g. {\"kind\":\"flash-crowd\",\"slot\":64,\"n\":12,\"lifetime\":400} (see -kinds)")
 		faults    = fs.String("faults", "", "station fault spec as JSON, e.g. {\"kind\":\"sensing\",\"false_busy\":0.2} (see -kinds)")
 		baseline  = fs.Bool("baseline", false, "also run the fault-free baseline (same seed, churn and faults stripped) and print the degradation report")
-		channels  = fs.Int("channels", 1, "run a multi-channel cluster with this many channels (>= 2 enables cluster mode)")
-		router    = fs.String("router", "", "cluster routing policy for -channels >= 2 (default random; see -kinds)")
-		specFile  = fs.String("spec", "", "JSON scenario file; replaces the flag-built scenario (see lowsensing.Scenario)")
+		channels  = fs.Int("channels", 1, "run a multi-channel cluster with this many channels (>= 2 enables cluster mode; overrides a -spec file's channels)")
+		router    = fs.String("router", "", "cluster routing policy (default random; see -kinds; overrides a -spec file's router)")
+		specFile  = fs.String("spec", "", "JSON scenario file, single-channel or cluster; replaces the flag-built scenario (see lowsensing.Scenario)")
 		kinds     = fs.Bool("kinds", false, "list every registered protocol/arrival/jammer/router kind and exit")
 		traceOut  = fs.String("trace", "", "write the structured trace (slot + packet events) to this file as NDJSON (.csv for CSV)")
 		metrics_  = fs.String("metrics", "", "write the windowed time-series to this file as NDJSON (.csv for CSV)")
@@ -138,16 +140,34 @@ func run(args []string, out io.Writer) error {
 		protoLbl = protocolLabel(sc)
 	}
 
-	// Cluster mode: -channels >= 2 runs the same scenario as a
-	// multi-channel cluster behind the -router policy.
-	if *channels != 1 {
+	// -channels and -router write the scenario's cluster fields; set
+	// explicitly, they override a spec file's (-channels 1 means one
+	// plain channel, with no router).
+	channelsSet := isSet(fs, "channels")
+	if channelsSet {
 		if *channels < 1 {
 			return fmt.Errorf("-channels must be >= 1, got %d", *channels)
 		}
-		return runCluster(out, sc, protoLbl, *channels, *router, *baseline, *traceOut, *metrics_, *window)
+		sc.Channels = *channels
+		if *channels == 1 {
+			sc.Channels, sc.Router = 0, lowsensing.RouterSpec{}
+		}
 	}
 	if *router != "" {
-		return fmt.Errorf("-router requires -channels >= 2")
+		if sc.Channels == 0 {
+			return fmt.Errorf("-router requires -channels >= 2")
+		}
+		sc.Router = lowsensing.RouterSpec{Kind: *router}
+	}
+	if channelsSet || *router != "" {
+		if err := sc.Validate(); err != nil {
+			return err
+		}
+	}
+	// Cluster mode: the scenario runs on a multi-channel cluster behind
+	// its router.
+	if sc.Channels >= 1 {
+		return runCluster(out, sc, protoLbl, *baseline, *traceOut, *metrics_, *window)
 	}
 
 	// Observability side channels: -trace streams raw slot/packet events,
@@ -258,30 +278,15 @@ func printDegradation(out io.Writer, rows []lowsensing.ClassDelta) {
 	}
 }
 
-// runCluster executes the flag-built scenario as a -channels cluster and
+// runCluster executes a validated cluster scenario (Channels >= 1) and
 // prints the cluster summary: the merged block in the single-channel
 // format, the routing balance, and one line per channel. -trace
 // multiplexes every channel's NDJSON stream into one file with ch%02d run
 // labels; -metrics rolls the per-channel windowed series up into one
 // cluster-wide series (obs.MergeWindowSeries).
-func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, channels int, routerKind string, baseline bool, traceOut, metricsOut string, window int64) error {
-	cs := lowsensing.ClusterScenario{
-		Seed:     sc.Seed,
-		Channels: channels,
-		MaxSlots: sc.MaxSlots,
-		Arrivals: sc.Arrivals,
-		Protocol: sc.Protocol,
-		Jammer:   sc.Jammer,
-		Churn:    sc.Churn,
-		Faults:   sc.Faults,
-		Router:   lowsensing.RouterSpec{Kind: routerKind},
-	}
-	if len(sc.Classes) > 0 {
-		return fmt.Errorf("-channels >= 2 does not support multi-class scenarios")
-	}
-	if err := cs.Validate(); err != nil {
-		return err
-	}
+func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, baseline bool, traceOut, metricsOut string, window int64) error {
+	cs := lowsensing.ClusterScenario(sc)
+	channels := sc.Channels
 
 	// Per-channel recorder factories; each channel gets an obs.Multi over
 	// one recorder per requested side channel. The factories may be
@@ -341,12 +346,13 @@ func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, channels
 	if err != nil {
 		return err
 	}
+	var degradation []lowsensing.ClassDelta
 	if baseline {
-		base, err := cs.FaultFree().Run()
+		base, err := sc.FaultFree().Run()
 		if err != nil {
 			return fmt.Errorf("fault-free baseline: %w", err)
 		}
-		cr.Degradation = sim.DegradationVs(cr.Total, base.Total)
+		degradation = sim.DegradationVs(cr.Total, base)
 	}
 
 	if metricsOut != "" {
@@ -366,7 +372,7 @@ func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, channels
 		}
 	}
 
-	label := cs.Router.Kind
+	label := sc.Router.Kind
 	if label == "" {
 		label = lowsensing.RouterRandom
 	}
@@ -383,7 +389,7 @@ func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, channels
 	}
 	fmt.Fprintf(out, "routed/channel      min %d  max %d\n", minR, maxR)
 	fmt.Fprintf(out, "fairness (jain)     %.4f\n", cr.Fairness)
-	printDegradation(out, cr.Degradation)
+	printDegradation(out, degradation)
 	sumErr := printSummary(out, cr.Total)
 	for ch := range cr.PerChannel {
 		r := &cr.PerChannel[ch]
@@ -528,8 +534,8 @@ func specFlagConflict(fs *flag.FlagSet) string {
 	conflict := ""
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		// -channels/-router select the execution mode, like the
-		// observability flags — a spec'd scenario can run as a cluster.
+		// -channels/-router override the spec's cluster fields, so a
+		// spec'd scenario can run as (or on a different) cluster.
 		// -baseline only adds a report over whatever scenario runs.
 		case "spec", "trace", "metrics", "window", "channels", "router", "baseline":
 			return
@@ -539,6 +545,13 @@ func specFlagConflict(fs *flag.FlagSet) string {
 		}
 	})
 	return conflict
+}
+
+// isSet reports whether the named flag was set explicitly.
+func isSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 // recordSink is the slice of the obs sink surface lsbsim drives: raw

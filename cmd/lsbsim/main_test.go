@@ -373,6 +373,58 @@ func TestRunClusterFlagErrors(t *testing.T) {
 	}
 }
 
+// TestRunClusterSpecFile: -spec takes a cluster JSON file as it is, and
+// -channels/-router, set explicitly, override its cluster fields.
+func TestRunClusterSpecFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cluster.json")
+	if err := os.WriteFile(path, []byte(`{
+		"seed": 7,
+		"channels": 4,
+		"arrivals": {"kind": "poisson", "rate": 0.5, "n": 200},
+		"jammer":   {"kind": "random", "rate": 0.05, "budget": 40},
+		"router":   {"kind": "sticky", "flows": 8}
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-spec", path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"cluster             4 channels, router sticky", "200 arrived", "ch03"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("missing %q:\n%s", want, buf.String())
+		}
+	}
+	// The summary's merged block is the spec's Scenario.Run.
+	sc, err := loadSpecFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%d arrived, %d delivered", r.Arrived, r.Completed); !strings.Contains(buf.String(), want) {
+		t.Fatalf("missing %q:\n%s", want, buf.String())
+	}
+
+	buf.Reset()
+	if err := run([]string{"-spec", path, "-channels", "2", "-router", "roundrobin"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "cluster             2 channels, router roundrobin") {
+		t.Fatalf("flags did not override the spec's cluster fields:\n%s", buf.String())
+	}
+	buf.Reset()
+	if err := run([]string{"-spec", path, "-channels", "1"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "cluster") {
+		t.Fatalf("-channels 1 did not select a single channel:\n%s", buf.String())
+	}
+}
+
 // TestRunChurnFaultsFlags drives the robustness flags end to end: the JSON
 // snippets compile into the scenario, the summary reports abandons and
 // fault counters, and -baseline adds the degradation row.

@@ -22,8 +22,10 @@ import (
 	"lowsensing/obs"
 )
 
-func scenario(router lowsensing.RouterSpec) lowsensing.ClusterScenario {
-	return lowsensing.ClusterScenario{
+// scenario is an ordinary Scenario; Channels makes it a cluster, and the
+// ClusterScenario conversion below exposes the per-channel breakdown.
+func scenario(router lowsensing.RouterSpec) lowsensing.Scenario {
+	return lowsensing.Scenario{
 		Seed:     7,
 		Channels: 16,
 		Arrivals: lowsensing.PoissonArrivals(0.5, 2000),
@@ -44,7 +46,7 @@ func main() {
 		{Kind: lowsensing.RouterLeastBacklog},
 		lowsensing.StickyRouting(64),
 	} {
-		r, err := scenario(router).Run()
+		r, err := lowsensing.ClusterScenario(scenario(router)).Run()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,7 +62,7 @@ func main() {
 	for ch := range wins {
 		wins[ch] = obs.NewWindows(1024, nil)
 	}
-	r, err := sc.RunObserved(func(ch int) lowsensing.Recorder { return wins[ch] })
+	r, err := lowsensing.ClusterScenario(sc).RunObserved(func(ch int) lowsensing.Recorder { return wins[ch] })
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,8 @@
 //	// res.Throughput() ≈ 0.3, res.MeanAccesses() = O(polylog N)
 //
 // Runs are described declaratively by a Scenario — a serializable value
-// covering arrivals, protocol, jammer, slot cap, and seed — and multi-run
+// covering arrivals, protocol, jammer, slot cap, seed, and optionally a
+// multi-channel cluster (Scenario.Channels) — and multi-run
 // experiments by a Sweep, which executes every (point, replication) pair of
 // a parameter grid on a worker pool with deterministic per-job seeding and
 // streams per-point aggregates. The functional options below are
@@ -45,7 +46,6 @@ import (
 	"errors"
 
 	"lowsensing/channel"
-	"lowsensing/internal/arrivals"
 	"lowsensing/internal/core"
 	"lowsensing/internal/livenet"
 	"lowsensing/internal/metrics"
@@ -219,70 +219,35 @@ func NewSimulation(opts ...Option) *Simulation {
 // those cannot be expressed as data and are absent from the Scenario.
 func (s *Simulation) Scenario() Scenario { return s.sc }
 
-// Run executes the simulation.
+// Run executes the simulation. A scenario with Channels >= 1 runs on the
+// cluster executor and returns the cluster's merged Result; its recorders
+// are shared by every channel (see Scenario.Channels).
 func (s *Simulation) Run() (Result, error) {
 	if s.err != nil {
 		return Result{}, s.err
 	}
+	if s.sc.Channels != 0 {
+		return s.runCluster()
+	}
+	if err := s.sc.validateShape(); err != nil {
+		return Result{}, err
+	}
 	if s.ran && (s.customArrivals != nil || s.customJammer != nil) {
 		return Result{}, ErrReused
 	}
-	// Multi-class scenarios build their own merged source, dispatching
-	// factory, churn lifetimes, and fault model; they replace the top-level
-	// arrivals/protocol/churn/faults, so custom instances cannot combine
-	// with them.
-	var mc *multiclassRun
-	var lifetime func(id, arrival int64) int64
-	var faultModel FaultModel
-	src := s.customArrivals
-	factory := s.customFactory
+	w, err := s.sc.resolve(s.customArrivals, s.customFactory)
+	if err != nil {
+		return Result{}, err
+	}
 	// The run's observers: per-class accounting and packet retention are
 	// recorders like any caller's, and come first so a user recorder sees
 	// a packet after the run has accounted it.
 	var recs []Recorder
-	if len(s.sc.Classes) > 0 {
-		if s.customArrivals != nil || s.customFactory != nil {
-			return Result{}, errors.New("lowsensing: WithArrivals/WithStations cannot combine with Scenario.Classes (each class brings its own)")
-		}
-		var err error
-		if mc, err = newMulticlassRun(s.sc); err != nil {
-			return Result{}, err
-		}
-		src = mc.source
-		factory = mc.factory()
-		lifetime = mc.lifetime()
-		faultModel = mc.faults()
-		recs = append(recs, mc)
-	} else {
-		if src == nil {
-			var err error
-			if src, err = s.sc.Arrivals.Source(s.sc.Seed); err != nil {
-				return Result{}, err
-			}
-		}
-		if factory == nil {
-			var err error
-			if factory, err = s.sc.Protocol.Factory(); err != nil {
-				return Result{}, err
-			}
-		}
-		ch, err := s.sc.Churn.Churn(s.sc.Seed)
-		if err != nil {
-			return Result{}, err
-		}
-		if ch != nil {
-			if joins := ch.Joins(); joins != nil {
-				src = arrivals.NewMerge(src, joins)
-			}
-			lifetime = ch.LeaveSlot
-		}
-		if faultModel, err = s.sc.Faults.Model(); err != nil {
-			return Result{}, err
-		}
+	if w.mc != nil {
+		recs = append(recs, w.mc)
 	}
 	jammer := s.customJammer
 	if jammer == nil {
-		var err error
 		if jammer, err = s.sc.Jammer.Jammer(s.sc.Seed); err != nil {
 			return Result{}, err
 		}
@@ -299,13 +264,13 @@ func (s *Simulation) Run() (Result, error) {
 	s.ran = true
 	e, err := sim.NewEngine(sim.Params{
 		Seed:       s.sc.Seed,
-		Arrivals:   src,
-		NewStation: factory,
+		Arrivals:   w.source,
+		NewStation: w.factory,
 		Jammer:     jammer,
 		MaxSlots:   s.sc.MaxSlots,
 		Recorder:   obs.Multi(recs...),
-		Lifetime:   lifetime,
-		Faults:     faultModel,
+		Lifetime:   w.lifetime,
+		Faults:     w.faults,
 		// Station recycling is safe exactly when the factory came from a
 		// registered kind: kind factories are built from pure spec data,
 		// so every packet gets an identically-configured station and
@@ -313,7 +278,7 @@ func (s *Simulation) Run() (Result, error) {
 		// A custom WithStations closure may vary its output per packet id,
 		// so it keeps exact factory-per-packet semantics — and so does a
 		// multi-class run, whose factory varies by class.
-		ReuseStations:   s.customFactory == nil && mc == nil,
+		ReuseStations:   s.customFactory == nil && w.mc == nil,
 		DisableBatching: s.sc.DisableBatching,
 	})
 	if err != nil {
@@ -328,8 +293,8 @@ func (s *Simulation) Run() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if mc != nil {
-		mc.finalize(&res)
+	if w.mc != nil {
+		w.mc.finalize(&res)
 	}
 	if retained != nil {
 		res.Packets = *retained

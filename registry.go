@@ -10,8 +10,8 @@ import (
 
 // This file implements the kind registries that make the declarative layer
 // open-world: every protocol, arrival-process, jammer, cluster-router,
-// churn, and fault-model kind that ParseScenario, ParseClusterScenario,
-// ParseSweepSpec, Sweep.VaryProtocol, and the CLIs can resolve — built-in
+// churn, and fault-model kind that ParseScenario, ParseSweepSpec,
+// Sweep.VaryProtocol, and the CLIs can resolve — built-in
 // or user-defined — goes through the same registries (the churn and fault
 // registries live in robustness.go). The built-ins self-register in
 // builtins.go; user components
@@ -161,9 +161,10 @@ func RegisterJammer(kind, doc string, factory JammerFactory) {
 	jammerRegistry.register(kind, doc, factory, factory == nil)
 }
 
-// RegisterRouter makes a cluster-router kind resolvable from specs
-// (ParseClusterScenario, SweepSpec cluster fields, the CLIs' -router
-// flags), exactly like RegisterProtocol does for protocols.
+// RegisterRouter makes a cluster-router kind resolvable from specs (a
+// Scenario's "router" field, in spec files, sweep bases and axis patches
+// alike, and the CLIs' -router flags), exactly like RegisterProtocol does
+// for protocols.
 func RegisterRouter(kind, doc string, factory RouterFactory) {
 	routerRegistry.register(kind, doc, factory, factory == nil)
 }

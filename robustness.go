@@ -15,7 +15,7 @@ import (
 // ChurnSpec, FaultSpec, and ClassSpec are pure data, resolved through kind
 // registries exactly like protocols, arrivals, and jammers, so churn and
 // fault processes — built-in or user-registered — drive Scenario and
-// SweepSpec JSON, cluster scenarios, and both CLIs.
+// SweepSpec JSON (single-channel and cluster alike) and both CLIs.
 
 // Churn is a population-churn process: an extra join stream plus per-packet
 // leave slots; see channel.Churn for the contract. Register a kind with
@@ -216,7 +216,7 @@ var (
 )
 
 // RegisterChurn makes a churn kind resolvable from specs (ParseScenario,
-// ParseClusterScenario, ParseSweepSpec, the CLIs' -churn flags), exactly
+// ParseSweepSpec, the CLIs' -churn flags), exactly
 // like RegisterProtocol does for protocols. Register from an init function;
 // duplicates, empty kinds, and nil factories panic.
 func RegisterChurn(kind, doc string, factory ChurnFactory) {
@@ -273,56 +273,10 @@ func registerBuiltinFaults() {
 		})
 }
 
-// validateRobustness checks the churn/fault/class part of a scenario: the
-// top-level churn and fault specs are constructible, or — when Classes is
-// set — every class is, and classes do not mix with the top-level
-// single-class fields they replace.
-func (sc Scenario) validateRobustness() error {
-	if len(sc.Classes) == 0 {
-		if _, err := sc.Churn.Churn(sc.Seed); err != nil {
-			return err
-		}
-		if _, err := sc.Faults.Model(); err != nil {
-			return err
-		}
-		return nil
-	}
-	if sc.Arrivals.Kind != "" {
-		return fmt.Errorf("lowsensing: scenario with classes must not set top-level arrivals (each class has its own)")
-	}
-	if sc.Churn.Kind != "" || sc.Faults.Kind != "" {
-		return fmt.Errorf("lowsensing: scenario with classes must not set top-level churn/faults (each class has its own)")
-	}
-	seen := make(map[string]bool, len(sc.Classes))
-	for i, cl := range sc.Classes {
-		if cl.Name == "" {
-			return fmt.Errorf("lowsensing: class %d has no name", i)
-		}
-		if seen[cl.Name] {
-			return fmt.Errorf("lowsensing: duplicate class name %q", cl.Name)
-		}
-		seen[cl.Name] = true
-		seed := classSeed(sc.Seed, i)
-		if _, err := cl.Arrivals.Source(seed); err != nil {
-			return fmt.Errorf("lowsensing: class %q: %w", cl.Name, err)
-		}
-		if _, err := cl.Protocol.Factory(); err != nil {
-			return fmt.Errorf("lowsensing: class %q: %w", cl.Name, err)
-		}
-		if _, err := cl.Churn.Churn(seed); err != nil {
-			return fmt.Errorf("lowsensing: class %q: %w", cl.Name, err)
-		}
-		if _, err := cl.Faults.Model(); err != nil {
-			return fmt.Errorf("lowsensing: class %q: %w", cl.Name, err)
-		}
-	}
-	return nil
-}
-
 // FaultFree returns a copy of the scenario with every churn and fault spec
 // stripped — top-level and per-class — leaving arrivals, protocols, jammer,
-// seed, and slot cap untouched. It is the baseline RunWithBaseline measures
-// degradation against.
+// seed, slot cap, and cluster shape untouched. It is the baseline
+// RunWithBaseline measures degradation against.
 func (sc Scenario) FaultFree() Scenario {
 	out := sc.clone()
 	out.Churn = ChurnSpec{}
@@ -336,8 +290,9 @@ func (sc Scenario) FaultFree() Scenario {
 
 // RunWithBaseline executes the scenario and its FaultFree counterpart and
 // fills Result.Degradation with the per-class deltas against the baseline
-// (one whole-run row for classless scenarios). The two runs share the seed,
-// so the comparison isolates exactly the churn and fault effects.
+// (one whole-run row for classless scenarios, a cluster's merged Result
+// included). The two runs share the seed, so the comparison isolates
+// exactly the churn and fault effects.
 func (sc Scenario) RunWithBaseline() (Result, error) {
 	res, err := sc.Run()
 	if err != nil {

@@ -500,9 +500,14 @@ func TestClusterScenarioChurnFaults(t *testing.T) {
 		t.Fatalf("round trip changed the cluster scenario:\n%+v\nvs\n%+v", mkCluster(), back)
 	}
 
-	res, err := mkCluster().RunWithBaseline()
+	// Scenario.RunWithBaseline covers clusters: its Result is the merged
+	// Total, and the baseline keeps the cluster shape.
+	res, err := lowsensing.Scenario(mkCluster()).RunWithBaseline()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !sameResult(withoutDegradation(res), tot) {
+		t.Fatalf("RunWithBaseline's cluster run differs from ClusterScenario.Run's Total:\n%+v\nvs\n%+v", res, tot)
 	}
 	if len(res.Degradation) != 1 || res.Degradation[0].Name != "" {
 		t.Fatalf("cluster degradation: %+v", res.Degradation)
@@ -511,10 +516,23 @@ func TestClusterScenarioChurnFaults(t *testing.T) {
 	if d.Delta != d.DeliveredFrac-d.BaselineDeliveredFrac {
 		t.Fatalf("delta %v != %v - %v", d.Delta, d.DeliveredFrac, d.BaselineDeliveredFrac)
 	}
-	base := mkCluster().FaultFree()
-	if base.Churn.Kind != "" || base.Faults.Kind != "" {
-		t.Fatalf("cluster FaultFree left specs behind: %+v", base)
+	base := lowsensing.Scenario(mkCluster()).FaultFree()
+	if base.Churn.Kind != "" || base.Faults.Kind != "" || base.Channels != 8 || base.Router.Kind != lowsensing.RouterRoundRobin {
+		t.Fatalf("cluster FaultFree left specs behind or dropped the cluster: %+v", base)
 	}
+	cbase, err := lowsensing.ClusterScenario(base).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.BaselineMeanAccesses, cbase.Total.MeanAccesses(); got != want {
+		t.Fatalf("baseline mean accesses %v, fault-free cluster %v", got, want)
+	}
+}
+
+// withoutDegradation returns r with its degradation rows cleared.
+func withoutDegradation(r lowsensing.Result) lowsensing.Result {
+	r.Degradation = nil
+	return r
 }
 
 // TestSweepChurnFaults: sweep points pick up churn/fault specs from the
@@ -550,9 +568,10 @@ func TestSweepChurnFaults(t *testing.T) {
 		t.Fatalf("LSB point saw no corrupted observations: %+v", pts[0].Faults)
 	}
 
-	cpts, err := lowsensing.NewSweep(base).
-		Cluster(4, lowsensing.RouterSpec{Kind: lowsensing.RouterRoundRobin}).
-		Run()
+	cbase := base
+	cbase.Channels = 4
+	cbase.Router = lowsensing.RouterSpec{Kind: lowsensing.RouterRoundRobin}
+	cpts, err := lowsensing.NewSweep(cbase).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

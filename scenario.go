@@ -3,22 +3,26 @@ package lowsensing
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
+
+	"lowsensing/internal/arrivals"
 )
 
 // Scenario is a declarative, serializable description of one simulation
-// run: arrivals, protocol, jammer, slot cap, retention, and seed. It is the
+// run: arrivals, protocol, jammer, slot cap, retention, seed, and — with
+// Channels >= 1 — the multi-channel cluster it runs on. It is the
 // value-type counterpart of the functional options — every option that
 // configures something expressible as data writes into the Simulation's
 // underlying Scenario, and FromScenario goes the other way — so specs can
 // live in JSON files, be diffed, and be swept over.
 //
 // A Scenario is pure data: Run constructs every stateful component
-// (arrival sources, jammers, stations) fresh from the spec and the seed, so
-// the same Scenario can be Run any number of times and always describes the
-// same distribution over executions. The JSON encoding round-trips:
-// unmarshal(marshal(sc)) runs identically to sc.
+// (arrival sources, jammers, stations, routers) fresh from the spec and the
+// seed, so the same Scenario can be Run any number of times and always
+// describes the same distribution over executions. The JSON encoding
+// round-trips: unmarshal(marshal(sc)) runs identically to sc.
 type Scenario struct {
 	// Seed fixes the run's randomness; identical seeds give identical runs.
 	Seed uint64 `json:"seed,omitempty"`
@@ -51,6 +55,25 @@ type Scenario struct {
 	// bit-identical either way; this is an escape hatch for debugging and
 	// for the differential tests that prove that equivalence.
 	DisableBatching bool `json:"disable_batching,omitempty"`
+	// Channels, when >= 1, runs the scenario on a cluster of that many
+	// slotted channels (see the cluster package): the channels share the
+	// clock and the arrival stream, Router assigns each packet a channel,
+	// and every channel runs the protocol, its own jammer instance, and the
+	// churn and fault laws from its own derived seed (cluster.ChannelSeed).
+	// Run then returns the merged Result; ClusterScenario(sc).Run gives the
+	// per-channel breakdown. 0 means the single-channel engine. Clusters
+	// carry neither Classes (station ids are channel-local) nor
+	// RetainPackets.
+	Channels int `json:"channels,omitempty"`
+	// Router selects the cluster routing policy; the zero value is
+	// RouterRandom. Setting it requires Channels >= 1.
+	Router RouterSpec `json:"router,omitzero"`
+
+	// Workers bounds a cluster run's parallelism (<= 0 means GOMAXPROCS).
+	// An execution detail, not part of the scenario's meaning — results
+	// are byte-identical at any value — so it is not serialized. A run
+	// with attached recorders executes its channels serially.
+	Workers int `json:"-"`
 }
 
 // clone returns a deep copy of the scenario: the Params maps of every
@@ -64,6 +87,7 @@ func (sc Scenario) clone() Scenario {
 	sc.Jammer.Params = maps.Clone(sc.Jammer.Params)
 	sc.Churn.Params = maps.Clone(sc.Churn.Params)
 	sc.Faults.Params = maps.Clone(sc.Faults.Params)
+	sc.Router.Params = maps.Clone(sc.Router.Params)
 	if sc.Classes != nil {
 		classes := make([]ClassSpec, len(sc.Classes))
 		copy(classes, sc.Classes)
@@ -84,26 +108,125 @@ func (sc Scenario) Simulation(opts ...Option) *Simulation {
 	return NewSimulation(append([]Option{FromScenario(sc)}, opts...)...)
 }
 
-// Run executes the scenario once. All stateful components are constructed
-// fresh, so Run may be called repeatedly and concurrently on copies.
+// Run executes the scenario once — on the cluster executor when Channels
+// >= 1, returning the merged Result. All stateful components are
+// constructed fresh, so Run may be called repeatedly and concurrently on
+// copies.
 func (sc Scenario) Run() (Result, error) { return sc.Simulation().Run() }
 
 // Validate checks that every part of the scenario is constructible. It
 // builds (and discards) the seeded components, so a nil error means Run
 // cannot fail before the engine starts.
 func (sc Scenario) Validate() error {
-	if len(sc.Classes) == 0 {
-		if _, err := sc.Arrivals.Source(sc.Seed); err != nil {
-			return err
-		}
-		if _, err := sc.Protocol.Factory(); err != nil {
-			return err
-		}
+	if err := sc.validateShape(); err != nil {
+		return err
+	}
+	if _, err := sc.resolve(nil, nil); err != nil {
+		return err
 	}
 	if _, err := sc.Jammer.Jammer(sc.Seed); err != nil {
 		return err
 	}
-	return sc.validateRobustness()
+	if sc.Channels >= 1 {
+		if _, err := sc.Router.Router(sc.Seed); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateShape checks the field combinations no component resolution
+// would catch: the cluster fields, and a multi-class scenario's classes
+// (which replace the top-level arrivals, churn, and faults, and need
+// unique names).
+func (sc Scenario) validateShape() error {
+	switch {
+	case sc.Channels < 0:
+		return fmt.Errorf("lowsensing: Scenario.Channels must be >= 0, got %d", sc.Channels)
+	case sc.Channels == 0 && (sc.Router.Kind != "" || sc.Router.Flows != 0 || len(sc.Router.Params) > 0):
+		return fmt.Errorf("lowsensing: a router needs a cluster (channels >= 1)")
+	case sc.Channels >= 1 && len(sc.Classes) > 0:
+		return fmt.Errorf("lowsensing: a cluster scenario (channels >= 1) cannot carry classes: station ids are channel-local")
+	case sc.Channels >= 1 && sc.RetainPackets:
+		return fmt.Errorf("lowsensing: a cluster scenario (channels >= 1) cannot retain packets: packet ids are channel-local")
+	}
+	if len(sc.Classes) == 0 {
+		return nil
+	}
+	if sc.Arrivals.Kind != "" {
+		return fmt.Errorf("lowsensing: scenario with classes must not set top-level arrivals (each class has its own)")
+	}
+	if sc.Churn.Kind != "" || sc.Faults.Kind != "" {
+		return fmt.Errorf("lowsensing: scenario with classes must not set top-level churn/faults (each class has its own)")
+	}
+	seen := make(map[string]bool, len(sc.Classes))
+	for i, cl := range sc.Classes {
+		if cl.Name == "" {
+			return fmt.Errorf("lowsensing: class %d has no name", i)
+		}
+		if seen[cl.Name] {
+			return fmt.Errorf("lowsensing: duplicate class name %q", cl.Name)
+		}
+		seen[cl.Name] = true
+	}
+	return nil
+}
+
+// workload is a scenario's resolved, run-ready form: the components the
+// single-channel engine and the cluster executor both take.
+type workload struct {
+	// source is the arrival stream, with any churn join stream merged in.
+	source ArrivalSource
+	// factory builds every packet's station.
+	factory StationFactory
+	// lifetime is the churn leave law (nil without churn).
+	lifetime func(id, arrival int64) int64
+	// faults is the station fault model (nil without faults).
+	faults FaultModel
+	// mc is the per-class dispatch state of a multi-class scenario.
+	mc *multiclassRun
+}
+
+// resolve constructs the scenario's workload fresh for one run. A non-nil
+// src or factory — a custom instance from WithArrivals or WithStations —
+// stands in for the spec's.
+func (sc Scenario) resolve(src ArrivalSource, factory StationFactory) (workload, error) {
+	if len(sc.Classes) > 0 {
+		if src != nil || factory != nil {
+			return workload{}, errors.New("lowsensing: WithArrivals/WithStations cannot combine with Scenario.Classes (each class brings its own)")
+		}
+		mc, err := newMulticlassRun(sc)
+		if err != nil {
+			return workload{}, err
+		}
+		return workload{source: mc.source, factory: mc.factory(), lifetime: mc.lifetime(), faults: mc.faults(), mc: mc}, nil
+	}
+	var err error
+	if src == nil {
+		if src, err = sc.Arrivals.Source(sc.Seed); err != nil {
+			return workload{}, err
+		}
+	}
+	if factory == nil {
+		if factory, err = sc.Protocol.Factory(); err != nil {
+			return workload{}, err
+		}
+	}
+	w := workload{source: src, factory: factory}
+	ch, err := sc.Churn.Churn(sc.Seed)
+	if err != nil {
+		return workload{}, err
+	}
+	if ch != nil {
+		if joins := ch.Joins(); joins != nil {
+			w.source = arrivals.NewMerge(src, joins)
+		}
+		w.lifetime = ch.LeaveSlot
+	}
+	if w.faults, err = sc.Faults.Model(); err != nil {
+		return workload{}, err
+	}
+	return w, nil
 }
 
 // ParseScenario decodes a JSON scenario strictly (unknown fields are

@@ -26,6 +26,12 @@ import (
 // aggregation is single-threaded — so the output is a pure function of the
 // sweep definition, whatever Workers is.
 //
+// Clusters sweep like anything else: a base scenario with Channels >= 1
+// makes every job a cluster run (or an axis patch sets "channels" and
+// "router" per point), and the folded Result is the cluster's merged
+// Total. The sweep stays parallel across jobs, so each job runs its
+// channels serially (Workers 1), which keeps the pool fully loaded.
+//
 //	points, err := lowsensing.NewSweep(lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(512)}).
 //	    Vary("rate", []float64{0.05, 0.1, 0.2}, func(sc *lowsensing.Scenario, v float64) {
 //	        sc.Arrivals = lowsensing.BernoulliArrivals(v, 512)
@@ -40,8 +46,6 @@ type Sweep struct {
 	seed     uint64
 	reps     int
 	workers  int
-	channels int // > 0: every job runs a cluster of this many channels
-	router   RouterSpec
 	axes     []sweepAxis
 	progress func(SweepProgress)
 	observe  func(Point, int) Recorder
@@ -96,27 +100,6 @@ func (sw *Sweep) Workers(n int) *Sweep {
 		return sw.fail(fmt.Errorf("lowsensing: sweep workers must be >= 0, got %d", n))
 	}
 	sw.workers = n
-	return sw
-}
-
-// Cluster makes every job a multi-channel cluster run: each (point,
-// replication) executes the point's scenario as a ClusterScenario with
-// the given channel count and router, and the folded Result is the
-// cluster's merged Total. The sweep stays parallel across jobs — each
-// cluster runs its channels serially (Workers 1 inside the job), which
-// keeps results identical to any other arrangement and the pool fully
-// loaded.
-func (sw *Sweep) Cluster(channels int, router RouterSpec) *Sweep {
-	if channels < 1 {
-		return sw.fail(fmt.Errorf("lowsensing: sweep cluster channels must be >= 1, got %d", channels))
-	}
-	// Resolve the router kind eagerly so a typo fails at build time like
-	// any other spec error, not per job.
-	if _, err := router.Router(0); err != nil {
-		return sw.fail(err)
-	}
-	sw.channels = channels
-	sw.router = router
 	return sw
 }
 
@@ -384,9 +367,11 @@ func (sw *Sweep) Stream(emit func(PointResult) error) error {
 	jobs := make([]runner.Job[timedResult], 0, len(points)*sw.reps)
 	for pi := range points {
 		// Replications must never retain per-packet tables: the aggregate
-		// is streaming by construction.
+		// is streaming by construction. Cluster jobs run their channels
+		// serially: the sweep already parallelizes across jobs.
 		sc := points[pi].Scenario
 		sc.RetainPackets = false
+		sc.Workers = 1
 		point := points[pi]
 		for rep := 0; rep < sw.reps; rep++ {
 			sc := sc
@@ -400,18 +385,12 @@ func (sw *Sweep) Stream(emit func(PointResult) error) error {
 					if sw.observe != nil {
 						rec = sw.observe(point, rep)
 					}
-					var r Result
-					var err error
-					if sw.channels > 0 {
-						r, err = sw.runClusterJob(sc, rec)
-					} else {
-						r, err = sc.Simulation(WithRecorder(rec)).Run()
-						if err == nil {
-							// A recorder holding buffered or partial state (a
-							// sink, a windowed accumulator) is flushed as part
-							// of the job, on the worker.
-							err = obs.Flush(rec)
-						}
+					r, err := sc.Simulation(WithRecorder(rec)).Run()
+					if err == nil {
+						// A recorder holding buffered or partial state (a
+						// sink, a windowed accumulator) is flushed once, as
+						// part of the job, on the worker.
+						err = obs.Flush(rec)
 					}
 					return timedResult{r: r, wall: time.Since(start)}, err //lsbvet:wallclock per-job wall time is reported, never folded into results
 				},
@@ -452,44 +431,6 @@ func (sw *Sweep) Stream(emit func(PointResult) error) error {
 	})
 }
 
-// runClusterJob executes one sweep job as a cluster run and returns the
-// merged Total. The point scenario's fields carry over verbatim; channels
-// run serially inside the job (Workers 1) because the sweep already
-// parallelizes across jobs. A per-job recorder, if any, is shared by all
-// channels: with oblivious routers the channels run one after another, so
-// the streams concatenate per channel; with backlog-aware routers they
-// interleave in epoch order. Cluster recorders are flushed by the cluster
-// executor itself.
-func (sw *Sweep) runClusterJob(sc Scenario, rec Recorder) (Result, error) {
-	if len(sc.Classes) > 0 {
-		return Result{}, fmt.Errorf("lowsensing: cluster sweeps do not support multi-class scenarios")
-	}
-	ccs := ClusterScenario{
-		Seed:            sc.Seed,
-		Channels:        sw.channels,
-		MaxSlots:        sc.MaxSlots,
-		Arrivals:        sc.Arrivals,
-		Protocol:        sc.Protocol,
-		Jammer:          sc.Jammer,
-		Router:          sw.router,
-		Churn:           sc.Churn,
-		Faults:          sc.Faults,
-		DisableBatching: sc.DisableBatching,
-		Workers:         1,
-	}
-	var cr ClusterResult
-	var err error
-	if rec != nil {
-		cr, err = ccs.RunObserved(func(int) Recorder { return rec })
-	} else {
-		cr, err = ccs.Run()
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return cr.Total, nil
-}
-
 // timedResult pairs a job's Result with its wall-clock run time, measured
 // on the worker, so progress reports cost nothing when unused.
 type timedResult struct {
@@ -501,7 +442,8 @@ type timedResult struct {
 // not just single runs — can live in JSON files. Each axis is a list of
 // variants; a variant is a JSON merge patch applied to the base scenario
 // (e.g. {"arrivals": {"rate": 0.2}} or {"protocol": {"kind": "beb"}}), so
-// any Scenario field can be swept without code.
+// any Scenario field can be swept without code — "channels" and "router"
+// included, which is how a sweep runs clusters.
 type SweepSpec struct {
 	// ID domain-separates seed derivation (default "sweep").
 	ID string `json:"id,omitempty"`
@@ -511,11 +453,6 @@ type SweepSpec struct {
 	Reps int `json:"reps,omitempty"`
 	// Base is the scenario every point starts from.
 	Base Scenario `json:"base"`
-	// Channels, when > 0, runs every job as a cluster of this many
-	// channels (see Sweep.Cluster); Router then selects the routing
-	// policy (zero value: random).
-	Channels int        `json:"channels,omitempty"`
-	Router   RouterSpec `json:"router,omitzero"`
 	// Axes are applied outermost first.
 	Axes []AxisSpec `json:"axes,omitempty"`
 }
@@ -560,9 +497,6 @@ func (ss SweepSpec) Sweep() (*Sweep, error) {
 	}
 	if ss.Reps != 0 {
 		sw.Reps(ss.Reps)
-	}
-	if ss.Channels != 0 {
-		sw.Cluster(ss.Channels, ss.Router)
 	}
 	for _, ax := range ss.Axes {
 		labels := make([]string, len(ax.Variants))
