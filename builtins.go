@@ -76,7 +76,7 @@ func registerBuiltinArrivals() {
 
 func registerBuiltinProtocols() {
 	RegisterProtocol(ProtocolLSB,
-		"LOW-SENSING BACKOFF, the paper's algorithm (config: c, w_min, k; zero config = defaults)",
+		"LOW-SENSING BACKOFF, the paper's algorithm (config: C, WMin, LnPower, Update; zero config = defaults)",
 		func(p ProtocolSpec) (StationFactory, error) {
 			cfg := p.Config
 			if cfg == (Config{}) {

@@ -89,7 +89,7 @@ var _ channel.ArrivalSource = (*Trace)(nil)
 // with sim.Params.MaxSlots). Gaps between arrivals are sampled
 // geometrically so idle stretches cost O(1).
 type Bernoulli struct {
-	rate    float64
+	gap     dist.Geom // slots to the next arrival: Geometric(rate)
 	total   int64
 	emitted int64
 	slot    int64
@@ -102,7 +102,7 @@ func NewBernoulli(rate float64, total int64, seed uint64) (*Bernoulli, error) {
 	if !(rate > 0 && rate <= 1) {
 		return nil, fmt.Errorf("arrivals: Bernoulli rate must be in (0,1], got %v", rate)
 	}
-	return &Bernoulli{rate: rate, total: total, slot: -1, rng: prng.NewStream(seed, 0x6265726e)}, nil
+	return &Bernoulli{gap: dist.NewGeom(rate), total: total, slot: -1, rng: prng.NewStream(seed, 0x6265726e)}, nil
 }
 
 // Next implements channel.ArrivalSource.
@@ -110,7 +110,7 @@ func (b *Bernoulli) Next() (int64, int64, bool) {
 	if b.total > 0 && b.emitted >= b.total {
 		return 0, 0, false
 	}
-	b.slot += dist.Geometric(b.rng, b.rate)
+	b.slot += b.gap.Draw(b.rng)
 	b.emitted++
 	return b.slot, 1, true
 }
@@ -124,7 +124,7 @@ var _ channel.ArrivalSource = (*Bernoulli)(nil)
 // zero-truncated Poisson distribution.
 type Poisson struct {
 	lambda  float64
-	pBusy   float64 // P[at least one arrival in a slot]
+	busy    dist.Geom // slots to the next nonempty slot: Geometric(1 - e^-λ)
 	total   int64
 	emitted int64
 	slot    int64
@@ -139,7 +139,7 @@ func NewPoisson(lambda float64, total int64, seed uint64) (*Poisson, error) {
 	}
 	return &Poisson{
 		lambda: lambda,
-		pBusy:  -math.Expm1(-lambda), // 1 - e^-λ, computed stably
+		busy:   dist.NewGeom(-math.Expm1(-lambda)), // 1 - e^-λ, computed stably
 		total:  total,
 		slot:   -1,
 		rng:    prng.NewStream(seed, 0x706f6973),
@@ -151,7 +151,7 @@ func (p *Poisson) Next() (int64, int64, bool) {
 	if p.total > 0 && p.emitted >= p.total {
 		return 0, 0, false
 	}
-	p.slot += dist.Geometric(p.rng, p.pBusy)
+	p.slot += p.busy.Draw(p.rng)
 	// Zero-truncated Poisson via rejection: cheap because λ is typically
 	// well below the regime where zero is rare.
 	var k int64

@@ -94,10 +94,10 @@ var _ channel.Churn = (*Epochs)(nil)
 // packet abandons LeaveRate-geometrically many slots after its arrival.
 // LeaveRate = 0 disables leaving (pure join churn).
 type PoissonJoinLeave struct {
-	rate      float64
-	n         int64
-	leaveRate float64
-	seed      uint64
+	rate  float64
+	n     int64
+	leave dist.Geom // patience: Geometric(leaveRate); p = 0 never leaves
+	seed  uint64
 }
 
 // NewPoissonJoinLeave returns a Poisson join/leave process. It returns an
@@ -112,7 +112,7 @@ func NewPoissonJoinLeave(rate float64, n int64, leaveRate float64, seed uint64) 
 	if !(leaveRate >= 0 && leaveRate <= 1) {
 		return nil, fmt.Errorf("churn: poisson-join-leave leave rate must be in [0,1], got %v", leaveRate)
 	}
-	return &PoissonJoinLeave{rate: rate, n: n, leaveRate: leaveRate, seed: seed}, nil
+	return &PoissonJoinLeave{rate: rate, n: n, leave: dist.NewGeom(leaveRate), seed: seed}, nil
 }
 
 // Joins implements channel.Churn.
@@ -129,12 +129,12 @@ func (p *PoissonJoinLeave) Joins() channel.ArrivalSource {
 // per-packet stream derived from (seed, id) alone, so the patience is a
 // pure function of the packet identity regardless of call order.
 func (p *PoissonJoinLeave) LeaveSlot(id, arrival int64) int64 {
-	if p.leaveRate == 0 {
+	if p.leave.P() == 0 {
 		return -1
 	}
 	var src prng.Source
 	src.Reinit(p.seed^lifeStream, prng.Mix64(uint64(id)))
-	return arrival + dist.Geometric(&src, p.leaveRate)
+	return arrival + p.leave.Draw(&src)
 }
 
 var _ channel.Churn = (*PoissonJoinLeave)(nil)

@@ -75,8 +75,12 @@ func (c Config) Validate() error {
 	if !(c.LnPower >= 0) || math.IsNaN(c.LnPower) {
 		return fmt.Errorf("core: LnPower must be >= 0, got %v", c.LnPower)
 	}
-	if p := c.C * math.Pow(math.Log(c.WMin), c.LnPower) / c.WMin; p > 1 {
+	lnW := math.Log(c.WMin)
+	switch p, _ := c.rawProbs(c.WMin, lnW); {
+	case p > 1:
 		return fmt.Errorf("core: access probability at WMin is %v > 1; need C·ln^k(WMin) <= WMin", p)
+	case !(p > 0): // also catches NaN
+		return fmt.Errorf("core: access probability at WMin is %v: C·ln^k(WMin)/WMin underflows (ln WMin = %v raised to k = %v); raise WMin or lower LnPower", p, lnW, c.LnPower)
 	}
 	if c.Update != UpdatePaper && c.Update != UpdateDoubling {
 		return fmt.Errorf("core: unknown update rule %d", c.Update)
@@ -84,14 +88,29 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// AccessProb returns the probability that a packet with window w accesses
-// (listens to) the channel in a slot: min(1, c·ln^k(w)/w).
-func (c Config) AccessProb(w float64) float64 {
-	p := c.C * math.Pow(math.Log(w), c.LnPower) / w
+// rawProbs returns the access probability c·ln^k(w)/w and the conditional
+// send probability 1/(c·ln^k(w)), before clamping at 1, given lnW = ln w.
+// It is the one place the formulas live: the public methods, Validate and
+// a packet's cached window state all evaluate them here, so the cache is
+// bit-identical to the methods by construction.
+func (c Config) rawProbs(w, lnW float64) (access, send float64) {
+	lnk := math.Pow(lnW, c.LnPower)
+	return c.C * lnk / w, 1 / (c.C * lnk)
+}
+
+// clampProb caps a probability at 1.
+func clampProb(p float64) float64 {
 	if p > 1 {
 		return 1
 	}
 	return p
+}
+
+// AccessProb returns the probability that a packet with window w accesses
+// (listens to) the channel in a slot: min(1, c·ln^k(w)/w).
+func (c Config) AccessProb(w float64) float64 {
+	access, _ := c.rawProbs(w, math.Log(w))
+	return clampProb(access)
 }
 
 // SendProbGivenAccess returns the probability that an accessing packet also
@@ -99,34 +118,38 @@ func (c Config) AccessProb(w float64) float64 {
 // product AccessProb(w)·SendProbGivenAccess(w), which equals 1/w whenever
 // neither factor is clamped.
 func (c Config) SendProbGivenAccess(w float64) float64 {
-	p := 1 / (c.C * math.Pow(math.Log(w), c.LnPower))
-	if p > 1 {
-		return 1
-	}
-	return p
+	_, send := c.rawProbs(w, math.Log(w))
+	return clampProb(send)
 }
 
 // UpdateFactor returns the multiplicative step 1 + 1/(c·ln w) used by both
 // back-off (grow) and back-on (shrink).
-func (c Config) UpdateFactor(w float64) float64 {
-	return 1 + 1/(c.C*math.Log(w))
-}
+func (c Config) UpdateFactor(w float64) float64 { return c.updateFactor(math.Log(w)) }
+
+// updateFactor is UpdateFactor given lnW = ln w.
+func (c Config) updateFactor(lnW float64) float64 { return 1 + 1/(c.C*lnW) }
 
 // Backoff returns the window after hearing a noisy slot.
-func (c Config) Backoff(w float64) float64 {
+func (c Config) Backoff(w float64) float64 { return c.backoff(w, math.Log(w)) }
+
+// Backon returns the window after hearing a silent slot, floored at WMin.
+func (c Config) Backon(w float64) float64 { return c.backon(w, math.Log(w)) }
+
+// backoff is Backoff given lnW = ln w.
+func (c Config) backoff(w, lnW float64) float64 {
 	if c.Update == UpdateDoubling {
 		return w * 2
 	}
-	return w * c.UpdateFactor(w)
+	return w * c.updateFactor(lnW)
 }
 
-// Backon returns the window after hearing a silent slot, floored at WMin.
-func (c Config) Backon(w float64) float64 {
+// backon is Backon given lnW = ln w.
+func (c Config) backon(w, lnW float64) float64 {
 	var w2 float64
 	if c.Update == UpdateDoubling {
 		w2 = w / 2
 	} else {
-		w2 = w / c.UpdateFactor(w)
+		w2 = w / c.updateFactor(lnW)
 	}
 	if w2 < c.WMin {
 		return c.WMin
@@ -134,13 +157,49 @@ func (c Config) Backon(w float64) float64 {
 	return w2
 }
 
+// window is everything a packet derives from its window w: ln w, the
+// clamped conditional send probability, and the sampler of the gap to the
+// next access, whose p is the clamped access probability. It is a function
+// of w alone, so a packet recomputes it only when its window moves.
+type window struct {
+	w, lnW, send float64
+	access       dist.Geom
+}
+
+// window returns the window state at w.
+func (c Config) window(w float64) window {
+	lnW := math.Log(w)
+	access, send := c.rawProbs(w, lnW)
+	return window{w: w, lnW: lnW, send: clampProb(send), access: dist.NewGeom(clampProb(access))}
+}
+
+// shared is what every packet of one configuration reads and none writes:
+// the configuration and its window state at WMin, computed once.
+type shared struct {
+	cfg  Config
+	wmin window
+}
+
+// newShared validates cfg and computes its WMin state.
+func newShared(cfg Config) (*shared, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &shared{cfg: cfg, wmin: cfg.window(cfg.WMin)}, nil
+}
+
 // Packet is one packet running LOW-SENSING BACKOFF. It implements
 // channel.Station (event-driven scheduling) as well as the per-slot Decide
 // interface used by the real-time livenet substrate. A Packet is not safe
 // for concurrent use.
+//
+// A packet caches its window state next to the window, so an access that
+// leaves the window where it is, or returns it to WMin, costs one logarithm
+// (the geometric draw's); only a move to a new window recomputes ln w, the
+// power and log1p.
 type Packet struct {
-	cfg Config
-	w   float64
+	sh  *shared
+	win window
 }
 
 var (
@@ -152,20 +211,22 @@ var (
 // NewPacket returns a packet in its initial state (window WMin). It returns
 // an error if the configuration is invalid.
 func NewPacket(cfg Config) (*Packet, error) {
-	if err := cfg.Validate(); err != nil {
+	sh, err := newShared(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return &Packet{cfg: cfg, w: cfg.WMin}, nil
+	return &Packet{sh: sh, win: sh.wmin}, nil
 }
 
 // NewFactory validates cfg once and returns a channel.StationFactory producing
 // LOW-SENSING BACKOFF packets.
 func NewFactory(cfg Config) (channel.StationFactory, error) {
-	if err := cfg.Validate(); err != nil {
+	sh, err := newShared(cfg)
+	if err != nil {
 		return nil, err
 	}
 	return func(_ int64, _ *prng.Source) channel.Station {
-		return &Packet{cfg: cfg, w: cfg.WMin}
+		return &Packet{sh: sh, win: sh.wmin}
 	}, nil
 }
 
@@ -180,22 +241,25 @@ func MustFactory(cfg Config) channel.StationFactory {
 }
 
 // Reset implements channel.ReusableStation: a recycled packet restarts at
-// window WMin, exactly as NewFactory constructs it (the factory draws
-// nothing from the rng, so neither does Reset).
-func (p *Packet) Reset(_ int64, _ *prng.Source) { p.w = p.cfg.WMin }
+// window WMin, exactly as NewFactory constructs it, by copying the shared
+// WMin state (the factory draws nothing from the rng, so neither does
+// Reset).
+func (p *Packet) Reset(_ int64, _ *prng.Source) { p.win = p.sh.wmin }
 
 // Window returns the packet's current window size.
-func (p *Packet) Window() float64 { return p.w }
+func (p *Packet) Window() float64 { return p.win.w }
 
 // Config returns the packet's configuration.
-func (p *Packet) Config() Config { return p.cfg }
+func (p *Packet) Config() Config { return p.sh.cfg }
 
 // ScheduleNext implements channel.Station. The access probability is constant
 // between accesses (the window changes only on access), so the gap to the
 // next access is exactly Geometric(AccessProb(w)).
+//
+//lsbvet:hotpath
 func (p *Packet) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
-	gap := dist.Geometric(rng, p.cfg.AccessProb(p.w))
-	send := rng.Bernoulli(p.cfg.SendProbGivenAccess(p.w))
+	gap := p.win.access.Draw(rng)
+	send := rng.Bernoulli(p.win.send)
 	return from + gap - 1, send
 }
 
@@ -203,26 +267,43 @@ func (p *Packet) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 // the channel this slot and, if so, whether it sends. It is equivalent in
 // distribution to ScheduleNext and is used by per-slot substrates (livenet)
 // and by the reference engine in tests.
+//
+//lsbvet:hotpath
 func (p *Packet) Decide(rng *prng.Source) (access, send bool) {
-	if !rng.Bernoulli(p.cfg.AccessProb(p.w)) {
+	if !rng.Bernoulli(p.win.access.P()) {
 		return false, false
 	}
-	return true, rng.Bernoulli(p.cfg.SendProbGivenAccess(p.w))
+	return true, rng.Bernoulli(p.win.send)
 }
 
 // Observe implements channel.Station: apply the multiplicative window update
 // for the observed outcome. A packet that sent and did not succeed knows
 // the slot was noisy without listening (paper footnote 2); a heard success
 // (someone else's) leaves the window unchanged.
+//
+//lsbvet:hotpath
 func (p *Packet) Observe(obs channel.Observation) {
 	switch {
 	case obs.Succeeded:
 		// Departing; no state to maintain.
 	case obs.Outcome == channel.OutcomeNoisy:
-		p.w = p.cfg.Backoff(p.w)
+		p.moveTo(p.sh.cfg.backoff(p.win.w, p.win.lnW))
 	case obs.Outcome == channel.OutcomeEmpty:
-		p.w = p.cfg.Backon(p.w)
+		p.moveTo(p.sh.cfg.backon(p.win.w, p.win.lnW))
 	case obs.Outcome == channel.OutcomeSuccess:
 		// Someone else succeeded: no change.
+	}
+}
+
+// moveTo sets the window to w, keeping the state when w is the current
+// window, copying the shared state when w is WMin, and recomputing it
+// otherwise.
+func (p *Packet) moveTo(w float64) {
+	switch w {
+	case p.win.w:
+	case p.sh.wmin.w:
+		p.win = p.sh.wmin
+	default:
+		p.win = p.sh.cfg.window(w)
 	}
 }

@@ -23,32 +23,66 @@ import (
 const maxGeometric = int64(1) << 62
 
 // Geometric returns the number of independent Bernoulli(p) trials up to and
-// including the first success: support {1, 2, ...}, mean 1/p.
+// including the first success: support {1, 2, ...}, mean 1/p. It is
+// NewGeom(p).Draw(rng); callers drawing repeatedly at one p hold the Geom
+// instead, which takes the log1p off every draw.
+func Geometric(rng *prng.Source, p float64) int64 {
+	return NewGeom(p).Draw(rng)
+}
+
+// Geom is a geometric sampler with ln(1-p) precomputed, so a draw costs one
+// uniform and one logarithm. The zero value samples p = 0: its draws panic.
+type Geom struct {
+	p, ln1mp float64
+}
+
+// NewGeom returns the geometric sampler for success probability p. It
+// never panics: a p outside (0, ∞) is reported by Draw, where Geometric
+// has always reported it.
+func NewGeom(p float64) Geom {
+	return Geom{p: p, ln1mp: math.Log1p(-p)}
+}
+
+// P returns the sampler's success probability.
+func (g Geom) P() float64 { return g.p }
+
+// Draw returns the number of independent Bernoulli(p) trials up to and
+// including the first success.
 //
 // The draw uses the exact inverse CDF, X = ceil(ln U / ln(1-p)) for uniform
-// U in (0,1), computed with log1p for accuracy at small p. Edge cases:
-// p >= 1 always returns 1 (success on the first trial); p <= 0 or NaN
-// panics, since the waiting time would be infinite; draws that would exceed
-// 2^62 (possible only for p below ~1e-18) are truncated there so slot
-// arithmetic cannot overflow.
-func Geometric(rng *prng.Source, p float64) int64 {
-	if !(p > 0) { // also catches NaN
-		panic(fmt.Sprintf("dist: Geometric requires p > 0, got %v", p))
+// U in (0,1), with ln(1-p) computed by log1p for accuracy at small p. Edge
+// cases: p >= 1 always returns 1 (success on the first trial) without
+// drawing; p <= 0 or NaN panics, since the waiting time would be infinite;
+// draws that would exceed 2^62 (possible only for p below ~1e-18) are
+// truncated there so slot arithmetic cannot overflow.
+//
+//lsbvet:hotpath
+func (g Geom) Draw(rng *prng.Source) int64 {
+	if !(g.p > 0) { // also catches NaN
+		geometricPanic(g.p)
 	}
-	if p >= 1 {
+	if g.p >= 1 {
 		return 1
 	}
 	// ln(1-p) is finite and negative here because 0 < p < 1.
-	g := math.Ceil(math.Log(rng.Float64Open()) / math.Log1p(-p))
-	if g < 1 {
+	x := math.Ceil(math.Log(rng.Float64Open()) / g.ln1mp)
+	if x < 1 {
 		// Float64Open can return values so close to 1 that the ratio rounds
 		// to 0; the inverse CDF maps that region to the minimum value 1.
 		return 1
 	}
-	if g >= float64(maxGeometric) {
+	if x >= float64(maxGeometric) {
 		return maxGeometric
 	}
-	return int64(g)
+	return int64(x)
+}
+
+// geometricPanic builds Draw's parameter panic behind //go:noinline, so
+// fmt stays out of the hot path and its inlining budget.
+//
+//go:noinline
+func geometricPanic(p float64) {
+	panic(fmt.Sprintf("dist: Geometric requires p > 0, got %v", p))
 }
 
 // poissonPTRSCutover is the λ above which Poisson switches from Knuth's

@@ -134,7 +134,7 @@ var (
 // Aloha is slotted ALOHA with a fixed transmission probability: each slot,
 // send with probability p. Send-only, no adaptation.
 type Aloha struct {
-	p float64
+	gap dist.Geom // slots to the next send: Geometric(p)
 }
 
 // NewAlohaFactory returns fixed-rate slotted ALOHA stations. p must be in
@@ -143,8 +143,9 @@ func NewAlohaFactory(p float64) (channel.StationFactory, error) {
 	if !(p > 0 && p <= 1) {
 		return nil, fmt.Errorf("protocols: Aloha p must be in (0,1], got %v", p)
 	}
+	gap := dist.NewGeom(p)
 	return func(_ int64, _ *prng.Source) channel.Station {
-		return &Aloha{p: p}
+		return &Aloha{gap: gap}
 	}, nil
 }
 
@@ -153,7 +154,7 @@ func (a *Aloha) Reset(int64, *prng.Source) {}
 
 // ScheduleNext implements channel.Station.
 func (a *Aloha) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
-	return from + dist.Geometric(rng, a.p) - 1, true
+	return from + a.gap.Draw(rng) - 1, true
 }
 
 // Observe implements channel.Station (fixed-rate ALOHA never adapts).

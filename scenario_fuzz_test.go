@@ -49,6 +49,10 @@ func FuzzParseScenario(f *testing.F) {
 		`{"arrivals": {"kind": "batch", "n": 9223372036854775807}}`,
 		`{"arrivals": {"kind": "poisson", "rate": 1e308, "n": 1}}`,
 		`{"seed": 18446744073709551615, "arrivals": {"kind": "batch", "n": 1}, "max_slots": -5}`,
+		// LSB config keys as strict parsing spells them, and a config whose
+		// access probability at WMin underflows to 0 (rejected, not a panic).
+		`{"arrivals": {"kind": "batch", "n": 4}, "protocol": {"kind": "lsb", "config": {"C": 0.5, "WMin": 8, "LnPower": 3}}}`,
+		`{"arrivals": {"kind": "batch", "n": 4}, "protocol": {"kind": "lsb", "config": {"C": 0.5, "WMin": 2.5, "LnPower": 10000}}}`,
 	} {
 		f.Add([]byte(seed))
 	}
