@@ -103,7 +103,20 @@ func routeOne(cfg *Config, v *view, id, slot int64) (int, error) {
 func runPreRouted(cfg Config, maxSlots int64) (Result, error) {
 	C := cfg.Channels
 	v := &view{channels: C, routed: make([]int64, C)}
-	sched := make([][]arrivals.TraceBatch, C)
+	// Route the stream into one list of batches in arrival order — an
+	// arrival at its channel's last batch slot joins that batch — then
+	// split it into the per-channel schedules over one backing array. That
+	// costs a few allocations per run where growing C schedules separately
+	// cost a few per channel.
+	type routedBatch struct {
+		ch int
+		b  arrivals.TraceBatch
+	}
+	var routed []routedBatch
+	last := make([]int, C) // each channel's last batch in routed, or -1
+	for ch := range last {
+		last[ch] = -1
+	}
 	var id int64
 	for {
 		slot, count, ok := cfg.Arrivals.Next()
@@ -116,12 +129,28 @@ func runPreRouted(cfg Config, maxSlots int64) (Result, error) {
 				return Result{}, err
 			}
 			id++
-			if b := sched[ch]; len(b) > 0 && b[len(b)-1].Slot == slot {
-				b[len(b)-1].Count++
+			if j := last[ch]; j >= 0 && routed[j].b.Slot == slot {
+				routed[j].b.Count++
 			} else {
-				sched[ch] = append(b, arrivals.TraceBatch{Slot: slot, Count: 1})
+				last[ch] = len(routed)
+				routed = append(routed, routedBatch{ch: ch, b: arrivals.TraceBatch{Slot: slot, Count: 1}})
 			}
 		}
+	}
+	perCh := last // reused: batches per channel
+	clear(perCh)
+	for _, r := range routed {
+		perCh[r.ch]++
+	}
+	backing := make([]arrivals.TraceBatch, len(routed))
+	sched := make([][]arrivals.TraceBatch, C)
+	off := 0
+	for ch, n := range perCh {
+		sched[ch] = backing[off : off : off+n]
+		off += n
+	}
+	for _, r := range routed {
+		sched[r.ch] = append(sched[r.ch], r.b)
 	}
 
 	jobs := make([]runner.Job[sim.Result], C)

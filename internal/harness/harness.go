@@ -124,9 +124,9 @@ func run(seed uint64, opts ...lowsensing.Option) (sim.Result, error) {
 // batch of runner jobs and returns the measurements grouped by point, reps
 // in order. Each job's seed is runner.DeriveSeed(rc.Seed, expID, point,
 // rep), so the grouped results — and therefore every table built from them
-// — are a pure function of the RunConfig, whatever rc.Workers is. Results
-// stream off the pool in job order and are folded into their point's group
-// as they arrive.
+// — are a pure function of the RunConfig, whatever rc.Workers is. Every
+// result is kept, so the jobs run through runner.Run: a slow job never holds
+// back the claims behind it, as Stream's bounded reorder window would.
 func sweep[T any](rc RunConfig, expID string, points int, body func(point, rep int, seed uint64) (T, error)) ([][]T, error) {
 	jobs := make([]runner.Job[T], 0, points*rc.Reps)
 	for point := 0; point < points; point++ {
@@ -140,16 +140,13 @@ func sweep[T any](rc RunConfig, expID string, points int, body func(point, rep i
 			})
 		}
 	}
-	out := make([][]T, points)
-	for point := range out {
-		out[point] = make([]T, 0, rc.Reps)
-	}
-	err := runner.Stream(rc.pool(), jobs, func(i int, r T) error {
-		out[i/rc.Reps] = append(out[i/rc.Reps], r)
-		return nil
-	})
+	rs, err := runner.Run(rc.pool(), jobs)
 	if err != nil {
 		return nil, err
+	}
+	out := make([][]T, points)
+	for point := range out {
+		out[point] = rs[point*rc.Reps : (point+1)*rc.Reps : (point+1)*rc.Reps]
 	}
 	return out, nil
 }

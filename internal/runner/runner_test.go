@@ -283,12 +283,12 @@ func TestStreamCancelsOnError(t *testing.T) {
 		t.Fatalf("err = %v, want job index 3", err)
 	}
 	// Cancel-on-first-error: nowhere near all 1000 jobs may have started,
-	// and nothing at or past the failure index may have been emitted.
+	// and exactly the results below the failure index were emitted.
 	if n := started.Load(); n > 100 {
 		t.Fatalf("%d jobs started after an early failure", n)
 	}
-	if n := emitted.Load(); n > 3 {
-		t.Fatalf("%d results emitted past the failure", n)
+	if n := emitted.Load(); n != 3 {
+		t.Fatalf("%d results emitted before the failure at job 3, want 3", n)
 	}
 }
 
@@ -328,5 +328,181 @@ func TestStreamEmitErrorStopsJobs(t *testing.T) {
 	// job per worker. Anything beyond means workers kept claiming.
 	if n := started.Load(); n > 12 {
 		t.Fatalf("%d jobs started after emit aborted the sweep", n)
+	}
+}
+
+// TestStreamDeterministicPrefix: with job durations jittered so results
+// finish far out of order, a failing job k must leave emit having seen
+// exactly indices 0..k-1, in order, at every worker count — the same
+// prefix the one-worker path emits.
+func TestStreamDeterministicPrefix(t *testing.T) {
+	const n, k = 200, 57
+	boom := errors.New("boom")
+	jobs := make([]Job[int], n)
+	for i := range jobs {
+		i := i
+		jobs[i] = Job[int]{Run: func(uint64) (int, error) {
+			time.Sleep(time.Duration(prng.Mix64(uint64(i))%200) * time.Microsecond)
+			if i == k {
+				return 0, boom
+			}
+			return i, nil
+		}}
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		for trial := 0; trial < 5; trial++ {
+			var got []int
+			err := Stream(New(workers), jobs, func(i int, r int) error {
+				if r != i {
+					t.Fatalf("workers=%d: emit(%d, %d)", workers, i, r)
+				}
+				got = append(got, i)
+				return nil
+			})
+			if !errors.Is(err, boom) || !strings.Contains(err.Error(), fmt.Sprintf("job %d:", k)) {
+				t.Fatalf("workers=%d: err = %v, want job %d's boom", workers, err, k)
+			}
+			if len(got) != k {
+				t.Fatalf("workers=%d trial %d: emitted %d results, want %d", workers, trial, len(got), k)
+			}
+			for i, g := range got {
+				if g != i {
+					t.Fatalf("workers=%d trial %d: emit #%d was job %d", workers, trial, i, g)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamWindowBoundsClaims: while job 0 straggles, no job at or past
+// the window W may start, and at no point are more than W results
+// finished but not yet emitted.
+func TestStreamWindowBoundsClaims(t *testing.T) {
+	const workers, n = 4, 400
+	w := windowPerWorker * workers
+	release := make(chan struct{})
+	var started, finished, emitted, maxStarted atomic.Int64
+	maxStarted.Store(-1)
+	var overfull atomic.Bool
+	jobs := make([]Job[int], n)
+	for i := range jobs {
+		i := i
+		jobs[i] = Job[int]{Run: func(uint64) (int, error) {
+			started.Add(1)
+			for {
+				m := maxStarted.Load()
+				if int64(i) <= m || maxStarted.CompareAndSwap(m, int64(i)) {
+					break
+				}
+			}
+			if i == 0 {
+				<-release
+			}
+			if finished.Add(1)-emitted.Load() > int64(w) {
+				overfull.Store(true)
+			}
+			return i, nil
+		}}
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- Stream(New(workers), jobs, func(i int, r int) error {
+			if r != i {
+				t.Errorf("emit(%d, %d)", i, r)
+			}
+			emitted.Add(1)
+			return nil
+		})
+	}()
+	// Jobs 0..W-1 start; the window is then full behind job 0.
+	waitFor(t, func() bool { return started.Load() == int64(w) && finished.Load() == int64(w-1) })
+	time.Sleep(50 * time.Millisecond)
+	if s, m := started.Load(), maxStarted.Load(); s != int64(w) || m != int64(w-1) {
+		t.Fatalf("while job 0 straggles: %d jobs started, highest index %d; want %d and %d", s, m, w, w-1)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if emitted.Load() != n {
+		t.Fatalf("emitted %d of %d", emitted.Load(), n)
+	}
+	if overfull.Load() {
+		t.Fatalf("more than W = %d results were parked at once", w)
+	}
+}
+
+// TestStreamFullWindowErrors: a job error and an emit error must each end
+// the sweep while every other worker waits on a full window behind a
+// straggling job 0 — the cancel path must wake them.
+func TestStreamFullWindowErrors(t *testing.T) {
+	const workers, n = 4, 400
+	w := windowPerWorker * workers
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name    string
+		jobErr  error // job 0's error
+		emitErr error // emit's error on job 0
+	}{
+		{"job error", boom, nil},
+		{"emit error", nil, boom},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			var finished atomic.Int64
+			jobs := make([]Job[int], n)
+			for i := range jobs {
+				i := i
+				jobs[i] = Job[int]{Run: func(uint64) (int, error) {
+					defer finished.Add(1)
+					if i == 0 {
+						<-release
+						return 0, tc.jobErr
+					}
+					return i, nil
+				}}
+			}
+			var emitted atomic.Int64
+			done := make(chan error, 1)
+			go func() {
+				done <- Stream(New(workers), jobs, func(int, int) error {
+					emitted.Add(1)
+					return tc.emitErr
+				})
+			}()
+			waitFor(t, func() bool { return finished.Load() == int64(w-1) })
+			time.Sleep(20 * time.Millisecond) // let the other workers block on the window
+			close(release)
+			select {
+			case err := <-done:
+				if !errors.Is(err, boom) {
+					t.Fatalf("err = %v, want boom", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Stream deadlocked on a full window")
+			}
+			if got := finished.Load(); got != int64(w) {
+				t.Fatalf("%d jobs ran, want the %d in the window", got, w)
+			}
+			want := int64(0)
+			if tc.emitErr != nil {
+				want = 1
+			}
+			if got := emitted.Load(); got != want {
+				t.Fatalf("emit called %d times, want %d", got, want)
+			}
+		})
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 seconds.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the sweep to reach the expected state")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

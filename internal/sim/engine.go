@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"lowsensing/channel"
 	"lowsensing/obs"
@@ -110,8 +111,9 @@ type Engine struct {
 
 	events timingWheel
 
-	// Streaming per-packet statistics (always on).
-	energy EnergyStats
+	// block holds the wheel's bucket headers and the streaming per-packet
+	// statistics (always on); nil once result() has returned it to the pool.
+	block *engineBlock
 
 	// Pending arrival batch (peeked from the source).
 	pendSlot  int64
@@ -202,6 +204,7 @@ func NewEngine(p Params) (*Engine, error) {
 		p.MaxSlots = DefaultMaxSlots
 	}
 	e := &Engine{params: p, jammer: p.Jammer, liveHead: -1, liveTail: -1, stepLimit: math.MaxInt64}
+	e.attach(blockPool.Get().(*engineBlock))
 	if e.jammer == nil {
 		e.jammer = NoJammer{}
 	}
@@ -757,7 +760,7 @@ func (e *Engine) finishPacket(ss *stationState, departure, leftAt int64) {
 		Sends:     ss.sends,
 		Listens:   ss.listens,
 	}
-	e.energy.AddPacket(p)
+	e.block.energy.AddPacket(p)
 	if e.params.Recorder != nil {
 		e.params.Recorder.RecordPacket(p)
 	}
@@ -794,9 +797,40 @@ func (e *Engine) result() Result {
 		e.finishPacket(ss, -1, -1)
 		idx = next
 	}
-	r.Energy = e.energy
+	r.Energy = e.block.energy
 	r.EngineStats = e.Stats()
+	e.release()
 	return r
+}
+
+// engineBlock is the engine's fixed-size state: the timing wheel's bucket
+// headers (~29KB) and the streaming energy accumulators (~16KB). It is
+// recycled through blockPool so that the thousands of short runs of a
+// sweep do not each allocate and zero 45KB. Reuse is bit-identical: attach
+// zeroes the accumulators, and a recycled wheel header is never read
+// before the new wheel's (empty) occupancy bitmaps say it was written.
+type engineBlock struct {
+	heads  wheelHeads
+	energy EnergyStats
+}
+
+var blockPool = sync.Pool{New: func() any { return new(engineBlock) }}
+
+// attach gives the engine blk, before anything is scheduled or folded.
+func (e *Engine) attach(blk *engineBlock) {
+	blk.energy = EnergyStats{}
+	e.block = blk
+	e.events.wheelHeads = &blk.heads
+}
+
+// release returns the engine's block to the pool. result() calls it last,
+// once Result holds its own copy of Energy; Stats reads only per-engine
+// counters, so it keeps working on a finished engine.
+func (e *Engine) release() {
+	blk := e.block
+	e.block = nil
+	e.events.wheelHeads = nil
+	blockPool.Put(blk)
 }
 
 // --- read accessors for bound recorders and adaptive adversaries ---

@@ -71,7 +71,7 @@ func BenchmarkEngineHotPath(b *testing.B) {
 	// engine never pays.
 	wheelBench := func(live int) func(b *testing.B) {
 		return func(b *testing.B) {
-			q := &timingWheel{}
+			q := &timingWheel{wheelHeads: new(wheelHeads)}
 			state := uint64(0x9e3779b97f4a7c15)
 			for i := 0; i < live; i++ {
 				state ^= state << 13

@@ -48,8 +48,11 @@ import (
 // itself and allocates nothing: a push writes a header or links a node, a
 // cascade relinks them. The steady-state sparse case (one event per
 // bucket, the common shape under large backoff windows) runs entirely in
-// the header arrays — ~28KB, of which only the touched cache lines are
-// ever resident — and never touches the node array at all. Total footprint is O(peak backlog) nodes plus one drain
+// the header arrays — ~29KB, of which only the touched cache lines are
+// ever resident — and never touches the node array at all. The headers are
+// a fixed-size block the engine recycles across runs (engineBlock), so a
+// short run does not pay to allocate and zero them. Total footprint is
+// O(peak backlog) nodes plus one drain
 // buffer that grows to the largest number of same-slot accessors,
 // mirroring the engine's own per-slot scratch. Pathological fan-in (a
 // fresh batch of 100k packets all scheduling within a 16-slot window)
@@ -99,12 +102,10 @@ type timingWheel struct {
 	occ0    [wheelL0Size / 64]uint64
 	occ0sum uint64
 	occUp   [wheelUpper]uint64
-	// head0/headUp hold each bucket's first event inline (valid only where
-	// the occupancy bit is set, which is what lets the zero value work)
-	// plus the chain head of any further events in nodes.
-	head0  [wheelL0Size]bucket
-	headUp [wheelUpper][wheelSize]bucket
-	nodes  []wheelNode
+	// The bucket headers live in a separate fixed-size block, which the
+	// engine takes from its pool (see engineBlock).
+	*wheelHeads
+	nodes []wheelNode
 	// The drain is the sorted same-slot buffer popAtMost serves from;
 	// positions [drainPos:drainLen] are pending at drainSlot. While every
 	// id fits 31 bits — always, for the engine's arrival-index ids — it
@@ -155,6 +156,16 @@ type bucket struct {
 	id   int64
 	idx  int32
 	next int32
+}
+
+// wheelHeads is the wheel's ~29KB of bucket headers: each bucket's first
+// event inline plus the chain head of any further events in nodes. A
+// header is valid only where the wheel's occupancy bit is set, so a block
+// recycled from another engine needs no clearing — the new wheel's bitmaps
+// start empty, and every header is written before it is read.
+type wheelHeads struct {
+	head0  [wheelL0Size]bucket
+	headUp [wheelUpper][wheelSize]bucket
 }
 
 // wheelNode is one chained event's residence in the shared node array,

@@ -10,8 +10,10 @@ import (
 // TestWheelMemoryIsBacklogBounded runs the pathological fan-in workload —
 // a large batch whose packets all schedule within the initial 16-slot
 // window — and checks the wheel's retained storage stays proportional to
-// the peak backlog (nodes + one drain buffer), not to the sum of bucket
-// high-water marks the per-bucket-slice design would retain.
+// the peak backlog (nodes, the drain and the radix scratch), not to the
+// sum of bucket high-water marks the per-bucket-slice design would retain.
+// The fixed-size bucket headers are not part of that storage: the engine
+// hands them back to the pool when the run ends.
 func TestWheelMemoryIsBacklogBounded(t *testing.T) {
 	const n = 20000
 	e, err := NewEngine(Params{
@@ -26,12 +28,26 @@ func TestWheelMemoryIsBacklogBounded(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.events.nodes); got > n {
+	w := &e.events
+	if got := len(w.nodes); got > n {
 		t.Fatalf("wheel holds %d nodes, want <= peak backlog %d", got, n)
 	}
-	if got := cap(e.events.drain); got > n {
-		t.Fatalf("drain buffer capacity %d exceeds peak backlog %d", got, n)
+	for name, c := range map[string]int{
+		"packed drain": cap(w.drainKeys),
+		"struct drain": cap(w.drain),
+		"key scratch":  cap(w.keyBuf),
+		"sort scratch": cap(w.sortBuf),
+	} {
+		if c > n {
+			t.Fatalf("%s capacity %d exceeds peak backlog %d", name, c, n)
+		}
 	}
-	t.Logf("nodes %d, drain cap %d, overflow cap %d",
-		len(e.events.nodes), cap(e.events.drain), cap(e.events.over.ev))
+	if cap(w.drainKeys) < n/100 {
+		t.Fatalf("packed drain capacity %d: the fan-in never filled the drain", cap(w.drainKeys))
+	}
+	if e.block != nil || w.wheelHeads != nil {
+		t.Fatal("the finished engine still holds its fixed-size block")
+	}
+	t.Logf("nodes %d, drain cap %d/%d, scratch cap %d/%d, overflow cap %d",
+		len(w.nodes), cap(w.drainKeys), cap(w.drain), cap(w.keyBuf), cap(w.sortBuf), cap(w.over.ev))
 }

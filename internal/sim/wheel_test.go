@@ -27,7 +27,7 @@ import (
 // advance it. That is the wheel's documented cursor contract.
 func wheelVsHeap(t *testing.T, data []byte) {
 	t.Helper()
-	var w timingWheel
+	w := timingWheel{wheelHeads: new(wheelHeads)}
 	var h eventQueue
 	var floor, idCounter int64
 	i := 0
@@ -124,7 +124,7 @@ func TestWheelLevelBoundaries(t *testing.T) {
 		1<<28 - 1, 1 << 28, 1<<28 + 1, // overflow horizon
 		1 << 30, 1 << 40, // deep overflow
 	}
-	var w timingWheel
+	w := timingWheel{wheelHeads: new(wheelHeads)}
 	var h eventQueue
 	for k, d := range deltas {
 		// Two events per slot with reversed-id pushes so every bucket also
@@ -153,7 +153,7 @@ func TestWheelLevelBoundaries(t *testing.T) {
 // cursor at or before it, so the engine can still schedule an arriving
 // packet's first access below the previously peeked minimum.
 func TestWheelLimitDoesNotOvershoot(t *testing.T) {
-	var w timingWheel
+	w := timingWheel{wheelHeads: new(wheelHeads)}
 	w.Push(event{slot: 100000, id: 1, idx: 0})
 	if s, ok := w.nextAtMost(500); ok {
 		t.Fatalf("nextAtMost(500) = (%d, true), want miss", s)
@@ -177,7 +177,7 @@ func TestWheelLimitDoesNotOvershoot(t *testing.T) {
 // (level-0 buckets are exact only because pending slots never precede the
 // cursor), so a violation must fail fast, not corrupt the schedule.
 func TestWheelPushBehindCursorPanics(t *testing.T) {
-	var w timingWheel
+	w := timingWheel{wheelHeads: new(wheelHeads)}
 	w.Push(event{slot: 50, id: 1})
 	if _, ok := w.popAtMost(math.MaxInt64); !ok {
 		t.Fatal("pop failed")

@@ -355,10 +355,12 @@ func (sw *Sweep) Run() ([]PointResult, error) {
 // grid order, as soon as its last replication finishes. Replication
 // results are folded into the aggregate and discarded as they are
 // delivered; results completed out of grid order wait in the runner's
-// reorder buffer, so the worst-case footprint is one (small, retention-
-// free) Result per outstanding job — typically O(workers), degrading
-// toward O(points·reps) only when an early job far outlasts the rest. An
-// error from a job or from emit cancels the sweep.
+// reorder window, which holds at most a small constant times Workers
+// results whatever the job durations: a job that outlasts the rest stalls
+// new jobs instead of letting finished results pile up, so the footprint
+// is O(workers), never O(points·reps). An error from a job or from emit
+// cancels the sweep; after a job error, emit has seen exactly the points
+// before the failing job's, whatever the scheduling.
 func (sw *Sweep) Stream(emit func(PointResult) error) error {
 	if sw.err != nil {
 		return sw.err
