@@ -140,6 +140,60 @@ func BenchmarkParallelSweep(b *testing.B) {
 	}
 }
 
+// sweepGridSpec is a scaled-down copy of the sweep-grid benchmark workload
+// (bench/workloads/sweep-grid.json): the same protocol × arrivals × jammer
+// grid of tiny runs, at 4 replications a point instead of 160.
+const sweepGridSpec = `{
+  "id": "bench-sweep-grid",
+  "seed": 20240617,
+  "reps": 4,
+  "base": {"arrivals": {"kind": "batch", "n": 8}, "protocol": {"kind": "lsb"}},
+  "axes": [
+    {"name": "protocol", "variants": [
+      {"label": "lsb", "patch": {"protocol": {"kind": "lsb"}}},
+      {"label": "beb", "patch": {"protocol": {"kind": "beb"}}},
+      {"label": "sawtooth", "patch": {"protocol": {"kind": "sawtooth"}}},
+      {"label": "mwu", "patch": {"protocol": {"kind": "mwu"}}}
+    ]},
+    {"name": "arrivals", "variants": [
+      {"label": "batch8", "patch": {"arrivals": {"kind": "batch", "n": 8}}},
+      {"label": "batch16", "patch": {"arrivals": {"kind": "batch", "n": 16}}},
+      {"label": "bernoulli", "patch": {"arrivals": {"kind": "bernoulli", "rate": 0.05, "n": 16}}},
+      {"label": "aqt", "patch": {"arrivals": {"kind": "aqt", "granularity": 32, "rate": 0.25, "windows": 2}}}
+    ]},
+    {"name": "jammer", "variants": [
+      {"label": "none"},
+      {"label": "random", "patch": {"jammer": {"kind": "random", "rate": 0.1}}}
+    ]}
+  ]
+}`
+
+// BenchmarkSweepStream streams a grid of many tiny runs through
+// Sweep.Stream, where the fixed cost of each job — scenario resolution,
+// engine construction, the runner's reorder window — outweighs the
+// simulation itself. Workers is fixed at 2 so that allocs/op does not
+// depend on the machine's CPU count.
+func BenchmarkSweepStream(b *testing.B) {
+	ss, err := lowsensing.ParseSweepSpec([]byte(sweepGridSpec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sw, err := ss.Sweep()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sw.Workers(2)
+	jobs := len(sw.Points()) * ss.Reps
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sw.Stream(func(lowsensing.PointResult) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
+}
+
 // --- substrate micro-benchmarks ---
 
 // BenchmarkEngineBatchLSB measures end-to-end simulation cost for LSB
