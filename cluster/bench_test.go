@@ -8,10 +8,10 @@ import (
 	"lowsensing/internal/core"
 )
 
-// benchConfig is the shared benchmark shape: 16 LSB channels fed b.N
-// Poisson packets through round-robin routing — the oblivious pre-routed
-// path, where sharding is embarrassingly parallel.
-func benchConfig(b *testing.B, packets int64, workers int) Config {
+// benchConfig is the shared benchmark shape: 16 LSB channels fed Poisson
+// packets through router. Round-robin routing takes the oblivious
+// pre-routed path, where sharding is embarrassingly parallel.
+func benchConfig(b *testing.B, packets int64, workers int, router Router) Config {
 	b.Helper()
 	src, err := arrivals.NewPoisson(0.5, packets, 21)
 	if err != nil {
@@ -22,7 +22,7 @@ func benchConfig(b *testing.B, packets int64, workers int) Config {
 		Workers:       workers,
 		Seed:          21,
 		Arrivals:      src,
-		Router:        NewRoundRobin(),
+		Router:        router,
 		NewStation:    core.MustFactory(core.Default()),
 		ReuseStations: true,
 	}
@@ -38,7 +38,7 @@ func benchConfig(b *testing.B, packets int64, workers int) Config {
 func BenchmarkClusterSharded(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := benchConfig(b, int64(b.N), workers)
+			cfg := benchConfig(b, int64(b.N), workers, NewRoundRobin())
 			b.ReportAllocs()
 			b.ResetTimer()
 			r, err := Run(cfg)
@@ -61,9 +61,24 @@ func BenchmarkClusterSharded(b *testing.B) {
 // gate can hold it flat. A warm-up run keeps one-time runtime setup out of
 // the measured iterations.
 func BenchmarkClusterSteadyState(b *testing.B) {
+	benchSteadyState(b, 1, NewRoundRobin)
+}
+
+// BenchmarkClusterEpochSteadyState is BenchmarkClusterSteadyState on the
+// epoch-synchronized path: the same 512-packet shape under the
+// least-backlog router. It asks for 4 workers, which that path ignores, so
+// the allocation gate also holds it to starting no goroutines and making
+// no channels.
+func BenchmarkClusterEpochSteadyState(b *testing.B) {
+	benchSteadyState(b, 4, NewLeastBacklog)
+}
+
+// benchSteadyState runs one fixed-size cluster per iteration, after a
+// warm-up run, and reports its allocations.
+func benchSteadyState(b *testing.B, workers int, router func() Router) {
 	const packets = 512
 	run := func() {
-		r, err := Run(benchConfig(b, packets, 1))
+		r, err := Run(benchConfig(b, packets, workers, router()))
 		if err != nil {
 			b.Fatal(err)
 		}

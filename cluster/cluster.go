@@ -14,7 +14,11 @@
 // assigns each packet (in arrival order) to one channel; the packet then
 // runs the channel's own protocol/jammer dynamics, which never interact
 // with other channels. Channels are therefore independent between routing
-// decisions — which is what makes execution shardable.
+// decisions — which is what lets a backlog-oblivious router's channels run
+// as independent parallel jobs. A backlog-aware router reads every
+// channel's backlog at every arrival slot, which leaves a few events of
+// work per epoch — less than a cross-goroutine barrier costs — so its
+// channels are stepped serially on the calling goroutine.
 //
 // # Determinism
 //
@@ -63,10 +67,10 @@ type View interface {
 //
 // NeedsBacklog declares whether Route reads v.Backlog. Backlog-oblivious
 // routers (it returns false) let the executor pre-route the whole arrival
-// stream and run channels to completion independently — the fast sharded
-// path. Backlog-aware routers force epoch-synchronized execution: every
-// channel is stepped to each arrival slot before the decision, so Backlog
-// is exact.
+// stream and run channels to completion independently, in parallel across
+// Workers. Backlog-aware routers force epoch-synchronized execution on the
+// calling goroutine: every channel is stepped, serially, to each arrival
+// slot before the decision, so Backlog is exact.
 type Router interface {
 	Route(id, slot int64, v View) int
 	NeedsBacklog() bool
@@ -78,8 +82,11 @@ type Router interface {
 type Config struct {
 	// Channels is C, the number of slotted channels. Must be >= 1.
 	Channels int
-	// Workers bounds execution parallelism; <= 0 selects GOMAXPROCS.
-	// The Result is byte-identical at any value.
+	// Workers bounds the pre-routed executor's parallelism (channels of
+	// a backlog-oblivious router run as that many concurrent jobs);
+	// <= 0 selects GOMAXPROCS. Backlog-aware routers run serially on the
+	// calling goroutine whatever its value. The Result is byte-identical
+	// at any value.
 	Workers int
 	// Seed is the run's base seed. Each channel derives its own stream
 	// via ChannelSeed; the router's seed is the caller's business

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"lowsensing/channel"
@@ -11,6 +13,7 @@ import (
 	"lowsensing/internal/faults"
 	"lowsensing/internal/jamming"
 	"lowsensing/internal/sim"
+	"lowsensing/obs"
 )
 
 // testConfig builds a 16-channel config over the real LSB station factory:
@@ -148,9 +151,9 @@ func TestPreRoutedEpochChurnFaultsDifferential(t *testing.T) {
 }
 
 // TestEpochShardedChurnFaultsIdentical: the epoch executor stays
-// worker-count invariant when churn and faults are active (the
-// backlog-aware path injects churn joins through the same coordinator
-// routing as base arrivals).
+// worker-count invariant when churn and faults are active — Workers does
+// not reach the backlog-aware path, which injects churn joins through the
+// same routing as base arrivals.
 func TestEpochShardedChurnFaultsIdentical(t *testing.T) {
 	run := func(workers int) Result {
 		cfg := churnConfig(t, NewLeastBacklog())
@@ -172,9 +175,10 @@ func TestEpochShardedChurnFaultsIdentical(t *testing.T) {
 	}
 }
 
-// TestEpochShardedIdentical: the epoch-synchronized executor itself is
-// worker-count invariant — the backlog-aware router path has no serial
-// shortcut to compare against other than its own W == 1 mode.
+// TestEpochShardedIdentical: the epoch-synchronized executor is
+// worker-count invariant. It always runs serially on the caller, so this
+// holds the public contract — identical at any Workers — for the
+// backlog-aware router path, which has no other executor to compare with.
 func TestEpochShardedIdentical(t *testing.T) {
 	run := func(workers int) Result {
 		cfg := testConfig(t, NewLeastBacklog())
@@ -193,6 +197,45 @@ func TestEpochShardedIdentical(t *testing.T) {
 		if got := run(workers); !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d epoch result differs from serial reference", workers)
 		}
+	}
+}
+
+// goroutineProbe is a recorder that samples runtime.NumGoroutine on every
+// event and counts the samples above max.
+type goroutineProbe struct {
+	max            int
+	events, extras atomic.Int64
+}
+
+func (g *goroutineProbe) sample() {
+	g.events.Add(1)
+	if runtime.NumGoroutine() > g.max {
+		g.extras.Add(1)
+	}
+}
+
+func (g *goroutineProbe) RecordSlot(obs.SlotEvent)     { g.sample() }
+func (g *goroutineProbe) RecordPacket(obs.PacketEvent) { g.sample() }
+
+// TestEpochStartsNoGoroutines: the epoch-synchronized executor steps every
+// channel on the calling goroutine whatever Workers says, so throughout a
+// backlog-aware run the goroutine count never rises above its value before
+// Run. (It may fall: a pool goroutine of an earlier test can still be
+// exiting after its pool returned.)
+func TestEpochStartsNoGoroutines(t *testing.T) {
+	cfg := testConfig(t, NewLeastBacklog())
+	cfg.Workers = 8
+	probe := &goroutineProbe{}
+	cfg.NewRecorder = func(int) obs.Recorder { return probe }
+	probe.max = runtime.NumGoroutine()
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if probe.events.Load() == 0 {
+		t.Fatal("the recorder saw no events; the probe is vacuous")
+	}
+	if n := probe.extras.Load(); n != 0 {
+		t.Fatalf("%d of %d events saw more than the %d goroutines alive before Run", n, probe.events.Load(), probe.max)
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"lowsensing/channel"
 	"lowsensing/internal/arrivals"
@@ -17,12 +16,13 @@ import (
 // Two executors implement it. Backlog-oblivious routers (NeedsBacklog
 // false) take the pre-routed path: the whole arrival stream is routed up
 // front on the calling goroutine, then every channel runs to completion
-// as an independent job on an internal/runner pool — embarrassingly
-// parallel. Backlog-aware routers take the epoch-synchronized path: all
-// channels are stepped to each arrival slot (sharded across persistent
-// workers behind a barrier) before the router reads live backlogs. Both
-// paths produce bit-identical results for oblivious routers; the
-// in-package differential test pins that down.
+// as an independent job on an internal/runner pool of Workers —
+// embarrassingly parallel. Backlog-aware routers take the
+// epoch-synchronized path: all channels are stepped to each arrival slot,
+// serially on the calling goroutine, before the router reads live
+// backlogs; Workers does not apply. Both paths produce bit-identical
+// results for oblivious routers; the in-package differential test pins
+// that down.
 //
 // The global arrival source is consumed on the calling goroutine and is
 // never engine-bound: adaptive sources that Bind to a single engine have
@@ -191,9 +191,12 @@ func runPreRouted(cfg Config, maxSlots int64) (Result, error) {
 }
 
 // runEpoch drives every channel in lockstep epochs bounded by the global
-// arrival slots, so the router reads exact live backlogs. Channels are
-// sharded round-robin across W persistent workers; every epoch is a
-// step-all barrier, then the coordinator routes and injects the batch.
+// arrival slots, so the router reads exact live backlogs. Each epoch steps
+// every channel to the arrival slot in index order on the calling
+// goroutine, then routes and injects the batch. An epoch is a few events
+// spread over all channels, far less work than any cross-goroutine
+// barrier would cost, so a backlog-aware run gets its parallelism across
+// runs (sweeps, the runner), never across its own channels.
 func runEpoch(cfg Config, maxSlots int64) (Result, error) {
 	C := cfg.Channels
 	engines := make([]*sim.Engine, C)
@@ -214,24 +217,22 @@ func runEpoch(cfg Config, maxSlots int64) (Result, error) {
 	}
 	v := &view{channels: C, routed: make([]int64, C), engines: engines}
 
-	x := newEpochExec(engines, recs, cfg.Workers)
-	defer x.close()
-
 	var id int64
 	for {
 		slot, count, ok := cfg.Arrivals.Next()
 		if !ok || slot > maxSlots {
 			break
 		}
-		// Barrier: every channel resolves everything before slot, so the
-		// router's Backlog reads are exactly what a serial execution
-		// would see at the moment of arrival.
-		if err := x.round(epochCmd{limit: slot}); err != nil {
-			return Result{}, err
+		// Every channel resolves everything before slot, so the router's
+		// Backlog reads are exactly the live backlogs at the moment of
+		// arrival.
+		for _, e := range engines {
+			if err := e.StepTo(slot); err != nil {
+				return Result{}, err
+			}
 		}
 		// Route and inject per packet, so later packets of the batch see
-		// earlier ones in Backlog — the workers are parked at the
-		// barrier, so the coordinator owns the engines here.
+		// earlier ones in Backlog.
 		for i := int64(0); i < count; i++ {
 			ch, err := routeOne(&cfg, v, id, slot)
 			if err != nil {
@@ -243,111 +244,18 @@ func runEpoch(cfg Config, maxSlots int64) (Result, error) {
 			id++
 		}
 	}
-	if err := x.round(epochCmd{finish: true}); err != nil {
-		return Result{}, err
-	}
-	return merge(x.results, v.routed), nil
-}
-
-// epochCmd is one barrier round's instruction: step every channel to
-// limit, or finish every channel's run.
-type epochCmd struct {
-	limit  int64
-	finish bool
-}
-
-// epochExec shards C channels round-robin across W persistent worker
-// goroutines. round broadcasts one command and waits for all workers —
-// with W == 1 it runs inline on the coordinator, which is the serial
-// reference execution.
-type epochExec struct {
-	engines []*sim.Engine
-	recs    []obs.Recorder
-	results []sim.Result
-	W       int
-	cmds    []chan epochCmd
-	wg      sync.WaitGroup
-	errs    []error
-}
-
-func newEpochExec(engines []*sim.Engine, recs []obs.Recorder, workers int) *epochExec {
-	W := runner.New(workers).Workers()
-	if W > len(engines) {
-		W = len(engines)
-	}
-	x := &epochExec{
-		engines: engines,
-		recs:    recs,
-		results: make([]sim.Result, len(engines)),
-		W:       W,
-	}
-	if W > 1 {
-		x.cmds = make([]chan epochCmd, W)
-		x.errs = make([]error, W)
-		for w := 0; w < W; w++ {
-			x.cmds[w] = make(chan epochCmd)
-			go x.worker(w)
+	per := make([]sim.Result, C)
+	for ch, e := range engines {
+		res, err := e.FinishRun()
+		if err != nil {
+			return Result{}, err
 		}
-	}
-	return x
-}
-
-func (x *epochExec) worker(w int) {
-	for c := range x.cmds[w] {
-		for ch := w; ch < len(x.engines); ch += x.W {
-			if x.errs[w] == nil {
-				x.errs[w] = x.apply(ch, c)
+		if r := recs[ch]; r != nil {
+			if err := obs.Flush(r); err != nil {
+				return Result{}, err
 			}
 		}
-		x.wg.Done()
+		per[ch] = res
 	}
-}
-
-// apply runs one command on one channel. Engines are deterministic, so
-// any error here is a deterministic function of the config too.
-func (x *epochExec) apply(ch int, c epochCmd) error {
-	if !c.finish {
-		return x.engines[ch].StepTo(c.limit)
-	}
-	res, err := x.engines[ch].FinishRun()
-	if err != nil {
-		return err
-	}
-	if r := x.recs[ch]; r != nil {
-		if err := obs.Flush(r); err != nil {
-			return err
-		}
-	}
-	x.results[ch] = res
-	return nil
-}
-
-func (x *epochExec) round(c epochCmd) error {
-	if x.W <= 1 {
-		for ch := range x.engines {
-			if err := x.apply(ch, c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	x.wg.Add(x.W)
-	for w := 0; w < x.W; w++ {
-		x.cmds[w] <- c
-	}
-	x.wg.Wait()
-	for w := 0; w < x.W; w++ {
-		if x.errs[w] != nil {
-			return x.errs[w]
-		}
-	}
-	return nil
-}
-
-// close releases the worker goroutines. It is not idempotent (a second
-// call would close closed channels), so callers defer it exactly once.
-func (x *epochExec) close() {
-	for _, c := range x.cmds {
-		close(c)
-	}
+	return merge(per, v.routed), nil
 }

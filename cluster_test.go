@@ -40,7 +40,9 @@ func testCluster(router lowsensing.RouterSpec) lowsensing.ClusterScenario {
 // TestClusterSerialShardedIdentical is the cluster determinism contract:
 // the full ClusterResult — every per-channel Result, the routing tally,
 // the merged totals, the fairness index — is byte-identical at any worker
-// count, for every built-in router. Workers == 1 is the serial reference.
+// count, for every built-in router. Workers == 1 is the serial reference;
+// oblivious routers shard channels across workers, and backlog-aware ones
+// run serially whatever Workers says.
 func TestClusterSerialShardedIdentical(t *testing.T) {
 	for name, router := range builtinRouters() {
 		t.Run(name, func(t *testing.T) {

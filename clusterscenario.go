@@ -188,8 +188,9 @@ func (sc Scenario) clusterConfig() (cluster.Config, error) {
 // cluster executor and returns the merged Total. Every channel builds its
 // own components from the spec, so custom instances cannot take part, and
 // a recorder bound to one engine has no cluster-wide meaning. Attached
-// recorders are shared by every channel: the channels then run serially,
-// so the shared stream is concatenated channel by channel under oblivious
+// recorders are shared by every channel, so runCluster runs the
+// pre-routed executor on one worker (the epoch executor is always serial):
+// the shared stream is concatenated channel by channel under oblivious
 // routers and interleaved in epoch order under backlog-aware ones. Like
 // the single-channel path, Run leaves flushing to the caller — the
 // executor's per-channel flush is hidden from shared recorders.

@@ -47,10 +47,26 @@ func DeriveSeed(base uint64, expID string, point, rep int) uint64 {
 // Job is one simulation invocation: a deterministic seed plus the work to
 // run with it. Run must be safe to call concurrently with other jobs' Run
 // functions (jobs share no mutable state in the harness; each builds its
-// own engine from the seed).
+// own engine from the seed). A panic in Run is recovered and fails the job
+// like a returned error, naming the panic value and the seed.
 type Job[T any] struct {
 	Seed uint64
 	Run  func(seed uint64) (T, error)
+}
+
+// call runs j into *out, recovering a panic into an error that carries the
+// panic value and the job's seed, so one broken job fails its sweep with a
+// reproducible error instead of taking down the process. It writes the
+// result through out rather than returning it: a Result is ~16 KB, and
+// every extra copy of it shows up on sweeps of short jobs.
+func call[T any](j Job[T], out *T) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panic (seed %#x): %v", j.Seed, v)
+		}
+	}()
+	*out, err = j.Run(j.Seed)
+	return err
 }
 
 // Pool is a fixed-size worker pool. The zero value is not usable;
@@ -83,11 +99,9 @@ func Run[T any](p *Pool, jobs []Job[T]) ([]T, error) {
 	out := make([]T, len(jobs))
 	if p.workers == 1 || len(jobs) == 1 {
 		for i, j := range jobs {
-			r, err := j.Run(j.Seed)
-			if err != nil {
+			if err := call(j, &out[i]); err != nil {
 				return nil, fmt.Errorf("runner: job %d: %w", i, err)
 			}
-			out[i] = r
 		}
 		return out, nil
 	}
@@ -117,15 +131,13 @@ func Run[T any](p *Pool, jobs []Job[T]) ([]T, error) {
 				next++
 				mu.Unlock()
 
-				r, err := jobs[i].Run(jobs[i].Seed)
+				// Job i is this worker's alone, so it writes out[i] unlocked;
+				// wg.Wait orders the write before the caller reads it.
+				err := call(jobs[i], &out[i])
 
 				mu.Lock()
-				if err != nil {
-					if firstErr == nil || i < errIdx {
-						firstErr, errIdx = err, i
-					}
-				} else {
-					out[i] = r
+				if err != nil && (firstErr == nil || i < errIdx) {
+					firstErr, errIdx = err, i
 				}
 				mu.Unlock()
 			}
@@ -169,9 +181,9 @@ func Stream[T any](p *Pool, jobs []Job[T], emit func(i int, r T) error) error {
 		return nil
 	}
 	if p.workers == 1 || len(jobs) == 1 {
+		var r T
 		for i, j := range jobs {
-			r, err := j.Run(j.Seed)
-			if err != nil {
+			if err := call(j, &r); err != nil {
 				return fmt.Errorf("runner: job %d: %w", i, err)
 			}
 			if err := emit(i, r); err != nil {
@@ -220,7 +232,7 @@ func Stream[T any](p *Pool, jobs []Job[T], emit func(i int, r T) error) error {
 				mu.Unlock()
 
 				s := &ring[i%w]
-				s.r, s.err = jobs[i].Run(jobs[i].Seed)
+				s.err = call(jobs[i], &s.r)
 
 				mu.Lock()
 				s.full = true

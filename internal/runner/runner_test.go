@@ -374,6 +374,57 @@ func TestStreamDeterministicPrefix(t *testing.T) {
 	}
 }
 
+// TestJobPanicContained: a job that panics fails the sweep with an error
+// naming its index, its seed and the panic value, as a returned error
+// would; the process survives, and Stream still emits exactly the results
+// below the panicking job first.
+func TestJobPanicContained(t *testing.T) {
+	const n, k = 64, 21
+	jobs := make([]Job[int], n)
+	for i := range jobs {
+		i := i
+		jobs[i] = Job[int]{Seed: uint64(1000 + i), Run: func(uint64) (int, error) {
+			if i == k {
+				panic("station table corrupt")
+			}
+			return i, nil
+		}}
+	}
+	check := func(what string, workers int, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s workers=%d: panicking job reported no error", what, workers)
+		}
+		for _, want := range []string{fmt.Sprintf("runner: job %d:", k), fmt.Sprintf("seed %#x", 1000+k), "station table corrupt"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s workers=%d: err = %q, want it to contain %q", what, workers, err, want)
+			}
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		out, err := Run(New(workers), jobs)
+		check("Run", workers, err)
+		if out != nil {
+			t.Fatalf("Run workers=%d: got results alongside the error", workers)
+		}
+
+		var got []int
+		err = Stream(New(workers), jobs, func(i int, r int) error {
+			got = append(got, i)
+			return nil
+		})
+		check("Stream", workers, err)
+		if len(got) != k {
+			t.Fatalf("Stream workers=%d: emitted %d results before the panic at job %d, want %d", workers, len(got), k, k)
+		}
+		for i, g := range got {
+			if g != i {
+				t.Fatalf("Stream workers=%d: emit #%d was job %d", workers, i, g)
+			}
+		}
+	}
+}
+
 // TestStreamWindowBoundsClaims: while job 0 straggles, no job at or past
 // the window W may start, and at no point are more than W results
 // finished but not yet emitted.

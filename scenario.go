@@ -69,10 +69,11 @@ type Scenario struct {
 	// RouterRandom. Setting it requires Channels >= 1.
 	Router RouterSpec `json:"router,omitzero"`
 
-	// Workers bounds a cluster run's parallelism (<= 0 means GOMAXPROCS).
-	// An execution detail, not part of the scenario's meaning — results
-	// are byte-identical at any value — so it is not serialized. A run
-	// with attached recorders executes its channels serially.
+	// Workers bounds a cluster run's parallelism (<= 0 means GOMAXPROCS)
+	// under backlog-oblivious routers; backlog-aware routers always run
+	// serially. An execution detail, not part of the scenario's meaning —
+	// results are byte-identical at any value — so it is not serialized. A
+	// run with attached recorders executes its channels serially.
 	Workers int `json:"-"`
 }
 
