@@ -196,12 +196,10 @@ type ReactiveJammer interface {
 // min{s in [from, to) : Jammed(s)} — and, being pure, may be called (or
 // skipped) freely without perturbing the jammer.
 //
-// The engine uses it to resolve provably uncontended runs of slots in bulk:
-// one NextJammedInRange call bounds a whole stretch of accesses, replacing
-// a Jammed/CountRange interface call per access. Third-party jammers that
-// do not implement it keep working — the engine falls back to the exact
-// per-slot call sequence — so implement it only when the purity contract
-// genuinely holds.
+// No engine path reads it: the engine resolves every slot through Jammed,
+// JammedReactive and CountRange. The interface and its built-in
+// implementations are kept only because the bench module forwards and
+// asserts it.
 type RangeJammer interface {
 	Jammer
 	NextJammedInRange(from, to int64) (slot int64, ok bool)
@@ -222,10 +220,10 @@ type RangeJammer interface {
 // LeaveSlot-1 and never accesses a slot >= LeaveSlot. A negative return
 // means the packet never leaves. LeaveSlot must be a pure function of
 // (id, arrival) and construction-time parameters — never of call order or
-// engine state — so that sharded cluster execution and the batched and
-// general engine paths all see identical lifetimes. It must return either
-// a negative value or a slot strictly greater than arrival: a packet lives
-// at least through its arrival slot.
+// engine state — so that sharded cluster execution and single-engine runs
+// see identical lifetimes. It must return either a negative value or a
+// slot strictly greater than arrival: a packet lives at least through its
+// arrival slot.
 //
 // An abandoned packet's energy spent is kept, its unfinished work is
 // reported as Abandoned (distinct from end-of-run survivors), and its

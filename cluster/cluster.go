@@ -125,8 +125,6 @@ type Config struct {
 	// ReuseStations opts every channel into station recycling (see
 	// sim.Params.ReuseStations for the contract).
 	ReuseStations bool
-	// DisableBatching forces every channel through the general resolver.
-	DisableBatching bool
 
 	// forceEpoch routes even backlog-oblivious routers through the
 	// epoch-synchronized executor; test-only knob for the cross-path
@@ -186,7 +184,6 @@ func merge(per []sim.Result, routed []int64) Result {
 		s.EventsScheduled += cr.EngineStats.EventsScheduled
 		s.WheelCascades += cr.EngineStats.WheelCascades
 		s.HeapOverflows += cr.EngineStats.HeapOverflows
-		s.BatchedSlots += cr.EngineStats.BatchedSlots
 		s.StationsBuilt += cr.EngineStats.StationsBuilt
 		s.StationsReused += cr.EngineStats.StationsReused
 		s.EntriesRecycled += cr.EngineStats.EntriesRecycled

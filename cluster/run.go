@@ -64,14 +64,13 @@ func (v *view) Backlog(ch int) int64 {
 // and the channel's derived seed.
 func channelParams(cfg *Config, ch int, seed uint64, src channel.ArrivalSource) (sim.Params, error) {
 	p := sim.Params{
-		Seed:            seed,
-		Arrivals:        src,
-		NewStation:      cfg.NewStation,
-		MaxSlots:        cfg.MaxSlots,
-		Lifetime:        cfg.Lifetime,
-		Faults:          cfg.Faults,
-		ReuseStations:   cfg.ReuseStations,
-		DisableBatching: cfg.DisableBatching,
+		Seed:          seed,
+		Arrivals:      src,
+		NewStation:    cfg.NewStation,
+		MaxSlots:      cfg.MaxSlots,
+		Lifetime:      cfg.Lifetime,
+		Faults:        cfg.Faults,
+		ReuseStations: cfg.ReuseStations,
 	}
 	if cfg.NewJammer != nil {
 		j, err := cfg.NewJammer(ch, seed)

@@ -21,7 +21,7 @@ func FuzzParseClusterScenario(f *testing.F) {
 		`{"seed": 7, "channels": 16, "arrivals": {"kind": "poisson", "rate": 0.3, "n": 64}, "router": {"kind": "roundrobin"}}`,
 		`{"channels": 4, "arrivals": {"kind": "bernoulli", "rate": 0.1, "n": 32}, "router": {"kind": "sticky", "flows": 8}, "jammer": {"kind": "random", "rate": 0.2, "budget": 4}}`,
 		`{"channels": 3, "arrivals": {"kind": "batch", "n": 8}, "router": {"kind": "leastbacklog"}, "protocol": {"kind": "beb"}, "max_slots": 4096}`,
-		`{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "router": {"kind": "custom", "params": {"bias": 0.5}}, "disable_batching": true}`,
+		`{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "router": {"kind": "custom", "params": {"bias": 0.5}}}`,
 		// Churn and fault specs ride through the cluster parser too.
 		`{"channels": 2, "arrivals": {"kind": "batch", "n": 8}, "churn": {"kind": "flash-crowd", "slot": 4, "n": 6, "lifetime": 64}}`,
 		`{"channels": 4, "arrivals": {"kind": "poisson", "rate": 0.1, "n": 16}, "churn": {"kind": "poisson-join-leave", "rate": 0.05, "n": 8, "leave_rate": 0.02}, "faults": {"kind": "flaky", "false_busy": 0.1, "rate": 0.01, "down": 2}}`,

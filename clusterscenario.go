@@ -171,8 +171,7 @@ func (sc Scenario) clusterConfig() (cluster.Config, error) {
 		// Registered protocol kinds produce uniformly-configured stations
 		// (the RegisterProtocol contract), so recycling is always safe
 		// here — same rule as the single-channel engine.
-		ReuseStations:   true,
-		DisableBatching: sc.DisableBatching,
+		ReuseStations: true,
 	}
 	if sc.Jammer.Kind != "" {
 		jspec := sc.Jammer

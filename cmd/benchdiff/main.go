@@ -12,18 +12,13 @@
 // -compare prints a per-benchmark delta table. It is built for CI: the
 // exit status is nonzero only when an input cannot be read or parsed
 // (i.e. something is structurally broken); performance regressions print
-// loud WARN lines but do not fail the build, because single-iteration CI
-// smoke numbers are too noisy to gate on. The exceptions are opt-in via
-// -failon (comma-separated classes):
-//
-//   - "allocs" turns an allocs/op increase between properly-iterated runs
-//     into a nonzero exit: allocation counts are deterministic, so that
-//     gate is not noisy.
-//   - "time=<pct>" turns an ns/op regression beyond pct percent between
-//     properly-iterated runs into a nonzero exit, for workflows running
-//     real -benchtime numbers on a quiet machine. Rows where either side
-//     ran a single iteration are exempt — those timings are cold and
-//     un-amortized, so gating on them would be pure noise.
+// loud WARN lines but do not fail the build: the baseline's rows are
+// single samples taken on different machines, so timings are too noisy to
+// gate on. The one exception is opt-in: -failon allocs turns an allocs/op
+// increase between properly-iterated runs into a nonzero exit, and so does
+// a properly-iterated row with no baseline row at all, so a renamed or
+// added benchmark cannot slip past the gate. Allocation counts are
+// deterministic, so that gate is not noisy.
 package main
 
 import (
@@ -71,7 +66,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		emit    = fs.String("emit", "", "parse `go test -bench` output from stdin and write a JSON baseline to this file")
 		compare = fs.Bool("compare", false, "compare two JSON baselines: benchdiff -compare old.json new.json")
 		warnPct = fs.Float64("warn", 10, "with -compare, WARN when ns/op regresses by more than this percentage")
-		failOn  = fs.String("failon", "", "with -compare, exit nonzero on the given regression classes (comma-separated): \"allocs\" (allocs/op increase) and/or \"time=<pct>\" (ns/op regression beyond pct percent), both between properly-iterated runs only")
+		failOn  = fs.String("failon", "", "with -compare, \"allocs\" exits nonzero on an allocs/op increase, or a row with no baseline, between properly-iterated runs")
 		note    = fs.String("note", "", "with -emit, a provenance note recorded in the baseline (machine, benchtime, commit)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -103,44 +98,26 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		if fs.NArg() != 2 {
 			return fmt.Errorf("-compare needs exactly two files: old.json new.json")
 		}
-		failAllocs, failTimePct, err := parseFailOn(*failOn)
+		failAllocs, err := parseFailOn(*failOn)
 		if err != nil {
 			return err
 		}
-		return Compare(fs.Arg(0), fs.Arg(1), *warnPct, failAllocs, failTimePct, out)
+		return Compare(fs.Arg(0), fs.Arg(1), *warnPct, failAllocs, out)
 	default:
 		return fmt.Errorf("one of -emit or -compare is required")
 	}
 }
 
-// parseFailOn decodes the -failon flag: a comma-separated list of
-// regression classes. "allocs" gates allocs/op increases; "time=<pct>"
-// gates ns/op regressions beyond pct percent (pct must be a positive
-// number). An empty spec enables nothing; failTimePct < 0 means the time
-// gate is off.
-func parseFailOn(spec string) (failAllocs bool, failTimePct float64, err error) {
-	failTimePct = -1
-	if spec == "" {
-		return false, failTimePct, nil
+// parseFailOn decodes the -failon flag: "allocs" enables the allocation
+// gate, and an empty spec enables nothing.
+func parseFailOn(spec string) (failAllocs bool, err error) {
+	switch spec {
+	case "":
+		return false, nil
+	case "allocs":
+		return true, nil
 	}
-	for _, part := range strings.Split(spec, ",") {
-		switch {
-		case part == "allocs":
-			failAllocs = true
-		case strings.HasPrefix(part, "time="):
-			pct, perr := strconv.ParseFloat(part[len("time="):], 64)
-			if perr != nil {
-				return false, -1, fmt.Errorf("-failon time threshold %q is not a number: %v", part[len("time="):], perr)
-			}
-			if pct <= 0 {
-				return false, -1, fmt.Errorf("-failon time threshold must be > 0, got %v", pct)
-			}
-			failTimePct = pct
-		default:
-			return false, -1, fmt.Errorf("-failon supports \"allocs\" and \"time=<pct>\", got %q", part)
-		}
-	}
-	return failAllocs, failTimePct, nil
+	return false, fmt.Errorf("-failon supports only \"allocs\", got %q", spec)
 }
 
 // Parse reads `go test -bench` text output and collects every benchmark
@@ -191,16 +168,14 @@ func Parse(r io.Reader) (File, error) {
 }
 
 // Compare loads two baselines and prints a delta table to out. Regressions
-// beyond warnPct print WARN lines. By default timing warnings never fail
-// the build (CI smoke numbers are too noisy to gate on); the opt-in gates
-// both apply only between properly-iterated runs: with failAllocs set an
-// allocs/op increase is an error (allocation counts are deterministic, so
-// an increase is a real regression — this is how CI guards the engine's
-// zero-allocation hot path), and with failTimePct >= 0 an ns/op regression
-// beyond that percentage is an error (for real -benchtime runs on a quiet
-// machine). Other than those, the only error conditions are unreadable or
-// unparsable inputs.
-func Compare(oldPath, newPath string, warnPct float64, failAllocs bool, failTimePct float64, out io.Writer) error {
+// beyond warnPct print WARN lines, which never fail the build. With
+// failAllocs set, two conditions on a properly-iterated new row are errors:
+// an allocs/op increase (allocation counts are deterministic, so an
+// increase is a real regression — this is how CI guards the engine's
+// zero-allocation hot path) and a missing baseline row (otherwise renaming
+// a benchmark would drop it from the gate unnoticed). Other than those,
+// the only error conditions are unreadable or unparsable inputs.
+func Compare(oldPath, newPath string, warnPct float64, failAllocs bool, out io.Writer) error {
 	oldF, err := load(oldPath)
 	if err != nil {
 		return err
@@ -224,13 +199,18 @@ func Compare(oldPath, newPath string, warnPct float64, failAllocs bool, failTime
 
 	warned := 0
 	allocRegressions := 0
-	timeRegressions := 0
+	unbaselined := 0
 	fmt.Fprintf(out, "%-60s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
 	for _, n := range names {
 		nb := newBy[n]
 		ob, ok := oldBy[n]
 		if !ok || ob.NsPerOp == 0 {
-			fmt.Fprintf(out, "%-60s %14s %14.1f %9s\n", n, "-", nb.NsPerOp, "new")
+			mark := ""
+			if !ok && failAllocs && nb.Iterations > 1 {
+				mark = "  FAIL: no baseline row"
+				unbaselined++
+			}
+			fmt.Fprintf(out, "%-60s %14s %14.1f %9s%s\n", n, "-", nb.NsPerOp, "new", mark)
 			continue
 		}
 		delta := (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp * 100
@@ -246,10 +226,6 @@ func Compare(oldPath, newPath string, warnPct float64, failAllocs bool, failTime
 			if delta > warnPct {
 				mark = "  WARN: regression"
 				warned++
-			}
-			if failTimePct >= 0 && delta > failTimePct {
-				mark += fmt.Sprintf("  FAIL: ns/op +%.1f%% beyond %.0f%%", delta, failTimePct)
-				timeRegressions++
 			}
 			// Between properly-iterated runs, allocations per op are
 			// deterministic no matter how noisy the timings are, so any
@@ -276,8 +252,8 @@ func Compare(oldPath, newPath string, warnPct float64, failAllocs bool, failTime
 	if failAllocs && allocRegressions > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed allocs/op (-failon allocs)", allocRegressions)
 	}
-	if timeRegressions > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed ns/op beyond %.0f%% (-failon time)", timeRegressions, failTimePct)
+	if unbaselined > 0 {
+		return fmt.Errorf("%d benchmark(s) have no baseline row (-failon allocs); add them to the baseline", unbaselined)
 	}
 	return nil
 }

@@ -159,10 +159,10 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestFailOnAllocs: -failon allocs turns a deterministic allocs/op increase
-// into a nonzero exit (the CI gate on the engine's zero-allocation hot
-// path), while leaving pure timing regressions and single-iteration smoke
-// runs non-fatal.
+// TestFailOnAllocs: -failon allocs turns a deterministic allocs/op increase,
+// or a properly-iterated row with no baseline, into a nonzero exit (the CI
+// gate on the engine's zero-allocation hot path), while leaving pure timing
+// regressions and single-iteration smoke runs non-fatal.
 func TestFailOnAllocs(t *testing.T) {
 	dir := t.TempDir()
 	oldJSON := filepath.Join(dir, "old.json")
@@ -205,102 +205,64 @@ func TestFailOnAllocs(t *testing.T) {
 		t.Fatalf("single-iteration run must not trip the alloc gate: %v", err)
 	}
 
+	// A renamed benchmark has no baseline row: under -failon allocs it
+	// must fail rather than print "new" and leave the gate unnoticed. A
+	// single-iteration row with no baseline stays informational.
+	renamedJSON := filepath.Join(dir, "renamed.json")
+	renamed := strings.Replace(sampleBench, "BenchmarkEngineHotPath/lsb/bernoulli-8", "BenchmarkEngineHotPath/lsb/poisson-8", 1)
+	if err := run([]string{"-emit", renamedJSON}, strings.NewReader(renamed), &buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	err = run([]string{"-compare", "-failon", "allocs", oldJSON, renamedJSON}, strings.NewReader(""), &buf)
+	if err == nil || !strings.Contains(err.Error(), "no baseline") {
+		t.Fatalf("unbaselined row with -failon allocs must fail, got %v", err)
+	}
+	if got := buf.String(); !strings.Contains(got, "FAIL: no baseline row") || !strings.Contains(got, "gone") {
+		t.Fatalf("delta table missing the unbaselined FAIL mark or the gone row:\n%s", got)
+	}
+	if err := run([]string{"-compare", oldJSON, renamedJSON}, strings.NewReader(""), &buf); err != nil {
+		t.Fatalf("unbaselined row without -failon must not fail: %v", err)
+	}
+	smokeNew := strings.Replace(renamed, "300000", "1", 1)
+	smokeNewJSON := filepath.Join(dir, "smoke-new.json")
+	if err := run([]string{"-emit", smokeNewJSON}, strings.NewReader(smokeNew), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-compare", "-failon", "allocs", oldJSON, smokeNewJSON}, strings.NewReader(""), &buf); err != nil {
+		t.Fatalf("single-iteration unbaselined row must not trip the gate: %v", err)
+	}
+
 	// Unknown -failon classes are rejected.
 	if err := run([]string{"-compare", "-failon", "ns", oldJSON, allocJSON}, strings.NewReader(""), &buf); err == nil {
 		t.Fatal("unknown -failon class accepted")
 	}
 }
 
-// TestParseFailOn pins down the -failon spec grammar: classes are
-// comma-separable, time= requires a positive numeric threshold, and
-// anything else is rejected.
+// TestParseFailOn pins down the -failon spec grammar: "allocs" is the only
+// class, and anything else — including the retired time=<pct> gate — is
+// rejected.
 func TestParseFailOn(t *testing.T) {
 	cases := []struct {
-		spec    string
-		allocs  bool
-		timePct float64
-		ok      bool
+		spec   string
+		allocs bool
+		ok     bool
 	}{
-		{"", false, -1, true},
-		{"allocs", true, -1, true},
-		{"time=5", false, 5, true},
-		{"time=2.5", false, 2.5, true},
-		{"allocs,time=10", true, 10, true},
-		{"time=10,allocs", true, 10, true},
-		{"time=", false, 0, false},
-		{"time=abc", false, 0, false},
-		{"time=0", false, 0, false},
-		{"time=-3", false, 0, false},
-		{"ns", false, 0, false},
-		{"allocs,ns", false, 0, false},
+		{"", false, true},
+		{"allocs", true, true},
+		{"time=5", false, false},
+		{"allocs,time=10", false, false},
+		{"ns", false, false},
+		{"allocs,ns", false, false},
 	}
 	for _, c := range cases {
-		allocs, timePct, err := parseFailOn(c.spec)
+		allocs, err := parseFailOn(c.spec)
 		if c.ok != (err == nil) {
 			t.Errorf("parseFailOn(%q) error = %v, want ok=%v", c.spec, err, c.ok)
 			continue
 		}
-		if !c.ok {
-			continue
+		if allocs != c.allocs {
+			t.Errorf("parseFailOn(%q) = %v, want %v", c.spec, allocs, c.allocs)
 		}
-		if allocs != c.allocs || timePct != c.timePct {
-			t.Errorf("parseFailOn(%q) = (%v, %v), want (%v, %v)",
-				c.spec, allocs, timePct, c.allocs, c.timePct)
-		}
-	}
-}
-
-// TestFailOnTime: -failon time=<pct> turns an ns/op regression beyond the
-// threshold between properly-iterated runs into a nonzero exit, leaves
-// smaller drifts as warnings at most, and exempts single-iteration rows
-// (cold, un-amortized CI smoke timings).
-func TestFailOnTime(t *testing.T) {
-	dir := t.TempDir()
-	oldJSON := filepath.Join(dir, "old.json")
-	var buf strings.Builder
-	if err := run([]string{"-emit", oldJSON}, strings.NewReader(sampleBench), &buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// 28.72 -> 99.9 ns/op is a ~248% regression: beyond a 20% gate.
-	slowJSON := filepath.Join(dir, "slow.json")
-	slow := strings.ReplaceAll(sampleBench, "28.72 ns/op", "99.9 ns/op")
-	if err := run([]string{"-emit", slowJSON}, strings.NewReader(slow), &buf); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	err := run([]string{"-compare", "-failon", "time=20", oldJSON, slowJSON}, strings.NewReader(""), &buf)
-	if err == nil || !strings.Contains(err.Error(), "ns/op") {
-		t.Fatalf("ns/op regression with -failon time=20 must fail, got %v", err)
-	}
-	if !strings.Contains(buf.String(), "FAIL: ns/op") {
-		t.Fatalf("delta table missing the time-gate FAIL mark:\n%s", buf.String())
-	}
-
-	// The same regression passes a gate it does not exceed.
-	if err := run([]string{"-compare", "-failon", "time=300", oldJSON, slowJSON}, strings.NewReader(""), &buf); err != nil {
-		t.Fatalf("regression below the time threshold must not fail: %v", err)
-	}
-
-	// Identical baselines pass any gate.
-	if err := run([]string{"-compare", "-failon", "time=20", oldJSON, oldJSON}, strings.NewReader(""), &buf); err != nil {
-		t.Fatalf("identical baselines must pass -failon time: %v", err)
-	}
-
-	// Single-iteration rows are exempt: the same slow numbers with a
-	// one-iteration count must not trip the gate.
-	smokeJSON := filepath.Join(dir, "smoke.json")
-	smoke := strings.ReplaceAll(slow, "76938135", "1")
-	if err := run([]string{"-emit", smokeJSON}, strings.NewReader(smoke), &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-compare", "-failon", "time=20", oldJSON, smokeJSON}, strings.NewReader(""), &buf); err != nil {
-		t.Fatalf("single-iteration run must not trip the time gate: %v", err)
-	}
-
-	// Both gates compose: the slow run trips time but not allocs.
-	err = run([]string{"-compare", "-failon", "allocs,time=20", oldJSON, slowJSON}, strings.NewReader(""), &buf)
-	if err == nil || !strings.Contains(err.Error(), "ns/op") {
-		t.Fatalf("combined -failon must still gate on time, got %v", err)
 	}
 }

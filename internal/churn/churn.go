@@ -7,8 +7,8 @@
 // All processes implement channel.Churn: Joins is the extra arrival stream
 // injected on top of the scenario's base arrivals (nil when the process
 // only removes packets), and LeaveSlot is a pure function of (id, arrival)
-// and construction-time parameters, so sharded cluster execution and the
-// batched and general engine paths all see identical lifetimes.
+// and construction-time parameters, so sharded cluster execution and
+// single-engine runs see identical lifetimes.
 package churn
 
 import (

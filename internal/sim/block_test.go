@@ -116,7 +116,7 @@ func blockScenarios() []blockScenario {
 			}
 		}, runToEnd},
 		{"stepped", func(t *testing.T) Params {
-			return stepParams(t, &traceSource{}, false)
+			return stepParams(t, &traceSource{})
 		}, func(e *Engine) (Result, error) {
 			for _, b := range stepTrace {
 				if err := e.StepTo(b[0]); err != nil {

@@ -26,18 +26,12 @@ type Params struct {
 	// packets abandoned by churn at their leave slot with Departure =
 	// DepartureAbandoned, undelivered packets at the end of the run in
 	// arrival order with Departure = -1. The packet events of packets
-	// departing (or abandoning) at slot t precede t's slot event. Both
-	// resolvers emit the identical stream, so attaching a recorder never
-	// changes how the run executes; a recorder that also implements
-	// EngineBound may read the engine's accessors from inside its
-	// callbacks once bound. A nil Recorder costs one predictable branch per
-	// slot and keeps the hot path allocation-free.
+	// departing (or abandoning) at slot t precede t's slot event.
+	// Attaching a recorder never changes how the run executes; a recorder
+	// that also implements EngineBound may read the engine's accessors
+	// from inside its callbacks once bound. A nil Recorder costs one
+	// predictable branch per slot and keeps the hot path allocation-free.
 	Recorder obs.Recorder
-	// DisableBatching turns off the batch resolution fast path (batch.go)
-	// and forces every slot through the general resolver. Results are
-	// bit-identical either way (the equivalence the property tests pin
-	// down); the switch exists as an escape hatch and for those tests.
-	DisableBatching bool
 	// Lifetime, if non-nil, assigns every packet a churn leave slot at
 	// injection: a packet with Lifetime(id, arrival) = L behaves normally
 	// through slot L-1 and, if still undelivered, abandons the system
@@ -46,8 +40,7 @@ type Params struct {
 	// return either a negative value or a slot strictly after arrival.
 	// Abandoned packets keep their energy spent, carry Departure =
 	// DepartureAbandoned, and are counted in Result.Abandoned; a nil
-	// Lifetime costs one predictable branch per event and keeps the batch
-	// fast path eligible.
+	// Lifetime costs one predictable branch per event.
 	Lifetime func(id, arrival int64) int64
 	// Faults, if non-nil, injects station faults on the observe path: it
 	// may corrupt the outcome a listening station senses and may crash a
@@ -55,8 +48,7 @@ type Params struct {
 	// channel.FaultModel). The model draws from a dedicated engine-owned
 	// prng stream, independent of every station stream, so fault
 	// trajectories are bit-identical per seed. A nil Faults costs one
-	// predictable branch per accessor and keeps the batch fast path
-	// eligible.
+	// predictable branch per accessor.
 	Faults channel.FaultModel
 	// ReuseStations opts into station recycling: when a departed packet's
 	// Station implements ReusableStation, the object stays attached to its
@@ -86,11 +78,9 @@ const faultStream = 0x666c7473 // "flts"
 // recycled through a free list, their statistics folded into streaming
 // accumulators (and handed to Params.Recorder, if set) at departure.
 type Engine struct {
-	params   Params
-	jammer   Jammer
-	react    ReactiveJammer // non-nil if jammer is reactive
-	rangeJam RangeJammer    // non-nil if jammer answers pure bulk queries
-	batchOK  bool           // batch fast path permitted for this run
+	params Params
+	jammer Jammer
+	react  ReactiveJammer // non-nil if jammer is reactive
 
 	// stations is the slot table of live packets. Entries of departed
 	// packets are recycled via freeList, so len(stations) tracks the peak
@@ -137,7 +127,9 @@ type Engine struct {
 	abandoned  int64
 	faultStats FaultStats
 
-	// Scratch buffers reused across slots.
+	// Scratch buffers reused across slots. They start on the block's
+	// fixed-size arrays, so a slot with up to slotScratch accessors
+	// allocates nothing even on an engine's first slots.
 	slotStations []int32
 	slotSenders  []int64
 
@@ -151,12 +143,9 @@ type Engine struct {
 	// by result().
 	stats EngineStats
 
-	// Stepped-execution state (StepTo/InjectAt/FinishRun). stepLimit is the
-	// exclusive slot bound the current advance may resolve up to — MaxInt64
-	// outside stepped mode, so Run and the batch fast path are unaffected.
-	// stepFloor is the highest limit stepped to so far; injections may not
-	// land before it.
-	stepLimit int64
+	// Stepped-execution state (StepTo/InjectAt/FinishRun). stepFloor is
+	// the highest limit stepped to so far; injections may not land before
+	// it.
 	stepping  bool
 	stepFloor int64
 
@@ -203,7 +192,7 @@ func NewEngine(p Params) (*Engine, error) {
 	if p.MaxSlots == 0 {
 		p.MaxSlots = DefaultMaxSlots
 	}
-	e := &Engine{params: p, jammer: p.Jammer, liveHead: -1, liveTail: -1, stepLimit: math.MaxInt64}
+	e := &Engine{params: p, jammer: p.Jammer, liveHead: -1, liveTail: -1}
 	e.attach(blockPool.Get().(*engineBlock))
 	if e.jammer == nil {
 		e.jammer = NoJammer{}
@@ -211,7 +200,6 @@ func NewEngine(p Params) (*Engine, error) {
 	if rj, ok := e.jammer.(ReactiveJammer); ok {
 		e.react = rj
 	}
-	e.rangeJam, _ = e.jammer.(RangeJammer)
 	if p.Faults != nil {
 		e.faultRng.Reinit(p.Seed, faultStream)
 	}
@@ -249,24 +237,8 @@ func (e *Engine) Run() (Result, error) {
 		return Result{}, fmt.Errorf("sim: Engine.Run mixed with stepped API (StepTo/InjectAt)")
 	}
 	e.ran = true
-	// Decided here, not at construction, so the flag reflects the params the
-	// run actually starts with. See batch.go for the per-run-of-slots
-	// conditions.
-	e.decideBatchOK()
 	e.advance(math.MaxInt64)
 	return e.result(), nil
-}
-
-func (e *Engine) decideBatchOK() {
-	// A reactive jammer must see every slot's sender set, and churn and
-	// faults are per-slot effects (abandon events, fault-stream draws) the
-	// batch path does not replay, so each forces the general resolver. The
-	// fault-free, churn-free path is untouched — which is also what makes
-	// runs with faults on trivially identical across the batched/general
-	// setting. Observation is not a condition: both resolvers emit the same
-	// Recorder stream.
-	p := &e.params
-	e.batchOK = !p.DisableBatching && e.react == nil && p.Faults == nil && p.Lifetime == nil
 }
 
 // advance is the scheduler loop shared by Run and the stepped API: it
@@ -274,7 +246,6 @@ func (e *Engine) decideBatchOK() {
 // pending arrivals as their slots come due. Run passes MaxInt64; StepTo
 // passes its epoch boundary.
 func (e *Engine) advance(limit int64) {
-	e.stepLimit = limit
 	for {
 		// One scheduler peek per iteration. The pending arrival slot is
 		// also the peek's limit: it is the earliest slot the engine could
@@ -315,15 +286,9 @@ func (e *Engine) advance(limit int64) {
 			}
 		}
 
-		// Resolve the channel only if some station accesses slot t. The
-		// batch fast path (batch.go) takes over whole uncontended runs of
-		// slots when permitted.
+		// Resolve the channel only if some station accesses slot t.
 		if resolve {
-			if e.batchOK {
-				e.resolveRun(t)
-			} else {
-				e.resolveRecorded(t)
-			}
+			e.resolveRecorded(t)
 		}
 	}
 }
@@ -338,8 +303,8 @@ func (e *Engine) resolveRecorded(t int64) {
 	}
 }
 
-// recordSlot emits the just-resolved slot to the recorder, if any. Both
-// resolvers call it once per resolved slot, after the slot's departures.
+// recordSlot emits the just-resolved slot to the recorder, if any, once per
+// resolved slot, after the slot's departures.
 func (e *Engine) recordSlot() {
 	if e.params.Recorder != nil {
 		e.params.Recorder.RecordSlot(e.LastSlotEvent())
@@ -356,15 +321,12 @@ func (e *Engine) recordSlot() {
 // (slot, count) batches, because epochs cut the scheduler loop exactly
 // where a pending arrival batch would have bounded it anyway.
 
-// beginStep enters stepped mode, deciding the batch fast path on first use.
+// beginStep enters stepped mode.
 func (e *Engine) beginStep() error {
 	if e.ran {
 		return fmt.Errorf("sim: stepped call after run finished")
 	}
-	if !e.stepping {
-		e.stepping = true
-		e.decideBatchOK()
-	}
+	e.stepping = true
 	return nil
 }
 
@@ -803,15 +765,23 @@ func (e *Engine) result() Result {
 	return r
 }
 
+// slotScratch is the per-slot accessor count the engine's scratch buffers
+// hold before they grow onto the heap.
+const slotScratch = 64
+
 // engineBlock is the engine's fixed-size state: the timing wheel's bucket
-// headers (~29KB) and the streaming energy accumulators (~16KB). It is
-// recycled through blockPool so that the thousands of short runs of a
-// sweep do not each allocate and zero 45KB. Reuse is bit-identical: attach
-// zeroes the accumulators, and a recycled wheel header is never read
-// before the new wheel's (empty) occupancy bitmaps say it was written.
+// headers (~29KB), the streaming energy accumulators (~16KB) and the
+// per-slot scratch arrays. It is recycled through blockPool so that the
+// thousands of short runs of a sweep do not each allocate and zero 45KB.
+// Reuse is bit-identical: attach zeroes the accumulators, a recycled wheel
+// header is never read before the new wheel's (empty) occupancy bitmaps
+// say it was written, and the scratch arrays are overwritten slot by slot
+// before they are read.
 type engineBlock struct {
-	heads  wheelHeads
-	energy EnergyStats
+	heads    wheelHeads
+	energy   EnergyStats
+	stations [slotScratch]int32
+	senders  [slotScratch]int64
 }
 
 var blockPool = sync.Pool{New: func() any { return new(engineBlock) }}
@@ -821,6 +791,8 @@ func (e *Engine) attach(blk *engineBlock) {
 	blk.energy = EnergyStats{}
 	e.block = blk
 	e.events.wheelHeads = &blk.heads
+	e.slotStations = blk.stations[:0]
+	e.slotSenders = blk.senders[:0]
 }
 
 // release returns the engine's block to the pool. result() calls it last,
@@ -830,6 +802,7 @@ func (e *Engine) release() {
 	blk := e.block
 	e.block = nil
 	e.events.wheelHeads = nil
+	e.slotStations, e.slotSenders = nil, nil
 	blockPool.Put(blk)
 }
 
@@ -928,11 +901,6 @@ func (e *Engine) VisitActiveWindows(fn func(w float64)) {
 // formatting machinery must stay out of their bodies (and out of their
 // inlining budget), so invariant-violation panics are built here, behind
 // //go:noinline, exactly like the timing wheel's pushPanic.
-
-//go:noinline
-func noEventPanic(t int64) {
-	panic(fmt.Sprintf("sim: resolveRun(%d) with no event due", t))
-}
 
 //go:noinline
 func reschedPanic(id, next, t int64) {

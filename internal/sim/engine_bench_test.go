@@ -9,7 +9,7 @@ import (
 
 // spacedSource injects one packet every gap slots — the singleton-stream
 // workload: each packet lives and dies alone, so every one of its channel
-// accesses heads a provably uncontended run.
+// accesses is an uncontended slot.
 type spacedSource struct{ n, total, gap int64 }
 
 func (s *spacedSource) Next() (int64, int64, bool) {
@@ -21,46 +21,35 @@ func (s *spacedSource) Next() (int64, int64, bool) {
 	return slot, 1, true
 }
 
-// BenchmarkEngineSingletonStream measures the batch fast path's best case
-// end to end: b.N packets arrive one at a time, spaced far enough apart
-// that each is alone in the system for its whole lifetime, running
+// BenchmarkEngineSingletonStream measures the engine end to end on its
+// thinnest workload: b.N packets arrive one at a time, spaced far enough
+// apart that each is alone in the system for its whole lifetime, running
 // LOW-SENSING BACKOFF (several geometrically-spaced accesses per packet —
-// the tail of every real busy period looks like this). With batching on,
-// every access resolves inside runStation — no wheel traffic, one bulk
-// jammer query per run of slots; the general subbench
-// (Params.DisableBatching) is the same workload through the per-slot
-// resolver, so the pair is the batch path's before/after number. ns/op is
-// per packet.
+// the tail of every real busy period looks like this). Every access is one
+// wheel pop, one resolved single-accessor slot and one wheel push. ns/op
+// is per packet.
 func BenchmarkEngineSingletonStream(b *testing.B) {
-	factory := core.MustFactory(core.Default())
-	run := func(disable bool) func(*testing.B) {
-		return func(b *testing.B) {
-			e, err := NewEngine(Params{
-				Seed:            1,
-				Arrivals:        &spacedSource{total: int64(b.N), gap: 1 << 13},
-				NewStation:      factory,
-				ReuseStations:   true,
-				DisableBatching: disable,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			res, err := e.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Arrived != int64(b.N) {
-				b.Fatalf("arrived %d packets, want %d", res.Arrived, b.N)
-			}
-			events := res.Energy.Accesses.Sum
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-			b.ReportMetric(float64(events)/float64(b.N), "accesses/packet")
-		}
+	e, err := NewEngine(Params{
+		Seed:          1,
+		Arrivals:      &spacedSource{total: int64(b.N), gap: 1 << 13},
+		NewStation:    core.MustFactory(core.Default()),
+		ReuseStations: true,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("batched", run(false))
-	b.Run("general", run(true))
+	b.ReportAllocs()
+	b.ResetTimer()
+	res, err := e.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Arrived != int64(b.N) {
+		b.Fatalf("arrived %d packets, want %d", res.Arrived, b.N)
+	}
+	events := res.Energy.Accesses.Sum
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(events)/float64(b.N), "accesses/packet")
 }
 
 // BenchmarkDispatch isolates the devirtualized station dispatch: one

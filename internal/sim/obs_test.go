@@ -355,9 +355,8 @@ func TestWindowLatencyMatchesEnergy(t *testing.T) {
 
 // BenchmarkRecorderOverhead measures the engine's per-packet cost with no
 // recorder (the branch-only baseline), a bounded in-memory Ring, a
-// windowed metrics pipeline, and an obs.PacketFunc sink. Observed runs
-// take the batch path like unobserved ones. The nil case must report 0
-// allocs/op; benchdiff guards every row against BENCH_engine.json.
+// windowed metrics pipeline, and an obs.PacketFunc sink. The nil case must
+// report 0 allocs/op; benchdiff guards every row against BENCH_engine.json.
 func BenchmarkRecorderOverhead(b *testing.B) {
 	bench := func(b *testing.B, rec obs.Recorder) {
 		src, err := arrivals.NewBernoulli(0.15, int64(b.N), 42)

@@ -64,8 +64,6 @@ type (
 	Jammer = channel.Jammer
 	// ReactiveJammer additionally sees the current slot's senders.
 	ReactiveJammer = channel.ReactiveJammer
-	// RangeJammer is a pure Jammer answering bulk next-jammed queries.
-	RangeJammer = channel.RangeJammer
 	// NoJammer is a Jammer that never jams.
 	NoJammer = channel.NoJammer
 	// Churn is a population-churn process (joins plus leave slots).
@@ -162,11 +160,9 @@ type EngineStats struct {
 	// HeapOverflows counts events scheduled past the wheel's 2^28-slot
 	// horizon into the far-future 4-ary min-heap — huge backoff windows.
 	HeapOverflows int64
-	// BatchedSlots counts resolved slots handled by the batch fast path —
-	// provably uncontended runs resolved without the event queue (see
-	// batch.go). Always a subset of SlotsResolved; zero when batching is
-	// disabled or never engaged. The resolved outcomes are bit-identical
-	// either way — this counter is the only observable difference.
+	// BatchedSlots is always 0: the engine has one slot resolver, and no
+	// engine path writes this field. It is kept only because the bench
+	// module still reads it.
 	BatchedSlots int64
 	// StationsBuilt counts Station constructions through Params.NewStation;
 	// StationsReused counts packets served by Reset-ing a recycled

@@ -36,19 +36,18 @@ var stepTrace = [][2]int64{
 // stepParams builds engine params over the real LSB station factory with
 // random jamming, so the differential exercises contention, backoff, and
 // jam accounting — not a scripted toy.
-func stepParams(t *testing.T, arr ArrivalSource, disableBatching bool) Params {
+func stepParams(t *testing.T, arr ArrivalSource) Params {
 	t.Helper()
 	factory, err := core.NewFactory(core.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return Params{
-		Seed:            42,
-		Arrivals:        arr,
-		NewStation:      factory,
-		Jammer:          hashJam{salt: 99},
-		MaxSlots:        1 << 20,
-		DisableBatching: disableBatching,
+		Seed:       42,
+		Arrivals:   arr,
+		NewStation: factory,
+		Jammer:     hashJam{salt: 99},
+		MaxSlots:   1 << 20,
 	}
 }
 
@@ -63,9 +62,9 @@ func scrubWheelStats(r *Result) {
 
 // stepRun drives an engine through the stepped API over stepTrace,
 // injecting perPacket (one InjectAt per packet) or per batch.
-func stepRun(t *testing.T, disableBatching, perPacket bool) Result {
+func stepRun(t *testing.T, perPacket bool) Result {
 	t.Helper()
-	eng, err := NewEngine(stepParams(t, &traceSource{}, disableBatching))
+	eng, err := NewEngine(stepParams(t, &traceSource{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,29 +91,27 @@ func stepRun(t *testing.T, disableBatching, perPacket bool) Result {
 
 // TestSteppedMatchesRun: driving the engine with StepTo/InjectAt/FinishRun
 // over an arrival schedule is bit-equal to Run over the same schedule as a
-// trace source — per-packet or per-batch injection, batch fast path on or
-// off — modulo the wheel-mechanics counters.
+// trace source — per-packet or per-batch injection — modulo the
+// wheel-mechanics counters.
 func TestSteppedMatchesRun(t *testing.T) {
-	for _, disableBatching := range []bool{false, true} {
-		eng, err := NewEngine(stepParams(t, &traceSource{batches: stepTrace}, disableBatching))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		scrubWheelStats(&want)
-		if want.Completed != want.Arrived || want.Arrived != 64 {
-			t.Fatalf("reference run did not deliver everything: %+v", want)
-		}
-		for _, perPacket := range []bool{false, true} {
-			got := stepRun(t, disableBatching, perPacket)
-			scrubWheelStats(&got)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("stepped (batching off=%v, perPacket=%v) differs from Run:\n got %+v\nwant %+v",
-					disableBatching, perPacket, got, want)
-			}
+	eng, err := NewEngine(stepParams(t, &traceSource{batches: stepTrace}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrubWheelStats(&want)
+	if want.Completed != want.Arrived || want.Arrived != 64 {
+		t.Fatalf("reference run did not deliver everything: %+v", want)
+	}
+	for _, perPacket := range []bool{false, true} {
+		got := stepRun(t, perPacket)
+		scrubWheelStats(&got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("stepped (perPacket=%v) differs from Run:\n got %+v\nwant %+v",
+				perPacket, got, want)
 		}
 	}
 }
@@ -123,8 +120,8 @@ func TestSteppedMatchesRun(t *testing.T) {
 // arrives (and repeated or backward-bounded calls, which are no-ops) leave
 // the packet-level outcome unchanged.
 func TestSteppedExtraStepsHarmless(t *testing.T) {
-	want := stepRun(t, false, false)
-	eng, err := NewEngine(stepParams(t, &traceSource{}, false))
+	want := stepRun(t, false)
+	eng, err := NewEngine(stepParams(t, &traceSource{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +162,7 @@ func TestSteppedExtraStepsHarmless(t *testing.T) {
 // call after FinishRun.
 func TestSteppedAPIMisuse(t *testing.T) {
 	fresh := func() *Engine {
-		eng, err := NewEngine(stepParams(t, &traceSource{}, false))
+		eng, err := NewEngine(stepParams(t, &traceSource{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -278,8 +278,7 @@ func (s *Simulation) Run() (Result, error) {
 		// A custom WithStations closure may vary its output per packet id,
 		// so it keeps exact factory-per-packet semantics — and so does a
 		// multi-class run, whose factory varies by class.
-		ReuseStations:   s.customFactory == nil && w.mc == nil,
-		DisableBatching: s.sc.DisableBatching,
+		ReuseStations: s.customFactory == nil && w.mc == nil,
 	})
 	if err != nil {
 		return Result{}, err
@@ -526,15 +525,6 @@ func WithRecorder(r Recorder) Option {
 // otherwise).
 func WithRetainPacketStats() Option {
 	return func(s *Simulation) { s.sc.RetainPackets = true }
-}
-
-// WithoutBatching forces the engine's general per-slot resolver, bypassing
-// the batch fast path for provably uncontended runs of slots. Results are
-// bit-identical with or without batching — this is an escape hatch for
-// debugging and for the differential tests that prove that equivalence, not
-// a semantic knob.
-func WithoutBatching() Option {
-	return func(s *Simulation) { s.sc.DisableBatching = true }
 }
 
 // LiveResult is the outcome of a concurrent (goroutine-per-device) run.

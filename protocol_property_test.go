@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"lowsensing"
-	"lowsensing/internal/metrics"
 )
 
 // TestRegisteredProtocolInvariants runs every registered protocol kind —
@@ -22,21 +21,15 @@ import (
 //     and throughput (T+J)/S lies in [0, 1].
 //   - Completion: a non-truncated run delivered everything.
 //
-// TestBatchingEquivalence pins down the batch fast path's core promise: for
-// every registered protocol kind × jammer kind (including none) × arrival
-// kind, running with batching enabled and with Scenario.DisableBatching set
-// produces bit-identical Results. Only the engine-mechanics counters that
-// describe *how* slots were resolved — WheelCascades, HeapOverflows, and
-// BatchedSlots itself — are allowed to differ, and those are normalized to
-// zero on both sides before the comparison; everything else, including
-// SlotsResolved, EventsScheduled, and the full streaming energy
-// accumulators, must agree exactly.
-//
-// Each combo also runs three observed ways — batched and general with a
-// capturing recorder plus a bound Collector, and batched with the capturing
-// recorder alone — pinning observation invariance: every path emits the
-// identical SlotEvent/PacketEvent stream, the Collector samples identically
-// on both resolvers, and an observed Result equals the unobserved one.
+// TestBatchingEquivalence pins down observation invariance (its name
+// predates the engine's single slot resolver). For every registered
+// protocol kind × jammer kind (including none) × arrival kind, the
+// scenario runs three ways: unobserved; observed by a capturing recorder,
+// a bound Collector, and a second capturing recorder after it; and observed
+// by a capturing recorder alone. Both observed Results must equal the
+// unobserved one exactly — EngineStats in full, nothing normalized — all
+// three captured event streams must be equal and non-empty, and the
+// Collector must have sampled.
 func TestBatchingEquivalence(t *testing.T) {
 	const n = 48
 	protoFallback := map[string]lowsensing.ProtocolSpec{
@@ -92,7 +85,6 @@ func TestBatchingEquivalence(t *testing.T) {
 		}{kd.Kind, spec})
 	}
 
-	var batchedAnywhere, observedBatched int64
 	for _, kd := range lowsensing.ProtocolKinds() {
 		proto := lowsensing.ProtocolSpec{Kind: kd.Kind}
 		if _, err := proto.Factory(); err != nil {
@@ -112,69 +104,35 @@ func TestBatchingEquivalence(t *testing.T) {
 						Jammer:   jam.spec,
 						MaxSlots: 1 << 18,
 					}
-					on, err := sc.Run()
+					bare, err := sc.Run()
 					if err != nil {
 						t.Fatal(err)
-					}
-					sc.DisableBatching = true
-					off, err := sc.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if off.EngineStats.BatchedSlots != 0 {
-						t.Fatalf("DisableBatching run batched %d slots",
-							off.EngineStats.BatchedSlots)
-					}
-					batchedAnywhere += on.EngineStats.BatchedSlots
-					normalize := func(r *lowsensing.Result) {
-						r.EngineStats.WheelCascades = 0
-						r.EngineStats.HeapOverflows = 0
-						r.EngineStats.BatchedSlots = 0
-					}
-					normalize(&on)
-					normalize(&off)
-					if !reflect.DeepEqual(on, off) {
-						t.Fatalf("batching changed the result:\nbatched:  %+v\ngeneral:  %+v", on, off)
 					}
 
-					observe := func(disable, collect bool) (lowsensing.Result, eventStream, []metrics.Sample) {
-						sc.DisableBatching = disable
-						var stream eventStream
-						col := &lowsensing.Collector{Every: 64}
-						opts := []lowsensing.Option{lowsensing.WithRecorder(&stream)}
-						if collect {
-							opts = append(opts, lowsensing.WithRecorder(col))
-						}
-						r, err := sc.Simulation(opts...).Run()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !disable {
-							observedBatched += r.EngineStats.BatchedSlots
-						}
-						normalize(&r)
-						return r, stream, col.Samples()
+					var before, after, alone eventStream
+					col := &lowsensing.Collector{Every: 64}
+					observed, err := sc.Simulation(lowsensing.WithRecorder(&before),
+						lowsensing.WithRecorder(col), lowsensing.WithRecorder(&after)).Run()
+					if err != nil {
+						t.Fatal(err)
 					}
-					obsOn, streamOn, samplesOn := observe(false, true)
-					obsOff, streamOff, samplesOff := observe(true, true)
-					_, streamBare, _ := observe(false, false)
-					if !reflect.DeepEqual(obsOn, on) || !reflect.DeepEqual(obsOff, on) {
-						t.Fatalf("observing changed the result:\nunobserved: %+v\nbatched:    %+v\ngeneral:    %+v", on, obsOn, obsOff)
+					recorded, err := sc.Simulation(lowsensing.WithRecorder(&alone)).Run()
+					if err != nil {
+						t.Fatal(err)
 					}
-					if len(streamOn.slots) == 0 || !streamOn.equal(&streamOff) || !streamOn.equal(&streamBare) {
-						t.Fatalf("event streams differ: batched %d, general %d, recorder-only %d events",
-							len(streamOn.order), len(streamOff.order), len(streamBare.order))
+					if !reflect.DeepEqual(observed, bare) || !reflect.DeepEqual(recorded, bare) {
+						t.Fatalf("observing changed the result:\nunobserved:    %+v\nobserved:      %+v\nrecorder-only: %+v", bare, observed, recorded)
 					}
-					if len(samplesOn) == 0 || !reflect.DeepEqual(samplesOn, samplesOff) {
-						t.Fatalf("Collector samples differ: batched %d, general %d", len(samplesOn), len(samplesOff))
+					if len(before.slots) == 0 || !before.equal(&after) || !before.equal(&alone) {
+						t.Fatalf("event streams differ: before Collector %d, after Collector %d, recorder-only %d events",
+							len(before.order), len(after.order), len(alone.order))
+					}
+					if len(col.Samples()) == 0 {
+						t.Fatal("Collector took no samples")
 					}
 				})
 			}
 		}
-	}
-	if batchedAnywhere == 0 || observedBatched == 0 {
-		t.Fatalf("batch fast path engaged on %d unobserved and %d observed slots across the whole matrix; the equivalence test is vacuous",
-			batchedAnywhere, observedBatched)
 	}
 }
 

@@ -53,18 +53,6 @@ func TestScenarioChurn(t *testing.T) {
 		t.Fatalf("churn joins did not arrive: %d packets total", res.Arrived)
 	}
 	checkConservation(t, res)
-
-	// Churn forces the engine off the batch fast path; the general path
-	// must produce the identical result bit for bit.
-	off := sc
-	off.DisableBatching = true
-	res2, err := off.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, res2) {
-		t.Fatalf("churned run differs with DisableBatching:\n%+v\nvs\n%+v", res, res2)
-	}
 }
 
 func TestScenarioFaults(t *testing.T) {
@@ -91,16 +79,6 @@ func TestScenarioFaults(t *testing.T) {
 		t.Fatal("flaky faults crashed no stations")
 	}
 	checkConservation(t, res)
-
-	off := sc
-	off.DisableBatching = true
-	res2, err := off.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, res2) {
-		t.Fatalf("faulty run differs with DisableBatching:\n%+v\nvs\n%+v", res, res2)
-	}
 }
 
 // TestRegisteredProtocolChurnConservation runs every registered protocol
@@ -216,15 +194,6 @@ func TestScenarioMulticlass(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, res2) {
 		t.Fatalf("multiclass run not deterministic:\n%+v\nvs\n%+v", res, res2)
-	}
-	off := sc
-	off.DisableBatching = true
-	res3, err := off.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, res3) {
-		t.Fatalf("multiclass run differs with DisableBatching:\n%+v\nvs\n%+v", res, res3)
 	}
 }
 

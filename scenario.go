@@ -50,11 +50,6 @@ type Scenario struct {
 	Classes []ClassSpec `json:"classes,omitempty"`
 	// RetainPackets materializes Result.Packets (O(arrivals) memory).
 	RetainPackets bool `json:"retain_packets,omitempty"`
-	// DisableBatching forces the engine's general per-slot resolver,
-	// bypassing the batch fast path for uncontended runs. Results are
-	// bit-identical either way; this is an escape hatch for debugging and
-	// for the differential tests that prove that equivalence.
-	DisableBatching bool `json:"disable_batching,omitempty"`
 	// Channels, when >= 1, runs the scenario on a cluster of that many
 	// slotted channels (see the cluster package): the channels share the
 	// clock and the arrival stream, Router assigns each packet a channel,

@@ -175,6 +175,12 @@ func TestParseScenarioStrict(t *testing.T) {
 	if _, err := lowsensing.ParseScenario([]byte(`{"arrivals": {"kind": "batch"}}`)); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
+	// The retired batch-resolver switch fails loudly rather than being
+	// silently ignored.
+	_, err := lowsensing.ParseScenario([]byte(`{"arrivals": {"kind": "batch", "n": 8}, "disable_batching": true}`))
+	if err == nil || !strings.Contains(err.Error(), "disable_batching") {
+		t.Fatalf("retired disable_batching field: got %v, want an error naming it", err)
+	}
 	sc, err := lowsensing.ParseScenario([]byte(`{
 		"seed": 1,
 		"arrivals": {"kind": "batch", "n": 32},
