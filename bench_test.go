@@ -20,7 +20,6 @@ import (
 	"lowsensing/internal/core"
 	"lowsensing/internal/harness"
 	"lowsensing/internal/jamming"
-	"lowsensing/internal/livenet"
 	"lowsensing/internal/sim"
 	"lowsensing/prng"
 )
@@ -324,27 +323,4 @@ func BenchmarkEngineMemory(b *testing.B) {
 	}
 	b.Run("streaming", func(b *testing.B) { run(b, false) })
 	b.Run("retained", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkLivenet measures the concurrent goroutine-per-device substrate.
-func BenchmarkLivenet(b *testing.B) {
-	cfg := core.Default()
-	for i := 0; i < b.N; i++ {
-		res, err := livenet.Run(32, livenet.Config{
-			Seed: uint64(i) + 1,
-			NewDevice: func(_ int, _ *prng.Source) livenet.Device {
-				p, err := core.NewPacket(cfg)
-				if err != nil {
-					panic(err)
-				}
-				return p
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Delivered != 32 {
-			b.Fatal("incomplete live run")
-		}
-	}
 }

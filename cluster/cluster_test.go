@@ -3,6 +3,7 @@ package cluster
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"lowsensing/internal/jamming"
 	"lowsensing/internal/sim"
 	"lowsensing/obs"
+	"lowsensing/prng"
 )
 
 // testConfig builds a 16-channel config over the real LSB station factory:
@@ -338,6 +340,62 @@ func TestRouterRangeChecked(t *testing.T) {
 	cfg.Channels = 4
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("out-of-range route accepted")
+	}
+}
+
+// behindStation breaks the Station contract: it schedules its next access
+// five slots before the slot it was asked about, which the engine rejects
+// with a panic.
+type behindStation struct{}
+
+func (behindStation) Observe(channel.Observation) {}
+func (behindStation) ScheduleNext(from int64, _ *prng.Source) (int64, bool) {
+	return from - 5, true
+}
+
+// panicRouter is a backlog-aware router that panics on its first call.
+type panicRouter struct{}
+
+func (panicRouter) Route(int64, int64, View) int { panic("router broke") }
+func (panicRouter) NeedsBacklog() bool           { return true }
+
+// TestPanicsContained: a panicking station or router fails the run with an
+// error, on both executors, instead of escaping Run. The epoch executor's
+// error names the slot being stepped, and the channel when one is involved.
+func TestPanicsContained(t *testing.T) {
+	cases := []struct {
+		name   string
+		router Router
+		want   []string
+	}{
+		{"roundrobin", NewRoundRobin(), []string{"panic", "scheduled slot -1"}},
+		{"leastbacklog", NewLeastBacklog(), []string{"cluster: panic on channel 0 stepping to slot 4", "scheduled slot -1"}},
+		{"router", panicRouter{}, []string{"cluster: panic stepping to slot 4", "router broke"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := arrivals.NewTrace([]arrivals.TraceBatch{{Slot: 4, Count: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Run(Config{
+				Channels: 4,
+				Seed:     1,
+				Arrivals: src,
+				Router:   tc.router,
+				NewStation: func(int64, *prng.Source) channel.Station {
+					return behindStation{}
+				},
+			})
+			if err == nil {
+				t.Fatal("panic not turned into an error")
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not mention %q", err, w)
+				}
+			}
+		})
 	}
 }
 

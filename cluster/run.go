@@ -196,11 +196,27 @@ func runPreRouted(cfg Config, maxSlots int64) (Result, error) {
 // spread over all channels, far less work than any cross-goroutine
 // barrier would cost, so a backlog-aware run gets its parallelism across
 // runs (sweeps, the runner), never across its own channels.
-func runEpoch(cfg Config, maxSlots int64) (Result, error) {
+//
+// Stepping runs caller-supplied code (stations, jammers, fault models,
+// recorders, the router) on the calling goroutine, so a panic in it is
+// recovered into this run's error, naming the slot being stepped and the
+// channel when one is involved — the pre-routed path's runner jobs
+// contain panics the same way.
+func runEpoch(cfg Config, maxSlots int64) (_ Result, err error) {
 	C := cfg.Channels
+	ch, slot := -1, int64(0) // what is being stepped, for the panic error
+	defer func() {
+		if v := recover(); v != nil {
+			if ch >= 0 {
+				err = fmt.Errorf("cluster: panic on channel %d stepping to slot %d: %v", ch, slot, v)
+			} else {
+				err = fmt.Errorf("cluster: panic stepping to slot %d: %v", slot, v)
+			}
+		}
+	}()
 	engines := make([]*sim.Engine, C)
 	recs := make([]obs.Recorder, C)
-	for ch := 0; ch < C; ch++ {
+	for ch = 0; ch < C; ch++ {
 		src, err := arrivals.NewTrace(nil)
 		if err != nil {
 			return Result{}, err
@@ -218,35 +234,40 @@ func runEpoch(cfg Config, maxSlots int64) (Result, error) {
 
 	var id int64
 	for {
-		slot, count, ok := cfg.Arrivals.Next()
-		if !ok || slot > maxSlots {
+		ch = -1
+		next, count, ok := cfg.Arrivals.Next()
+		if !ok || next > maxSlots {
 			break
 		}
+		slot = next
 		// Every channel resolves everything before slot, so the router's
 		// Backlog reads are exactly the live backlogs at the moment of
 		// arrival.
-		for _, e := range engines {
-			if err := e.StepTo(slot); err != nil {
+		for ch = 0; ch < C; ch++ {
+			if err := engines[ch].StepTo(slot); err != nil {
 				return Result{}, err
 			}
 		}
 		// Route and inject per packet, so later packets of the batch see
 		// earlier ones in Backlog.
 		for i := int64(0); i < count; i++ {
-			ch, err := routeOne(&cfg, v, id, slot)
+			ch = -1
+			to, err := routeOne(&cfg, v, id, slot)
 			if err != nil {
 				return Result{}, err
 			}
+			ch = to
 			if err := engines[ch].InjectAt(slot, 1); err != nil {
 				return Result{}, err
 			}
 			id++
 		}
 	}
+	// FinishRun steps each channel on to its end, at most maxSlots.
+	slot = maxSlots
 	per := make([]sim.Result, C)
-	for ch, e := range engines {
-		res, err := e.FinishRun()
-		if err != nil {
+	for ch = 0; ch < C; ch++ {
+		if per[ch], err = engines[ch].FinishRun(); err != nil {
 			return Result{}, err
 		}
 		if r := recs[ch]; r != nil {
@@ -254,7 +275,6 @@ func runEpoch(cfg Config, maxSlots int64) (Result, error) {
 				return Result{}, err
 			}
 		}
-		per[ch] = res
 	}
 	return merge(per, v.routed), nil
 }

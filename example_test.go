@@ -110,15 +110,3 @@ func ExampleSweep() {
 	// n=64 protocol=lsb: delivered 128/128, mean accesses under 100: true
 	// n=64 protocol=beb: delivered 128/128, mean accesses under 100: true
 }
-
-// Live goroutine contention: the same policy code arbitrating real
-// concurrent workers.
-func ExampleRunLive() {
-	res, err := lowsensing.RunLive(8, lowsensing.DefaultConfig(), 7)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("workers served:", res.Delivered)
-	// Output:
-	// workers served: 8
-}

@@ -190,8 +190,8 @@ func newShared(cfg Config) (*shared, error) {
 
 // Packet is one packet running LOW-SENSING BACKOFF. It implements
 // channel.Station (event-driven scheduling) as well as the per-slot Decide
-// interface used by the real-time livenet substrate. A Packet is not safe
-// for concurrent use.
+// that the package's reference tests step slot by slot. A Packet is not
+// safe for concurrent use.
 //
 // A packet caches its window state next to the window, so an access that
 // leaves the window where it is, or returns it to WMin, costs one logarithm
@@ -265,8 +265,9 @@ func (p *Packet) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 
 // Decide makes the per-slot decision directly: whether the packet accesses
 // the channel this slot and, if so, whether it sends. It is equivalent in
-// distribution to ScheduleNext and is used by per-slot substrates (livenet)
-// and by the reference engine in tests.
+// distribution to ScheduleNext; the per-slot reference run in this
+// package's tests uses it as an implementation independent of the
+// event-driven engine.
 //
 //lsbvet:hotpath
 func (p *Packet) Decide(rng *prng.Source) (access, send bool) {

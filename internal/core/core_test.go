@@ -272,7 +272,7 @@ func TestScheduleNextGapDistribution(t *testing.T) {
 
 func TestDecideMatchesScheduleDistribution(t *testing.T) {
 	// Decide's per-slot access rate must equal AccessProb; this ties the
-	// per-slot interface (livenet) to the event-driven one (sim).
+	// per-slot interface (referenceRun) to the event-driven one (sim).
 	cfg := Default()
 	p, _ := NewPacket(cfg)
 	rng := prng.New(13)

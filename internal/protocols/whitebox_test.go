@@ -1,7 +1,6 @@
 // White-box tests: these poke unexported protocol state directly and so
-// live in the package itself, unlike the engine-driven tests in
-// protocols_test.go (package protocols_test), which must sit outside so the
-// engine may import this package for devirtualized dispatch.
+// live in the package itself. The engine-driven tests in protocols_test.go
+// (package protocols_test) use only the exported surface, as a caller does.
 package protocols
 
 import (

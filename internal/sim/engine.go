@@ -172,9 +172,6 @@ type stationState struct {
 	prevLive  int32
 	nextLive  int32
 	willSend  bool
-	// kind tags st's concrete type for devirtualized dispatch (see
-	// dispatch.go); it survives recycling together with the reused station.
-	kind stationKind
 }
 
 // NewEngine validates params and builds an engine. It returns an error if
@@ -421,14 +418,12 @@ func (e *Engine) injectBatch(t, count int64) {
 			st = ss.reuse
 			ss.reuse.Reset(id, &ss.rng)
 			e.stats.StationsReused++
-			// ss.kind still tags the recycled station.
 		} else {
 			st = e.params.NewStation(id, &ss.rng)
 			e.stats.StationsBuilt++
-			ss.kind = classifyStation(st)
 		}
 		ss.st = st
-		next, send := scheduleStation(ss, t, &ss.rng)
+		next, send := st.ScheduleNext(t, &ss.rng)
 		if next < t {
 			schedBehindPanic(id, next, t)
 		}
@@ -582,9 +577,9 @@ func (e *Engine) resolveSlot(t int64) bool {
 				e.crashStation(idx, t, down)
 				continue
 			}
-			observeStation(ss, Observation{Slot: t, Outcome: oo, Sent: sent, Succeeded: false})
+			ss.st.Observe(Observation{Slot: t, Outcome: oo, Sent: sent, Succeeded: false})
 		} else {
-			observeStation(ss, Observation{Slot: t, Outcome: outcome, Sent: sent, Succeeded: succeeded})
+			ss.st.Observe(Observation{Slot: t, Outcome: outcome, Sent: sent, Succeeded: succeeded})
 		}
 		if succeeded {
 			e.depart(idx, t)
@@ -592,7 +587,7 @@ func (e *Engine) resolveSlot(t int64) bool {
 			e.activeCount--
 			continue
 		}
-		next, send := scheduleStation(ss, t+1, &ss.rng)
+		next, send := ss.st.ScheduleNext(t+1, &ss.rng)
 		if next <= t {
 			reschedPanic(ss.id, next, t)
 		}
@@ -634,13 +629,10 @@ func (e *Engine) abandonStation(idx int32) {
 		e.liveTail = ss.prevLive
 	}
 	var reuse ReusableStation
-	var kind stationKind
 	if e.params.ReuseStations {
-		if reuse, _ = ss.st.(ReusableStation); reuse != nil {
-			kind = ss.kind
-		}
+		reuse, _ = ss.st.(ReusableStation)
 	}
-	*ss = stationState{reuse: reuse, kind: kind}
+	*ss = stationState{reuse: reuse}
 	e.freeList = append(e.freeList, idx)
 }
 
@@ -655,14 +647,13 @@ func (e *Engine) crashStation(idx int32, t, down int64) {
 		e.stats.StationsReused++
 	} else {
 		ss.st = e.params.NewStation(ss.id, &ss.rng)
-		ss.kind = classifyStation(ss.st)
 		e.stats.StationsBuilt++
 	}
 	if down < 0 {
 		down = 0
 	}
 	from := t + 1 + down
-	next, send := scheduleStation(ss, from, &ss.rng)
+	next, send := ss.st.ScheduleNext(from, &ss.rng)
 	if next < from {
 		schedBehindPanic(ss.id, next, from)
 	}
@@ -698,13 +689,10 @@ func (e *Engine) depart(idx int32, t int64) {
 	// allocating; anything else is dropped for collection. The embedded
 	// rng needs no clearing — it is reinitialized in place on reuse.
 	var reuse ReusableStation
-	var kind stationKind
 	if e.params.ReuseStations {
-		if reuse, _ = ss.st.(ReusableStation); reuse != nil {
-			kind = ss.kind
-		}
+		reuse, _ = ss.st.(ReusableStation)
 	}
-	*ss = stationState{reuse: reuse, kind: kind}
+	*ss = stationState{reuse: reuse}
 	e.freeList = append(e.freeList, idx)
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"lowsensing/internal/core"
-	"lowsensing/internal/protocols"
 )
 
 // spacedSource injects one packet every gap slots — the singleton-stream
@@ -50,42 +49,4 @@ func BenchmarkEngineSingletonStream(b *testing.B) {
 	events := res.Energy.Accesses.Sum
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 	b.ReportMetric(float64(events)/float64(b.N), "accesses/packet")
-}
-
-// BenchmarkDispatch isolates the devirtualized station dispatch: one
-// ScheduleNext + Observe round trip per op, through the kind-tagged jump
-// table (devirt) versus the plain interface call (interface) that
-// kindGeneric — and every engine before the tag existed — pays. The
-// station is slotted ALOHA, whose methods are the cheapest of the
-// built-ins (one geometric sample, a no-op Observe), so the call-machinery
-// delta is the largest fraction of the measurement; same station, same rng
-// stream, same observation either way.
-func BenchmarkDispatch(b *testing.B) {
-	factory, err := protocols.NewAlohaFactory(0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(kind stationKind) func(*testing.B) {
-		return func(b *testing.B) {
-			var ss stationState
-			ss.rng.Reinit(1, 1)
-			ss.st = factory(0, &ss.rng)
-			ss.kind = kind
-			b.ReportAllocs()
-			b.ResetTimer()
-			from := int64(0)
-			for i := 0; i < b.N; i++ {
-				slot, sent := scheduleStation(&ss, from, &ss.rng)
-				observeStation(&ss, Observation{
-					Slot: slot, Outcome: OutcomeNoisy, Sent: sent,
-				})
-				from = slot + 1
-				if from > 1<<40 {
-					from = 0 // keep slot arithmetic bounded; ALOHA is memoryless
-				}
-			}
-		}
-	}
-	b.Run("devirt", run(kindAloha))
-	b.Run("interface", run(kindGeneric))
 }

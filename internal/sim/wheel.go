@@ -322,14 +322,15 @@ func (w *timingWheel) chain(b *bucket, idx int32, slot, id int64) {
 	b.next = idx
 }
 
-// locate finds the earliest pending slot if it is <= limit, advancing the
-// cursor to it (cascading higher-level buckets and due overflow events
-// down as it goes). When the earliest slot exceeds limit — or no events
+// nextAtMost returns the earliest pending slot if it is <= limit,
+// advancing the cursor to it (cascading higher-level buckets and due
+// overflow events down as it goes), so after a hit the caller may push at
+// that slot or later. When the earliest slot exceeds limit — or no events
 // are pending — it reports false and leaves the cursor at most at limit,
 // so the caller remains free to push anything >= its own time floor.
 //
 //lsbvet:hotpath
-func (w *timingWheel) locate(limit int64) (int64, bool) {
+func (w *timingWheel) nextAtMost(limit int64) (int64, bool) {
 	// The floor is a proven lower bound on every pending slot, so a limit
 	// below it is a miss before any scanning — this is the engine's common
 	// "anything else at this slot?" probe after the slot's bucket emptied.
@@ -447,21 +448,11 @@ func (w *timingWheel) cascade(limit int64) bool {
 	return true
 }
 
-// nextAtMost returns the earliest pending slot if it is <= limit. The
-// cursor advances to the returned slot (and never beyond limit), so after
-// a hit the caller may push at that slot or later; after a miss, at limit
-// or later.
-//
-//lsbvet:hotpath
-func (w *timingWheel) nextAtMost(limit int64) (int64, bool) {
-	return w.locate(limit)
-}
-
 // popAtMost removes and returns the earliest pending event if its slot is
 // <= limit. Successive pops yield strict (slot, id) order. The body fuses
-// locate's scan with the extraction so the hot singleton case — one event
-// at the minimum slot, nothing buffered — runs straight-line: floor check,
-// bitmap scan, one bucket-header read, done.
+// nextAtMost's scan with the extraction so the hot singleton case — one
+// event at the minimum slot, nothing buffered — runs straight-line: floor
+// check, bitmap scan, one bucket-header read, done.
 //
 //lsbvet:hotpath
 func (w *timingWheel) popAtMost(limit int64) (event, bool) {

@@ -47,13 +47,11 @@ import (
 
 	"lowsensing/channel"
 	"lowsensing/internal/core"
-	"lowsensing/internal/livenet"
 	"lowsensing/internal/metrics"
 	"lowsensing/internal/sim"
 	"lowsensing/internal/stats"
 	"lowsensing/internal/trace"
 	"lowsensing/obs"
-	"lowsensing/prng"
 )
 
 // Config holds the LOW-SENSING BACKOFF parameters (the constant c, the
@@ -525,27 +523,4 @@ func WithRecorder(r Recorder) Option {
 // otherwise).
 func WithRetainPacketStats() Option {
 	return func(s *Simulation) { s.sc.RetainPackets = true }
-}
-
-// LiveResult is the outcome of a concurrent (goroutine-per-device) run.
-type LiveResult = livenet.Result
-
-// RunLive races n concurrent devices, each running LOW-SENSING BACKOFF
-// with the given parameters on a live coordinator-synchronized channel, and
-// returns when every device has delivered its message. It demonstrates the
-// policy as a real arbitration layer; see examples/goroutines.
-func RunLive(n int, cfg Config, seed uint64) (LiveResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return LiveResult{}, err
-	}
-	return livenet.Run(n, livenet.Config{
-		Seed: seed,
-		NewDevice: func(_ int, _ *prng.Source) livenet.Device {
-			p, err := core.NewPacket(cfg)
-			if err != nil {
-				panic(err) // validated above
-			}
-			return p
-		},
-	})
 }

@@ -1,7 +1,6 @@
 package lowsensing
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -329,25 +328,5 @@ func TestPacketRetentionIsOptIn(t *testing.T) {
 	}
 	if ret.Energy != def.Energy {
 		t.Fatal("accumulators differ between retention modes")
-	}
-}
-
-func TestRunLive(t *testing.T) {
-	res, err := RunLive(16, DefaultConfig(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered != 16 {
-		t.Fatalf("delivered = %d", res.Delivered)
-	}
-	var acc float64
-	for _, d := range res.Devices {
-		acc += float64(d.Accesses())
-	}
-	if mean := acc / 16; mean > 30*math.Log(16)*math.Log(16) {
-		t.Fatalf("live mean accesses = %v", mean)
-	}
-	if _, err := RunLive(4, Config{}, 1); err == nil {
-		t.Fatal("invalid config accepted by RunLive")
 	}
 }
