@@ -456,7 +456,7 @@ func TestSimulationClusterRecorders(t *testing.T) {
 		"WithJammer":   lowsensing.WithJammer(jam),
 		"engine-bound": lowsensing.WithRecorder(&lowsensing.Collector{Every: 8}),
 	} {
-		_, err := lowsensing.NewSimulation(lowsensing.FromScenario(sc), opt).Run()
+		_, err := sc.Simulation(opt).Run()
 		if err == nil || !strings.Contains(err.Error(), "cluster") {
 			t.Errorf("%s on a cluster scenario: %v", name, err)
 		}

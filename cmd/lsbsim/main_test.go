@@ -178,8 +178,8 @@ func TestRunSpecFile(t *testing.T) {
 		t.Fatalf("spec run did not deliver:\n%s", out)
 	}
 
-	// Identical to the equivalent option-built run: the spec is just data
-	// over the same engine path.
+	// Identical to the equivalent Scenario literal: the spec file is the
+	// same data over the same engine path.
 	sc, err := loadSpecFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -188,16 +188,16 @@ func TestRunSpecFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(3),
-		lowsensing.WithBatchArrivals(64),
-		lowsensing.WithBurstJamming(0, 128),
-	).Run()
+	want, err := lowsensing.Scenario{
+		Seed:     3,
+		Arrivals: lowsensing.BatchArrivals(64),
+		Jammer:   lowsensing.BurstJamming(0, 128),
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Energy != want.Energy || r.ActiveSlots != want.ActiveSlots {
-		t.Fatal("spec run differs from option-built run")
+		t.Fatal("spec run differs from the Scenario literal's run")
 	}
 
 	// Mixing -spec with scenario flags is rejected.

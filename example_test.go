@@ -8,11 +8,11 @@ import (
 
 // The canonical entry point: resolve a batch of contending packets and read
 // off throughput and energy.
-func ExampleNewSimulation() {
-	res, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(1),
-		lowsensing.WithBatchArrivals(64),
-	).Run()
+func ExampleScenario_Simulation() {
+	res, err := lowsensing.Scenario{
+		Seed:     1,
+		Arrivals: lowsensing.BatchArrivals(64),
+	}.Simulation().Run()
 	if err != nil {
 		panic(err)
 	}
@@ -26,12 +26,12 @@ func ExampleNewSimulation() {
 // Jamming robustness: a burst jammer floods the first 256 slots; every
 // packet still gets through and the jammed slots are credited by the
 // paper's (T+J)/S metric.
-func ExampleWithBurstJamming() {
-	res, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(3),
-		lowsensing.WithBatchArrivals(32),
-		lowsensing.WithBurstJamming(0, 256),
-	).Run()
+func ExampleBurstJamming() {
+	res, err := lowsensing.Scenario{
+		Seed:     3,
+		Arrivals: lowsensing.BatchArrivals(32),
+		Jammer:   lowsensing.BurstJamming(0, 256),
+	}.Run()
 	if err != nil {
 		panic(err)
 	}
@@ -45,10 +45,10 @@ func ExampleWithBurstJamming() {
 // Per-packet energy: the point of the paper is that accesses (sends +
 // listens) stay polylogarithmic in the number of packets.
 func ExampleSummarizeEnergy() {
-	res, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(1),
-		lowsensing.WithBatchArrivals(256),
-	).Run()
+	res, err := lowsensing.Scenario{
+		Seed:     1,
+		Arrivals: lowsensing.BatchArrivals(256),
+	}.Run()
 	if err != nil {
 		panic(err)
 	}

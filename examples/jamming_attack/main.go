@@ -32,12 +32,11 @@ func main() {
 
 	// Scenario 1: broadband burst attack in the middle of the run.
 	col := &lowsensing.Collector{Every: 500}
-	res, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(seed),
-		lowsensing.WithBernoulliArrivals(rate, packets),
-		lowsensing.WithBurstJamming(jamStart, jamEnd),
-		lowsensing.WithRecorder(col),
-	).Run()
+	res, err := lowsensing.Scenario{
+		Seed:     seed,
+		Arrivals: lowsensing.BernoulliArrivals(rate, packets),
+		Jammer:   lowsensing.BurstJamming(jamStart, jamEnd),
+	}.Simulation(lowsensing.WithRecorder(col)).Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,16 +71,15 @@ func main() {
 	// victim's stats stream out through a packet recorder — default runs
 	// keep no per-packet table.
 	var victim lowsensing.PacketStats
-	res2, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(seed),
-		lowsensing.WithBatchArrivals(512),
-		lowsensing.WithReactiveJamming(0, 64),
-		lowsensing.WithRecorder(obs.PacketFunc(func(p lowsensing.PacketStats) {
-			if p.ID == 0 {
-				victim = p
-			}
-		})),
-	).Run()
+	res2, err := lowsensing.Scenario{
+		Seed:     seed,
+		Arrivals: lowsensing.BatchArrivals(512),
+		Jammer:   lowsensing.ReactiveJamming(0, 64),
+	}.Simulation(lowsensing.WithRecorder(obs.PacketFunc(func(p lowsensing.PacketStats) {
+		if p.ID == 0 {
+			victim = p
+		}
+	}))).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,20 +19,20 @@ func main() {
 	const n = 1024
 
 	// LOW-SENSING BACKOFF with the paper's default parameters.
-	lsb, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(1),
-		lowsensing.WithBatchArrivals(n),
-	).Run()
+	lsb, err := lowsensing.Scenario{
+		Seed:     1,
+		Arrivals: lowsensing.BatchArrivals(n),
+	}.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The classic baseline.
-	beb, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(1),
-		lowsensing.WithBatchArrivals(n),
-		lowsensing.WithBinaryExponentialBackoff(),
-	).Run()
+	beb, err := lowsensing.Scenario{
+		Seed:     1,
+		Arrivals: lowsensing.BatchArrivals(n),
+		Protocol: lowsensing.BEB(),
+	}.Run()
 	if err != nil {
 		log.Fatal(err)
 	}

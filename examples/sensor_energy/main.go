@@ -34,9 +34,8 @@ const (
 	batteryJoules   = 2000.0
 )
 
-func run(name string, arrival lowsensing.Option, opts ...lowsensing.Option) (meanAcc float64) {
-	all := append([]lowsensing.Option{lowsensing.WithSeed(seed), arrival}, opts...)
-	res, err := lowsensing.NewSimulation(all...).Run()
+func run(name string, arrivals lowsensing.ArrivalsSpec, proto lowsensing.ProtocolSpec) (meanAcc float64) {
+	res, err := lowsensing.Scenario{Seed: seed, Arrivals: arrivals, Protocol: proto}.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,17 +52,17 @@ func main() {
 	log.SetFlags(0)
 
 	fmt.Printf("event burst: %d sensors report at once (%.0f µJ per radio slot)\n\n", sensors, joulesPerAccess*1e6)
-	burst := lowsensing.WithBatchArrivals(sensors)
-	lsbAcc := run("LOW-SENSING", burst)
-	mwuAcc := run("full-sensing MWU", burst, lowsensing.WithFullSensingMWU())
+	burst := lowsensing.BatchArrivals(sensors)
+	lsbAcc := run("LOW-SENSING", burst, lowsensing.LowSensing(lowsensing.DefaultConfig()))
+	mwuAcc := run("full-sensing MWU", burst, lowsensing.MWU())
 	fmt.Printf("\n  under the burst, full sensing pays %.0fx more radio energy per report:\n", mwuAcc/lsbAcc)
 	fmt.Println("  a backlogged MWU sensor listens in EVERY slot until it gets through,")
 	fmt.Println("  so its cost scales with the burst size; LSB's stays polylogarithmic.")
 
 	fmt.Printf("\nbackground traffic: sparse Poisson reports (rate 0.05/slot)\n\n")
-	sparse := lowsensing.WithPoissonArrivals(0.05, 4096)
-	run("LOW-SENSING", sparse)
-	run("full-sensing MWU", sparse, lowsensing.WithFullSensingMWU())
+	sparse := lowsensing.PoissonArrivals(0.05, 4096)
+	run("LOW-SENSING", sparse, lowsensing.LowSensing(lowsensing.DefaultConfig()))
+	run("full-sensing MWU", sparse, lowsensing.MWU())
 	fmt.Println("\n  with an idle channel both MACs are cheap — the paper's result is that")
 	fmt.Println("  you no longer pay a congestion-sized listening bill when bursts hit.")
 }

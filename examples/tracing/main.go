@@ -33,9 +33,10 @@ func main() {
 	sink := obs.NewNDJSON(&trace)
 	windows := obs.NewWindows(64, nil)
 
-	r, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(7),
-		lowsensing.WithBatchArrivals(n),
+	r, err := lowsensing.Scenario{
+		Seed:     7,
+		Arrivals: lowsensing.BatchArrivals(n),
+	}.Simulation(
 		lowsensing.WithRecorder(ring),
 		lowsensing.WithRecorder(obs.SlotRange(sink, 0, 32)),
 		lowsensing.WithRecorder(windows),

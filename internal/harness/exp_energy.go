@@ -49,10 +49,10 @@ func runE2(rc RunConfig) (*Table, error) {
 	type e2rep struct{ mean, p99, max float64 }
 	grouped, err := sweep(rc, "E2", len(ns), func(point, _ int, seed uint64) (e2rep, error) {
 		n := ns[point]
-		r, err := run(seed,
-			lowsensing.WithBatchArrivals(n),
-			lowsensing.WithMaxSlots(capFor(n, 0)),
-		)
+		r, err := run(seed, lowsensing.Scenario{
+			Arrivals: lowsensing.BatchArrivals(n),
+			MaxSlots: capFor(n, 0),
+		})
 		if err != nil {
 			return e2rep{}, err
 		}
@@ -118,9 +118,11 @@ func runE6(rc RunConfig) (*Table, error) {
 		}
 		var spent func() int64
 		var targetAcc float64
+		sc := lowsensing.Scenario{
+			Arrivals: lowsensing.BatchArrivals(n),
+			MaxSlots: capFor(n, budget),
+		}
 		opts := []lowsensing.Option{
-			lowsensing.WithBatchArrivals(n),
-			lowsensing.WithMaxSlots(capFor(n, budget)),
 			// The victim's access count streams out through the sink; the
 			// fleet-wide mean and max come from the accumulators.
 			lowsensing.WithRecorder(obs.PacketFunc(func(p obs.PacketEvent) {
@@ -146,7 +148,7 @@ func runE6(rc RunConfig) (*Table, error) {
 				opts = append(opts, lowsensing.WithJammer(jam))
 			}
 		}
-		r, err := run(seed, opts...)
+		r, err := run(seed, sc, opts...)
 		if err != nil {
 			return e6rep{}, err
 		}
@@ -220,11 +222,11 @@ func runE7(rc RunConfig) (*Table, error) {
 		tput, activeS, sends, listens, acc, maxAcc float64
 	}
 	grouped, err := sweep(rc, "E7", len(rows), func(point, _ int, seed uint64) (e7rep, error) {
-		r, err := run(seed,
-			lowsensing.WithBatchArrivals(n),
-			lowsensing.WithProtocol(rows[point].proto),
-			lowsensing.WithMaxSlots(capFor(n, 0)*20), // fixed-rate ALOHA needs ~N·ln N slots
-		)
+		r, err := run(seed, lowsensing.Scenario{
+			Arrivals: lowsensing.BatchArrivals(n),
+			Protocol: rows[point].proto,
+			MaxSlots: capFor(n, 0) * 20, // fixed-rate ALOHA needs ~N·ln N slots
+		})
 		if err != nil {
 			return e7rep{}, err
 		}

@@ -51,15 +51,14 @@ func runE10(rc RunConfig) (*Table, error) {
 		lats := make([]float64, 0, n)
 		accs := make([]float64, 0, n)
 		recordLat := latencySink(&lats)
-		_, err := run(seed,
-			lowsensing.WithBatchArrivals(n),
-			lowsensing.WithProtocol(rows[point].proto),
-			lowsensing.WithMaxSlots(capFor(n, 0)),
-			lowsensing.WithRecorder(obs.PacketFunc(func(p obs.PacketEvent) {
-				recordLat(p)
-				accs = append(accs, float64(p.Accesses()))
-			})),
-		)
+		_, err := run(seed, lowsensing.Scenario{
+			Arrivals: lowsensing.BatchArrivals(n),
+			Protocol: rows[point].proto,
+			MaxSlots: capFor(n, 0),
+		}, lowsensing.WithRecorder(obs.PacketFunc(func(p obs.PacketEvent) {
+			recordLat(p)
+			accs = append(accs, float64(p.Accesses()))
+		})))
 		if err != nil {
 			return e10rep{}, err
 		}

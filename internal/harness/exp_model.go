@@ -65,11 +65,11 @@ func runE11(rc RunConfig) (*Table, error) {
 	grouped, err := sweep(rc, "E11", len(workloads)*len(protos), func(point, _ int, seed uint64) (e11rep, error) {
 		w := workloads[point/len(protos)]
 		p := protos[point%len(protos)]
-		r, err := run(seed,
-			lowsensing.WithArrivalsSpec(w.arrivals),
-			lowsensing.WithProtocol(p.proto),
-			lowsensing.WithMaxSlots(capFor(n, 0)*4),
-		)
+		r, err := run(seed, lowsensing.Scenario{
+			Arrivals: w.arrivals,
+			Protocol: p.proto,
+			MaxSlots: capFor(n, 0) * 4,
+		})
 		if err != nil {
 			return e11rep{}, err
 		}
@@ -113,42 +113,33 @@ func runE12(rc RunConfig) (*Table, error) {
 		Columns: []string{"feedback", "delivered", "tput", "activeSlots", "meanAcc"},
 	}
 
-	// The no-CD wrappers have no declarative spec; they are custom station
-	// factories layered over the public API with WithStations.
+	// Every variant's scenario runs the paper's protocol. The no-CD
+	// wrappers have no declarative spec; they are custom station factories
+	// that take its place through WithStations.
 	variants := []struct {
 		name string
-		opt  func() (lowsensing.Option, error)
+		mode protocols.CDMode // 0: ternary feedback
 	}{
-		{"ternary (paper)", func() (lowsensing.Option, error) {
-			return lowsensing.WithProtocol(lsbSpec()), nil
-		}},
-		{"non-success=empty", func() (lowsensing.Option, error) {
-			f, err := protocols.NewNoCDFactory(core.MustFactory(core.Default()), protocols.CDAsEmpty)
-			if err != nil {
-				return nil, err
-			}
-			return lowsensing.WithStations(f), nil
-		}},
-		{"non-success=noisy", func() (lowsensing.Option, error) {
-			f, err := protocols.NewNoCDFactory(core.MustFactory(core.Default()), protocols.CDAsNoisy)
-			if err != nil {
-				return nil, err
-			}
-			return lowsensing.WithStations(f), nil
-		}},
+		{"ternary (paper)", 0},
+		{"non-success=empty", protocols.CDAsEmpty},
+		{"non-success=noisy", protocols.CDAsNoisy},
 	}
 
 	type e12rep struct{ deliv, tput, slots, acc float64 }
 	grouped, err := sweep(rc, "E12", len(variants), func(point, _ int, seed uint64) (e12rep, error) {
-		proto, err := variants[point].opt()
-		if err != nil {
-			return e12rep{}, err
+		var opts []lowsensing.Option
+		if mode := variants[point].mode; mode != 0 {
+			f, err := protocols.NewNoCDFactory(core.MustFactory(core.Default()), mode)
+			if err != nil {
+				return e12rep{}, err
+			}
+			opts = append(opts, lowsensing.WithStations(f))
 		}
-		r, err := run(seed,
-			lowsensing.WithBatchArrivals(n),
-			proto,
-			lowsensing.WithMaxSlots(maxSlots),
-		)
+		r, err := run(seed, lowsensing.Scenario{
+			Arrivals: lowsensing.BatchArrivals(n),
+			Protocol: lsbSpec(),
+			MaxSlots: maxSlots,
+		}, opts...)
 		if err != nil {
 			return e12rep{}, err
 		}
@@ -198,11 +189,10 @@ func runE13(rc RunConfig) (*Table, error) {
 	grouped, err := sweep(rc, "E13", len(rates), func(point, _ int, seed uint64) (e13rep, error) {
 		lambda := rates[point]
 		col := &metrics.Collector{Every: 64}
-		r, err := run(seed,
-			lowsensing.WithBernoulliArrivals(lambda, n),
-			lowsensing.WithMaxSlots(int64(float64(n)/lambda)+(1<<18)),
-			lowsensing.WithRecorder(col),
-		)
+		r, err := run(seed, lowsensing.Scenario{
+			Arrivals: lowsensing.BernoulliArrivals(lambda, n),
+			MaxSlots: int64(float64(n)/lambda) + (1 << 18),
+		}, lowsensing.WithRecorder(col))
 		if err != nil {
 			return e13rep{}, err
 		}

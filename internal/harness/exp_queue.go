@@ -64,11 +64,10 @@ func init() {
 // from latency stats.
 func aqtRun(seed uint64, s int64, lambda float64, windows int64, every int64) (*metrics.Collector, sim.Result, error) {
 	col := &metrics.Collector{Every: every}
-	r, err := run(seed,
-		lowsensing.WithQueueArrivals(s, lambda, windows),
-		lowsensing.WithMaxSlots(s*windows),
-		lowsensing.WithRecorder(col),
-	)
+	r, err := run(seed, lowsensing.Scenario{
+		Arrivals: lowsensing.QueueArrivals(s, lambda, windows),
+		MaxSlots: s * windows,
+	}, lowsensing.WithRecorder(col))
 	return col, r, err
 }
 
@@ -184,11 +183,10 @@ func runE8(rc RunConfig) (*Table, error) {
 	}
 	n := pick(rc, int64(128), int64(1024))
 	col, bounds := potentialCollector()
-	r, err := one(rc, "E8",
-		lowsensing.WithBatchArrivals(n),
-		lowsensing.WithMaxSlots(capFor(n, 0)),
-		lowsensing.WithRecorder(col),
-	)
+	r, err := one(rc, "E8", lowsensing.Scenario{
+		Arrivals: lowsensing.BatchArrivals(n),
+		MaxSlots: capFor(n, 0),
+	}, lowsensing.WithRecorder(col))
 	if err != nil {
 		return nil, err
 	}
@@ -237,11 +235,10 @@ func runE9(rc RunConfig) (*Table, error) {
 	}
 	const n = 8
 	tr := &trace.Tracer{}
-	r, err := one(rc, "E9",
-		lowsensing.WithBatchArrivals(n),
-		lowsensing.WithMaxSlots(capFor(n, 0)),
-		lowsensing.WithRecorder(tr),
-	)
+	r, err := one(rc, "E9", lowsensing.Scenario{
+		Arrivals: lowsensing.BatchArrivals(n),
+		MaxSlots: capFor(n, 0),
+	}, lowsensing.WithRecorder(tr))
 	if err != nil {
 		return nil, err
 	}
@@ -296,11 +293,11 @@ func runA1(rc RunConfig) (*Table, error) {
 	type a1rep struct{ tput, meanAcc, maxAcc, aqtMaxB float64 }
 	grouped, err := sweep(rc, "A1", len(rules), func(point, _ int, seed uint64) (a1rep, error) {
 		cfg := rules[point].cfg
-		r, err := run(seed,
-			lowsensing.WithBatchArrivals(n),
-			lowsensing.WithLowSensing(cfg),
-			lowsensing.WithMaxSlots(capFor(n, 0)),
-		)
+		r, err := run(seed, lowsensing.Scenario{
+			Arrivals: lowsensing.BatchArrivals(n),
+			Protocol: lowsensing.LowSensing(cfg),
+			MaxSlots: capFor(n, 0),
+		})
 		if err != nil {
 			return a1rep{}, err
 		}
@@ -311,12 +308,11 @@ func runA1(rc RunConfig) (*Table, error) {
 		}
 		// Burst stability: AQT max backlog.
 		col := &metrics.Collector{Every: max64(1, aqtS/64)}
-		if _, err := run(seed,
-			lowsensing.WithQueueArrivals(aqtS, 0.1, windows),
-			lowsensing.WithLowSensing(cfg),
-			lowsensing.WithMaxSlots(aqtS*windows),
-			lowsensing.WithRecorder(col),
-		); err != nil {
+		if _, err := run(seed, lowsensing.Scenario{
+			Arrivals: lowsensing.QueueArrivals(aqtS, 0.1, windows),
+			Protocol: lowsensing.LowSensing(cfg),
+			MaxSlots: aqtS * windows,
+		}, lowsensing.WithRecorder(col)); err != nil {
 			return a1rep{}, err
 		}
 		out.aqtMaxB = float64(col.MaxBacklog())
@@ -367,11 +363,11 @@ func runA2(rc RunConfig) (*Table, error) {
 		if !combos[point].valid {
 			return a2rep{}, nil
 		}
-		r, err := run(seed,
-			lowsensing.WithBatchArrivals(n),
-			lowsensing.WithLowSensing(combos[point].cfg),
-			lowsensing.WithMaxSlots(capFor(n, 0)*4),
-		)
+		r, err := run(seed, lowsensing.Scenario{
+			Arrivals: lowsensing.BatchArrivals(n),
+			Protocol: lowsensing.LowSensing(combos[point].cfg),
+			MaxSlots: capFor(n, 0) * 4,
+		})
 		if err != nil {
 			return a2rep{}, err
 		}
@@ -426,11 +422,11 @@ func runA3(rc RunConfig) (*Table, error) {
 
 	type a3rep struct{ tput, sends, listens, maxAcc float64 }
 	grouped, err := sweep(rc, "A3", len(configs), func(point, _ int, seed uint64) (a3rep, error) {
-		r, err := run(seed,
-			lowsensing.WithBatchArrivals(n),
-			lowsensing.WithLowSensing(configs[point]),
-			lowsensing.WithMaxSlots(capFor(n, 0)*4),
-		)
+		r, err := run(seed, lowsensing.Scenario{
+			Arrivals: lowsensing.BatchArrivals(n),
+			Protocol: lowsensing.LowSensing(configs[point]),
+			MaxSlots: capFor(n, 0) * 4,
+		})
 		if err != nil {
 			return a3rep{}, err
 		}

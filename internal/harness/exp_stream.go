@@ -60,12 +60,10 @@ func runE14(rc RunConfig) (*Table, error) {
 		if err != nil {
 			return e14out{}, err
 		}
-		r, err := run(seed,
-			lowsensing.WithBernoulliArrivals(lambda, 0), // unbounded
-			lowsensing.WithJammer(jam),
-			lowsensing.WithMaxSlots(horizon),
-			lowsensing.WithRecorder(col),
-		)
+		r, err := run(seed, lowsensing.Scenario{
+			Arrivals: lowsensing.BernoulliArrivals(lambda, 0), // unbounded
+			MaxSlots: horizon,
+		}, lowsensing.WithJammer(jam), lowsensing.WithRecorder(col))
 		return e14out{r: r, col: col}, err
 	})
 	if err != nil {
@@ -102,11 +100,10 @@ func runE15(rc RunConfig) (*Table, error) {
 	// Baseline median latency without jamming calibrates the deadlines.
 	// Latencies stream out through a sink so nothing is retained.
 	baseLats := make([]float64, 0, n)
-	_, err := one(rc, "E15/base",
-		lowsensing.WithBatchArrivals(n),
-		lowsensing.WithMaxSlots(capFor(n, 0)),
-		lowsensing.WithRecorder(latencySink(&baseLats)),
-	)
+	_, err := one(rc, "E15/base", lowsensing.Scenario{
+		Arrivals: lowsensing.BatchArrivals(n),
+		MaxSlots: capFor(n, 0),
+	}, lowsensing.WithRecorder(latencySink(&baseLats)))
 	if err != nil {
 		return nil, err
 	}
@@ -129,11 +126,11 @@ func runE15(rc RunConfig) (*Table, error) {
 	grouped, err := sweep(rc, "E15", len(jamRates), func(point, _ int, seed uint64) (e15rep, error) {
 		rate := jamRates[point]
 		lats := make([]float64, 0, n)
-		opts := []lowsensing.Option{
-			lowsensing.WithBatchArrivals(n),
-			lowsensing.WithMaxSlots(capFor(n, 8*n)),
-			lowsensing.WithRecorder(latencySink(&lats)),
+		sc := lowsensing.Scenario{
+			Arrivals: lowsensing.BatchArrivals(n),
+			MaxSlots: capFor(n, 8*n),
 		}
+		opts := []lowsensing.Option{lowsensing.WithRecorder(latencySink(&lats))}
 		if rate > 0 {
 			// Historical experiment-local jam seed stream (seed^0xe15).
 			jm, err := jamming.NewRandom(rate, 0, seed^0xe15)
@@ -142,7 +139,7 @@ func runE15(rc RunConfig) (*Table, error) {
 			}
 			opts = append(opts, lowsensing.WithJammer(jm))
 		}
-		r, err := run(seed, opts...)
+		r, err := run(seed, sc, opts...)
 		if err != nil {
 			return e15rep{}, err
 		}

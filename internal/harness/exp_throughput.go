@@ -58,11 +58,11 @@ func runE1(rc RunConfig) (*Table, error) {
 	grouped, err := sweep(rc, "E1", len(ns), func(point, _ int, seed uint64) (e1rep, error) {
 		n := ns[point]
 		tput := func(proto lowsensing.ProtocolSpec) (float64, error) {
-			r, err := run(seed,
-				lowsensing.WithBatchArrivals(n),
-				lowsensing.WithMaxSlots(capFor(n, 0)),
-				lowsensing.WithProtocol(proto),
-			)
+			r, err := run(seed, lowsensing.Scenario{
+				Arrivals: lowsensing.BatchArrivals(n),
+				MaxSlots: capFor(n, 0),
+				Protocol: proto,
+			})
 			if err != nil {
 				return 0, err
 			}
@@ -135,30 +135,29 @@ func runE3(rc RunConfig) (*Table, error) {
 	type e3rep struct{ tput, impl, deliv, acc float64 }
 	points := len(burstJs) + len(randRates)
 	grouped, err := sweep(rc, "E3", points, func(point, _ int, seed uint64) (e3rep, error) {
-		opts := []lowsensing.Option{lowsensing.WithBatchArrivals(n)}
+		sc := lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(n)}
+		var opts []lowsensing.Option
 		if point < len(burstJs) {
 			j := burstJs[point]
-			opts = append(opts, lowsensing.WithMaxSlots(capFor(n, j)))
+			sc.MaxSlots = capFor(n, j)
 			if j > 0 {
-				opts = append(opts, lowsensing.WithBurstJamming(0, j))
+				sc.Jammer = lowsensing.BurstJamming(0, j)
 			}
 		} else {
 			rate := randRates[point-len(burstJs)]
 			// A rate-ρ unbounded random jammer: packets must finish between
 			// jams; budget scales with the cap so the jam level is sustained.
 			// The jammer keeps its historical experiment-local seed stream
-			// (seed^0xe3, not the public option's derivation), so it is
+			// (seed^0xe3, not the jammer spec's derivation), so it is
 			// built as an instance and injected with WithJammer.
 			jm, err := jamming.NewRandom(rate, 0, seed^0xe3)
 			if err != nil {
 				return e3rep{}, err
 			}
-			opts = append(opts,
-				lowsensing.WithMaxSlots(capFor(n, 8*n)),
-				lowsensing.WithJammer(jm),
-			)
+			sc.MaxSlots = capFor(n, 8*n)
+			opts = append(opts, lowsensing.WithJammer(jm))
 		}
-		r, err := run(seed, opts...)
+		r, err := run(seed, sc, opts...)
 		if err != nil {
 			return e3rep{}, err
 		}

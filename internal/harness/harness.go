@@ -108,16 +108,14 @@ func ids() []string {
 	return out
 }
 
-// run executes one simulation through the public lowsensing API with the
-// given seed. The harness migrated off direct engine construction: every
-// engine an experiment drives is now built by the exact code path library
-// users call (NewSimulation + options over Scenario data), so the tables
-// double as an end-to-end regression suite for the public surface.
-func run(seed uint64, opts ...lowsensing.Option) (sim.Result, error) {
-	full := make([]lowsensing.Option, 0, len(opts)+1)
-	full = append(full, lowsensing.WithSeed(seed))
-	full = append(full, opts...)
-	return lowsensing.NewSimulation(full...).Run()
+// run executes one simulation through the public lowsensing API: sc with
+// the given seed, plus the instance options (custom components, recorders)
+// a Scenario cannot hold as data. Every engine an experiment drives is
+// built by the exact code path library users call, so the tables double as
+// an end-to-end regression suite for the public surface.
+func run(seed uint64, sc lowsensing.Scenario, opts ...lowsensing.Option) (sim.Result, error) {
+	sc.Seed = seed
+	return sc.Simulation(opts...).Run()
 }
 
 // sweep runs body for every (point, rep) pair of a points×Reps grid as one
@@ -154,10 +152,10 @@ func sweep[T any](rc RunConfig, expID string, points int, body func(point, rep i
 // one submits a single simulation as a runner job and returns its result;
 // used by the trajectory/trace experiments whose claims are about a single
 // evolving execution rather than a replicated sweep.
-func one(rc RunConfig, expID string, opts ...lowsensing.Option) (sim.Result, error) {
+func one(rc RunConfig, expID string, sc lowsensing.Scenario, opts ...lowsensing.Option) (sim.Result, error) {
 	rc.Reps = 1
 	rs, err := sweep(rc, expID, 1, func(_, _ int, seed uint64) (sim.Result, error) {
-		return run(seed, opts...)
+		return run(seed, sc, opts...)
 	})
 	if err != nil {
 		return sim.Result{}, err

@@ -146,72 +146,6 @@ func (c *Collector) Series(name string) []float64 {
 	return out
 }
 
-// EnergyModel converts channel-access counts into physical energy, for
-// battery-lifetime projections (see examples/sensor_energy). All values
-// are in joules.
-type EnergyModel struct {
-	// SendJ is the cost of transmitting for one slot.
-	SendJ float64
-	// ListenJ is the cost of receiving/listening for one slot.
-	ListenJ float64
-	// SleepJ is the cost of sleeping through one slot (often ~0 but not
-	// zero on real radios).
-	SleepJ float64
-}
-
-// DefaultEnergyModel returns order-of-magnitude numbers for an
-// 802.15.4-class radio: 60 µJ to transmit or receive for one slot, 60 nJ
-// to sleep through one.
-func DefaultEnergyModel() EnergyModel {
-	return EnergyModel{SendJ: 60e-6, ListenJ: 60e-6, SleepJ: 60e-9}
-}
-
-// PacketJoules returns the energy one packet spent from arrival to
-// departure (or to end-of-run for undelivered packets, using lastSlot).
-func (m EnergyModel) PacketJoules(p sim.PacketStats, lastSlot int64) float64 {
-	end := p.Departure
-	if end < 0 {
-		end = lastSlot
-	}
-	alive := end - p.Arrival + 1
-	if alive < 0 {
-		alive = 0
-	}
-	sleeping := alive - p.Sends - p.Listens
-	if sleeping < 0 {
-		sleeping = 0
-	}
-	return float64(p.Sends)*m.SendJ + float64(p.Listens)*m.ListenJ + float64(sleeping)*m.SleepJ
-}
-
-// RunJoules sums PacketJoules over a run and also returns the mean per
-// packet (0 if no packets). It reads the retained per-packet records
-// (Result.Packets, Scenario.RetainPackets); for long streams, fold
-// PacketJoules over an obs.PacketFunc recorder instead.
-func (m EnergyModel) RunJoules(r sim.Result) (total, meanPerPacket float64) {
-	for _, p := range r.Packets {
-		total += m.PacketJoules(p, r.LastSlot)
-	}
-	if len(r.Packets) > 0 {
-		meanPerPacket = total / float64(len(r.Packets))
-	}
-	return total, meanPerPacket
-}
-
-// LatencySample extracts the latency of every delivered packet. It reads
-// the retained per-packet records (Result.Packets, Scenario.RetainPackets);
-// on streams too long to retain, collect latencies through an
-// obs.PacketFunc recorder instead.
-func LatencySample(r sim.Result) []float64 {
-	out := make([]float64, 0, len(r.Packets))
-	for _, p := range r.Packets {
-		if lat := p.Latency(); lat >= 0 {
-			out = append(out, float64(lat))
-		}
-	}
-	return out
-}
-
 // EnergySummary aggregates per-packet channel-access statistics of a
 // completed run.
 type EnergySummary struct {

@@ -150,62 +150,6 @@ func TestSummarizeEnergy(t *testing.T) {
 	}
 }
 
-func TestEnergyModelPacketJoules(t *testing.T) {
-	m := EnergyModel{SendJ: 10, ListenJ: 1, SleepJ: 0.5}
-	// Packet alive slots 0..9 (10 slots): 2 sends, 3 listens, 5 sleeps.
-	p := sim.PacketStats{Arrival: 0, Departure: 9, Sends: 2, Listens: 3}
-	want := 2*10.0 + 3*1.0 + 5*0.5
-	if got := m.PacketJoules(p, 100); got != want {
-		t.Fatalf("PacketJoules = %v, want %v", got, want)
-	}
-	// Undelivered packet: alive through lastSlot.
-	p2 := sim.PacketStats{Arrival: 5, Departure: -1, Sends: 1, Listens: 0}
-	want2 := 10.0 + 5*0.5 // alive slots 5..10 = 6, sleeping 5
-	if got := m.PacketJoules(p2, 10); got != want2 {
-		t.Fatalf("undelivered PacketJoules = %v, want %v", got, want2)
-	}
-}
-
-func TestEnergyModelRunJoules(t *testing.T) {
-	m := EnergyModel{SendJ: 1, ListenJ: 1}
-	r := sim.Result{
-		LastSlot: 10,
-		Packets: []sim.PacketStats{
-			{Arrival: 0, Departure: 0, Sends: 1},
-			{Arrival: 0, Departure: 2, Sends: 1, Listens: 2},
-		},
-	}
-	total, mean := m.RunJoules(r)
-	if total != 4 || mean != 2 {
-		t.Fatalf("RunJoules = %v, %v", total, mean)
-	}
-	if tot, mean := m.RunJoules(sim.Result{}); tot != 0 || mean != 0 {
-		t.Fatal("empty run joules nonzero")
-	}
-}
-
-func TestDefaultEnergyModelOrdering(t *testing.T) {
-	m := DefaultEnergyModel()
-	if !(m.SendJ > 0 && m.ListenJ > 0 && m.SleepJ > 0) {
-		t.Fatalf("non-positive costs: %+v", m)
-	}
-	if m.SleepJ >= m.ListenJ {
-		t.Fatal("sleeping should be far cheaper than listening")
-	}
-}
-
-func TestLatencySample(t *testing.T) {
-	r := sim.Result{Packets: []sim.PacketStats{
-		{Arrival: 0, Departure: 4},
-		{Arrival: 2, Departure: -1},
-		{Arrival: 3, Departure: 3},
-	}}
-	got := LatencySample(r)
-	if len(got) != 2 || got[0] != 5 || got[1] != 1 {
-		t.Fatalf("latencies = %v", got)
-	}
-}
-
 // TestCollectorUnboundPanics: a Collector attached without Bind fails
 // loudly, naming the missing call, instead of sampling nothing.
 func TestCollectorUnboundPanics(t *testing.T) {

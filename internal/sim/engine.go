@@ -835,17 +835,6 @@ func (e *Engine) ImplicitThroughputNow() float64 {
 // meaningful inside a recorder's RecordSlot.
 func (e *Engine) LastOutcome() Outcome { return e.lastOutcome }
 
-// LastSenders returns the number of stations that transmitted in the most
-// recently resolved slot.
-func (e *Engine) LastSenders() int { return e.lastSenders }
-
-// LastAccessors returns the number of stations that accessed the channel in
-// the most recently resolved slot.
-func (e *Engine) LastAccessors() int { return e.lastAccessors }
-
-// LastJammed reports whether the most recently resolved slot was jammed.
-func (e *Engine) LastJammed() bool { return e.lastJammed }
-
 // LastSlotEvent returns the most recently resolved slot as a structured
 // obs.SlotEvent — the same view a Params.Recorder receives. Only
 // meaningful inside a recorder's RecordSlot (or after at least one

@@ -99,27 +99,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// MeanStderr returns the mean and its standard error.
-func MeanStderr(xs []float64) (mean, stderr float64) {
-	s := Summarize(xs)
-	if s.N <= 1 {
-		return s.Mean, 0
-	}
-	return s.Mean, s.Std / math.Sqrt(float64(s.N))
-}
-
 // LinearFit holds an ordinary-least-squares fit y = Intercept + Slope*x.
 type LinearFit struct {
 	Slope     float64
@@ -262,48 +241,6 @@ func ClassifyGrowth(xs, ys []float64) GrowthFit {
 		fit.Class = GrowthPolylog
 	}
 	return fit
-}
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi); values outside
-// the range are clamped into the first or last bucket.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-	width  float64
-}
-
-// NewHistogram creates a histogram with n buckets over [lo, hi). It panics
-// on n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: NewHistogram requires n > 0")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram requires hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, n), width: (hi - lo) / float64(n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / h.width)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BucketCenter returns the midpoint of bucket i.
-func (h *Histogram) BucketCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.width
 }
 
 // Welford accumulates mean and variance in one pass without storing the

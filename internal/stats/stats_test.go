@@ -106,21 +106,6 @@ func TestQuantileWithinRange(t *testing.T) {
 	}
 }
 
-func TestMeanStderr(t *testing.T) {
-	mean, se := MeanStderr([]float64{2, 4, 6, 8})
-	if !almostEqual(mean, 5, 1e-12) {
-		t.Fatalf("mean = %v", mean)
-	}
-	// var = 20/3, std = sqrt(20/3), se = std/2
-	want := math.Sqrt(20.0/3.0) / 2
-	if !almostEqual(se, want, 1e-12) {
-		t.Fatalf("se = %v, want %v", se, want)
-	}
-	if _, se := MeanStderr([]float64{1}); se != 0 {
-		t.Fatalf("single-point stderr = %v", se)
-	}
-}
-
 func TestFitLinearExact(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{3, 5, 7, 9} // y = 1 + 2x
@@ -235,45 +220,6 @@ func TestGrowthClassString(t *testing.T) {
 	}
 	if GrowthClass(99).String() == "" {
 		t.Fatal("unknown class should still format")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // clamps to first
-	h.Add(99) // clamps to last
-	if h.Total() != 12 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Fatalf("clamping failed: %v", h.Counts)
-	}
-	for i := 1; i < 9; i++ {
-		if h.Counts[i] != 1 {
-			t.Fatalf("bucket %d = %d", i, h.Counts[i])
-		}
-	}
-	if c := h.BucketCenter(0); !almostEqual(c, 0.5, 1e-12) {
-		t.Fatalf("center = %v", c)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 

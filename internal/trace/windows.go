@@ -73,17 +73,6 @@ func (w *WindowTracker) RecordSlot(ev obs.SlotEvent) {
 // Samples returns the recorded series.
 func (w *WindowTracker) Samples() []WindowSample { return w.samples }
 
-// MaxWindowEver returns the largest window observed at any sample.
-func (w *WindowTracker) MaxWindowEver() float64 {
-	var m float64
-	for _, s := range w.samples {
-		if s.WMax > m {
-			m = s.WMax
-		}
-	}
-	return m
-}
-
 // Series extracts one field ("wmax", "wmedian", "wmin", "count", "slot")
 // as a float slice; it panics on an unknown name.
 func (w *WindowTracker) Series(name string) []float64 {

@@ -7,27 +7,29 @@
 //
 // The quickest way in:
 //
-//	res, err := lowsensing.NewSimulation(
-//	    lowsensing.WithBatchArrivals(1024),
-//	    lowsensing.WithSeed(1),
-//	).Run()
+//	res, err := lowsensing.Scenario{
+//	    Seed:     1,
+//	    Arrivals: lowsensing.BatchArrivals(1024),
+//	}.Run()
 //	// res.Throughput() ≈ 0.3, res.MeanAccesses() = O(polylog N)
 //
-// Runs are described declaratively by a Scenario — a serializable value
-// covering arrivals, protocol, jammer, slot cap, seed, and optionally a
-// multi-channel cluster (Scenario.Channels) — and multi-run
-// experiments by a Sweep, which executes every (point, replication) pair of
-// a parameter grid on a worker pool with deterministic per-job seeding and
-// streams per-point aggregates. The functional options below are
-// constructors over the same Scenario data, so the two styles compose:
+// A run is described by a Scenario — a serializable value covering
+// arrivals, protocol, jammer, churn, faults, slot cap, seed, and optionally
+// a multi-channel cluster (Scenario.Channels) — and multi-run experiments
+// by a Sweep, which executes every (point, replication) pair of a parameter
+// grid on a worker pool with deterministic per-job seeding and streams
+// per-point aggregates. Specs can live in files:
 //
-//	sc, _ := lowsensing.ParseScenario(jsonSpec) // specs can live in files
+//	sc, _ := lowsensing.ParseScenario(jsonSpec)
 //	res, _ := sc.Run()
+//
+// What cannot be data — custom instances and recorders — attaches as an
+// Option through Scenario.Simulation.
 //
 // Default runs are constant-memory per live packet — the engine state and
 // the Result both stay O(backlog) on arbitrarily long streams, with energy
 // and latency statistics kept in streaming accumulators (Result.Energy).
-// Per-packet records are opt-in via WithRetainPacketStats, or stream out
+// Per-packet records are opt-in via Scenario.RetainPackets, or stream out
 // through WithRecorder(obs.PacketFunc(...)) without retention.
 //
 // # Extension surface
@@ -167,20 +169,15 @@ func SummarizeEnergy(r Result) EnergySummary { return metrics.SummarizeEnergy(r)
 // instances (WithArrivals, WithJammer) is run a second time: the instance's
 // arrival stream or jam budget was consumed by the first run, so re-running
 // would silently simulate a different workload. Rebuild the Simulation, or
-// describe the run as a Scenario — scenario-backed simulations reconstruct
-// every component per Run and can be re-run freely.
+// describe the component as Scenario data — spec'd components are
+// reconstructed per Run, so such a Simulation can be re-run freely.
 var ErrReused = errors.New("lowsensing: Simulation already run; WithArrivals/WithJammer wrap single-use instances — rebuild it or use a Scenario")
 
-// Simulation is a configured run, built by NewSimulation.
-//
-// The serializable part of the configuration lives in an underlying
-// Scenario (see the Scenario method); options are constructors over that
-// data. Seeded components (arrival processes, random jammers) are
-// constructed at Run time from the final seed, so WithSeed composes with
-// the other options in any order.
+// Simulation is a configured run, built by Scenario.Simulation: the
+// scenario's data plus what cannot be data — custom instances and
+// recorders, attached by the options below.
 type Simulation struct {
-	err error
-	sc  Scenario
+	sc Scenario
 	// Custom (non-serializable) components override the scenario fields.
 	customArrivals ArrivalSource
 	customFactory  StationFactory
@@ -189,41 +186,15 @@ type Simulation struct {
 	ran            bool
 }
 
-// Option configures a Simulation.
+// Option attaches to a Simulation what a Scenario cannot hold as data: a
+// custom arrival source, station factory or jammer instance (WithArrivals,
+// WithStations, WithJammer), or a recorder (WithRecorder).
 type Option func(*Simulation)
-
-// NewSimulation builds a simulation from options. Arrivals are required
-// (e.g. WithBatchArrivals); the protocol defaults to LOW-SENSING BACKOFF
-// with DefaultConfig. Configuration errors are deferred to Run so calls
-// chain cleanly.
-//
-// Default runs are constant-memory per live packet: the engine keeps
-// O(backlog) state however many packets stream through, and the Result
-// carries streaming energy/latency accumulators instead of per-packet
-// records. Opt back into per-packet data with WithRetainPacketStats
-// (materializes Result.Packets, O(arrivals) memory) or a recorder such as
-// obs.PacketFunc (streams every packet's final stats out of the engine).
-func NewSimulation(opts ...Option) *Simulation {
-	s := &Simulation{}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
-}
-
-// Scenario returns the serializable description of this simulation. It is
-// complete — marshal it, store it, Run it later — unless custom instances
-// (WithArrivals, WithStations, WithJammer) or recorders were attached;
-// those cannot be expressed as data and are absent from the Scenario.
-func (s *Simulation) Scenario() Scenario { return s.sc }
 
 // Run executes the simulation. A scenario with Channels >= 1 runs on the
 // cluster executor and returns the cluster's merged Result; its recorders
 // are shared by every channel (see Scenario.Channels).
 func (s *Simulation) Run() (Result, error) {
-	if s.err != nil {
-		return Result{}, s.err
-	}
 	if s.sc.Channels != 0 {
 		return s.runCluster()
 	}
@@ -312,189 +283,30 @@ func (pt *packetTable) RecordPacket(p PacketEvent) {
 	(*pt)[p.ID] = p
 }
 
-func (s *Simulation) fail(err error) {
-	if s.err == nil && err != nil {
-		s.err = err
-	}
-}
-
-// FromScenario loads a whole scenario at once, replacing any previously
-// configured scenario fields and custom components. Recorders attached by
-// other options are kept.
-func FromScenario(sc Scenario) Option {
-	return func(s *Simulation) {
-		s.sc = sc
-		s.customArrivals = nil
-		s.customFactory = nil
-		s.customJammer = nil
-	}
-}
-
-// WithSeed fixes the run's random seed; identical seeds give identical
-// runs.
-func WithSeed(seed uint64) Option { return func(s *Simulation) { s.sc.Seed = seed } }
-
-// WithMaxSlots caps the run length (0 means the engine default).
-func WithMaxSlots(n int64) Option { return func(s *Simulation) { s.sc.MaxSlots = n } }
-
-// setArrivals installs an arrivals spec, clearing any custom source.
-func setArrivals(s *Simulation, a ArrivalsSpec) {
-	s.sc.Arrivals = a
-	s.customArrivals = nil
-}
-
-// WithBatchArrivals injects n packets at slot 0 — the classic batch
-// instance.
-func WithBatchArrivals(n int64) Option {
-	return func(s *Simulation) { setArrivals(s, BatchArrivals(n)) }
-}
-
-// WithBernoulliArrivals injects one packet per slot with the given
-// probability, stopping after total packets (total <= 0 means unbounded —
-// pair with WithMaxSlots).
-func WithBernoulliArrivals(rate float64, total int64) Option {
-	return func(s *Simulation) { setArrivals(s, BernoulliArrivals(rate, total)) }
-}
-
-// WithPoissonArrivals injects Poisson(lambda) packets per slot, stopping
-// after total packets (total <= 0 means unbounded).
-func WithPoissonArrivals(lambda float64, total int64) Option {
-	return func(s *Simulation) { setArrivals(s, PoissonArrivals(lambda, total)) }
-}
-
-// WithQueueArrivals injects adversarial-queuing-theory arrivals: in each of
-// `windows` consecutive windows of S slots, a burst of floor(lambda·S)
-// packets lands at the window start (the model's worst case).
-func WithQueueArrivals(S int64, lambda float64, windows int64) Option {
-	return func(s *Simulation) { setArrivals(s, QueueArrivals(S, lambda, windows)) }
-}
-
-// WithArrivalsSpec selects the arrival process from a declarative spec
-// (see the Arrivals* constants and the BatchArrivals/BernoulliArrivals/...
-// constructors); it is the data-driven counterpart of the WithXxxArrivals
-// options.
-func WithArrivalsSpec(a ArrivalsSpec) Option {
-	return func(s *Simulation) { setArrivals(s, a) }
-}
-
-// WithArrivals supplies a custom arrival source instance. Arrival sources
-// are consumed as they run, so a Simulation carrying one is single-use:
-// a second Run returns ErrReused.
+// WithArrivals supplies a custom arrival source instance, which takes
+// precedence over Scenario.Arrivals. Arrival sources are consumed as they
+// run, so a Simulation carrying one is single-use: a second Run returns
+// ErrReused.
 func WithArrivals(src ArrivalSource) Option {
-	return func(s *Simulation) {
-		s.sc.Arrivals = ArrivalsSpec{}
-		s.customArrivals = src
-	}
+	return func(s *Simulation) { s.customArrivals = src }
 }
 
-// WithProtocol selects the protocol from a declarative spec (see the
-// Protocol* constants and the LowSensing/BEB/MWU/... constructors).
-func WithProtocol(p ProtocolSpec) Option {
-	return func(s *Simulation) {
-		s.sc.Protocol = p
-		s.customFactory = nil
-	}
-}
-
-// WithLowSensing runs LOW-SENSING BACKOFF with the given parameters (the
-// default protocol uses DefaultConfig). Unlike the ProtocolSpec rule that a
-// zero Config means DefaultConfig, an explicitly supplied invalid Config —
-// including the zero Config — is rejected.
-func WithLowSensing(cfg Config) Option {
-	return func(s *Simulation) {
-		if err := cfg.Validate(); err != nil {
-			s.fail(err)
-			return
-		}
-		s.sc.Protocol = LowSensing(cfg)
-		s.customFactory = nil
-	}
-}
-
-// WithBinaryExponentialBackoff runs the classic oblivious baseline instead
-// of LOW-SENSING BACKOFF.
-func WithBinaryExponentialBackoff() Option { return WithProtocol(BEB()) }
-
-// WithFullSensingMWU runs the short-feedback-loop multiplicative-weights
-// baseline (listens every slot).
-func WithFullSensingMWU() Option { return WithProtocol(MWU()) }
-
-// WithSawtoothBackoff runs the fully oblivious sawtooth-backoff baseline
-// (constant throughput on batches without any feedback; see experiment
-// E11 for how it fares under dynamic arrivals).
-func WithSawtoothBackoff() Option { return WithProtocol(Sawtooth()) }
-
-// WithStations supplies a custom station factory (any sim.Station
-// implementation). Custom factories keep exact factory-per-packet
-// semantics: the engine calls f for every injected packet and never
-// recycles the stations it returns (a closure may legally vary its output
-// per packet id). Protocols from registered kinds additionally get
-// station recycling; see ReusableStation.
+// WithStations supplies a custom station factory (any Station
+// implementation), which takes precedence over Scenario.Protocol. Custom
+// factories keep exact factory-per-packet semantics: the engine calls f
+// for every injected packet and never recycles the stations it returns (a
+// closure may legally vary its output per packet id). Protocols from
+// registered kinds additionally get station recycling; see
+// ReusableStation.
 func WithStations(f StationFactory) Option {
-	return func(s *Simulation) {
-		s.sc.Protocol = ProtocolSpec{}
-		s.customFactory = f
-	}
+	return func(s *Simulation) { s.customFactory = f }
 }
 
-// WithRandomJamming jams each slot independently with the given rate, up to
-// budget jams (budget <= 0 means unbounded).
-func WithRandomJamming(rate float64, budget int64) Option {
-	return func(s *Simulation) {
-		s.sc.Jammer = RandomJamming(rate, budget)
-		s.customJammer = nil
-	}
-}
-
-// WithBurstJamming jams every slot in [from, to).
-func WithBurstJamming(from, to int64) Option {
-	return func(s *Simulation) {
-		s.sc.Jammer = BurstJamming(from, to)
-		s.customJammer = nil
-	}
-}
-
-// WithReactiveJamming adds a reactive adversary (paper §1.3) that jams
-// whenever the given packet transmits, up to budget jams.
-func WithReactiveJamming(target, budget int64) Option {
-	return func(s *Simulation) {
-		s.sc.Jammer = ReactiveJamming(target, budget)
-		s.customJammer = nil
-	}
-}
-
-// WithJammer supplies a custom jammer instance. Jammers spend budget as
-// they run, so a Simulation carrying one is single-use: a second Run
-// returns ErrReused.
+// WithJammer supplies a custom jammer instance, which takes precedence
+// over Scenario.Jammer. Jammers spend budget as they run, so a Simulation
+// carrying one is single-use: a second Run returns ErrReused.
 func WithJammer(j Jammer) Option {
-	return func(s *Simulation) {
-		s.sc.Jammer = JammerSpec{}
-		s.customJammer = j
-	}
-}
-
-// WithChurn selects the population-churn process from a declarative spec
-// (see the Churn* constants and the FlashCrowdChurn/EpochChurn/PoissonChurn
-// constructors): flows join mid-run through the spec's extra arrival
-// stream, and undelivered packets abandon at their leave slots, counted in
-// Result.Abandoned.
-func WithChurn(c ChurnSpec) Option {
-	return func(s *Simulation) { s.sc.Churn = c }
-}
-
-// WithFaults selects the station fault model from a declarative spec (see
-// the Fault* constants and the SensingFaults/CrashFaults/FlakyFaults
-// constructors): listening stations' observations may be corrupted and
-// stations may crash, losing all protocol state. Fault counts land in
-// Result.Faults.
-func WithFaults(f FaultSpec) Option {
-	return func(s *Simulation) { s.sc.Faults = f }
-}
-
-// WithClasses makes the run a heterogeneous multi-class workload; see
-// Scenario.Classes.
-func WithClasses(classes ...ClassSpec) Option {
-	return func(s *Simulation) { s.sc.Classes = classes }
+	return func(s *Simulation) { s.customJammer = j }
 }
 
 // WithRecorder attaches a structured event recorder, the run's one
@@ -514,13 +326,4 @@ func WithRecorder(r Recorder) Option {
 			s.recorders = append(s.recorders, r)
 		}
 	}
-}
-
-// WithRetainPacketStats materializes Result.Packets, indexed by packet id —
-// O(arrivals) memory. Default runs keep only the streaming accumulators in
-// Result.Energy; retain only when the analysis genuinely needs the full
-// per-packet table (stream packets through WithRecorder(obs.PacketFunc(...))
-// otherwise).
-func WithRetainPacketStats() Option {
-	return func(s *Simulation) { s.sc.RetainPackets = true }
 }

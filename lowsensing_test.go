@@ -8,10 +8,7 @@ import (
 )
 
 func TestQuickstartFlow(t *testing.T) {
-	res, err := NewSimulation(
-		WithSeed(1),
-		WithBatchArrivals(256),
-	).Run()
+	res, err := Scenario{Seed: 1, Arrivals: BatchArrivals(256)}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,41 +25,32 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestMissingArrivalsFails(t *testing.T) {
-	if _, err := NewSimulation(WithSeed(1)).Run(); err == nil {
+	if _, err := (Scenario{Seed: 1}).Run(); err == nil {
 		t.Fatal("missing arrivals accepted")
 	}
 }
 
 func TestBadOptionSurfacesAtRun(t *testing.T) {
-	if _, err := NewSimulation(WithBatchArrivals(-5)).Run(); err == nil {
-		t.Fatal("negative batch accepted")
-	}
-	if _, err := NewSimulation(WithBatchArrivals(10), WithLowSensing(Config{})).Run(); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-	if _, err := NewSimulation(WithBatchArrivals(10), WithRandomJamming(2, 0)).Run(); err == nil {
-		t.Fatal("invalid jam rate accepted")
-	}
-	if _, err := NewSimulation(WithBatchArrivals(10), WithBurstJamming(5, 5)).Run(); err == nil {
-		t.Fatal("empty burst accepted")
-	}
-	if _, err := NewSimulation(WithBatchArrivals(10), WithReactiveJamming(-1, 0)).Run(); err == nil {
-		t.Fatal("bad reactive target accepted")
-	}
-	if _, err := NewSimulation(WithBatchArrivals(10), WithBernoulliArrivals(0, 1)).Run(); err == nil {
-		t.Fatal("bad bernoulli rate accepted")
-	}
-	if _, err := NewSimulation(WithBatchArrivals(10), WithPoissonArrivals(-1, 1)).Run(); err == nil {
-		t.Fatal("bad poisson rate accepted")
-	}
-	if _, err := NewSimulation(WithQueueArrivals(0, 0.1, 5)).Run(); err == nil {
-		t.Fatal("bad AQT granularity accepted")
+	batch := BatchArrivals(10)
+	for name, sc := range map[string]Scenario{
+		"negative batch":      {Arrivals: BatchArrivals(-5)},
+		"invalid config":      {Arrivals: batch, Protocol: LowSensing(Config{C: -1})},
+		"invalid jam rate":    {Arrivals: batch, Jammer: RandomJamming(2, 0)},
+		"empty burst":         {Arrivals: batch, Jammer: BurstJamming(5, 5)},
+		"bad reactive target": {Arrivals: batch, Jammer: ReactiveJamming(-1, 0)},
+		"bad bernoulli rate":  {Arrivals: BernoulliArrivals(0, 1)},
+		"bad poisson rate":    {Arrivals: PoissonArrivals(-1, 1)},
+		"bad AQT granularity": {Arrivals: QueueArrivals(0, 0.1, 5)},
+	} {
+		if _, err := sc.Simulation().Run(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
 func TestDeterminismViaSeed(t *testing.T) {
 	run := func() Result {
-		res, err := NewSimulation(WithSeed(42), WithBatchArrivals(64), WithRetainPacketStats()).Run()
+		res, err := Scenario{Seed: 42, Arrivals: BatchArrivals(64), RetainPackets: true}.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,10 +65,31 @@ func TestDeterminismViaSeed(t *testing.T) {
 			t.Fatalf("packet %d differs", i)
 		}
 	}
+
+	// The seed reaches the seeded components built at Run time: a Poisson
+	// workload under another seed is another run.
+	poisson := Scenario{Arrivals: PoissonArrivals(0.2, 200)}
+	zero, err := poisson.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisson.Seed = 7
+	seven, err := poisson.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.LastSlot == seven.LastSlot && zero.Energy == seven.Energy {
+		t.Fatal("Scenario.Seed had no effect")
+	}
 }
 
 func TestBaselineOptions(t *testing.T) {
-	beb, err := NewSimulation(WithSeed(2), WithBatchArrivals(128), WithBinaryExponentialBackoff(), WithRetainPacketStats()).Run()
+	sc := Scenario{Seed: 2, Arrivals: BatchArrivals(128), RetainPackets: true}
+	run := func(p ProtocolSpec) (Result, error) {
+		sc.Protocol = p
+		return sc.Run()
+	}
+	beb, err := run(BEB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +102,14 @@ func TestBaselineOptions(t *testing.T) {
 			t.Fatal("BEB listened")
 		}
 	}
-	mwu, err := NewSimulation(WithSeed(2), WithBatchArrivals(128), WithFullSensingMWU()).Run()
+	mwu, err := run(MWU())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mwu.Completed != 128 {
 		t.Fatalf("MWU completed = %d", mwu.Completed)
 	}
-	saw, err := NewSimulation(WithSeed(2), WithBatchArrivals(128), WithSawtoothBackoff(), WithRetainPacketStats()).Run()
+	saw, err := run(Sawtooth())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +124,12 @@ func TestBaselineOptions(t *testing.T) {
 }
 
 func TestJammingOptions(t *testing.T) {
-	res, err := NewSimulation(
-		WithSeed(3),
-		WithBatchArrivals(64),
-		WithBurstJamming(0, 256),
-	).Run()
+	sc := Scenario{Seed: 3, Arrivals: BatchArrivals(64)}
+	run := func(j JammerSpec) (Result, error) {
+		sc.Jammer = j
+		return sc.Run()
+	}
+	res, err := run(BurstJamming(0, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +140,7 @@ func TestJammingOptions(t *testing.T) {
 		t.Fatal("no jams recorded")
 	}
 
-	res2, err := NewSimulation(
-		WithSeed(3),
-		WithBatchArrivals(64),
-		WithRandomJamming(0.2, 0),
-	).Run()
+	res2, err := run(RandomJamming(0.2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +148,7 @@ func TestJammingOptions(t *testing.T) {
 		t.Fatalf("random-jam completed = %d", res2.Completed)
 	}
 
-	res3, err := NewSimulation(
-		WithSeed(3),
-		WithBatchArrivals(64),
-		WithReactiveJamming(0, 10),
-	).Run()
+	res3, err := run(ReactiveJamming(0, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +162,11 @@ func TestJammingOptions(t *testing.T) {
 
 func TestQueueArrivalsAndCollector(t *testing.T) {
 	col := &Collector{Every: 8}
-	res, err := NewSimulation(
-		WithSeed(4),
-		WithQueueArrivals(256, 0.1, 10),
-		WithRecorder(col),
-		WithMaxSlots(2560),
-	).Run()
+	res, err := Scenario{
+		Seed:     4,
+		Arrivals: QueueArrivals(256, 0.1, 10),
+		MaxSlots: 2560,
+	}.Simulation(WithRecorder(col)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +185,7 @@ func TestTracerAndMultipleRecorders(t *testing.T) {
 	tr := &Tracer{}
 	col := &Collector{}
 	ring := obs.NewRing(1 << 12)
-	res, err := NewSimulation(
-		WithSeed(5),
-		WithBatchArrivals(16),
+	res, err := Scenario{Seed: 5, Arrivals: BatchArrivals(16)}.Simulation(
 		WithRecorder(tr),
 		WithRecorder(col),
 		WithRecorder(ring),
@@ -216,11 +215,11 @@ func TestTracerAndMultipleRecorders(t *testing.T) {
 }
 
 func TestCustomStationsOption(t *testing.T) {
-	res, err := NewSimulation(
-		WithSeed(6),
-		WithBatchArrivals(32),
-		WithLowSensing(Config{C: 1, WMin: 128, LnPower: 3}),
-	).Run()
+	res, err := Scenario{
+		Seed:     6,
+		Arrivals: BatchArrivals(32),
+		Protocol: LowSensing(Config{C: 1, WMin: 128, LnPower: 3}),
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,64 +228,12 @@ func TestCustomStationsOption(t *testing.T) {
 	}
 }
 
-// TestOptionOrderIndependentOfSeed: seeded components (arrival processes,
-// random jammers) are constructed at Run time from the final seed, so
-// WithSeed works in any position. This is a regression test for a bug
-// where WithPoissonArrivals captured the seed at option-apply time and
-// NewSimulation(WithPoissonArrivals(...), WithSeed(7)) silently ran with
-// seed 0.
-func TestOptionOrderIndependentOfSeed(t *testing.T) {
-	run := func(opts ...Option) Result {
-		t.Helper()
-		res, err := NewSimulation(opts...).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	same := func(a, b Result) bool {
-		return a.Arrived == b.Arrived && a.Completed == b.Completed &&
-			a.ActiveSlots == b.ActiveSlots && a.JammedSlots == b.JammedSlots &&
-			a.LastSlot == b.LastSlot && a.Energy == b.Energy
-	}
-
-	seedFirst := run(WithSeed(7), WithPoissonArrivals(0.2, 200))
-	seedLast := run(WithPoissonArrivals(0.2, 200), WithSeed(7))
-	if !same(seedFirst, seedLast) {
-		t.Fatal("Poisson arrivals: option order changed the run")
-	}
-	// And the seed must actually take effect: seed 0 gives a different
-	// arrival pattern (the pre-fix failure mode was silently running with
-	// seed 0 whenever WithSeed came last).
-	seedZero := run(WithPoissonArrivals(0.2, 200))
-	if same(seedLast, seedZero) {
-		t.Fatal("WithSeed(7) after WithPoissonArrivals had no effect")
-	}
-
-	jamFirst := run(WithSeed(9), WithBatchArrivals(64), WithRandomJamming(0.2, 0))
-	jamLast := run(WithRandomJamming(0.2, 0), WithBatchArrivals(64), WithSeed(9))
-	if !same(jamFirst, jamLast) {
-		t.Fatal("random jamming: option order changed the run")
-	}
-
-	bernFirst := run(WithSeed(11), WithBernoulliArrivals(0.1, 100))
-	bernLast := run(WithBernoulliArrivals(0.1, 100), WithSeed(11))
-	if !same(bernFirst, bernLast) {
-		t.Fatal("Bernoulli arrivals: option order changed the run")
-	}
-
-	aqtFirst := run(WithSeed(13), WithQueueArrivals(128, 0.2, 4))
-	aqtLast := run(WithQueueArrivals(128, 0.2, 4), WithSeed(13))
-	if !same(aqtFirst, aqtLast) {
-		t.Fatal("AQT arrivals: option order changed the run")
-	}
-}
-
 // TestPacketRetentionIsOptIn: default runs carry only the streaming
-// accumulators; WithRetainPacketStats materializes Packets and an
+// accumulators; Scenario.RetainPackets materializes Packets and an
 // obs.PacketFunc recorder streams every packet without retention.
 func TestPacketRetentionIsOptIn(t *testing.T) {
-	def, err := NewSimulation(WithSeed(1), WithBatchArrivals(64)).Run()
+	sc := Scenario{Seed: 1, Arrivals: BatchArrivals(64)}
+	def, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +245,7 @@ func TestPacketRetentionIsOptIn(t *testing.T) {
 	}
 
 	var sunk []PacketStats
-	res, err := NewSimulation(
-		WithSeed(1),
-		WithBatchArrivals(64),
-		WithRecorder(obs.PacketFunc(func(p PacketStats) { sunk = append(sunk, p) })),
-	).Run()
+	res, err := sc.Simulation(WithRecorder(obs.PacketFunc(func(p PacketStats) { sunk = append(sunk, p) }))).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +256,8 @@ func TestPacketRetentionIsOptIn(t *testing.T) {
 		t.Fatalf("sink saw %d of %d packets", len(sunk), res.Arrived)
 	}
 
-	ret, err := NewSimulation(WithSeed(1), WithBatchArrivals(64), WithRetainPacketStats()).Run()
+	sc.RetainPackets = true
+	ret, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,10 +130,10 @@ var (
 )
 
 // RegisterProtocol makes a protocol kind resolvable everywhere specs are:
-// ParseScenario, ParseSweepSpec, Sweep.VaryProtocol, WithProtocol, and the
-// CLIs. Register from an init function; registering a duplicate kind, an
-// empty kind, or a nil factory panics. The doc string (one line) is shown
-// by ProtocolKinds and the CLIs' -kinds listing.
+// Scenario.Protocol, ParseScenario, ParseSweepSpec, Sweep.VaryProtocol, and
+// the CLIs. Register from an init function; registering a duplicate kind,
+// an empty kind, or a nil factory panics. The doc string (one line) is
+// shown by ProtocolKinds and the CLIs' -kinds listing.
 //
 // Factories should give their parameters usable defaults when the spec
 // carries none, so that a bare {"kind": "..."} spec runs; kinds whose bare

@@ -552,39 +552,24 @@ func TestSweepChurnFaults(t *testing.T) {
 	}
 }
 
+// TestWithChurnFaultsClassesOptions: a scenario's churn and fault specs
+// both take effect on a single-channel run.
 func TestWithChurnFaultsClassesOptions(t *testing.T) {
-	res, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(2),
-		lowsensing.WithArrivalsSpec(lowsensing.BatchArrivals(12)),
-		lowsensing.WithMaxSlots(1<<14),
-		lowsensing.WithChurn(lowsensing.PoissonChurn(0.05, 20, 0.04)),
-		lowsensing.WithFaults(lowsensing.SensingFaults(0.1, 0.05)),
-	).Run()
+	res, err := lowsensing.Scenario{
+		Seed:     2,
+		Arrivals: lowsensing.BatchArrivals(12),
+		MaxSlots: 1 << 14,
+		Churn:    lowsensing.PoissonChurn(0.05, 20, 0.04),
+		Faults:   lowsensing.SensingFaults(0.1, 0.05),
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Abandoned == 0 {
-		t.Fatal("WithChurn had no effect")
+		t.Fatal("Scenario.Churn had no effect")
 	}
 	if res.Faults.Corrupted == 0 {
-		t.Fatal("WithFaults had no effect")
+		t.Fatal("Scenario.Faults had no effect")
 	}
 	checkConservation(t, res)
-
-	mc := multiclassScenario()
-	res2, err := lowsensing.NewSimulation(
-		lowsensing.WithSeed(mc.Seed),
-		lowsensing.WithMaxSlots(mc.MaxSlots),
-		lowsensing.WithClasses(mc.Classes...),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res3, err := mc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res2, res3) {
-		t.Fatalf("WithClasses differs from Scenario.Classes:\n%+v\nvs\n%+v", res2, res3)
-	}
 }

@@ -12,11 +12,10 @@ import (
 
 // Scenario is a declarative, serializable description of one simulation
 // run: arrivals, protocol, jammer, slot cap, retention, seed, and — with
-// Channels >= 1 — the multi-channel cluster it runs on. It is the
-// value-type counterpart of the functional options — every option that
-// configures something expressible as data writes into the Simulation's
-// underlying Scenario, and FromScenario goes the other way — so specs can
-// live in JSON files, be diffed, and be swept over.
+// Channels >= 1 — the multi-channel cluster it runs on. It is the one way
+// to describe a run, so specs can live in JSON files, be diffed, and be
+// swept over; Simulation layers on what cannot be data (custom instances
+// and recorders).
 //
 // A Scenario is pure data: Run constructs every stateful component
 // (arrival sources, jammers, stations, routers) fresh from the spec and the
@@ -98,10 +97,22 @@ func (sc Scenario) clone() Scenario {
 	return sc
 }
 
-// Simulation builds a runnable Simulation from the scenario; extra options
-// (recorders, custom components) may be layered on top.
+// Simulation builds a runnable Simulation from the scenario, with options
+// for what a scenario cannot hold as data: custom instances, which take
+// precedence over their scenario fields, and recorders.
+//
+// Default runs are constant-memory per live packet: the engine keeps
+// O(backlog) state however many packets stream through, and the Result
+// carries streaming energy/latency accumulators instead of per-packet
+// records. Opt back into per-packet data with RetainPackets (materializes
+// Result.Packets, O(arrivals) memory) or a recorder such as
+// obs.PacketFunc (streams every packet's final stats out of the engine).
 func (sc Scenario) Simulation(opts ...Option) *Simulation {
-	return NewSimulation(append([]Option{FromScenario(sc)}, opts...)...)
+	s := &Simulation{sc: sc}
+	for _, opt := range opts {
+		opt(s)
+	}
+	return s
 }
 
 // Run executes the scenario once — on the cluster executor when Channels
@@ -312,7 +323,7 @@ func FileArrivals(path string) ArrivalsSpec { return ArrivalsSpec{Kind: Arrivals
 // spec'd process feed WithArrivals or a custom engine.
 func (a ArrivalsSpec) Source(seed uint64) (ArrivalSource, error) {
 	if a.Kind == "" {
-		return nil, fmt.Errorf("lowsensing: no arrival process configured (use WithBatchArrivals or friends)")
+		return nil, fmt.Errorf("lowsensing: no arrival process configured (set Scenario.Arrivals, e.g. BatchArrivals(n))")
 	}
 	factory, err := arrivalsRegistry.lookup(a.Kind)
 	if err != nil {
@@ -363,8 +374,8 @@ type ProtocolSpec struct {
 }
 
 // LowSensing describes LOW-SENSING BACKOFF with the given parameters. A
-// zero Config means DefaultConfig (prefer WithLowSensing when configuring a
-// Simulation directly: it validates the parameters eagerly).
+// zero Config means DefaultConfig; any other invalid Config fails at Run
+// (or Validate).
 func LowSensing(cfg Config) ProtocolSpec { return ProtocolSpec{Kind: ProtocolLSB, Config: cfg} }
 
 // BEB describes classic binary exponential backoff.

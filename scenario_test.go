@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lowsensing"
+	"lowsensing/prng"
 )
 
 // sameResult compares the scalar and accumulator parts of two results.
@@ -81,40 +82,6 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 				t.Fatalf("retained %d of %d packets", len(got.Packets), got.Arrived)
 			}
 		})
-	}
-}
-
-// TestScenarioMatchesOptions: a scenario and the equivalent option-built
-// simulation are the same run, and Simulation.Scenario round-trips the
-// options back into the spec.
-func TestScenarioMatchesOptions(t *testing.T) {
-	sc := lowsensing.Scenario{
-		Seed:     9,
-		Arrivals: lowsensing.BernoulliArrivals(0.15, 256),
-		Protocol: lowsensing.BEB(),
-		Jammer:   lowsensing.RandomJamming(0.1, 0),
-		MaxSlots: 1 << 19,
-	}
-	fromOpts := lowsensing.NewSimulation(
-		lowsensing.WithSeed(9),
-		lowsensing.WithBernoulliArrivals(0.15, 256),
-		lowsensing.WithBinaryExponentialBackoff(),
-		lowsensing.WithRandomJamming(0.1, 0),
-		lowsensing.WithMaxSlots(1<<19),
-	)
-	if got := fromOpts.Scenario(); !reflect.DeepEqual(got, sc) {
-		t.Fatalf("options did not reduce to the scenario:\n%+v\nvs\n%+v", got, sc)
-	}
-	a, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fromOpts.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameResult(a, b) {
-		t.Fatalf("scenario and option runs differ:\n%+v\nvs\n%+v", a, b)
 	}
 }
 
@@ -242,10 +209,7 @@ func TestSimulationReuse(t *testing.T) {
 		}
 		return s
 	}
-	sim := lowsensing.NewSimulation(
-		lowsensing.WithSeed(3),
-		lowsensing.WithArrivals(mkArrivals()),
-	)
+	sim := lowsensing.Scenario{Seed: 3}.Simulation(lowsensing.WithArrivals(mkArrivals()))
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +222,7 @@ func TestSimulationReuse(t *testing.T) {
 	if err2 != nil {
 		t.Fatal(err2)
 	}
-	sim2 := lowsensing.NewSimulation(
-		lowsensing.WithSeed(3),
-		lowsensing.WithBatchArrivals(16),
-		lowsensing.WithJammer(jam),
-	)
+	sim2 := base.Simulation(lowsensing.WithJammer(jam))
 	if _, err := sim2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +239,7 @@ func TestSimulationReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken := lowsensing.NewSimulation(lowsensing.WithJammer(jam2)) // no arrivals
+	broken := lowsensing.Scenario{}.Simulation(lowsensing.WithJammer(jam2)) // no arrivals
 	for i := 0; i < 2; i++ {
 		_, err := broken.Run()
 		if err == nil {
@@ -291,7 +251,11 @@ func TestSimulationReuse(t *testing.T) {
 	}
 
 	// Spec-configured simulations rebuild their components and may re-run.
-	sim3 := lowsensing.NewSimulation(lowsensing.WithSeed(3), lowsensing.WithBatchArrivals(16), lowsensing.WithReactiveJamming(0, 8))
+	sim3 := lowsensing.Scenario{
+		Seed:     3,
+		Arrivals: lowsensing.BatchArrivals(16),
+		Jammer:   lowsensing.ReactiveJamming(0, 8),
+	}.Simulation()
 	a, err := sim3.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -302,5 +266,44 @@ func TestSimulationReuse(t *testing.T) {
 	}
 	if !sameResult(a, b) {
 		t.Fatal("spec-backed re-run differs")
+	}
+}
+
+// TestCustomInstancesOverrideScenario: a custom instance takes precedence
+// over the scenario field it stands in for, and still makes the
+// Simulation single-use.
+func TestCustomInstancesOverrideScenario(t *testing.T) {
+	lsb, err := lowsensing.LowSensing(lowsensing.DefaultConfig()).Factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built int
+	f := func(id int64, rng *prng.Source) lowsensing.Station {
+		built++
+		return lsb(id, rng)
+	}
+	src, err := lowsensing.BatchArrivals(4).Source(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := lowsensing.Scenario{
+		Seed:     1,
+		Protocol: lowsensing.BEB(),
+		Arrivals: lowsensing.BatchArrivals(8),
+	}.Simulation(lowsensing.WithStations(f), lowsensing.WithArrivals(src))
+	got, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// f's LOW-SENSING stations over src's 4-packet batch, not BEB over 8.
+	want, err := lowsensing.Scenario{Seed: 1, Arrivals: lowsensing.BatchArrivals(4)}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built != 4 || !sameResult(got, want) {
+		t.Fatalf("built %d stations; run\n%+v\nwant the LSB batch-4 run\n%+v", built, got, want)
+	}
+	if _, err := sim.Run(); !errors.Is(err, lowsensing.ErrReused) {
+		t.Fatalf("second Run with custom instances: err = %v, want ErrReused", err)
 	}
 }
