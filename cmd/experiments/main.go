@@ -1,25 +1,28 @@
-// Command experiments regenerates the reproduction's tables (DESIGN.md §5,
-// recorded in EXPERIMENTS.md). By default it runs every experiment at full
-// scale and prints ASCII tables to stdout; -outdir also writes one .txt and
-// one .csv per experiment. It also executes user-defined declarative sweeps
-// from JSON spec files (-spec), aggregating every point with streaming
-// statistics.
+// Command experiments regenerates the reproduction's tables. By default
+// it runs every registered experiment at full scale and prints ASCII
+// tables to stdout; -outdir also writes one .txt and one .csv per
+// experiment.
+//
+// With -spec it runs a declarative sweep instead: a JSON
+// lowsensing.SweepSpec, whose base scenario and axes say everything about
+// the runs (churn and faults included). Every point is aggregated with
+// streaming statistics; -seed and -reps, when set, override the file's.
 //
 // Examples:
 //
 //	experiments                       # everything, full scale, all cores
 //	experiments -list                 # experiment IDs with descriptions
-//	experiments -kinds                # registered protocol/arrival/jammer/router kinds
+//	experiments -kinds                # registered protocol/arrival/jammer/router/churn/fault kinds
 //	experiments -id E1,E2 -scale small
 //	experiments -parallel 1           # serial; output identical to parallel
 //	experiments -outdir results/
 //	experiments -spec sweep.json      # run a declarative sweep spec
+//	experiments -spec sweep.json -progress -trace t.ndjson -metrics m.ndjson
 //	experiments -id E1 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -72,8 +75,6 @@ func runE(args []string, out, errW io.Writer) error {
 		traceOut = fs.String("trace", "", "with -spec: write every job's structured trace (slot + packet events) to this NDJSON file, one labeled stream per job")
 		metrics  = fs.String("metrics", "", "with -spec: write every job's windowed time-series to this NDJSON file, one labeled stream per job")
 		window   = fs.Int64("window", 0, "metrics window size in slots (0 = 1024)")
-		churn    = fs.String("churn", "", "with -spec: override the base scenario's population churn with this JSON snippet (see -kinds)")
-		faults   = fs.String("faults", "", "with -spec: override the base scenario's station faults with this JSON snippet (see -kinds)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -122,6 +123,12 @@ func runE(args []string, out, errW io.Writer) error {
 	if *parallel < 1 {
 		return fmt.Errorf("-parallel must be >= 1, got %d", *parallel)
 	}
+	if *reps < 0 {
+		return fmt.Errorf("-reps must be >= 0, got %d", *reps)
+	}
+	if *window < 0 {
+		return fmt.Errorf("-window must be >= 0, got %d", *window)
+	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
 			return err
@@ -133,8 +140,7 @@ func runE(args []string, out, errW io.Writer) error {
 		if explicit["id"] || explicit["scale"] {
 			return fmt.Errorf("-id/-scale select registry experiments and do not apply to -spec sweeps")
 		}
-		// -seed/-reps/-churn/-faults, when given, override the spec
-		// file's values.
+		// -seed/-reps, when given, override the spec file's values.
 		return runSpec(specRun{
 			path:    *specFile,
 			workers: *parallel,
@@ -145,15 +151,10 @@ func runE(args []string, out, errW io.Writer) error {
 			metrics: *metrics,
 			window:  *window,
 			prog:    *progress,
-			churn:   *churn,
-			faults:  *faults,
 		}, out, errW)
 	}
 	if *progress || *traceOut != "" || *metrics != "" {
 		return fmt.Errorf("-progress/-trace/-metrics observe declarative sweeps; they require -spec")
-	}
-	if *churn != "" || *faults != "" {
-		return fmt.Errorf("-churn/-faults override a declarative sweep's base scenario; they require -spec")
 	}
 
 	rc := harness.DefaultRunConfig()
@@ -219,7 +220,6 @@ type specRun struct {
 	trace, metrics string
 	window         int64
 	prog           bool
-	churn, faults  string
 }
 
 // runSpec executes a declarative sweep spec and renders one aggregate
@@ -242,20 +242,6 @@ func runSpec(o specRun, out, errW io.Writer) error {
 	}
 	if o.reps > 0 {
 		ss.Reps = o.reps
-	}
-	// -churn/-faults replace the base scenario's specs wholesale (the
-	// sweep's axes still patch over them like any other base field).
-	if o.churn != "" {
-		ss.Base.Churn = lowsensing.ChurnSpec{}
-		if err := parseJSONFlag("churn", o.churn, &ss.Base.Churn); err != nil {
-			return err
-		}
-	}
-	if o.faults != "" {
-		ss.Base.Faults = lowsensing.FaultSpec{}
-		if err := parseJSONFlag("faults", o.faults, &ss.Base.Faults); err != nil {
-			return err
-		}
 	}
 	sw, err := ss.Sweep()
 	if err != nil {
@@ -351,17 +337,6 @@ func runSpec(o specRun, out, errW io.Writer) error {
 	fmt.Fprintln(out, tab)
 	fmt.Fprintf(out, "(%s completed in %s)\n", id, time.Since(start).Round(time.Millisecond)) //lsbvet:wallclock operator-facing elapsed-time report
 	return writeTable(o.outdir, id, tab)
-}
-
-// parseJSONFlag strictly decodes a JSON-snippet flag value into spec
-// (unknown fields are errors, same as the spec file itself).
-func parseJSONFlag(name, value string, spec any) error {
-	dec := json.NewDecoder(strings.NewReader(value))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(spec); err != nil {
-		return fmt.Errorf("-%s: %v", name, err)
-	}
-	return nil
 }
 
 func sweepReps(ss lowsensing.SweepSpec) int {

@@ -64,6 +64,25 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-id", "E99", "-scale", "small"}, &buf); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
+	// Negative counts are rejected with an error naming the flag, in
+	// registry mode and in -spec mode, before anything runs.
+	spec := filepath.Join(t.TempDir(), "sweep.json")
+	if err := os.WriteFile(spec, []byte(`{"base": {"arrivals": {"kind": "batch", "n": 8}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-id", "E1", "-scale", "small", "-reps", "-3"}, "-reps must be >= 0"},
+		{[]string{"-spec", spec, "-reps", "-3"}, "-reps must be >= 0"},
+		{[]string{"-id", "E1", "-scale", "small", "-window", "-5"}, "-window must be >= 0"},
+		{[]string{"-spec", spec, "-metrics", filepath.Join(t.TempDir(), "m.ndjson"), "-window", "-5"}, "-window must be >= 0"},
+	} {
+		if err := run(c.args, &buf); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%q: got %v, want an error containing %q", c.args, err, c.want)
+		}
+	}
 }
 
 // TestSpecFlag runs a small declarative sweep from a JSON file.
@@ -290,16 +309,21 @@ func TestSpecObservability(t *testing.T) {
 	}
 }
 
-// TestSpecChurnFaultsOverride: -churn/-faults replace the base scenario's
-// robustness specs of a -spec sweep, and the table gains the abandoned
-// column.
-func TestSpecChurnFaultsOverride(t *testing.T) {
+// TestSpecChurnFaults: churn and fault specs in a sweep spec's base
+// scenario reach every job, and the table's abandoned column shows it.
+// The spec file is the only way in: -churn/-faults are not flags.
+func TestSpecChurnFaults(t *testing.T) {
 	dir := t.TempDir()
 	spec := filepath.Join(dir, "sweep.json")
 	if err := os.WriteFile(spec, []byte(`{
 		"id": "rob",
 		"seed": 7,
-		"base": {"arrivals": {"kind": "batch", "n": 64}, "max_slots": 200000},
+		"base": {
+			"arrivals": {"kind": "batch", "n": 64},
+			"max_slots": 200000,
+			"churn": {"kind": "poisson-join-leave", "rate": 0.05, "n": 32, "leave_rate": 0.02},
+			"faults": {"kind": "sensing", "false_busy": 0.1}
+		},
 		"axes": [{"name": "protocol", "variants": [
 			{"label": "lsb"},
 			{"label": "beb", "patch": {"protocol": {"kind": "beb"}}}
@@ -309,30 +333,24 @@ func TestSpecChurnFaultsOverride(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	err := run([]string{"-spec", spec,
-		"-churn", `{"kind":"poisson-join-leave","rate":0.05,"n":32,"leave_rate":0.02}`,
-		"-faults", `{"kind":"sensing","false_busy":0.1}`}, &buf)
-	if err != nil {
+	if err := run([]string{"-spec", spec}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
 	if !strings.Contains(got, "abandoned") {
 		t.Fatalf("table missing abandoned column:\n%s", got)
 	}
-	// The churn override actually bites: some point abandons packets, so
-	// the abandoned column is not all zeros.
+	// The churn spec actually bites: some point abandons packets, so the
+	// abandoned column is not all zeros.
 	if rows := strings.Count(got, "\n"); rows < 2 || !regexpAbandonNonzero(got) {
-		t.Fatalf("churn override produced no abandons:\n%s", got)
+		t.Fatalf("churn spec produced no abandons:\n%s", got)
 	}
 
-	// Malformed snippets and missing -spec are rejected up front.
-	if err := run([]string{"-spec", spec, "-faults", `{"kind":`}, &strings.Builder{}); err == nil ||
-		!strings.Contains(err.Error(), "-faults") {
-		t.Fatalf("malformed -faults: %v", err)
-	}
-	if err := run([]string{"-churn", `{"kind":"epochs","period":64}`}, &strings.Builder{}); err == nil ||
-		!strings.Contains(err.Error(), "require -spec") {
-		t.Fatalf("-churn without -spec: %v", err)
+	for _, flagName := range []string{"-churn", "-faults"} {
+		if err := run([]string{"-spec", spec, flagName, `{"kind":"epochs","period":64}`}, &strings.Builder{}); err == nil ||
+			!strings.Contains(err.Error(), "not defined") {
+			t.Fatalf("%s: got %v, want an undefined-flag error", flagName, err)
+		}
 	}
 }
 

@@ -2,39 +2,35 @@
 // summary: throughput, implicit throughput, active/jammed slots, and
 // per-packet energy statistics.
 //
-// The flags compile down to a declarative lowsensing.Scenario, so every
-// flag-built run is also expressible as a -spec JSON file, and any
-// protocol/arrival/jammer kind registered with the lowsensing registries —
-// not just the built-ins — can be named by -protocol, -arrivals, and -jam
-// (see -kinds for the full list).
+// The run is read from -spec, a JSON lowsensing.Scenario (the format
+// lowsensing.ParseScenario accepts), so any protocol/arrival/jammer/
+// router/churn/fault kind registered with the lowsensing registries — not
+// just the built-ins — can be named there (see -kinds for the full list).
+// The other flags only choose what is reported about the run.
 //
 // Examples:
 //
-//	lsbsim -n 4096                                # LSB, batch of 4096
-//	lsbsim -n 1024 -protocol beb                  # binary exponential backoff
-//	lsbsim -n 1024 -arrivals poisson -rate 0.1    # Poisson arrivals
-//	lsbsim -n 1024 -jam random -jamrate 0.25      # random jamming
-//	lsbsim -n 1024 -jam reactive -jambudget 64    # reactive jam on packet 0
-//	lsbsim -n 4096 -channels 16 -router sticky    # 16-channel cluster, affinity routing
-//	lsbsim -n 1024 -churn '{"kind":"poisson-join-leave","rate":0.05,"n":64,"leave_rate":0.02}'
-//	lsbsim -n 1024 -faults '{"kind":"sensing","false_busy":0.2,"false_idle":0.1}' -baseline
-//	lsbsim -spec scenario.json                    # whole scenario from JSON
-//	lsbsim -spec cluster.json -router roundrobin  # cluster spec, router overridden
+//	lsbsim -spec scenario.json                    # one run, summary only
+//	lsbsim -spec scenario.json -baseline          # plus the fault-free degradation report
+//	lsbsim -spec scenario.json -trace t.ndjson -metrics m.ndjson -window 512
 //	lsbsim -kinds                                 # list registered kinds
 //
-// With -channels >= 2, or a spec with "channels" >= 1, the scenario runs
-// as a multi-channel cluster: arriving packets are assigned to channels by
-// the router (-router, or the spec's "router"; any kind registered with
-// lowsensing.RegisterRouter), every channel runs the protocol
-// independently, and the summary adds the routing balance, the Jain
-// fairness index, and one line per channel. -trace then multiplexes all
-// channels into one NDJSON file (run labels ch00, ch01, ...), and -metrics
-// writes the cluster-wide windowed roll-up.
+// where scenario.json is, for example,
+//
+//	{"seed": 5, "arrivals": {"kind": "poisson", "rate": 0.1, "n": 500},
+//	 "jammer": {"kind": "random", "rate": 0.25}}
+//
+// A spec with "channels" >= 1 runs as a multi-channel cluster: arriving
+// packets are assigned to channels by the spec's "router" (any kind
+// registered with lowsensing.RegisterRouter), every channel runs the
+// protocol independently, and the summary adds the routing balance, the
+// Jain fairness index, and one line per channel. -trace then multiplexes
+// all channels into one NDJSON file (run labels ch00, ch01, ...), and
+// -metrics writes the cluster-wide windowed roll-up.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -53,8 +49,8 @@ import (
 // packets still in the system.
 var errUndelivered = errors.New("undelivered packets remain")
 
-// errUsage signals a flag parse error. The FlagSet has already printed the
-// error and usage, so main exits 2 (flag.ExitOnError's historical code)
+// errUsage signals a bad invocation. The error and the usage have already
+// been printed, so main exits 2 (flag.ExitOnError's historical code)
 // without printing again.
 var errUsage = errors.New("usage error")
 
@@ -75,31 +71,12 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("lsbsim", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		n         = fs.Int64("n", 1024, "number of packets")
-		protocol  = fs.String("protocol", "lsb", "protocol kind (see -kinds)")
-		arrival   = fs.String("arrivals", "batch", "arrival process kind (see -kinds)")
-		traceFile = fs.String("tracefile", "", "arrival trace file for -arrivals file (lines: slot count)")
-		rate      = fs.Float64("rate", 0.1, "arrival rate (bernoulli/poisson) or lambda (aqt)")
-		gran      = fs.Int64("granularity", 1024, "aqt granularity S")
-		jam       = fs.String("jam", "none", "jammer kind, or none (see -kinds)")
-		jamRate   = fs.Float64("jamrate", 0.25, "random jam rate")
-		jamFrom   = fs.Int64("jamfrom", 0, "burst jam start slot")
-		jamTo     = fs.Int64("jamto", 1024, "burst jam end slot (exclusive)")
-		jamBudget = fs.Int64("jambudget", 0, "jam budget (0 = unbounded; reactive target is packet 0)")
-		seed      = fs.Uint64("seed", 1, "random seed")
-		maxSlots  = fs.Int64("maxslots", 0, "slot cap (0 = generous default)")
-		c         = fs.Float64("c", 0, "LSB constant c (0 = default)")
-		wmin      = fs.Float64("wmin", 0, "LSB minimum window (0 = default)")
-		churn     = fs.String("churn", "", "population churn spec as JSON, e.g. {\"kind\":\"flash-crowd\",\"slot\":64,\"n\":12,\"lifetime\":400} (see -kinds)")
-		faults    = fs.String("faults", "", "station fault spec as JSON, e.g. {\"kind\":\"sensing\",\"false_busy\":0.2} (see -kinds)")
-		baseline  = fs.Bool("baseline", false, "also run the fault-free baseline (same seed, churn and faults stripped) and print the degradation report")
-		channels  = fs.Int("channels", 1, "run a multi-channel cluster with this many channels (>= 2 enables cluster mode; overrides a -spec file's channels)")
-		router    = fs.String("router", "", "cluster routing policy (default random; see -kinds; overrides a -spec file's router)")
-		specFile  = fs.String("spec", "", "JSON scenario file, single-channel or cluster; replaces the flag-built scenario (see lowsensing.Scenario)")
-		kinds     = fs.Bool("kinds", false, "list every registered protocol/arrival/jammer/router kind and exit")
-		traceOut  = fs.String("trace", "", "write the structured trace (slot + packet events) to this file as NDJSON (.csv for CSV)")
-		metrics_  = fs.String("metrics", "", "write the windowed time-series to this file as NDJSON (.csv for CSV)")
-		window    = fs.Int64("window", 0, "metrics window size in slots (0 = 1024)")
+		specFile = fs.String("spec", "", "JSON scenario file, single-channel or cluster (required unless -kinds; see lowsensing.Scenario)")
+		kinds    = fs.Bool("kinds", false, "list every registered protocol/arrival/jammer/router/churn/fault kind and exit")
+		baseline = fs.Bool("baseline", false, "also run the fault-free baseline (same seed, churn and faults stripped) and print the degradation report")
+		traceOut = fs.String("trace", "", "write the structured trace (slot + packet events) to this file as NDJSON (.csv for CSV)")
+		metrics_ = fs.String("metrics", "", "write the windowed time-series to this file as NDJSON (.csv for CSV)")
+		window   = fs.Int64("window", 0, "metrics window size in slots (0 = 1024)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -110,60 +87,17 @@ func run(args []string, out io.Writer) error {
 	if *kinds {
 		return lowsensing.WriteKinds(out)
 	}
-
-	var (
-		sc       lowsensing.Scenario
-		protoLbl string
-	)
-	if *specFile != "" {
-		if conflict := specFlagConflict(fs); conflict != "" {
-			return fmt.Errorf("-spec takes the whole scenario from the file; -%s does not apply (edit the spec instead)", conflict)
-		}
-		var err error
-		if sc, err = loadSpecFile(*specFile); err != nil {
-			return err
-		}
-		protoLbl = protocolLabel(sc) + " (spec)"
-	} else {
-		// The flags compile to a Scenario: kinds are resolved through the
-		// registries, so the flag path and the -spec path are the same code.
-		var err error
-		if sc, err = makeScenario(flagScenario{
-			n: *n, protocol: *protocol, arrivals: *arrival, traceFile: *traceFile,
-			rate: *rate, gran: *gran, jam: *jam, jamRate: *jamRate,
-			jamFrom: *jamFrom, jamTo: *jamTo, jamBudget: *jamBudget,
-			seed: *seed, maxSlots: *maxSlots, c: *c, wmin: *wmin,
-			churn: *churn, faults: *faults,
-		}); err != nil {
-			return err
-		}
-		protoLbl = protocolLabel(sc)
+	if *specFile == "" {
+		return usageError(fs, "-spec is required: the run is read from a JSON scenario file")
 	}
-
-	// -channels and -router write the scenario's cluster fields; set
-	// explicitly, they override a spec file's (-channels 1 means one
-	// plain channel, with no router).
-	channelsSet := isSet(fs, "channels")
-	if channelsSet {
-		if *channels < 1 {
-			return fmt.Errorf("-channels must be >= 1, got %d", *channels)
-		}
-		sc.Channels = *channels
-		if *channels == 1 {
-			sc.Channels, sc.Router = 0, lowsensing.RouterSpec{}
-		}
+	if *window < 0 {
+		return usageError(fs, "-window must be >= 0, got %d", *window)
 	}
-	if *router != "" {
-		if sc.Channels == 0 {
-			return fmt.Errorf("-router requires -channels >= 2")
-		}
-		sc.Router = lowsensing.RouterSpec{Kind: *router}
+	sc, err := loadSpecFile(*specFile)
+	if err != nil {
+		return err
 	}
-	if channelsSet || *router != "" {
-		if err := sc.Validate(); err != nil {
-			return err
-		}
-	}
+	protoLbl := protocolLabel(sc)
 	// Cluster mode: the scenario runs on a multi-channel cluster behind
 	// its router.
 	if sc.Channels >= 1 {
@@ -221,6 +155,16 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "protocol            %s\n", protoLbl)
 	return printSummary(out, r)
+}
+
+// usageError reports a bad invocation the flag package cannot catch the
+// way it reports its own: the message, then the usage. The returned error
+// wraps errUsage and carries the message.
+func usageError(fs *flag.FlagSet, format string, a ...any) error {
+	err := fmt.Errorf(format, a...)
+	fmt.Fprintln(fs.Output(), err)
+	fs.Usage()
+	return fmt.Errorf("%w: %v", errUsage, err)
 }
 
 // printSummary prints the merged result block shared by single-channel
@@ -397,161 +341,6 @@ func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, baseline
 			ch, cr.Routed[ch], r.Completed, r.Throughput())
 	}
 	return sumErr
-}
-
-// flagScenario is the bag of scenario-shaping flag values.
-type flagScenario struct {
-	n                         int64
-	protocol, arrivals        string
-	traceFile                 string
-	rate                      float64
-	gran                      int64
-	jam                       string
-	jamRate                   float64
-	jamFrom, jamTo, jamBudget int64
-	seed                      uint64
-	maxSlots                  int64
-	c, wmin                   float64
-	churn, faults             string
-}
-
-// makeScenario compiles the flag values into a declarative Scenario and
-// validates it (so unknown kinds and bad parameters are reported before the
-// run starts, with the registry's kind listing in the message).
-func makeScenario(f flagScenario) (lowsensing.Scenario, error) {
-	if f.arrivals == lowsensing.ArrivalsFile && f.traceFile == "" {
-		return lowsensing.Scenario{}, fmt.Errorf("-arrivals file requires -tracefile")
-	}
-	sc := lowsensing.Scenario{
-		Seed:     f.seed,
-		Arrivals: makeArrivalsSpec(f),
-		Protocol: makeProtocolSpec(f),
-		Jammer:   makeJammerSpec(f),
-		MaxSlots: f.maxSlots,
-	}
-	if err := parseJSONFlag("churn", f.churn, &sc.Churn); err != nil {
-		return lowsensing.Scenario{}, err
-	}
-	if err := parseJSONFlag("faults", f.faults, &sc.Faults); err != nil {
-		return lowsensing.Scenario{}, err
-	}
-	if sc.MaxSlots == 0 {
-		sc.MaxSlots = 2000*f.n + (1 << 22)
-	}
-	if err := sc.Validate(); err != nil {
-		return lowsensing.Scenario{}, err
-	}
-	return sc, nil
-}
-
-// makeProtocolSpec maps the protocol flags onto a spec. Kinds with
-// flag-derived parameters (lsb overrides, aloha's 1/n rate) are filled in;
-// anything else — including user-registered kinds — passes through by name.
-func makeProtocolSpec(f flagScenario) lowsensing.ProtocolSpec {
-	switch f.protocol {
-	case lowsensing.ProtocolLSB:
-		cfg := lowsensing.DefaultConfig()
-		if f.c > 0 {
-			cfg.C = f.c
-		}
-		if f.wmin > 0 {
-			cfg.WMin = f.wmin
-		}
-		return lowsensing.LowSensing(cfg)
-	case lowsensing.ProtocolAloha:
-		return lowsensing.Aloha(1 / float64(f.n))
-	default:
-		return lowsensing.ProtocolSpec{Kind: f.protocol}
-	}
-}
-
-// makeArrivalsSpec maps the arrival flags onto a spec.
-func makeArrivalsSpec(f flagScenario) lowsensing.ArrivalsSpec {
-	switch f.arrivals {
-	case lowsensing.ArrivalsFile:
-		return lowsensing.FileArrivals(f.traceFile)
-	case lowsensing.ArrivalsBatch:
-		return lowsensing.BatchArrivals(f.n)
-	case lowsensing.ArrivalsBernoulli:
-		return lowsensing.BernoulliArrivals(f.rate, f.n)
-	case lowsensing.ArrivalsPoisson:
-		return lowsensing.PoissonArrivals(f.rate, f.n)
-	case lowsensing.ArrivalsQueue:
-		windows := f.n / max64(1, int64(f.rate*float64(f.gran)))
-		if windows < 1 {
-			windows = 1
-		}
-		return lowsensing.QueueArrivals(f.gran, f.rate, windows)
-	default:
-		return lowsensing.ArrivalsSpec{Kind: f.arrivals, N: f.n, Rate: f.rate}
-	}
-}
-
-// makeJammerSpec maps the jam flags onto a spec ("none" means no jammer).
-func makeJammerSpec(f flagScenario) lowsensing.JammerSpec {
-	switch f.jam {
-	case "none":
-		return lowsensing.JammerSpec{}
-	case lowsensing.JammerRandom:
-		return lowsensing.RandomJamming(f.jamRate, f.jamBudget)
-	case lowsensing.JammerBurst:
-		return lowsensing.BurstJamming(f.jamFrom, f.jamTo)
-	case lowsensing.JammerReactive:
-		return lowsensing.ReactiveJamming(0, f.jamBudget)
-	default:
-		return lowsensing.JammerSpec{Kind: f.jam, Rate: f.jamRate, Budget: f.jamBudget}
-	}
-}
-
-// parseJSONFlag strictly decodes a JSON-snippet flag value into spec
-// (unknown fields are errors, same as -spec files). Empty means unset.
-func parseJSONFlag(name, value string, spec any) error {
-	if value == "" {
-		return nil
-	}
-	dec := json.NewDecoder(strings.NewReader(value))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(spec); err != nil {
-		return fmt.Errorf("-%s: %v", name, err)
-	}
-	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// specFlagConflict returns the name of the first scenario-shaping flag
-// other than -spec the user set explicitly, or "". A spec file defines the
-// entire scenario, so combining it with the flag-built scenario would
-// silently drop whichever side lost; reject the mix instead. Output-side
-// flags (-trace, -metrics, -window) shape no scenario data and compose
-// with -spec freely.
-func specFlagConflict(fs *flag.FlagSet) string {
-	conflict := ""
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		// -channels/-router override the spec's cluster fields, so a
-		// spec'd scenario can run as (or on a different) cluster.
-		// -baseline only adds a report over whatever scenario runs.
-		case "spec", "trace", "metrics", "window", "channels", "router", "baseline":
-			return
-		}
-		if conflict == "" {
-			conflict = f.Name
-		}
-	})
-	return conflict
-}
-
-// isSet reports whether the named flag was set explicitly.
-func isSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
-	return set
 }
 
 // recordSink is the slice of the obs sink surface lsbsim drives: raw

@@ -12,167 +12,60 @@ import (
 	"lowsensing"
 )
 
-func flags(over flagScenario) flagScenario {
-	f := flagScenario{
-		n: 64, protocol: "lsb", arrivals: "batch", rate: 0.1,
-		gran: 256, jam: "none", jamRate: 0.25, jamTo: 1024, seed: 1,
-	}
-	if over.protocol != "" {
-		f.protocol = over.protocol
-	}
-	if over.arrivals != "" {
-		f.arrivals = over.arrivals
-	}
-	if over.jam != "" {
-		f.jam = over.jam
-	}
-	if over.n != 0 {
-		f.n = over.n
-	}
-	if over.traceFile != "" {
-		f.traceFile = over.traceFile
-	}
-	if over.c != 0 {
-		f.c = over.c
-	}
-	if over.wmin != 0 {
-		f.wmin = over.wmin
-	}
-	if over.jamBudget != 0 {
-		f.jamBudget = over.jamBudget
-	}
-	return f
-}
-
-func TestMakeScenarioProtocols(t *testing.T) {
-	for _, name := range []string{"lsb", "beb", "poly", "aloha", "mwu", "genie", "sawtooth"} {
-		if _, err := makeScenario(flags(flagScenario{protocol: name})); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	// Unknown kinds are rejected with the registry's kind listing.
-	_, err := makeScenario(flags(flagScenario{protocol: "nope"}))
-	if err == nil {
-		t.Fatal("unknown protocol accepted")
-	}
-	if !strings.Contains(err.Error(), "registered kinds:") {
-		t.Fatalf("error does not list registered kinds: %v", err)
-	}
-	// LSB overrides flow through validation.
-	if _, err := makeScenario(flags(flagScenario{c: 10, wmin: 8})); err == nil {
-		t.Fatal("invalid lsb overrides accepted")
-	}
-	if _, err := makeScenario(flags(flagScenario{c: 1, wmin: 128})); err != nil {
-		t.Fatalf("valid overrides rejected: %v", err)
-	}
-}
-
-func TestMakeScenarioArrivals(t *testing.T) {
-	for _, kind := range []string{"batch", "bernoulli", "poisson", "aqt"} {
-		sc, err := makeScenario(flags(flagScenario{arrivals: kind, n: 100}))
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		src, err := sc.Arrivals.Source(sc.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slot, count, ok := src.Next()
-		if !ok || count <= 0 || slot < 0 {
-			t.Fatalf("%s: first batch (%d,%d,%v)", kind, slot, count, ok)
-		}
-	}
-	if _, err := makeScenario(flags(flagScenario{arrivals: "nope"})); err == nil {
-		t.Fatal("unknown arrivals accepted")
-	}
-	if _, err := makeScenario(flags(flagScenario{arrivals: "batch", n: -1})); err == nil {
-		t.Fatal("batch with n <= 0 accepted")
-	}
-	_, err := makeScenario(flags(flagScenario{arrivals: "file"}))
-	if err == nil {
-		t.Fatal("file arrivals without tracefile accepted")
-	}
-	if !strings.Contains(err.Error(), "-tracefile") {
-		t.Fatalf("error does not point at the -tracefile flag: %v", err)
-	}
-}
-
-func TestMakeScenarioArrivalsFromFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "trace.txt")
-	if err := os.WriteFile(path, []byte("0 3\n10 2\n"), 0o644); err != nil {
+// writeSpec writes a scenario JSON file into a fresh temp dir and
+// returns its path.
+func writeSpec(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "scenario.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := makeScenario(flags(flagScenario{arrivals: "file", traceFile: path}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := sc.Arrivals.Source(sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot, count, ok := src.Next()
-	if !ok || slot != 0 || count != 3 {
-		t.Fatalf("first batch = (%d,%d,%v)", slot, count, ok)
-	}
-	if _, err := makeScenario(flags(flagScenario{arrivals: "file", traceFile: filepath.Join(dir, "missing.txt")})); err == nil {
-		t.Fatal("missing file accepted")
-	}
+	return path
 }
 
-func TestMakeScenarioJammers(t *testing.T) {
-	sc, err := makeScenario(flags(flagScenario{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Jammer.Kind != "" {
-		t.Fatalf("jam none produced kind %q", sc.Jammer.Kind)
-	}
-	for _, kind := range []string{"random", "burst", "reactive"} {
-		sc, err := makeScenario(flags(flagScenario{jam: kind, jamBudget: 5}))
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+// TestRunUsageErrors: an invocation without -spec (and without -kinds),
+// a negative -window, and scenario fields given as flags are usage errors,
+// reported with the usage like a flag parse error.
+func TestRunUsageErrors(t *testing.T) {
+	path := writeSpec(t, `{"seed": 3, "arrivals": {"kind": "batch", "n": 8}}`)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "-spec is required"},
+		{[]string{"-baseline"}, "-spec is required"},
+		{[]string{"-spec", path, "-window", "-5"}, "-window must be >= 0"},
+		{[]string{"-spec", path, "-n", "32"}, "-n"},
+		{[]string{"-spec", path, "-channels", "2"}, "-channels"},
+	} {
+		var buf bytes.Buffer
+		err := run(c.args, &buf)
+		if !errors.Is(err, errUsage) {
+			t.Fatalf("%q: want errUsage, got %v", c.args, err)
 		}
-		j, err := sc.Jammer.Jammer(sc.Seed)
-		if err != nil || j == nil {
-			t.Fatalf("%s: jammer %v err %v", kind, j, err)
+		if out := buf.String(); !strings.Contains(out, c.want) || !strings.Contains(out, "Usage") {
+			t.Fatalf("%q: error %q or usage not printed:\n%s", c.args, c.want, out)
 		}
 	}
-	if _, err := makeScenario(flags(flagScenario{jam: "nope"})); err == nil {
-		t.Fatal("unknown jammer accepted")
-	}
-}
-
-// TestRunFlagPath drives the command end to end through flags.
-func TestRunFlagPath(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-n", "64", "-seed", "3"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "protocol            lsb") ||
-		!strings.Contains(out, "64 arrived, 64 delivered") {
-		t.Fatalf("unexpected output:\n%s", out)
+	// -window 0 is the documented default, not an error.
+	if err := run([]string{"-spec", path, "-window", "0"}, &bytes.Buffer{}); err != nil {
+		t.Fatalf("-window 0 rejected: %v", err)
 	}
 }
 
 func TestRunSpecFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "scenario.json")
-	if err := os.WriteFile(path, []byte(`{
+	path := writeSpec(t, `{
 		"seed": 3,
 		"arrivals": {"kind": "batch", "n": 64},
 		"jammer": {"kind": "burst", "to": 128}
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	}`)
 	var buf bytes.Buffer
 	if err := run([]string{"-spec", path}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "protocol            lsb (spec)") {
-		t.Fatalf("missing spec label:\n%s", out)
+	if !strings.Contains(out, "protocol            lsb\n") {
+		t.Fatalf("missing protocol label:\n%s", out)
 	}
 	if !strings.Contains(out, "64 arrived, 64 delivered") {
 		t.Fatalf("spec run did not deliver:\n%s", out)
@@ -200,19 +93,14 @@ func TestRunSpecFile(t *testing.T) {
 		t.Fatal("spec run differs from the Scenario literal's run")
 	}
 
-	// Mixing -spec with scenario flags is rejected.
-	if err := run([]string{"-spec", path, "-n", "32"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("-spec combined with -n accepted")
-	}
-
+	dir := filepath.Dir(path)
 	if err := run([]string{"-spec", filepath.Join(dir, "missing.json")}, &bytes.Buffer{}); err == nil {
 		t.Fatal("missing spec accepted")
 	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"arrivals": {"kind": "nope"}}`), 0o644); err != nil {
-		t.Fatal(err)
+	if err := run([]string{"-spec", writeSpec(t, `{"arrivals": {"kind":`)}, &bytes.Buffer{}); err == nil {
+		t.Fatal("malformed spec accepted")
 	}
-	err = run([]string{"-spec", bad}, &bytes.Buffer{})
+	err = run([]string{"-spec", writeSpec(t, `{"arrivals": {"kind": "nope"}}`)}, &bytes.Buffer{})
 	if err == nil {
 		t.Fatal("bad spec accepted")
 	}
@@ -260,8 +148,9 @@ func TestRunBadFlag(t *testing.T) {
 // TestRunUndeliveredExit checks the sentinel for the historical exit code:
 // a truncated run reports errUndelivered.
 func TestRunUndeliveredExit(t *testing.T) {
+	path := writeSpec(t, `{"seed": 1, "arrivals": {"kind": "batch", "n": 32}, "max_slots": 2}`)
 	var buf bytes.Buffer
-	err := run([]string{"-n", "32", "-maxslots", "2"}, &buf)
+	err := run([]string{"-spec", path}, &buf)
 	if !errors.Is(err, errUndelivered) {
 		t.Fatalf("want errUndelivered, got %v", err)
 	}
@@ -270,12 +159,18 @@ func TestRunUndeliveredExit(t *testing.T) {
 	}
 }
 
-// TestRunClusterMode: -channels runs the flag scenario as a cluster, with
-// the routing balance, the fairness index, the merged summary, and one
-// line per channel.
+// TestRunClusterMode: a spec with "channels" runs as a cluster, with the
+// routing balance, the fairness index, the merged summary, and one line
+// per channel.
 func TestRunClusterMode(t *testing.T) {
+	path := writeSpec(t, `{
+		"seed": 3,
+		"channels": 4,
+		"arrivals": {"kind": "batch", "n": 64},
+		"router": {"kind": "roundrobin"}
+	}`)
 	var buf bytes.Buffer
-	if err := run([]string{"-n", "64", "-seed", "3", "-channels", "4", "-router", "roundrobin"}, &buf); err != nil {
+	if err := run([]string{"-spec", path}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -312,11 +207,12 @@ func TestRunClusterMode(t *testing.T) {
 // labels into one NDJSON file, -metrics writes the merged window series,
 // and .csv traces are rejected (CSV has no run-label multiplexing).
 func TestRunClusterObservability(t *testing.T) {
+	path := writeSpec(t, `{"seed": 5, "channels": 3, "arrivals": {"kind": "batch", "n": 48}}`)
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.ndjson")
 	metrics := filepath.Join(dir, "metrics.ndjson")
 	var buf bytes.Buffer
-	if err := run([]string{"-n", "48", "-seed", "5", "-channels", "3", "-trace", trace,
+	if err := run([]string{"-spec", path, "-trace", trace,
 		"-metrics", metrics, "-window", "64"}, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -338,55 +234,39 @@ func TestRunClusterObservability(t *testing.T) {
 		t.Fatalf("metrics file has no windows:\n%s", mdata)
 	}
 
-	if err := run([]string{"-n", "8", "-channels", "2", "-trace", filepath.Join(dir, "t.csv")}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"-spec", path, "-trace", filepath.Join(dir, "t.csv")}, &bytes.Buffer{}); err == nil {
 		t.Fatal("cluster -trace .csv accepted")
 	}
 }
 
-// TestRunClusterFlagErrors: the cluster flags are validated, and -spec
-// composes with -channels (the execution mode is not part of the
-// scenario).
-func TestRunClusterFlagErrors(t *testing.T) {
-	if err := run([]string{"-n", "8", "-router", "roundrobin"}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "-router requires -channels") {
-		t.Fatalf("-router without -channels: %v", err)
-	}
-	if err := run([]string{"-n", "8", "-channels", "0"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("-channels 0 accepted")
-	}
-	err := run([]string{"-n", "8", "-channels", "2", "-router", "nope"}, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "registered kinds:") {
-		t.Fatalf("unknown router kind: %v", err)
-	}
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "scenario.json")
-	if err := os.WriteFile(path, []byte(`{"seed": 3, "arrivals": {"kind": "batch", "n": 32}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := run([]string{"-spec", path, "-channels", "2", "-router", "sticky"}, &buf); err != nil {
-		t.Fatalf("-spec with -channels rejected: %v", err)
-	}
-	if !strings.Contains(buf.String(), "cluster             2 channels, router sticky") {
-		t.Fatalf("spec cluster run summary:\n%s", buf.String())
+// TestRunClusterSpecErrors: a spec's cluster fields are validated before
+// the run — a router needs channels, channels cannot be negative, and an
+// unknown router kind lists the registered ones.
+func TestRunClusterSpecErrors(t *testing.T) {
+	for _, c := range []struct {
+		spec, want string
+	}{
+		{`{"arrivals": {"kind": "batch", "n": 8}, "router": {"kind": "roundrobin"}}`, "a router needs a cluster"},
+		{`{"arrivals": {"kind": "batch", "n": 8}, "channels": -1}`, "Channels must be >= 0"},
+		{`{"arrivals": {"kind": "batch", "n": 8}, "channels": 2, "router": {"kind": "nope"}}`, "registered kinds:"},
+	} {
+		err := run([]string{"-spec", writeSpec(t, c.spec)}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: got %v, want an error containing %q", c.spec, err, c.want)
+		}
 	}
 }
 
 // TestRunClusterSpecFile: -spec takes a cluster JSON file as it is, and
-// -channels/-router, set explicitly, override its cluster fields.
+// the summary's merged block is the spec's Scenario.Run.
 func TestRunClusterSpecFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cluster.json")
-	if err := os.WriteFile(path, []byte(`{
+	path := writeSpec(t, `{
 		"seed": 7,
 		"channels": 4,
 		"arrivals": {"kind": "poisson", "rate": 0.5, "n": 200},
 		"jammer":   {"kind": "random", "rate": 0.05, "budget": 40},
 		"router":   {"kind": "sticky", "flows": 8}
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	}`)
 	var buf bytes.Buffer
 	if err := run([]string{"-spec", path}, &buf); err != nil {
 		t.Fatal(err)
@@ -396,7 +276,6 @@ func TestRunClusterSpecFile(t *testing.T) {
 			t.Fatalf("missing %q:\n%s", want, buf.String())
 		}
 	}
-	// The summary's merged block is the spec's Scenario.Run.
 	sc, err := loadSpecFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -408,33 +287,22 @@ func TestRunClusterSpecFile(t *testing.T) {
 	if want := fmt.Sprintf("%d arrived, %d delivered", r.Arrived, r.Completed); !strings.Contains(buf.String(), want) {
 		t.Fatalf("missing %q:\n%s", want, buf.String())
 	}
-
-	buf.Reset()
-	if err := run([]string{"-spec", path, "-channels", "2", "-router", "roundrobin"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "cluster             2 channels, router roundrobin") {
-		t.Fatalf("flags did not override the spec's cluster fields:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := run([]string{"-spec", path, "-channels", "1"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "cluster") {
-		t.Fatalf("-channels 1 did not select a single channel:\n%s", buf.String())
-	}
 }
 
-// TestRunChurnFaultsFlags drives the robustness flags end to end: the JSON
-// snippets compile into the scenario, the summary reports abandons and
-// fault counters, and -baseline adds the degradation row.
-func TestRunChurnFaultsFlags(t *testing.T) {
+// TestRunChurnFaultsSpec drives the robustness specs end to end: the
+// spec's churn and faults reach the run, the summary reports abandons
+// and fault counters, and -baseline adds the degradation row, on a single
+// channel and on a cluster.
+func TestRunChurnFaultsSpec(t *testing.T) {
+	path := writeSpec(t, `{
+		"seed": 5,
+		"max_slots": 200000,
+		"arrivals": {"kind": "batch", "n": 256},
+		"churn": {"kind": "poisson-join-leave", "rate": 0.05, "n": 32, "leave_rate": 0.02},
+		"faults": {"kind": "sensing", "false_busy": 0.2, "false_idle": 0.1}
+	}`)
 	var buf bytes.Buffer
-	err := run([]string{"-n", "256", "-seed", "5", "-maxslots", "200000",
-		"-churn", `{"kind":"poisson-join-leave","rate":0.05,"n":32,"leave_rate":0.02}`,
-		"-faults", `{"kind":"sensing","false_busy":0.2,"false_idle":0.1}`,
-		"-baseline"}, &buf)
-	if err != nil {
+	if err := run([]string{"-spec", path, "-baseline"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -445,12 +313,16 @@ func TestRunChurnFaultsFlags(t *testing.T) {
 	}
 
 	// Cluster mode threads the same specs through ClusterScenario.
+	path = writeSpec(t, `{
+		"seed": 5,
+		"channels": 2,
+		"router": {"kind": "roundrobin"},
+		"arrivals": {"kind": "batch", "n": 256},
+		"churn": {"kind": "flash-crowd", "slot": 16, "n": 8, "lifetime": 40},
+		"faults": {"kind": "crash", "rate": 0.01, "down": 4}
+	}`)
 	buf.Reset()
-	err = run([]string{"-n", "256", "-seed", "5", "-channels", "2", "-router", "roundrobin",
-		"-churn", `{"kind":"flash-crowd","slot":16,"n":8,"lifetime":40}`,
-		"-faults", `{"kind":"crash","rate":0.01,"down":4}`,
-		"-baseline"}, &buf)
-	if err != nil {
+	if err := run([]string{"-spec", path, "-baseline"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out = buf.String()
@@ -458,41 +330,5 @@ func TestRunChurnFaultsFlags(t *testing.T) {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("cluster output missing %q:\n%s", frag, out)
 		}
-	}
-}
-
-// TestRunChurnFaultsFlagErrors: malformed or unknown snippets are rejected
-// before the run, and the scenario-shaping flags conflict with -spec.
-func TestRunChurnFaultsFlagErrors(t *testing.T) {
-	if err := run([]string{"-n", "8", "-churn", `{"kind":`}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "-churn") {
-		t.Fatalf("malformed -churn: %v", err)
-	}
-	if err := run([]string{"-n", "8", "-faults", `{"bogus":1}`}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "-faults") {
-		t.Fatalf("unknown -faults field: %v", err)
-	}
-	// Unknown kinds surface the registry's sorted kind listing.
-	if err := run([]string{"-n", "8", "-churn", `{"kind":"nope"}`}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "registered kinds:") {
-		t.Fatalf("unknown churn kind: %v", err)
-	}
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "scenario.json")
-	if err := os.WriteFile(path, []byte(`{"seed": 3, "arrivals": {"kind": "batch", "n": 8}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-spec", path, "-churn", `{"kind":"epochs","period":64}`}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "-churn does not apply") {
-		t.Fatalf("-spec with -churn: %v", err)
-	}
-	// -baseline composes with -spec (it shapes no scenario data).
-	var buf bytes.Buffer
-	if err := run([]string{"-spec", path, "-baseline"}, &buf); err != nil {
-		t.Fatalf("-spec with -baseline rejected: %v", err)
-	}
-	if !strings.Contains(buf.String(), "degradation (all)") {
-		t.Fatalf("baseline row missing:\n%s", buf.String())
 	}
 }

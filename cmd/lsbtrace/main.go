@@ -1,13 +1,17 @@
-// Command lsbtrace runs a small LOW-SENSING BACKOFF instance and prints the
-// per-slot channel trace: a compact timeline (S=success, x=collision,
-// .=heard-empty, !=jam, (+n)=skipped slots) and optionally the full event
-// table. It is the visual companion of the paper's Figure 1.
+// Command lsbtrace runs a small simulation and prints the per-slot channel
+// trace: a compact timeline (S=success, x=collision, .=heard-empty,
+// !=jam, (+n)=skipped slots) and optionally the full event table. It is
+// the visual companion of the paper's Figure 1.
 //
-// Example:
+// The run is read from -spec, a single-channel JSON lowsensing.Scenario
+// (the format lowsensing.ParseScenario accepts); the other flags choose
+// the report.
 //
-//	lsbtrace -n 8 -seed 3
-//	lsbtrace -n 6 -jamto 64 -table
-//	lsbtrace -n 64 -json trace.ndjson   # structured trace alongside the ASCII
+// Examples:
+//
+//	lsbtrace -spec n8.json                       # {"seed":3,"arrivals":{"kind":"batch","n":8},"max_slots":16777216}
+//	lsbtrace -spec jam.json -table -windows      # add {"jammer":{"kind":"burst","to":64}} for a jammed prefix
+//	lsbtrace -spec n64.json -json trace.ndjson   # structured trace alongside the ASCII
 package main
 
 import (
@@ -19,10 +23,7 @@ import (
 	"log"
 	"os"
 
-	"lowsensing/internal/arrivals"
-	"lowsensing/internal/core"
-	"lowsensing/internal/jamming"
-	"lowsensing/internal/sim"
+	"lowsensing"
 	"lowsensing/internal/trace"
 	"lowsensing/obs"
 )
@@ -42,11 +43,8 @@ func run(args []string, out, errW io.Writer) error {
 	fs := flag.NewFlagSet("lsbtrace", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		n        = fs.Int64("n", 8, "number of packets (batch at slot 0)")
-		seed     = fs.Uint64("seed", 1, "random seed")
-		jamFrom  = fs.Int64("jamfrom", 0, "burst jam start slot")
-		jamTo    = fs.Int64("jamto", 0, "burst jam end slot (0 = no jamming)")
-		width    = fs.Int("width", 76, "timeline width")
+		specFile = fs.String("spec", "", "JSON scenario file, single-channel (required; see lowsensing.Scenario)")
+		width    = fs.Int("width", 76, "timeline width (>= 1)")
 		table    = fs.Bool("table", false, "print the full event table")
 		windows  = fs.Bool("windows", false, "print the window-size trajectory")
 		jsonFile = fs.String("json", "", "also write the structured trace (slot + packet events) as NDJSON to this file")
@@ -57,28 +55,38 @@ func run(args []string, out, errW io.Writer) error {
 		}
 		return err
 	}
-	if *n <= 0 {
-		return fmt.Errorf("-n must be > 0, got %d", *n)
+	if *specFile == "" {
+		fs.Usage()
+		return errors.New("-spec is required: the run is read from a JSON scenario file")
+	}
+	if *width < 1 {
+		return fmt.Errorf("-width must be >= 1, got %d", *width)
+	}
+	data, err := os.ReadFile(*specFile)
+	if err != nil {
+		return err
+	}
+	sc, err := lowsensing.ParseScenario(data)
+	if err != nil {
+		return err
 	}
 
-	tr := &trace.Tracer{}
-	wt := &trace.WindowTracker{}
 	// Every consumer is a recorder on the engine's one event stream: the
 	// ASCII tracer takes the same obs.SlotEvents an NDJSON sink
 	// serializes, and the window tracker is bound to the engine to read its
-	// active windows.
-	rec := obs.Multi(tr, wt)
-	var (
-		jsonSink  *obs.NDJSON
-		jsonFlush func() error
-	)
+	// active windows (so a cluster spec, which has no single engine, is
+	// rejected).
+	tr := &trace.Tracer{}
+	wt := &trace.WindowTracker{}
+	opts := []lowsensing.Option{lowsensing.WithRecorder(tr), lowsensing.WithRecorder(wt)}
+	var jsonFlush func() error
 	if *jsonFile != "" {
 		f, err := os.Create(*jsonFile)
 		if err != nil {
 			return err
 		}
 		bw := bufio.NewWriter(f)
-		jsonSink = obs.NewNDJSON(bw)
+		jsonSink := obs.NewNDJSON(bw)
 		jsonFlush = func() error {
 			err := jsonSink.Flush()
 			if e := bw.Flush(); err == nil {
@@ -89,31 +97,14 @@ func run(args []string, out, errW io.Writer) error {
 			}
 			return err
 		}
-		rec = obs.Multi(tr, wt, jsonSink)
+		opts = append(opts, lowsensing.WithRecorder(jsonSink))
 	}
-	params := sim.Params{
-		Seed:       *seed,
-		Arrivals:   arrivals.NewBatch(*n),
-		NewStation: core.MustFactory(core.Default()),
-		// Every station is an identically-configured LSB packet, so
-		// recycling is indistinguishable from reconstruction.
-		ReuseStations: true,
-		MaxSlots:      1 << 24,
-		Recorder:      rec,
-	}
-	if *jamTo > *jamFrom {
-		iv, err := jamming.NewInterval(*jamFrom, *jamTo)
-		if err != nil {
-			return err
+	r, err := sc.Simulation(opts...).Run()
+	if jsonFlush != nil {
+		if ferr := jsonFlush(); err == nil && ferr != nil {
+			err = fmt.Errorf("writing %s: %w", *jsonFile, ferr)
 		}
-		params.Jammer = iv
 	}
-	e, err := sim.NewEngine(params)
-	if err != nil {
-		return err
-	}
-	wt.Bind(e)
-	r, err := e.Run()
 	if err != nil {
 		return err
 	}
@@ -134,11 +125,6 @@ func run(args []string, out, errW io.Writer) error {
 		fmt.Fprint(out, tr.Table())
 	}
 	warnIfDropped(errW, tr.Dropped())
-	if jsonFlush != nil {
-		if err := jsonFlush(); err != nil {
-			return fmt.Errorf("writing %s: %w", *jsonFile, err)
-		}
-	}
 	return nil
 }
 

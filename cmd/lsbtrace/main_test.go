@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,9 +12,26 @@ import (
 	"testing"
 )
 
+// writeSpec writes a scenario JSON file into a fresh temp dir and
+// returns its path.
+func writeSpec(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "scenario.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// batchSpec is the JSON of an n-packet LSB batch under seed.
+func batchSpec(t *testing.T, n int, seed uint64) string {
+	t.Helper()
+	return writeSpec(t, fmt.Sprintf(`{"seed": %d, "arrivals": {"kind": "batch", "n": %d}}`, seed, n))
+}
+
 func TestRunEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-n", "6", "-seed", "3"}, &buf, io.Discard); err != nil {
+	if err := run([]string{"-spec", batchSpec(t, 6, 3)}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -30,28 +48,25 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 func TestRunDeterministicForSeed(t *testing.T) {
-	render := func() string {
+	render := func(seed uint64) string {
 		var buf bytes.Buffer
-		if err := run([]string{"-n", "5", "-seed", "9"}, &buf, io.Discard); err != nil {
+		if err := run([]string{"-spec", batchSpec(t, 5, seed)}, &buf, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
 	}
-	if render() != render() {
+	if render(9) != render(9) {
 		t.Fatal("identical seeds produced different traces")
 	}
-	var other bytes.Buffer
-	if err := run([]string{"-n", "5", "-seed", "10"}, &other, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if render() == other.String() {
-		t.Fatal("different seeds produced identical traces (seed flag ignored)")
+	if render(9) == render(10) {
+		t.Fatal("different seeds produced identical traces (spec seed ignored)")
 	}
 }
 
 func TestRunJammingAndSections(t *testing.T) {
+	path := writeSpec(t, `{"seed": 2, "arrivals": {"kind": "batch", "n": 4}, "jammer": {"kind": "burst", "to": 32}}`)
 	var buf bytes.Buffer
-	if err := run([]string{"-n", "4", "-seed", "2", "-jamto", "32", "-table", "-windows"}, &buf, io.Discard); err != nil {
+	if err := run([]string{"-spec", path, "-table", "-windows"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -68,31 +83,52 @@ func TestRunJammingAndSections(t *testing.T) {
 }
 
 func TestRunFlagErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-n", "notanumber"}, &buf, io.Discard); err == nil {
-		t.Fatal("bad -n value accepted")
+	spec := batchSpec(t, 4, 1)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-definitely-not-a-flag"}, "not defined"},
+		{[]string{"-n", "4"}, "not defined"}, // scenario fields are not flags
+		{nil, "-spec is required"},
+		{[]string{"-spec", spec, "-width", "notanumber"}, "invalid value"},
+		{[]string{"-spec", spec, "-width", "0"}, "-width must be >= 1"},
+		{[]string{"-spec", spec, "-width", "-3"}, "-width must be >= 1"},
+		{[]string{"-spec", filepath.Join(t.TempDir(), "missing.json")}, "missing.json"},
+		{[]string{"-spec", writeSpec(t, `{"arrivals": {"kind": "batch", "n": 0}}`)}, "batch"},
+	} {
+		err := run(c.args, &bytes.Buffer{}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%q: got %v, want an error containing %q", c.args, err, c.want)
+		}
 	}
-	if err := run([]string{"-definitely-not-a-flag"}, &buf, io.Discard); err == nil {
-		t.Fatal("unknown flag accepted")
+	if err := run([]string{"-spec", spec, "-width", "1"}, &bytes.Buffer{}, io.Discard); err != nil {
+		t.Fatalf("-width 1 rejected: %v", err)
 	}
-	if err := run([]string{"-n", "0"}, &buf, io.Discard); err == nil {
-		t.Fatal("-n 0 accepted")
-	}
-	if err := run([]string{"-n", "4", "-jamfrom", "10", "-jamto", "10"}, &buf, io.Discard); err != nil {
-		t.Fatalf("jamto == jamfrom should mean no jamming, got %v", err)
+}
+
+// TestRunRejectsClusterSpec: the window tracker binds to one engine, so a
+// cluster spec fails with the engine-bound-recorder error.
+func TestRunRejectsClusterSpec(t *testing.T) {
+	path := writeSpec(t, `{"seed": 3, "channels": 2, "arrivals": {"kind": "batch", "n": 8}}`)
+	err := run([]string{"-spec", path}, &bytes.Buffer{}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "engine-bound recorder") {
+		t.Fatalf("cluster spec: got %v, want the engine-bound-recorder error", err)
 	}
 }
 
 // TestGoldenOutput locks the ASCII report byte-for-byte against outputs
 // captured before the tracer was rebased onto the obs event stream: the
 // rendering path changed representation, the rendering must not change.
+// The specs in testdata describe the same runs the goldens were captured
+// from (an LSB batch at slot 0, capped at 2^24 slots).
 func TestGoldenOutput(t *testing.T) {
 	cases := []struct {
 		golden string
 		args   []string
 	}{
-		{"golden_n8_seed3.txt", []string{"-n", "8", "-seed", "3"}},
-		{"golden_n6_seed2_jam.txt", []string{"-n", "6", "-seed", "2", "-jamto", "64", "-table", "-windows"}},
+		{"golden_n8_seed3.txt", []string{"-spec", "testdata/n8_seed3.json"}},
+		{"golden_n6_seed2_jam.txt", []string{"-spec", "testdata/n6_seed2_jam.json", "-table", "-windows"}},
 	}
 	for _, c := range cases {
 		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
@@ -115,7 +151,7 @@ func TestGoldenOutput(t *testing.T) {
 func TestJSONMode(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.ndjson")
 	var buf bytes.Buffer
-	if err := run([]string{"-n", "8", "-seed", "3", "-json", path}, &buf, io.Discard); err != nil {
+	if err := run([]string{"-spec", "testdata/n8_seed3.json", "-json", path}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)

@@ -15,8 +15,8 @@ import (
 //	<slot>,<count>        (comma also accepted)
 //
 // with nondecreasing slots and positive counts, and returns a replayable
-// Trace source. This is the on-disk companion of NewTrace, used by
-// cmd/lsbsim -tracefile to replay recorded or hand-crafted workloads.
+// Trace source. This is the on-disk companion of NewTrace, used by the
+// "file" arrival kind to replay recorded or hand-crafted workloads.
 func ParseTrace(r io.Reader) (*Trace, error) {
 	var batches []TraceBatch
 	sc := bufio.NewScanner(r)

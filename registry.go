@@ -163,8 +163,7 @@ func RegisterJammer(kind, doc string, factory JammerFactory) {
 
 // RegisterRouter makes a cluster-router kind resolvable from specs (a
 // Scenario's "router" field, in spec files, sweep bases and axis patches
-// alike, and the CLIs' -router flags), exactly like RegisterProtocol does
-// for protocols.
+// alike), exactly like RegisterProtocol does for protocols.
 func RegisterRouter(kind, doc string, factory RouterFactory) {
 	routerRegistry.register(kind, doc, factory, factory == nil)
 }
@@ -187,7 +186,7 @@ func RouterKinds() []KindDoc { return routerRegistry.kinds() }
 
 // WriteKinds writes the full registry listing — every protocol, arrival,
 // jammer, router, churn, and fault kind with its registration doc, sorted,
-// one section per registry — to w. Both CLIs' -kinds flags print exactly
+// one section per registry — to w. The CLIs' -kinds flags print exactly
 // this, so a kind registered by an importing package shows up
 // automatically.
 func WriteKinds(w io.Writer) error {

@@ -216,8 +216,7 @@ var (
 )
 
 // RegisterChurn makes a churn kind resolvable from specs (ParseScenario,
-// ParseSweepSpec, the CLIs' -churn flags), exactly
-// like RegisterProtocol does for protocols. Register from an init function;
+// ParseSweepSpec), exactly like RegisterProtocol does for protocols. Register from an init function;
 // duplicates, empty kinds, and nil factories panic.
 func RegisterChurn(kind, doc string, factory ChurnFactory) {
 	churnRegistry.register(kind, doc, factory, factory == nil)

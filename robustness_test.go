@@ -552,9 +552,9 @@ func TestSweepChurnFaults(t *testing.T) {
 	}
 }
 
-// TestWithChurnFaultsClassesOptions: a scenario's churn and fault specs
-// both take effect on a single-channel run.
-func TestWithChurnFaultsClassesOptions(t *testing.T) {
+// TestChurnAndFaultsOnScenario: a scenario's churn and fault specs both
+// take effect on a single-channel run.
+func TestChurnAndFaultsOnScenario(t *testing.T) {
 	res, err := lowsensing.Scenario{
 		Seed:     2,
 		Arrivals: lowsensing.BatchArrivals(12),

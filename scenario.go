@@ -314,7 +314,7 @@ func QueueArrivals(S int64, lambda float64, windows int64) ArrivalsSpec {
 }
 
 // FileArrivals describes a replay of the recorded slot/count trace at
-// path (the format cmd/lsbsim -tracefile reads).
+// path: one "slot count" pair per line, slots nondecreasing.
 func FileArrivals(path string) ArrivalsSpec { return ArrivalsSpec{Kind: ArrivalsFile, Path: path} }
 
 // Source constructs the arrival source the spec describes, seeded for one

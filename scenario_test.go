@@ -3,6 +3,8 @@ package lowsensing_test
 import (
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -163,6 +165,38 @@ func TestParseScenarioStrict(t *testing.T) {
 	}
 	if r.Completed != 32 || r.JammedSlots == 0 {
 		t.Fatalf("parsed scenario result: %+v", r)
+	}
+}
+
+// TestParseScenarioFileArrivals resolves the "file" arrival kind through
+// a parsed spec: the trace's first line is the first batch, and a path
+// that does not exist fails validation.
+func TestParseScenarioFileArrivals(t *testing.T) {
+	dir := t.TempDir()
+	spec := func(path string) []byte {
+		p, err := json.Marshal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []byte(`{"arrivals": {"kind": "file", "path": ` + string(p) + `}}`)
+	}
+	path := filepath.Join(dir, "trace.txt")
+	if err := os.WriteFile(path, []byte("0 3\n10 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := lowsensing.ParseScenario(spec(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := sc.Arrivals.Source(sc.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slot, count, ok := src.Next(); !ok || slot != 0 || count != 3 {
+		t.Fatalf("first batch = (%d,%d,%v), want (0,3,true)", slot, count, ok)
+	}
+	if _, err := lowsensing.ParseScenario(spec(filepath.Join(dir, "missing.txt"))); err == nil {
+		t.Fatal("missing trace file accepted")
 	}
 }
 
