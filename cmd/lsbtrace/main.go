@@ -22,6 +22,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 
 	"lowsensing"
 	"lowsensing/internal/trace"
@@ -73,12 +74,12 @@ func run(args []string, out, errW io.Writer) error {
 
 	// Every consumer is a recorder on the engine's one event stream: the
 	// ASCII tracer takes the same obs.SlotEvents an NDJSON sink
-	// serializes, and the window tracker is bound to the engine to read its
+	// serializes, and the collector is bound to the engine to read its
 	// active windows (so a cluster spec, which has no single engine, is
 	// rejected).
 	tr := &trace.Tracer{}
-	wt := &trace.WindowTracker{}
-	opts := []lowsensing.Option{lowsensing.WithRecorder(tr), lowsensing.WithRecorder(wt)}
+	col := &lowsensing.Collector{}
+	opts := []lowsensing.Option{lowsensing.WithRecorder(tr), lowsensing.WithRecorder(col)}
 	var jsonFlush func() error
 	if *jsonFile != "" {
 		f, err := os.Create(*jsonFile)
@@ -118,7 +119,7 @@ func run(args []string, out, errW io.Writer) error {
 	if *windows {
 		fmt.Fprintln(out)
 		fmt.Fprintln(out, "window trajectory (sampled):")
-		fmt.Fprint(out, wt.Table(16))
+		fmt.Fprint(out, windowTable(col))
 	}
 	if *table {
 		fmt.Fprintln(out)
@@ -126,6 +127,25 @@ func run(args []string, out, errW io.Writer) error {
 	}
 	warnIfDropped(errW, tr.Dropped())
 	return nil
+}
+
+// windowTable renders the collector's window distribution, thinned to at
+// most 16 evenly spaced samples.
+func windowTable(col *lowsensing.Collector) string {
+	const rows = 16
+	samples := col.Samples()
+	n := len(samples)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%10s %8s %10s %10s %10s\n", "slot", "active", "w_min", "w_median", "w_max")
+	for i := range min(n, rows) {
+		j := i
+		if n > rows {
+			j = i * (n - 1) / (rows - 1)
+		}
+		s := samples[j]
+		fmt.Fprintf(&b, "%10d %8d %10.1f %10.1f %10.1f\n", s.Slot, int(s.Potential.N), s.WMin, s.WMedian, s.WMax)
+	}
+	return b.String()
 }
 
 // warnIfDropped reports tracer drops on the warning stream: a truncated

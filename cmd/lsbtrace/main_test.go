@@ -107,7 +107,7 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
-// TestRunRejectsClusterSpec: the window tracker binds to one engine, so a
+// TestRunRejectsClusterSpec: the Collector binds to one engine, so a
 // cluster spec fails with the engine-bound-recorder error.
 func TestRunRejectsClusterSpec(t *testing.T) {
 	path := writeSpec(t, `{"seed": 3, "channels": 2, "arrivals": {"kind": "batch", "n": 8}}`)

@@ -79,14 +79,6 @@ func DefaultPotentialParams() PotentialParams {
 	return PotentialParams{Alpha1: 4, Alpha2: 2, Alpha3: 1}
 }
 
-// Validate checks α1 > α2 > α3 > 0.
-func (p PotentialParams) Validate() error {
-	if !(p.Alpha1 > p.Alpha2 && p.Alpha2 > p.Alpha3 && p.Alpha3 > 0) {
-		return fmt.Errorf("core: potential params need α1 > α2 > α3 > 0, got %+v", p)
-	}
-	return nil
-}
-
 // Potential is a decomposition of Φ(t) into its three terms.
 type Potential struct {
 	N   float64 // packet count term N(t)

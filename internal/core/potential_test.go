@@ -72,23 +72,6 @@ func TestRegimeString(t *testing.T) {
 	}
 }
 
-func TestPotentialParamsValidate(t *testing.T) {
-	if err := DefaultPotentialParams().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []PotentialParams{
-		{Alpha1: 1, Alpha2: 2, Alpha3: 3}, // reversed
-		{Alpha1: 3, Alpha2: 3, Alpha3: 1}, // equal
-		{Alpha1: 3, Alpha2: 2, Alpha3: 0}, // zero
-		{},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Fatalf("bad params %d accepted: %+v", i, p)
-		}
-	}
-}
-
 func TestMeasureEmpty(t *testing.T) {
 	pot := Measure(nil, DefaultPotentialParams())
 	if pot.Phi != 0 || pot.N != 0 || pot.H != 0 || pot.L != 0 {

@@ -50,7 +50,7 @@ func runE11(rc RunConfig) (*Table, error) {
 	}{
 		{"batch", lowsensing.BatchArrivals(n)},
 		{"bernoulli 0.1", lowsensing.BernoulliArrivals(0.1, n)},
-		{"aqt bursts", lowsensing.QueueArrivals(aqtS, 0.1, n/max64(1, int64(0.1*float64(aqtS))))},
+		{"aqt bursts", lowsensing.QueueArrivals(aqtS, 0.1, n/max(1, int64(0.1*float64(aqtS))))},
 	}
 	protos := []struct {
 		name  string

@@ -91,7 +91,7 @@ func runE4(rc RunConfig) (*Table, error) {
 	grouped, err := sweep(rc, "E4", len(lambdas)*len(ss), func(point, _ int, seed uint64) (e4rep, error) {
 		lambda := lambdas[point/len(ss)]
 		s := ss[point%len(ss)]
-		col, r, err := aqtRun(seed, s, lambda, windows, max64(1, s/64))
+		col, r, err := aqtRun(seed, s, lambda, windows, max(1, s/64))
 		if err != nil {
 			return e4rep{}, err
 		}
@@ -307,7 +307,7 @@ func runA1(rc RunConfig) (*Table, error) {
 			maxAcc:  float64(r.MaxAccesses()),
 		}
 		// Burst stability: AQT max backlog.
-		col := &metrics.Collector{Every: max64(1, aqtS/64)}
+		col := &metrics.Collector{Every: max(1, aqtS/64)}
 		if _, err := run(seed, lowsensing.Scenario{
 			Arrivals: lowsensing.QueueArrivals(aqtS, 0.1, windows),
 			Protocol: lowsensing.LowSensing(cfg),
@@ -452,13 +452,6 @@ func runA3(rc RunConfig) (*Table, error) {
 	}
 	t.AddNote("k=0 means every access sends (no pure listening): the feedback loop starves and throughput suffers; k>=2 restores it")
 	return t, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // downsample reduces xs to at most n points by striding.

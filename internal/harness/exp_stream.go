@@ -53,7 +53,7 @@ func runE14(rc RunConfig) (*Table, error) {
 	single := rc
 	single.Reps = 1
 	grouped, err := sweep(single, "E14", 1, func(_, _ int, seed uint64) (e14out, error) {
-		col := &metrics.Collector{Every: max64(1, horizon/4096)}
+		col := &metrics.Collector{Every: max(1, horizon/4096)}
 		// The jammer keeps its historical experiment-local seed stream
 		// (seed^0xe14), so it is injected as an instance.
 		jam, err := jamming.NewRandom(0.2, 0, seed^0xe14)

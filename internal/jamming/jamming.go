@@ -96,7 +96,7 @@ func (iv *Interval) Jammed(slot int64) bool { return slot >= iv.From && slot < i
 
 // CountRange implements channel.Jammer.
 func (iv *Interval) CountRange(from, to int64) int64 {
-	lo, hi := max64(from, iv.From), min64(to, iv.To)
+	lo, hi := max(from, iv.From), min(to, iv.To)
 	if hi <= lo {
 		return 0
 	}
@@ -106,8 +106,8 @@ func (iv *Interval) CountRange(from, to int64) int64 {
 // NextJammedInRange implements channel.RangeJammer: the first slot of
 // [from, to) that falls inside [From, To).
 func (iv *Interval) NextJammedInRange(from, to int64) (int64, bool) {
-	s := max64(from, iv.From)
-	if s < min64(to, iv.To) {
+	s := max(from, iv.From)
+	if s < min(to, iv.To) {
 		return s, true
 	}
 	return 0, false
@@ -174,7 +174,7 @@ func (p *Periodic) countPrefix(t int64) int64 {
 // inside a burst — from itself if it lands mid-burst, otherwise the next
 // period boundary.
 func (p *Periodic) NextJammedInRange(from, to int64) (int64, bool) {
-	s := max64(from, p.Phase)
+	s := max(from, p.Phase)
 	if r := (s - p.Phase) % p.Period; r >= p.Burst {
 		s += p.Period - r
 	}
@@ -368,17 +368,3 @@ func (r *ReactiveAll) Jammed(int64) bool { return false }
 func (r *ReactiveAll) CountRange(int64, int64) int64 { return 0 }
 
 var _ channel.ReactiveJammer = (*ReactiveAll)(nil)
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,10 +1,12 @@
 // Package metrics collects time series and per-run summaries from
 // simulations: backlog, implicit throughput, contention, the paper's
-// potential function Φ(t), and per-packet energy statistics.
+// potential function Φ(t), the distribution of active windows, and
+// per-packet energy statistics.
 package metrics
 
 import (
 	"fmt"
+	"sort"
 
 	"lowsensing/internal/core"
 	"lowsensing/internal/sim"
@@ -24,22 +26,22 @@ type Sample struct {
 	ActiveSlots        int64
 	ImplicitThroughput float64
 	Contention         float64
-	Potential          core.Potential
+	Potential          core.Potential // default coefficients; N counts the active windows
+	// The active window distribution; all 0 when no window is active.
+	WMin, WMedian, WMax float64
 }
 
-// Collector samples engine state during a run. It is an obs.Recorder that
+// Collector samples engine state during a run: counters, contention, the
+// potential Φ(t) and the active window distribution, which together are the
+// state the paper's analysis tracks (§4.1–4.2). It is an obs.Recorder that
 // reads the engine through the sim.EngineBound contract: attach it as (or
 // inside) sim.Params.Recorder and Bind it to the engine before the run —
 // lowsensing.WithRecorder does both. The zero value samples every resolved
-// slot with the default potential coefficients; set Every to thin the
-// series.
+// slot; set Every to thin the series.
 type Collector struct {
 	// Every is the minimum number of slots between samples (0 or 1 means
 	// sample every resolved slot).
 	Every int64
-	// Params are the potential-function coefficients; zero-value uses
-	// core.DefaultPotentialParams.
-	Params core.PotentialParams
 
 	e       *sim.Engine
 	samples []Sample
@@ -70,14 +72,10 @@ func (c *Collector) RecordSlot(ev obs.SlotEvent) {
 	}
 	c.nextAt = slot + every
 
-	params := c.Params
-	if params == (core.PotentialParams{}) {
-		params = core.DefaultPotentialParams()
-	}
 	c.winBuf = c.winBuf[:0]
 	e.VisitActiveWindows(func(w float64) { c.winBuf = append(c.winBuf, w) })
 
-	c.samples = append(c.samples, Sample{
+	s := Sample{
 		Slot:               slot,
 		Backlog:            e.Backlog(),
 		Arrived:            e.Arrived(),
@@ -86,8 +84,16 @@ func (c *Collector) RecordSlot(ev obs.SlotEvent) {
 		ActiveSlots:        e.ActiveSlotsSoFar(),
 		ImplicitThroughput: e.ImplicitThroughputNow(),
 		Contention:         core.Contention(c.winBuf),
-		Potential:          core.Measure(c.winBuf, params),
-	})
+		Potential:          core.Measure(c.winBuf, core.DefaultPotentialParams()),
+	}
+	// Sort only after the sums above have read the windows in arrival
+	// order: floating-point addition is not associative, so sorting first
+	// would change the bits of C(t) and Φ.
+	if n := len(c.winBuf); n > 0 {
+		sort.Float64s(c.winBuf)
+		s.WMin, s.WMedian, s.WMax = c.winBuf[0], c.winBuf[n/2], c.winBuf[n-1]
+	}
+	c.samples = append(c.samples, s)
 }
 
 // Samples returns the collected series.

@@ -54,14 +54,31 @@ func TestCollectorSamples(t *testing.T) {
 	if last.Backlog != 0 {
 		t.Fatalf("final backlog = %d", last.Backlog)
 	}
-	if last.Potential.Phi != 0 {
-		t.Fatalf("final potential = %v", last.Potential.Phi)
+	// The last departure leaves no active window: the potential and the
+	// window distribution are all zero.
+	if last.Potential != (core.Potential{}) || last.WMin != 0 || last.WMedian != 0 || last.WMax != 0 {
+		t.Fatalf("final sample = %+v", last)
 	}
-	// Slots strictly increase.
-	for i := 1; i < len(samples); i++ {
-		if samples[i].Slot <= samples[i-1].Slot {
+	floor := core.Default().WMin
+	var maxWin float64
+	for i, s := range samples {
+		if i > 0 && s.Slot <= samples[i-1].Slot {
 			t.Fatalf("sample slots not increasing at %d", i)
 		}
+		if s.Potential.N == 0 {
+			continue
+		}
+		if s.WMin < floor {
+			t.Fatalf("sample %d: w_min %v below the algorithm's floor %v", i, s.WMin, floor)
+		}
+		if s.WMin > s.WMedian || s.WMedian > s.WMax {
+			t.Fatalf("sample %d: window order violated: %+v", i, s)
+		}
+		maxWin = max(maxWin, s.WMax)
+	}
+	// A 64-packet batch must grow some window beyond the floor.
+	if maxWin <= floor {
+		t.Fatalf("windows never grew: max %v", maxWin)
 	}
 }
 

@@ -214,9 +214,9 @@ func NewEngine(p Params) (*Engine, error) {
 
 // EngineBound is implemented by components that read the observable state
 // of the system: adaptive adversaries (arrival sources, jammers), which the
-// engine binds itself in NewEngine, and recorders sampling engine state
-// (metrics.Collector, trace.WindowTracker), which whoever attaches them
-// binds before the run starts. Bind is called once; bound components must
+// engine binds itself in NewEngine, and the one recorder sampling engine
+// state (metrics.Collector), which whoever attaches it binds before the
+// run starts. Bind is called once; bound components must
 // use only the engine's read accessors.
 type EngineBound interface {
 	Bind(e *Engine)

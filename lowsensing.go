@@ -84,9 +84,9 @@ type Welford = stats.Welford
 // EnergySummary aggregates per-packet access statistics.
 type EnergySummary = metrics.EnergySummary
 
-// Collector samples backlog/throughput/potential time series during a run;
-// it is a Recorder bound to the run's engine — attach one with
-// WithRecorder.
+// Collector samples backlog, implicit throughput, contention, the potential
+// Φ and the active window distribution (min, median, max) during a run; it
+// is a Recorder bound to the run's engine — attach one with WithRecorder.
 type Collector = metrics.Collector
 
 // Tracer records per-slot channel events; it is a Recorder — attach one

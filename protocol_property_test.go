@@ -29,7 +29,9 @@ import (
 // by a capturing recorder alone. Both observed Results must equal the
 // unobserved one exactly — EngineStats in full, nothing normalized — all
 // three captured event streams must be equal and non-empty, and the
-// Collector must have sampled.
+// Collector must have sampled. The Collector is the one recorder that reads
+// engine state (windows, backlog, Φ), so this is also the check that
+// sampling it perturbs no run.
 func TestBatchingEquivalence(t *testing.T) {
 	const n = 48
 	protoFallback := map[string]lowsensing.ProtocolSpec{

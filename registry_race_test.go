@@ -3,15 +3,10 @@ package lowsensing_test
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"lowsensing"
 )
-
-// raceSeq keeps registration names unique across test reruns in one
-// process (-count=N), where a fixed name would trip the duplicate panic.
-var raceSeq atomic.Int64
 
 // TestRegistryConcurrentRegisterAndParse hammers the registries from three
 // sides at once — registrations, spec resolution (ParseScenario and
@@ -21,12 +16,17 @@ var raceSeq atomic.Int64
 // use: a late RegisterProtocol racing a ParseScenario is a support
 // nightmare if it can corrupt the map instead of just being late.
 func TestRegistryConcurrentRegisterAndParse(t *testing.T) {
-	base := raceSeq.Add(1) * 1000
 	scenarioJSON := []byte(`{"arrivals": {"kind": "batch", "n": 8}, "protocol": {"kind": "beb"}}`)
 	sweepJSON := []byte(`{
 		"base": {"arrivals": {"kind": "batch", "n": 8}},
 		"axes": [{"name": "p", "variants": [{"label": "lsb"}, {"label": "beb", "patch": {"protocol": {"kind": "beb"}}}]}]
 	}`)
+
+	t.Cleanup(func() {
+		for i := 0; i < 8; i++ {
+			lowsensing.UnregisterProtocol(fmt.Sprintf("race-proto-%d", i))
+		}
+	})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -34,7 +34,7 @@ func TestRegistryConcurrentRegisterAndParse(t *testing.T) {
 		wg.Add(4)
 		go func() {
 			defer wg.Done()
-			lowsensing.RegisterProtocol(fmt.Sprintf("race-proto-%d", base+int64(i)), "race-test protocol", noopFactory)
+			lowsensing.RegisterProtocol(fmt.Sprintf("race-proto-%d", i), "race-test protocol", noopFactory)
 		}()
 		go func() {
 			defer wg.Done()
@@ -77,7 +77,7 @@ func TestRegistryConcurrentRegisterAndParse(t *testing.T) {
 	// Every racing registration landed.
 	names := kindNames(lowsensing.ProtocolKinds())
 	for i := 0; i < 8; i++ {
-		want := fmt.Sprintf("race-proto-%d", base+int64(i))
+		want := fmt.Sprintf("race-proto-%d", i)
 		found := false
 		for _, n := range names {
 			if n == want {

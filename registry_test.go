@@ -192,6 +192,7 @@ func TestSweepPointParamsIsolated(t *testing.T) {
 // specs, scenarios, option constructors, and sweep axes like a built-in.
 func TestRegisteredKindResolvesEverywhere(t *testing.T) {
 	lowsensing.RegisterProtocol("testproto", "test-only protocol", noopFactory)
+	t.Cleanup(func() { lowsensing.UnregisterProtocol("testproto") })
 
 	spec := lowsensing.ProtocolSpec{Kind: "testproto"}
 	if _, err := spec.Factory(); err != nil {
