@@ -431,7 +431,11 @@ func TestSimulationClusterRecorders(t *testing.T) {
 		}
 
 		swRec := &countingRecorder{}
-		if _, err := lowsensing.NewSweep(sc).Observe(func(lowsensing.Point, int) lowsensing.Recorder {
+		sw, err := lowsensing.SweepSpec{Base: sc}.Sweep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sw.Observe(func(lowsensing.Point, int) lowsensing.Recorder {
 			return swRec
 		}).Run(); err != nil {
 			t.Fatal(err)

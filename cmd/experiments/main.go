@@ -309,7 +309,9 @@ func runSpec(o specRun, out, errW io.Writer) error {
 		},
 	}
 	start := time.Now() //lsbvet:wallclock operator-facing elapsed-time report
+	reps := 0
 	err = sw.Stream(func(pr lowsensing.PointResult) error {
+		reps = pr.Reps
 		tab.AddRow(
 			pr.Point.String(),
 			fmt.Sprintf("%d", pr.Reps),
@@ -333,17 +335,10 @@ func runSpec(o specRun, out, errW io.Writer) error {
 		return err
 	}
 	tab.AddNote("%d points x %d reps, aggregated with streaming stats (no per-packet retention)",
-		len(tab.Rows), sweepReps(ss))
+		len(tab.Rows), reps)
 	fmt.Fprintln(out, tab)
 	fmt.Fprintf(out, "(%s completed in %s)\n", id, time.Since(start).Round(time.Millisecond)) //lsbvet:wallclock operator-facing elapsed-time report
 	return writeTable(o.outdir, id, tab)
-}
-
-func sweepReps(ss lowsensing.SweepSpec) int {
-	if ss.Reps < 1 {
-		return 1
-	}
-	return ss.Reps
 }
 
 // writeTable writes the .txt and .csv renderings when outdir is set.

@@ -66,11 +66,23 @@ func ExampleRegisterProtocol() {
 	fmt.Println("delivered:", res.Completed)
 
 	// And as a sweep axis against the built-in default (LSB).
-	results, err := lowsensing.NewSweep(lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(16)}).
-		ID("register-example").
-		Seed(2).
-		VaryProtocol(lowsensing.ProtocolSpec{}, lowsensing.ProtocolSpec{Kind: "fixedprob"}).
-		Run()
+	ss, err := lowsensing.ParseSweepSpec([]byte(`{
+		"id": "register-example",
+		"seed": 2,
+		"base": {"arrivals": {"kind": "batch", "n": 16}},
+		"axes": [{"name": "protocol", "variants": [
+			{"label": "lsb"},
+			{"label": "fixedprob", "patch": {"protocol": {"kind": "fixedprob"}}}
+		]}]
+	}`))
+	if err != nil {
+		panic(err)
+	}
+	sw, err := ss.Sweep()
+	if err != nil {
+		panic(err)
+	}
+	results, err := sw.Run()
 	if err != nil {
 		panic(err)
 	}

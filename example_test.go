@@ -83,20 +83,36 @@ func ExampleParseScenario() {
 	// jammed slots: true
 }
 
-// Declarative multi-run experiments: a Sweep executes every (point,
-// replication) pair of a parameter grid on a worker pool with
-// deterministic per-job seeding, aggregating each point with streaming
-// statistics — the output is identical whatever Workers is set to.
+// Declarative multi-run experiments: a SweepSpec describes a parameter
+// grid, and the Sweep it builds executes every (point, replication) pair on
+// a worker pool with deterministic per-job seeding, aggregating each point
+// with streaming statistics — the output is identical whatever Workers is
+// set to.
 func ExampleSweep() {
-	results, err := lowsensing.NewSweep(lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(32)}).
-		ID("example").
-		Seed(1).
-		Reps(2).
-		VaryInt("n", []int64{32, 64}, func(sc *lowsensing.Scenario, n int64) {
-			sc.Arrivals = lowsensing.BatchArrivals(n)
-		}).
-		VaryProtocol(lowsensing.ProtocolSpec{}, lowsensing.BEB()).
-		Run()
+	ss, err := lowsensing.ParseSweepSpec([]byte(`{
+		"id": "example",
+		"seed": 1,
+		"reps": 2,
+		"base": {"arrivals": {"kind": "batch", "n": 32}},
+		"axes": [
+			{"name": "n", "variants": [
+				{"label": "32"},
+				{"label": "64", "patch": {"arrivals": {"n": 64}}}
+			]},
+			{"name": "protocol", "variants": [
+				{"label": "lsb"},
+				{"label": "beb", "patch": {"protocol": {"kind": "beb"}}}
+			]}
+		]
+	}`))
+	if err != nil {
+		panic(err)
+	}
+	sw, err := ss.Sweep()
+	if err != nil {
+		panic(err)
+	}
+	results, err := sw.Run()
 	if err != nil {
 		panic(err)
 	}

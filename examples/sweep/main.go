@@ -1,10 +1,11 @@
 // Sweep: declarative multi-run experiments through the public
-// Scenario/Sweep API — the same layer the built-in experiment harness runs
-// on. A base scenario is varied over two axes (arrival rate x protocol)
-// with replications; every (point, rep) pair executes on a worker pool
-// with deterministic per-job seeding, and each point is aggregated with
-// streaming statistics (no per-packet retention), so the table below is
-// byte-identical however many cores run it.
+// SweepSpec/Sweep API. A sweep is pure data — a base scenario, axes of
+// variants that each JSON-merge-patch it, and a replication count — so the
+// same spec can live in a JSON file (see cmd/experiments -spec). Every
+// (point, rep) pair executes on a worker pool with deterministic per-job
+// seeding, and each point is aggregated with streaming statistics (no
+// per-packet retention), so the tables below are byte-identical however
+// many cores run them.
 //
 // Run with:
 //
@@ -18,55 +19,42 @@ import (
 	"lowsensing"
 )
 
-func main() {
-	log.SetFlags(0)
+// rateProtocol varies the arrival rate of a 2000-packet Bernoulli stream
+// against the protocol, with 3 replications per point.
+const rateProtocol = `{
+	"id": "examples/sweep",
+	"seed": 1,
+	"reps": 3,
+	"base": {"arrivals": {"kind": "bernoulli", "rate": 0.1, "n": 2000}, "max_slots": 1048576},
+	"axes": [
+		{"name": "rate", "variants": [
+			{"label": "0.05", "patch": {"arrivals": {"rate": 0.05}}},
+			{"label": "0.15", "patch": {"arrivals": {"rate": 0.15}}},
+			{"label": "0.3", "patch": {"arrivals": {"rate": 0.3}}}
+		]},
+		{"name": "protocol", "variants": [
+			{"label": "lsb"},
+			{"label": "beb", "patch": {"protocol": {"kind": "beb"}}}
+		]}
+	]
+}`
 
-	// The base scenario: 2000 packets trickling in as a Bernoulli stream.
-	base := lowsensing.Scenario{
-		Arrivals: lowsensing.BernoulliArrivals(0.1, 2000),
-		MaxSlots: 1 << 20,
-	}
+// jamming runs a batch of 512 with and without a random jammer.
+const jamming = `{
+	"id": "examples/sweep-json",
+	"seed": 1,
+	"reps": 2,
+	"base": {"arrivals": {"kind": "batch", "n": 512}},
+	"axes": [{"name": "jam", "variants": [
+		{"label": "none"},
+		{"label": "25%", "patch": {"jammer": {"kind": "random", "rate": 0.25}}}
+	]}]
+}`
 
-	fmt.Println("rate x protocol sweep, 3 reps per point:")
-	fmt.Printf("%-28s %9s %9s %9s %9s\n", "point", "tput", "delivered", "meanAcc", "p99Acc")
-	err := lowsensing.NewSweep(base).
-		ID("examples/sweep").
-		Seed(1).
-		Reps(3).
-		Vary("rate", []float64{0.05, 0.15, 0.3}, func(sc *lowsensing.Scenario, rate float64) {
-			sc.Arrivals = lowsensing.BernoulliArrivals(rate, 2000)
-		}).
-		VaryProtocol(lowsensing.LowSensing(lowsensing.DefaultConfig()), lowsensing.BEB()).
-		Stream(func(pr lowsensing.PointResult) error {
-			// Points stream in grid order as their last replication lands;
-			// aggregates pool all reps (quantiles included) in constant
-			// memory however long the runs are.
-			fmt.Printf("%-28s %9.3f %9.3f %9.1f %9.0f\n",
-				pr.Point,
-				pr.Throughput.Mean(),
-				pr.DeliveredFrac(),
-				pr.Energy.Accesses.Mean(),
-				pr.Energy.Accesses.Quantile(0.99),
-			)
-			return nil
-		})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// The same experiment as pure data: sweep specs can live in JSON files
-	// (see cmd/experiments -spec) and round-trip through ParseSweepSpec.
-	spec := []byte(`{
-		"id": "examples/sweep-json",
-		"seed": 1,
-		"reps": 2,
-		"base": {"arrivals": {"kind": "batch", "n": 512}},
-		"axes": [{"name": "jam", "variants": [
-			{"label": "none"},
-			{"label": "25%", "patch": {"jammer": {"kind": "random", "rate": 0.25}}}
-		]}]
-	}`)
-	ss, err := lowsensing.ParseSweepSpec(spec)
+// build parses a sweep spec and builds it; every grid point is validated
+// here, so a nil error means the runs cannot fail on a malformed spec.
+func build(spec string) *lowsensing.Sweep {
+	ss, err := lowsensing.ParseSweepSpec([]byte(spec))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +62,32 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := sw.Run()
+	return sw
+}
+
+func main() {
+	log.SetFlags(0)
+
+	fmt.Println("rate x protocol sweep, 3 reps per point:")
+	fmt.Printf("%-28s %9s %9s %9s %9s\n", "point", "tput", "delivered", "meanAcc", "p99Acc")
+	err := build(rateProtocol).Stream(func(pr lowsensing.PointResult) error {
+		// Points stream in grid order as their last replication lands;
+		// aggregates pool all reps (quantiles included) in constant
+		// memory however long the runs are.
+		fmt.Printf("%-28s %9.3f %9.3f %9.1f %9.0f\n",
+			pr.Point,
+			pr.Throughput.Mean(),
+			pr.DeliveredFrac(),
+			pr.Energy.Accesses.Mean(),
+			pr.Energy.Accesses.Quantile(0.99),
+		)
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	results, err := build(jamming).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,9 +3,8 @@ package sim
 // event is one pending channel access: the station occupying slot-table
 // entry idx (carrying packet id) will access the channel at slot. The
 // packet id rides along because slot-table entries are recycled, so idx
-// alone no longer encodes arrival order; ordering by (slot, id) keeps the
-// engine's within-slot processing in arrival order, exactly as before the
-// table was recycled.
+// alone does not encode arrival order; ordering by (slot, id) keeps the
+// engine's within-slot processing in arrival order.
 type event struct {
 	slot int64
 	id   int64
@@ -19,12 +18,11 @@ func eventLess(a, b event) bool {
 	return a.slot < b.slot || (a.slot == b.slot && a.id < b.id)
 }
 
-// eventQueue is a 4-ary min-heap specialized to event. It was the engine's
-// scheduler before the hierarchical timing wheel (wheel.go) and now serves
-// as the wheel's far-future overflow level — events scheduled beyond the
-// wheel's 2^28-slot horizon wait here, already in pop order, until the
-// cursor reaches their region — and as the baseline the wheel's benchmarks
-// are measured against. Compared with a container/heap implementation it
+// eventQueue is a 4-ary min-heap specialized to event. It is the
+// hierarchical timing wheel's (wheel.go) far-future overflow level —
+// events scheduled beyond the wheel's 2^28-slot horizon wait here, already
+// in pop order, until the cursor reaches their region — and the baseline
+// the wheel's benchmarks are measured against. Compared with a container/heap implementation it
 // never boxes events through `any` on Push/Pop (zero allocations in steady
 // state, the backing array is reused) and the 4-ary layout halves the tree
 // depth, trading a few extra comparisons per level for far fewer cache-

@@ -12,15 +12,14 @@
 // accounted through Jammer.CountRange. This makes runs with large windows
 // (the common case for LOW-SENSING BACKOFF) cost O(total channel
 // accesses), not O(total slots) — and the wheel makes each access O(1)
-// amortized to schedule and extract, where the previous min-heap paid
-// O(log backlog).
+// amortized to schedule and extract.
 //
 // # Memory model
 //
 // The engine is built for streaming scale: live state is O(backlog), not
 // O(total arrivals), and the steady-state packet lifecycle allocates
 // nothing. The timing wheel threads its buckets through one node array
-// indexed by slot-table entry (an inlined 4-ary min-heap remains as its
+// indexed by slot-table entry (an inlined 4-ary min-heap is its
 // far-future overflow level), departed packets' slot-table entries are
 // recycled through a free list — including the entry's embedded rng,
 // reinitialized in place, and its Station object when the protocol

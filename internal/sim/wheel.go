@@ -7,8 +7,7 @@ import (
 
 // timingWheel is the engine's event scheduler: a hierarchical timing wheel
 // that exploits the engine's monotone time advance for O(1) amortized
-// schedule/extract, replacing the O(log n) min-heap on the hot path while
-// preserving the heap's exact (slot, id) pop order.
+// schedule/extract in exact (slot, id) pop order.
 //
 // # Structure
 //
@@ -61,8 +60,8 @@ import (
 //
 // # Ordering
 //
-// The engine requires pops in strict (slot, id) order — identical to the
-// heap it replaces — so the goldens stay byte-identical. Level >= 1
+// The engine requires pops in strict (slot, id) order (eventLess), so the
+// goldens stay byte-identical. Level >= 1
 // buckets are unordered (cascading re-distributes them), but a level-0
 // bucket holds events of exactly one slot: popAtMost serves a single-event
 // bucket directly from its header (the steady-state sparse case pays for

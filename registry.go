@@ -10,13 +10,12 @@ import (
 
 // This file implements the kind registries that make the declarative layer
 // open-world: every protocol, arrival-process, jammer, cluster-router,
-// churn, and fault-model kind that ParseScenario, ParseSweepSpec,
-// Sweep.VaryProtocol, and the CLIs can resolve — built-in
-// or user-defined — goes through the same registries (the churn and fault
-// registries live in robustness.go). The built-ins self-register in
-// builtins.go; user components
-// register from an init function (or any point before the kind is first
-// parsed) and are indistinguishable from built-ins afterwards.
+// churn, and fault-model kind that ParseScenario, ParseSweepSpec, and the
+// CLIs can resolve — built-in or user-defined — goes through the same
+// registries (the churn and fault registries live in robustness.go). The
+// built-ins self-register in builtins.go; user components register from an
+// init function (or any point before the kind is first parsed) and are
+// indistinguishable from built-ins afterwards.
 //
 // Registry semantics:
 //
@@ -130,8 +129,8 @@ var (
 )
 
 // RegisterProtocol makes a protocol kind resolvable everywhere specs are:
-// Scenario.Protocol, ParseScenario, ParseSweepSpec, Sweep.VaryProtocol, and
-// the CLIs. Register from an init function; registering a duplicate kind,
+// Scenario.Protocol, ParseScenario, ParseSweepSpec (sweep axes included),
+// and the CLIs. Register from an init function; registering a duplicate kind,
 // an empty kind, or a nil factory panics. The doc string (one line) is
 // shown by ProtocolKinds and the CLIs' -kinds listing.
 //

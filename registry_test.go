@@ -1,6 +1,7 @@
 package lowsensing_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -221,9 +222,14 @@ func TestRegisteredKindResolvesEverywhere(t *testing.T) {
 	}
 
 	// Through a sweep axis.
-	pts, err := lowsensing.NewSweep(sc).
-		VaryProtocol(lowsensing.LowSensing(lowsensing.DefaultConfig()), spec).
-		Run()
+	sw, err := lowsensing.SweepSpec{Base: sc, Axes: []lowsensing.AxisSpec{{Name: "protocol", Variants: []lowsensing.Variant{
+		{Label: "lsb", Patch: json.RawMessage(`{"protocol": {"kind": "lsb"}}`)},
+		{Label: "testproto", Patch: json.RawMessage(`{"protocol": {"kind": "testproto"}}`)},
+	}}}}.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := sw.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

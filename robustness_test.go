@@ -514,10 +514,14 @@ func TestSweepChurnFaults(t *testing.T) {
 		Faults:   lowsensing.SensingFaults(0.1, 0.05),
 		MaxSlots: 1 << 13,
 	}
-	pts, err := lowsensing.NewSweep(base).
-		VaryProtocol(lowsensing.ProtocolSpec{}, lowsensing.ProtocolSpec{Kind: lowsensing.ProtocolBEB}).
-		Reps(2).
-		Run()
+	sw, err := lowsensing.SweepSpec{Reps: 2, Base: base, Axes: []lowsensing.AxisSpec{{Name: "protocol", Variants: []lowsensing.Variant{
+		{Label: "lsb"},
+		{Label: "beb", Patch: json.RawMessage(`{"protocol": {"kind": "beb"}}`)},
+	}}}}.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := sw.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +544,11 @@ func TestSweepChurnFaults(t *testing.T) {
 	cbase := base
 	cbase.Channels = 4
 	cbase.Router = lowsensing.RouterSpec{Kind: lowsensing.RouterRoundRobin}
-	cpts, err := lowsensing.NewSweep(cbase).Run()
+	csw, err := lowsensing.SweepSpec{Base: cbase}.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpts, err := csw.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -14,17 +15,20 @@ import (
 )
 
 // Sweep is a declarative multi-run experiment: a base Scenario, one or more
-// axes that each vary part of it, and a replication count. Executing the
-// sweep runs every (point, replication) pair of the cartesian grid on a
-// worker pool and aggregates each point's replications into streaming
-// statistics — no per-packet data is ever retained, so sweeps scale to
-// arbitrarily long runs.
+// axes that each vary part of it, and a replication count. It is built from
+// a SweepSpec (SweepSpec.Sweep), the only sweep definition; what a spec
+// cannot hold as data — the worker count, progress and recorder hooks — is
+// attached to the built Sweep. Executing the sweep runs every (point,
+// replication) pair of the cartesian grid on a worker pool and aggregates
+// each point's replications into streaming statistics — no per-packet data
+// is ever retained, so sweeps scale to arbitrarily long runs. A built Sweep
+// can be run any number of times.
 //
 // Reproducibility contract: every job's seed is derived only from
 // (Seed, ID, point index, replication index) via the same SplitMix64 chain
 // the experiment harness uses, results are folded in job order, and
 // aggregation is single-threaded — so the output is a pure function of the
-// sweep definition, whatever Workers is.
+// sweep spec, whatever Workers is.
 //
 // Clusters sweep like anything else: a base scenario with Channels >= 1
 // makes every job a cluster run (or an axis patch sets "channels" and
@@ -32,73 +36,33 @@ import (
 // Total. The sweep stays parallel across jobs, so each job runs its
 // channels serially (Workers 1), which keeps the pool fully loaded.
 //
-//	points, err := lowsensing.NewSweep(lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(512)}).
-//	    Vary("rate", []float64{0.05, 0.1, 0.2}, func(sc *lowsensing.Scenario, v float64) {
-//	        sc.Arrivals = lowsensing.BernoulliArrivals(v, 512)
-//	    }).
-//	    VaryProtocol(lowsensing.LowSensing(lowsensing.DefaultConfig()), lowsensing.BEB()).
-//	    Reps(5).
-//	    Run()
+//	ss, err := lowsensing.ParseSweepSpec([]byte(`{
+//	    "reps": 5,
+//	    "base": {"arrivals": {"kind": "bernoulli", "rate": 0.05, "n": 512}},
+//	    "axes": [
+//	        {"name": "rate", "variants": [
+//	            {"label": "0.05"},
+//	            {"label": "0.2", "patch": {"arrivals": {"rate": 0.2}}}]},
+//	        {"name": "protocol", "variants": [
+//	            {"label": "lsb"},
+//	            {"label": "beb", "patch": {"protocol": {"kind": "beb"}}}]}
+//	    ]}`))
+//	sw, err := ss.Sweep()
+//	points, err := sw.Run()
 type Sweep struct {
-	err      error
-	base     Scenario
 	id       string
 	seed     uint64
 	reps     int
+	points   []Point
 	workers  int
-	axes     []sweepAxis
 	progress func(SweepProgress)
 	observe  func(Point, int) Recorder
 }
 
-type sweepAxis struct {
-	name   string
-	labels []string
-	apply  []func(*Scenario)
-}
-
-// NewSweep starts a sweep over variations of the base scenario. The sweep
-// seed defaults to the base scenario's seed, the ID to "sweep", and Reps
-// to 1.
-func NewSweep(base Scenario) *Sweep {
-	return &Sweep{base: base, id: "sweep", seed: base.Seed, reps: 1}
-}
-
-func (sw *Sweep) fail(err error) *Sweep {
-	if sw.err == nil && err != nil {
-		sw.err = err
-	}
-	return sw
-}
-
-// ID names the sweep. The name domain-separates seed derivation: two sweeps
-// with different IDs draw independent randomness from the same seed.
-func (sw *Sweep) ID(id string) *Sweep {
-	sw.id = id
-	return sw
-}
-
-// Seed fixes the base seed all job seeds are derived from.
-func (sw *Sweep) Seed(seed uint64) *Sweep {
-	sw.seed = seed
-	return sw
-}
-
-// Reps sets how many replications run at every point (default 1).
-func (sw *Sweep) Reps(n int) *Sweep {
-	if n < 1 {
-		return sw.fail(fmt.Errorf("lowsensing: sweep reps must be >= 1, got %d", n))
-	}
-	sw.reps = n
-	return sw
-}
-
 // Workers bounds how many simulations run concurrently; 0 (the default)
-// means one worker per usable CPU. Results are identical for every value.
+// means one worker per usable CPU, and a negative count fails Stream.
+// Results are identical for every value.
 func (sw *Sweep) Workers(n int) *Sweep {
-	if n < 0 {
-		return sw.fail(fmt.Errorf("lowsensing: sweep workers must be >= 0, got %d", n))
-	}
 	sw.workers = n
 	return sw
 }
@@ -174,72 +138,6 @@ func (sw *Sweep) Observe(mk func(p Point, rep int) Recorder) *Sweep {
 	return sw
 }
 
-// addAxis validates and appends one axis.
-func (sw *Sweep) addAxis(name string, labels []string, apply []func(*Scenario)) *Sweep {
-	if name == "" {
-		return sw.fail(fmt.Errorf("lowsensing: sweep axis needs a name"))
-	}
-	if len(labels) == 0 {
-		return sw.fail(fmt.Errorf("lowsensing: sweep axis %q has no values", name))
-	}
-	sw.axes = append(sw.axes, sweepAxis{name: name, labels: labels, apply: apply})
-	return sw
-}
-
-// Vary adds an axis over float64 values: at each point, apply rewrites the
-// scenario for one value (set an arrival rate, a jam rate, an algorithm
-// constant, ...).
-func (sw *Sweep) Vary(name string, values []float64, apply func(*Scenario, float64)) *Sweep {
-	labels := make([]string, len(values))
-	applies := make([]func(*Scenario), len(values))
-	for i, v := range values {
-		v := v
-		labels[i] = strconv.FormatFloat(v, 'g', -1, 64)
-		applies[i] = func(sc *Scenario) { apply(sc, v) }
-	}
-	return sw.addAxis(name, labels, applies)
-}
-
-// VaryInt is Vary over integer values (batch sizes, budgets, slot caps).
-func (sw *Sweep) VaryInt(name string, values []int64, apply func(*Scenario, int64)) *Sweep {
-	labels := make([]string, len(values))
-	applies := make([]func(*Scenario), len(values))
-	for i, v := range values {
-		v := v
-		labels[i] = strconv.FormatInt(v, 10)
-		applies[i] = func(sc *Scenario) { apply(sc, v) }
-	}
-	return sw.addAxis(name, labels, applies)
-}
-
-// VaryProtocol adds a protocol axis: each point runs one of the given
-// protocol specs.
-func (sw *Sweep) VaryProtocol(specs ...ProtocolSpec) *Sweep {
-	labels := make([]string, len(specs))
-	applies := make([]func(*Scenario), len(specs))
-	for i, p := range specs {
-		p := p
-		labels[i] = p.Kind
-		if labels[i] == "" {
-			labels[i] = ProtocolLSB
-		}
-		applies[i] = func(sc *Scenario) { sc.Protocol = p }
-	}
-	return sw.addAxis("protocol", labels, applies)
-}
-
-// VaryScenario adds a fully general axis: variant i is labelled labels[i]
-// and produced by apply(sc, i). It is the escape hatch when an axis varies
-// several fields at once.
-func (sw *Sweep) VaryScenario(name string, labels []string, apply func(*Scenario, int)) *Sweep {
-	applies := make([]func(*Scenario), len(labels))
-	for i := range labels {
-		i := i
-		applies[i] = func(sc *Scenario) { apply(sc, i) }
-	}
-	return sw.addAxis(name, labels, applies)
-}
-
 // Point is one cell of a sweep's parameter grid.
 type Point struct {
 	// Index is the point's position in row-major grid order (the first
@@ -257,28 +155,12 @@ func (p Point) String() string { return strings.Join(p.Labels, " ") }
 
 // Points enumerates the sweep's grid in row-major order (first axis
 // outermost). A sweep with no axes has exactly one point: the base
-// scenario.
+// scenario. Each call returns a fresh slice with deep-copied scenarios, so
+// callers may modify the scenarios freely.
 func (sw *Sweep) Points() []Point {
-	total := 1
-	for _, ax := range sw.axes {
-		total *= len(ax.labels)
-	}
-	pts := make([]Point, total)
-	for idx := range pts {
-		// Deep-copy the base so axis rewrites — in particular JSON merge
-		// patches into the specs' Params maps — stay local to this point.
-		sc := sw.base.clone()
-		labels := make([]string, len(sw.axes))
-		rem := idx
-		stride := total
-		for ai, ax := range sw.axes {
-			stride /= len(ax.labels)
-			vi := rem / stride
-			rem %= stride
-			ax.apply[vi](&sc)
-			labels[ai] = ax.name + "=" + ax.labels[vi]
-		}
-		pts[idx] = Point{Index: idx, Labels: labels, Scenario: sc}
+	pts := slices.Clone(sw.points)
+	for i := range pts {
+		pts[i].Scenario = pts[i].Scenario.clone()
 	}
 	return pts
 }
@@ -362,8 +244,8 @@ func (sw *Sweep) Run() ([]PointResult, error) {
 // cancels the sweep; after a job error, emit has seen exactly the points
 // before the failing job's, whatever the scheduling.
 func (sw *Sweep) Stream(emit func(PointResult) error) error {
-	if sw.err != nil {
-		return sw.err
+	if sw.workers < 0 {
+		return fmt.Errorf("lowsensing: sweep workers must be >= 0, got %d", sw.workers)
 	}
 	points := sw.Points()
 	jobs := make([]runner.Job[timedResult], 0, len(points)*sw.reps)
@@ -440,18 +322,19 @@ type timedResult struct {
 	wall time.Duration
 }
 
-// SweepSpec is the serializable form of a Sweep, so whole experiments —
-// not just single runs — can live in JSON files. Each axis is a list of
-// variants; a variant is a JSON merge patch applied to the base scenario
-// (e.g. {"arrivals": {"rate": 0.2}} or {"protocol": {"kind": "beb"}}), so
-// any Scenario field can be swept without code — "channels" and "router"
-// included, which is how a sweep runs clusters.
+// SweepSpec is the definition of a Sweep, and serializable, so whole
+// experiments — not just single runs — can live in JSON files. Each axis
+// is a list of variants; a variant is a JSON merge patch applied to the
+// base scenario (e.g. {"arrivals": {"rate": 0.2}} or {"protocol":
+// {"kind": "beb"}}), so any Scenario field can be swept without code —
+// "channels" and "router" included, which is how a sweep runs clusters.
 type SweepSpec struct {
-	// ID domain-separates seed derivation (default "sweep").
+	// ID domain-separates seed derivation: two sweeps with different IDs
+	// draw independent randomness from the same seed (default "sweep").
 	ID string `json:"id,omitempty"`
 	// Seed is the base seed (default: the base scenario's seed).
 	Seed uint64 `json:"seed,omitempty"`
-	// Reps is the replication count per point (default 1).
+	// Reps is the replication count per point (0 means 1).
 	Reps int `json:"reps,omitempty"`
 	// Base is the scenario every point starts from.
 	Base Scenario `json:"base"`
@@ -486,55 +369,76 @@ func ParseSweepSpec(data []byte) (SweepSpec, error) {
 	return ss, nil
 }
 
-// Sweep builds the executable sweep. Every patch is applied strictly
-// (unknown fields are errors) and every grid point's scenario is validated
-// up front, so a nil error means Run cannot fail on a malformed spec.
+// Sweep builds the executable sweep. Variant labels default to the
+// variant's index; labels must be unique within an axis and axis names
+// unique within the spec, so every point has its own name. Each grid
+// point is patched once, strictly (unknown fields are errors), and
+// validated once, up front, so a nil error means Run cannot fail on a
+// malformed spec.
 func (ss SweepSpec) Sweep() (*Sweep, error) {
-	sw := NewSweep(ss.Base)
-	if ss.ID != "" {
-		sw.ID(ss.ID)
+	sw := &Sweep{id: ss.ID, seed: ss.Seed, reps: ss.Reps}
+	if sw.id == "" {
+		sw.id = "sweep"
 	}
-	if ss.Seed != 0 {
-		sw.Seed(ss.Seed)
+	if sw.seed == 0 {
+		sw.seed = ss.Base.Seed
 	}
-	if ss.Reps != 0 {
-		sw.Reps(ss.Reps)
+	if sw.reps == 0 {
+		sw.reps = 1
 	}
-	for _, ax := range ss.Axes {
-		labels := make([]string, len(ax.Variants))
-		patches := make([]json.RawMessage, len(ax.Variants))
-		for vi, v := range ax.Variants {
-			labels[vi] = v.Label
-			if labels[vi] == "" {
-				labels[vi] = strconv.Itoa(vi)
+	if sw.reps < 1 {
+		return nil, fmt.Errorf("lowsensing: sweep reps must be >= 1, got %d", ss.Reps)
+	}
+	total := 1
+	labels := make([][]string, len(ss.Axes))
+	for ai, ax := range ss.Axes {
+		if ax.Name == "" {
+			return nil, fmt.Errorf("lowsensing: sweep axis %d needs a name", ai)
+		}
+		if len(ax.Variants) == 0 {
+			return nil, fmt.Errorf("lowsensing: sweep axis %q has no values", ax.Name)
+		}
+		for _, prev := range ss.Axes[:ai] {
+			if prev.Name == ax.Name {
+				return nil, fmt.Errorf("lowsensing: sweep axis %q appears twice", ax.Name)
 			}
-			patches[vi] = v.Patch
-			if len(v.Patch) > 0 {
-				// Validate the patch shape eagerly against a deep copy of
-				// the base (a shallow copy would let the probe decode write
-				// through shared Params maps into ss.Base).
-				probe := ss.Base.clone()
-				if err := strictPatch(&probe, v.Patch); err != nil {
-					return nil, fmt.Errorf("lowsensing: sweep axis %q variant %q: %w", ax.Name, labels[vi], err)
+		}
+		labels[ai] = make([]string, len(ax.Variants))
+		for vi, v := range ax.Variants {
+			label := v.Label
+			if label == "" {
+				label = strconv.Itoa(vi)
+			}
+			if slices.Contains(labels[ai][:vi], label) {
+				return nil, fmt.Errorf("lowsensing: sweep axis %q has two variants labelled %q", ax.Name, label)
+			}
+			labels[ai][vi] = label
+		}
+		total *= len(ax.Variants)
+	}
+	sw.points = make([]Point, total)
+	for idx := range sw.points {
+		// Deep-copy the base so patches — in particular merges into the
+		// specs' Params maps — stay local to this point.
+		sc := ss.Base.clone()
+		pl := make([]string, len(ss.Axes))
+		rem, stride := idx, total
+		for ai, ax := range ss.Axes {
+			stride /= len(ax.Variants)
+			vi := rem / stride
+			rem %= stride
+			if patch := ax.Variants[vi].Patch; len(patch) > 0 {
+				if err := strictPatch(&sc, patch); err != nil {
+					return nil, fmt.Errorf("lowsensing: sweep axis %q variant %q: %w", ax.Name, labels[ai][vi], err)
 				}
 			}
+			pl[ai] = ax.Name + "=" + labels[ai][vi]
 		}
-		sw.VaryScenario(ax.Name, labels, func(sc *Scenario, i int) {
-			if p := patches[i]; len(p) > 0 {
-				// Already validated above; on the impossible error the
-				// scenario is left partially patched and point validation
-				// below reports it.
-				_ = strictPatch(sc, p)
-			}
-		})
-	}
-	if sw.err != nil {
-		return nil, sw.err
-	}
-	for _, p := range sw.Points() {
-		if err := p.Scenario.Validate(); err != nil {
+		p := Point{Index: idx, Labels: pl, Scenario: sc}
+		if err := sc.Validate(); err != nil {
 			return nil, fmt.Errorf("lowsensing: sweep point %q: %w", p, err)
 		}
+		sw.points[idx] = p
 	}
 	return sw, nil
 }

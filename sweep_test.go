@@ -2,28 +2,50 @@ package lowsensing_test
 
 import (
 	"errors"
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"lowsensing"
 	"lowsensing/internal/runner"
 )
 
-// twoAxisSweep is the acceptance-criteria sweep: 2 axes (batch size x
+// twoAxisSpec is the acceptance-criteria sweep: 2 axes (batch size x
 // protocol) with replications.
-func twoAxisSweep(workers int) *lowsensing.Sweep {
-	return lowsensing.NewSweep(lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(16)}).
-		ID("test-sweep").
-		Seed(20240617).
-		Reps(3).
-		Workers(workers).
-		VaryInt("n", []int64{16, 32, 64}, func(sc *lowsensing.Scenario, n int64) {
-			sc.Arrivals = lowsensing.BatchArrivals(n)
-		}).
-		VaryProtocol(lowsensing.ProtocolSpec{}, lowsensing.BEB())
+const twoAxisSpec = `{
+	"id": "test-sweep",
+	"seed": 20240617,
+	"reps": 3,
+	"base": {"arrivals": {"kind": "batch", "n": 16}},
+	"axes": [
+		{"name": "n", "variants": [
+			{"label": "16"},
+			{"label": "32", "patch": {"arrivals": {"n": 32}}},
+			{"label": "64", "patch": {"arrivals": {"n": 64}}}
+		]},
+		{"name": "protocol", "variants": [
+			{"label": "lsb"},
+			{"label": "beb", "patch": {"protocol": {"kind": "beb"}}}
+		]}
+	]
+}`
+
+func twoAxisSweep(t *testing.T, workers int) *lowsensing.Sweep {
+	t.Helper()
+	ss, err := lowsensing.ParseSweepSpec([]byte(twoAxisSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := ss.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sw.Workers(workers)
 }
 
 func TestSweepGridAndAggregates(t *testing.T) {
-	sw := twoAxisSweep(0)
+	sw := twoAxisSweep(t, 0)
 	points := sw.Points()
 	if len(points) != 6 {
 		t.Fatalf("grid has %d points, want 3x2", len(points))
@@ -101,12 +123,12 @@ func TestSweepGridAndAggregates(t *testing.T) {
 // TestSweepDeterministicAcrossWorkers: aggregates are a pure function of
 // the sweep definition, whatever the worker count.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	base, err := twoAxisSweep(1).Run()
+	base, err := twoAxisSweep(t, 1).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7} {
-		got, err := twoAxisSweep(workers).Run()
+		got, err := twoAxisSweep(t, workers).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,15 +144,16 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 // TestSweepZeroRetention: sweep replications never retain per-packet
 // tables, even when the base scenario asks for retention.
 func TestSweepZeroRetention(t *testing.T) {
-	sw := lowsensing.NewSweep(lowsensing.Scenario{
-		Arrivals:      lowsensing.BatchArrivals(32),
-		RetainPackets: true,
-	}).Reps(2)
-	for _, p := range sw.Points() {
-		if p.Scenario.RetainPackets {
-			// Points() reflects the base verbatim; execution strips it.
-			break
-		}
+	sw, err := lowsensing.SweepSpec{
+		Reps: 2,
+		Base: lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(32), RetainPackets: true},
+	}.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Points() reflects the base verbatim; execution strips it.
+	if !sw.Points()[0].Scenario.RetainPackets {
+		t.Fatal("Points() dropped the base's RetainPackets")
 	}
 	results, err := sw.Run()
 	if err != nil {
@@ -148,7 +171,7 @@ func TestSweepZeroRetention(t *testing.T) {
 
 func TestSweepStreamOrderAndErrors(t *testing.T) {
 	var got []string
-	err := twoAxisSweep(4).Stream(func(pr lowsensing.PointResult) error {
+	err := twoAxisSweep(t, 4).Stream(func(pr lowsensing.PointResult) error {
 		got = append(got, pr.Point.String())
 		return nil
 	})
@@ -162,7 +185,7 @@ func TestSweepStreamOrderAndErrors(t *testing.T) {
 	// Emit errors cancel the sweep.
 	boom := errors.New("boom")
 	calls := 0
-	err = twoAxisSweep(4).Stream(func(lowsensing.PointResult) error {
+	err = twoAxisSweep(t, 4).Stream(func(lowsensing.PointResult) error {
 		calls++
 		return boom
 	})
@@ -173,27 +196,42 @@ func TestSweepStreamOrderAndErrors(t *testing.T) {
 		t.Fatalf("emit called %d times after error", calls)
 	}
 
-	// Invalid scenarios fail the corresponding job.
-	err = lowsensing.NewSweep(lowsensing.Scenario{}).Stream(func(lowsensing.PointResult) error { return nil })
-	if err == nil {
-		t.Fatal("sweep over an invalid scenario succeeded")
+	if _, err := twoAxisSweep(t, -1).Run(); err == nil {
+		t.Fatal("Workers(-1) accepted")
 	}
 }
 
-func TestSweepBuilderValidation(t *testing.T) {
-	if _, err := lowsensing.NewSweep(lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(8)}).Reps(0).Run(); err == nil {
-		t.Fatal("Reps(0) accepted")
+// TestSweepReuse: a built Sweep streams any number of times with the same
+// results, and hooks can be swapped between runs.
+func TestSweepReuse(t *testing.T) {
+	sw := twoAxisSweep(t, 2)
+	run := func() ([]lowsensing.PointResult, int) {
+		var results []lowsensing.PointResult
+		jobs := 0
+		var observed atomic.Int64
+		sw.Progress(func(lowsensing.SweepProgress) { jobs++ })
+		sw.Observe(func(lowsensing.Point, int) lowsensing.Recorder {
+			observed.Add(1)
+			return nil
+		})
+		if err := sw.Stream(func(pr lowsensing.PointResult) error {
+			results = append(results, pr)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if observed.Load() != int64(jobs) {
+			t.Fatalf("observed %d jobs, progress saw %d", observed.Load(), jobs)
+		}
+		return results, jobs
 	}
-	if _, err := lowsensing.NewSweep(lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(8)}).Workers(-1).Run(); err == nil {
-		t.Fatal("Workers(-1) accepted")
+	first, jobs1 := run()
+	second, jobs2 := run()
+	if jobs1 != 18 || jobs2 != 18 {
+		t.Fatalf("progress saw %d then %d jobs, want 18 each", jobs1, jobs2)
 	}
-	if _, err := lowsensing.NewSweep(lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(8)}).
-		Vary("", []float64{1}, func(*lowsensing.Scenario, float64) {}).Run(); err == nil {
-		t.Fatal("unnamed axis accepted")
-	}
-	if _, err := lowsensing.NewSweep(lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(8)}).
-		Vary("x", nil, func(*lowsensing.Scenario, float64) {}).Run(); err == nil {
-		t.Fatal("empty axis accepted")
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("second Stream of the same Sweep differs from the first")
 	}
 }
 
@@ -242,25 +280,6 @@ func TestSweepSpecJSON(t *testing.T) {
 			t.Fatalf("point %d arrived %d", i, pr.Arrived)
 		}
 	}
-
-	// The JSON-driven sweep equals the programmatic one.
-	prog := lowsensing.NewSweep(lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(16)}).
-		ID("spec-sweep").Seed(99).Reps(2).
-		VaryScenario("rate", []string{"batch", "bern"}, func(sc *lowsensing.Scenario, i int) {
-			if i == 1 {
-				sc.Arrivals = lowsensing.BernoulliArrivals(0.1, 16)
-			}
-		}).
-		VaryProtocol(lowsensing.ProtocolSpec{}, lowsensing.BEB())
-	progResults, err := prog.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range results {
-		if results[i].Energy != progResults[i].Energy {
-			t.Fatalf("spec point %d differs from programmatic sweep", i)
-		}
-	}
 }
 
 func TestSweepSpecRejectsBadInput(t *testing.T) {
@@ -270,14 +289,30 @@ func TestSweepSpecRejectsBadInput(t *testing.T) {
 		"invalid base":        `{"base": {"arrivals": {"kind": "batch"}}}`,
 		"invalid point":       `{"base": {"arrivals": {"kind": "batch", "n": 8}}, "axes": [{"name": "a", "variants": [{"patch": {"arrivals": {"n": -1}}}]}]}`,
 		"empty axis":          `{"base": {"arrivals": {"kind": "batch", "n": 8}}, "axes": [{"name": "a", "variants": []}]}`,
+		"unnamed axis":        `{"base": {"arrivals": {"kind": "batch", "n": 8}}, "axes": [{"variants": [{}]}]}`,
+		"negative reps":       `{"reps": -1, "base": {"arrivals": {"kind": "batch", "n": 8}}}`,
+		"duplicate label":     `{"base": {"arrivals": {"kind": "batch", "n": 8}}, "axes": [{"name": "a", "variants": [{"label": "x"}, {"label": "x"}]}]}`,
+		"default label clash": `{"base": {"arrivals": {"kind": "batch", "n": 8}}, "axes": [{"name": "a", "variants": [{"label": "1"}, {}]}]}`,
+		"duplicate axis":      `{"base": {"arrivals": {"kind": "batch", "n": 8}}, "axes": [{"name": "a", "variants": [{"label": "x"}]}, {"name": "a", "variants": [{"label": "y"}]}]}`,
+	}
+	// Ambiguous grids would give two points the same name; the error names
+	// the axis and the label.
+	wantMsg := map[string]string{
+		"duplicate label":     `axis "a" has two variants labelled "x"`,
+		"default label clash": `axis "a" has two variants labelled "1"`,
+		"duplicate axis":      `axis "a" appears twice`,
 	}
 	for name, spec := range cases {
 		ss, err := lowsensing.ParseSweepSpec([]byte(spec))
 		if err != nil {
 			continue // rejected at parse time (unknown fields)
 		}
-		if _, err := ss.Sweep(); err == nil {
+		_, err = ss.Sweep()
+		if err == nil {
 			t.Fatalf("%s accepted", name)
+		}
+		if want, ok := wantMsg[name]; ok && !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not say %q", name, err, want)
 		}
 	}
 }
