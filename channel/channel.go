@@ -220,7 +220,7 @@ type RangeJammer interface {
 // LeaveSlot-1 and never accesses a slot >= LeaveSlot. A negative return
 // means the packet never leaves. LeaveSlot must be a pure function of
 // (id, arrival) and construction-time parameters — never of call order or
-// engine state — so that sharded cluster execution and single-engine runs
+// engine state — so that cluster execution and single-engine runs
 // see identical lifetimes. It must return either a negative value or a
 // slot strictly greater than arrival: a packet lives at least through its
 // arrival slot.

@@ -13,21 +13,19 @@
 // When the stream delivers a batch of packets at slot s, the router
 // assigns each packet (in arrival order) to one channel; the packet then
 // runs the channel's own protocol/jammer dynamics, which never interact
-// with other channels. Channels are therefore independent between routing
-// decisions — which is what lets a backlog-oblivious router's channels run
-// as independent parallel jobs. A backlog-aware router reads every
-// channel's backlog at every arrival slot, which leaves a few events of
-// work per epoch — less than a cross-goroutine barrier costs — so its
-// channels are stepped serially on the calling goroutine.
+// with other channels. Run steps every channel to each arrival slot before
+// routing it, so any router may read exact live backlogs. An epoch leaves
+// a few events of work — less than a cross-goroutine barrier costs — so
+// the channels are stepped serially on the calling goroutine, and a
+// cluster run gets its parallelism across runs (sweeps, the runner).
 //
 // # Determinism
 //
 // A cluster run is a pure function of its Config: the router is consulted
 // once per packet in global arrival order from a single goroutine, each
 // channel draws from its own derived prng stream (ChannelSeed), and
-// results are merged by channel index. The Result is byte-identical at
-// any worker count and bit-equal to a serial reference execution; the
-// TestClusterSerialShardedIdentical suite pins this down.
+// results are merged by channel index. Reruns are byte-identical, and so
+// is everything an attached recorder sees.
 //
 // The public entry points are the lowsensing root package's Scenario with
 // Channels >= 1 (declarative, registry-resolved; Scenario.Run returns the
@@ -47,10 +45,10 @@ import (
 
 // View is the router's read-only window onto the cluster at the moment of
 // a routing decision. Backlog reports live packets currently in channel
-// ch; it reads the real engine state in the epoch-synchronized executor
-// and is only available to routers that declare NeedsBacklog. Routed
-// reports packets assigned to ch so far (including earlier packets of the
-// current batch), available to every router.
+// ch, read from the channel's engine after it has resolved every slot
+// before the arrival. Routed reports packets assigned to ch so far. Both
+// include earlier packets of the current batch, and every router may read
+// both.
 type View interface {
 	Channels() int
 	Backlog(ch int) int64
@@ -64,15 +62,12 @@ type View interface {
 // stateful (counters, rng streams) and are single-use: construct a fresh
 // router per run. All randomness must come from a prng stream seeded at
 // construction, never from global entropy.
-//
-// NeedsBacklog declares whether Route reads v.Backlog. Backlog-oblivious
-// routers (it returns false) let the executor pre-route the whole arrival
-// stream and run channels to completion independently, in parallel across
-// Workers. Backlog-aware routers force epoch-synchronized execution on the
-// calling goroutine: every channel is stepped, serially, to each arrival
-// slot before the decision, so Backlog is exact.
 type Router interface {
 	Route(id, slot int64, v View) int
+	// NeedsBacklog declares whether Route reads v.Backlog.
+	//
+	// Deprecated: Run ignores it; every router runs on the one executor
+	// and may read v.Backlog.
 	NeedsBacklog() bool
 }
 
@@ -82,12 +77,6 @@ type Router interface {
 type Config struct {
 	// Channels is C, the number of slotted channels. Must be >= 1.
 	Channels int
-	// Workers bounds the pre-routed executor's parallelism (channels of
-	// a backlog-oblivious router run as that many concurrent jobs);
-	// <= 0 selects GOMAXPROCS. Backlog-aware routers run serially on the
-	// calling goroutine whatever its value. The Result is byte-identical
-	// at any value.
-	Workers int
 	// Seed is the run's base seed. Each channel derives its own stream
 	// via ChannelSeed; the router's seed is the caller's business
 	// (RouterSpec derives one from the scenario seed).
@@ -115,7 +104,7 @@ type Config struct {
 	// churn): it is consulted at injection with the packet's
 	// channel-local id and arrival slot, exactly as sim.Params.Lifetime —
 	// ids are per-channel, so an id-keyed lifetime law draws per
-	// (channel, local id), deterministically at any worker count.
+	// (channel, local id).
 	Lifetime func(id, arrival int64) int64
 	// Faults, if non-nil, injects station faults on every channel (see
 	// sim.Params.Faults). Fault models are stateless, so one value safely
@@ -125,11 +114,6 @@ type Config struct {
 	// ReuseStations opts every channel into station recycling (see
 	// sim.Params.ReuseStations for the contract).
 	ReuseStations bool
-
-	// forceEpoch routes even backlog-oblivious routers through the
-	// epoch-synchronized executor; test-only knob for the cross-path
-	// differential.
-	forceEpoch bool
 }
 
 // Result is the outcome of a cluster run: every channel's own Result,

@@ -19,8 +19,7 @@ import (
 )
 
 // testConfig builds a 16-channel config over the real LSB station factory:
-// Poisson arrivals, light random jamming, the shapes the executors must
-// agree on.
+// Poisson arrivals and light random jamming.
 func testConfig(t *testing.T, router Router) Config {
 	t.Helper()
 	factory, err := core.NewFactory(core.Default())
@@ -44,49 +43,12 @@ func testConfig(t *testing.T, router Router) Config {
 	}
 }
 
-// scrubWheel zeroes the wheel-mechanics counters that legitimately differ
-// between the pre-routed and epoch-synchronized executors: both resolve
-// the same slots and schedule the same events, but the timing wheel's
-// cursor walks different distances when a run is cut into epochs.
-func scrubWheel(r *Result) {
-	for i := range r.PerChannel {
-		r.PerChannel[i].EngineStats.WheelCascades = 0
-		r.PerChannel[i].EngineStats.HeapOverflows = 0
-	}
-	r.Total.EngineStats.WheelCascades = 0
-	r.Total.EngineStats.HeapOverflows = 0
-}
-
-// TestPreRoutedEpochDifferential is the cross-executor contract: for every
-// backlog-oblivious router, the epoch-synchronized executor (forced via
-// the test knob) produces exactly the pre-routed executor's results —
-// per-channel counters, energy tallies, routing, fairness — modulo the
-// wheel-mechanics counters scrubWheel documents.
-func TestPreRoutedEpochDifferential(t *testing.T) {
-	routers := map[string]func() Router{
-		"random":     func() Router { return NewRandom(21) },
-		"roundrobin": func() Router { return NewRoundRobin() },
-		"sticky":     func() Router { return NewSticky(21, 16) },
-	}
-	for name, mk := range routers {
-		t.Run(name, func(t *testing.T) {
-			pre, err := Run(testConfig(t, mk()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := testConfig(t, mk())
-			cfg.forceEpoch = true
-			epoch, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scrubWheel(&pre)
-			scrubWheel(&epoch)
-			if !reflect.DeepEqual(pre, epoch) {
-				t.Fatalf("executors disagree:\npre-routed %+v\nepoch      %+v", pre, epoch)
-			}
-		})
-	}
+// builtinRouters constructs each built-in router fresh, by kind.
+var builtinRouters = map[string]func() Router{
+	"random":       func() Router { return NewRandom(21) },
+	"roundrobin":   func() Router { return NewRoundRobin() },
+	"leastbacklog": func() Router { return NewLeastBacklog() },
+	"sticky":       func() Router { return NewSticky(21, 16) },
 }
 
 // churnConfig layers population churn (Poisson joins with geometric
@@ -110,36 +72,27 @@ func churnConfig(t *testing.T, router Router) Config {
 	return cfg
 }
 
-// TestPreRoutedEpochChurnFaultsDifferential extends the cross-executor
-// contract to churned, faulty runs: abandons, crash recoveries, and
-// corrupted observations must land identically whether channels run to
-// completion independently or in lockstep epochs.
-func TestPreRoutedEpochChurnFaultsDifferential(t *testing.T) {
-	routers := map[string]func() Router{
-		"random":     func() Router { return NewRandom(21) },
-		"roundrobin": func() Router { return NewRoundRobin() },
-		"sticky":     func() Router { return NewSticky(21, 16) },
-	}
-	for name, mk := range routers {
+// TestEpochShardedChurnFaultsIdentical: for every built-in router, a
+// churned, faulty run is a pure function of its config — two runs agree
+// exactly — and it is not vacuous: packets abandon, stations crash and
+// mis-sense, and every arrival is delivered, abandoned, or still pending.
+func TestEpochShardedChurnFaultsIdentical(t *testing.T) {
+	for name, mk := range builtinRouters {
 		t.Run(name, func(t *testing.T) {
-			pre, err := Run(churnConfig(t, mk()))
+			ref, err := Run(churnConfig(t, mk()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := churnConfig(t, mk())
-			cfg.forceEpoch = true
-			epoch, err := Run(cfg)
+			again, err := Run(churnConfig(t, mk()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			scrubWheel(&pre)
-			scrubWheel(&epoch)
-			if !reflect.DeepEqual(pre, epoch) {
-				t.Fatalf("executors disagree under churn/faults:\npre-routed %+v\nepoch      %+v", pre, epoch)
+			if !reflect.DeepEqual(again, ref) {
+				t.Fatalf("rerun differs under churn/faults:\nfirst  %+v\nsecond %+v", ref, again)
 			}
-			tot := pre.Total
+			tot := ref.Total
 			if tot.Abandoned == 0 {
-				t.Fatal("churn abandoned nothing; the differential is vacuous")
+				t.Fatal("churn abandoned nothing; the check is vacuous")
 			}
 			if tot.Faults.Corrupted == 0 || tot.Faults.Crashes == 0 {
 				t.Fatalf("fault injection vacuous: %+v", tot.Faults)
@@ -152,53 +105,26 @@ func TestPreRoutedEpochChurnFaultsDifferential(t *testing.T) {
 	}
 }
 
-// TestEpochShardedChurnFaultsIdentical: the epoch executor stays
-// worker-count invariant when churn and faults are active — Workers does
-// not reach the backlog-aware path, which injects churn joins through the
-// same routing as base arrivals.
-func TestEpochShardedChurnFaultsIdentical(t *testing.T) {
-	run := func(workers int) Result {
-		cfg := churnConfig(t, NewLeastBacklog())
-		cfg.Workers = workers
-		r, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	ref := run(1)
-	if ref.Total.Abandoned == 0 {
-		t.Fatal("churn abandoned nothing; the invariance test is vacuous")
-	}
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d churned epoch result differs from serial reference", workers)
-		}
-	}
-}
-
-// TestEpochShardedIdentical: the epoch-synchronized executor is
-// worker-count invariant. It always runs serially on the caller, so this
-// holds the public contract — identical at any Workers — for the
-// backlog-aware router path, which has no other executor to compare with.
+// TestEpochShardedIdentical: for every built-in router, two runs of one
+// config produce the same Result.
 func TestEpochShardedIdentical(t *testing.T) {
-	run := func(workers int) Result {
-		cfg := testConfig(t, NewLeastBacklog())
-		cfg.Workers = workers
-		r, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	ref := run(1)
-	if ref.Total.Arrived != 800 {
-		t.Fatalf("arrived %d, want 800", ref.Total.Arrived)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		if got := run(workers); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d epoch result differs from serial reference", workers)
-		}
+	for name, mk := range builtinRouters {
+		t.Run(name, func(t *testing.T) {
+			ref, err := Run(testConfig(t, mk()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Total.Arrived != 800 {
+				t.Fatalf("arrived %d, want 800", ref.Total.Arrived)
+			}
+			again, err := Run(testConfig(t, mk()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again, ref) {
+				t.Fatalf("rerun differs:\nfirst  %+v\nsecond %+v", ref, again)
+			}
+		})
 	}
 }
 
@@ -219,25 +145,27 @@ func (g *goroutineProbe) sample() {
 func (g *goroutineProbe) RecordSlot(obs.SlotEvent)     { g.sample() }
 func (g *goroutineProbe) RecordPacket(obs.PacketEvent) { g.sample() }
 
-// TestEpochStartsNoGoroutines: the epoch-synchronized executor steps every
-// channel on the calling goroutine whatever Workers says, so throughout a
-// backlog-aware run the goroutine count never rises above its value before
-// Run. (It may fall: a pool goroutine of an earlier test can still be
-// exiting after its pool returned.)
+// TestEpochStartsNoGoroutines: Run steps every channel on the calling
+// goroutine for every router, so throughout a run the goroutine count
+// never rises above its value before Run. (It may fall: a goroutine of an
+// earlier test can still be exiting.)
 func TestEpochStartsNoGoroutines(t *testing.T) {
-	cfg := testConfig(t, NewLeastBacklog())
-	cfg.Workers = 8
-	probe := &goroutineProbe{}
-	cfg.NewRecorder = func(int) obs.Recorder { return probe }
-	probe.max = runtime.NumGoroutine()
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if probe.events.Load() == 0 {
-		t.Fatal("the recorder saw no events; the probe is vacuous")
-	}
-	if n := probe.extras.Load(); n != 0 {
-		t.Fatalf("%d of %d events saw more than the %d goroutines alive before Run", n, probe.events.Load(), probe.max)
+	for name, mk := range builtinRouters {
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig(t, mk())
+			probe := &goroutineProbe{}
+			cfg.NewRecorder = func(int) obs.Recorder { return probe }
+			probe.max = runtime.NumGoroutine()
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if probe.events.Load() == 0 {
+				t.Fatal("the recorder saw no events; the probe is vacuous")
+			}
+			if n := probe.extras.Load(); n != 0 {
+				t.Fatalf("%d of %d events saw more than the %d goroutines alive before Run", n, probe.events.Load(), probe.max)
+			}
+		})
 	}
 }
 
@@ -264,9 +192,6 @@ func TestRoundRobinCycles(t *testing.T) {
 
 func TestLeastBacklogPicksMinLowestIndex(t *testing.T) {
 	r := NewLeastBacklog()
-	if !r.NeedsBacklog() {
-		t.Fatal("least-backlog router must declare NeedsBacklog")
-	}
 	v := &fakeView{channels: 4, backlog: []int64{5, 2, 7, 2}}
 	if ch := r.Route(0, 0, v); ch != 1 {
 		t.Fatalf("routed to %d, want 1 (min backlog, lowest index on the 1/3 tie)", ch)
@@ -353,22 +278,22 @@ func (behindStation) ScheduleNext(from int64, _ *prng.Source) (int64, bool) {
 	return from - 5, true
 }
 
-// panicRouter is a backlog-aware router that panics on its first call.
+// panicRouter is a router that panics on its first call.
 type panicRouter struct{}
 
 func (panicRouter) Route(int64, int64, View) int { panic("router broke") }
 func (panicRouter) NeedsBacklog() bool           { return true }
 
 // TestPanicsContained: a panicking station or router fails the run with an
-// error, on both executors, instead of escaping Run. The epoch executor's
-// error names the slot being stepped, and the channel when one is involved.
+// error instead of escaping Run. The error names the slot being stepped,
+// and the channel when one is involved.
 func TestPanicsContained(t *testing.T) {
 	cases := []struct {
 		name   string
 		router Router
 		want   []string
 	}{
-		{"roundrobin", NewRoundRobin(), []string{"panic", "scheduled slot -1"}},
+		{"roundrobin", NewRoundRobin(), []string{"cluster: panic on channel 0 stepping to slot 4", "scheduled slot -1"}},
 		{"leastbacklog", NewLeastBacklog(), []string{"cluster: panic on channel 0 stepping to slot 4", "scheduled slot -1"}},
 		{"router", panicRouter{}, []string{"cluster: panic stepping to slot 4", "router broke"}},
 	}

@@ -52,9 +52,7 @@ type lbRouter struct{}
 
 // NewLeastBacklog returns a router assigning each packet to the channel
 // with the smallest live backlog at its arrival slot, lowest index on
-// ties. It declares NeedsBacklog, so runs with it execute
-// epoch-synchronized: exact backlogs, every channel stepped serially on
-// the calling goroutine.
+// ties.
 func NewLeastBacklog() Router { return lbRouter{} }
 
 func (lbRouter) Route(id, slot int64, v View) int {

@@ -39,10 +39,9 @@ func testCluster(router lowsensing.RouterSpec) lowsensing.ClusterScenario {
 
 // TestClusterSerialShardedIdentical is the cluster determinism contract:
 // the full ClusterResult — every per-channel Result, the routing tally,
-// the merged totals, the fairness index — is byte-identical at any worker
-// count, for every built-in router. Workers == 1 is the serial reference;
-// oblivious routers shard channels across workers, and backlog-aware ones
-// run serially whatever Workers says.
+// the merged totals, the fairness index — is byte-identical from run to
+// run, for every built-in router, and the deprecated Scenario.Workers
+// changes nothing.
 func TestClusterSerialShardedIdentical(t *testing.T) {
 	for name, router := range builtinRouters() {
 		t.Run(name, func(t *testing.T) {

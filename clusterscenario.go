@@ -37,7 +37,7 @@ const (
 	// RouterRoundRobin cycles through channels in arrival order.
 	RouterRoundRobin = "roundrobin"
 	// RouterLeastBacklog joins the channel with the fewest live packets
-	// (epoch-synchronized execution; exact backlogs).
+	// (exact backlogs at each arrival slot).
 	RouterLeastBacklog = "leastbacklog"
 	// RouterSticky hashes a flow key to a fixed channel (flows: number of
 	// flows keyed by id % flows; 0 means every packet is its own flow).
@@ -160,7 +160,6 @@ func (sc Scenario) clusterConfig() (cluster.Config, error) {
 	}
 	cfg := cluster.Config{
 		Channels:   sc.Channels,
-		Workers:    sc.Workers,
 		Seed:       sc.Seed,
 		MaxSlots:   sc.MaxSlots,
 		Arrivals:   w.source,
@@ -187,12 +186,10 @@ func (sc Scenario) clusterConfig() (cluster.Config, error) {
 // cluster executor and returns the merged Total. Every channel builds its
 // own components from the spec, so custom instances cannot take part, and
 // a recorder bound to one engine has no cluster-wide meaning. Attached
-// recorders are shared by every channel, so runCluster runs the
-// pre-routed executor on one worker (the epoch executor is always serial):
-// the shared stream is concatenated channel by channel under oblivious
-// routers and interleaved in epoch order under backlog-aware ones. Like
-// the single-channel path, Run leaves flushing to the caller — the
-// executor's per-channel flush is hidden from shared recorders.
+// recorders are shared by every channel, and see the channels' events
+// interleaved in epoch order. Like the single-channel path, Run leaves
+// flushing to the caller — the executor's per-channel flush is hidden
+// from shared recorders.
 func (s *Simulation) runCluster() (Result, error) {
 	if s.customArrivals != nil || s.customFactory != nil || s.customJammer != nil {
 		return Result{}, fmt.Errorf("lowsensing: WithArrivals/WithStations/WithJammer cannot combine with a cluster scenario (every channel builds its own components from the spec)")
@@ -208,7 +205,6 @@ func (s *Simulation) runCluster() (Result, error) {
 	}
 	if rec := obs.Multi(s.recorders...); rec != nil {
 		shared := sharedRecorder{rec}
-		cfg.Workers = 1
 		cfg.NewRecorder = func(int) obs.Recorder { return shared }
 	}
 	cr, err := cluster.Run(cfg)

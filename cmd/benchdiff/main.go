@@ -1,6 +1,6 @@
 // Command benchdiff maintains the repository's benchmark trajectory
 // (BENCH_engine.json): it converts `go test -bench` output into a compact,
-// diffable JSON baseline and compares two baselines benchstat-style.
+// diffable JSON baseline and gates a new run against it on allocations.
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchdiff -emit new.json
 //	benchdiff -compare BENCH_engine.json new.json
@@ -9,16 +9,13 @@
 // B/op, allocs/op, and any custom metrics such as events/sec) from stdin
 // and writes one JSON document.
 //
-// -compare prints a per-benchmark delta table. It is built for CI: the
-// exit status is nonzero only when an input cannot be read or parsed
-// (i.e. something is structurally broken); performance regressions print
-// loud WARN lines but do not fail the build: the baseline's rows are
-// single samples taken on different machines, so timings are too noisy to
-// gate on. The one exception is opt-in: -failon allocs turns an allocs/op
-// increase between properly-iterated runs into a nonzero exit, and so does
-// a properly-iterated row with no baseline row at all, so a renamed or
-// added benchmark cannot slip past the gate. Allocation counts are
-// deterministic, so that gate is not noisy.
+// -compare prints a per-benchmark table and exits nonzero when a
+// properly-iterated new row allocates more per op than its baseline row,
+// or has no baseline row at all, so a renamed or added benchmark cannot
+// slip past the gate. Allocation counts are deterministic, so the gate is
+// not noisy. Timings are printed for reference only: the baseline's rows
+// are single samples taken on different machines, too noisy to gate on.
+// Single-iteration rows (CI's -benchtime 1x smoke) are informational.
 package main
 
 import (
@@ -64,9 +61,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fs.SetOutput(out)
 	var (
 		emit    = fs.String("emit", "", "parse `go test -bench` output from stdin and write a JSON baseline to this file")
-		compare = fs.Bool("compare", false, "compare two JSON baselines: benchdiff -compare old.json new.json")
-		warnPct = fs.Float64("warn", 10, "with -compare, WARN when ns/op regresses by more than this percentage")
-		failOn  = fs.String("failon", "", "with -compare, \"allocs\" exits nonzero on an allocs/op increase, or a row with no baseline, between properly-iterated runs")
+		compare = fs.Bool("compare", false, "gate new.json against old.json on allocs/op: benchdiff -compare old.json new.json")
 		note    = fs.String("note", "", "with -emit, a provenance note recorded in the baseline (machine, benchtime, commit)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -98,26 +93,10 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		if fs.NArg() != 2 {
 			return fmt.Errorf("-compare needs exactly two files: old.json new.json")
 		}
-		failAllocs, err := parseFailOn(*failOn)
-		if err != nil {
-			return err
-		}
-		return Compare(fs.Arg(0), fs.Arg(1), *warnPct, failAllocs, out)
+		return Compare(fs.Arg(0), fs.Arg(1), out)
 	default:
 		return fmt.Errorf("one of -emit or -compare is required")
 	}
-}
-
-// parseFailOn decodes the -failon flag: "allocs" enables the allocation
-// gate, and an empty spec enables nothing.
-func parseFailOn(spec string) (failAllocs bool, err error) {
-	switch spec {
-	case "":
-		return false, nil
-	case "allocs":
-		return true, nil
-	}
-	return false, fmt.Errorf("-failon supports only \"allocs\", got %q", spec)
 }
 
 // Parse reads `go test -bench` text output and collects every benchmark
@@ -167,15 +146,13 @@ func Parse(r io.Reader) (File, error) {
 	return f, sc.Err()
 }
 
-// Compare loads two baselines and prints a delta table to out. Regressions
-// beyond warnPct print WARN lines, which never fail the build. With
-// failAllocs set, two conditions on a properly-iterated new row are errors:
-// an allocs/op increase (allocation counts are deterministic, so an
-// increase is a real regression — this is how CI guards the engine's
-// zero-allocation hot path) and a missing baseline row (otherwise renaming
-// a benchmark would drop it from the gate unnoticed). Other than those,
-// the only error conditions are unreadable or unparsable inputs.
-func Compare(oldPath, newPath string, warnPct float64, failAllocs bool, out io.Writer) error {
+// Compare loads two baselines, prints a table to out, and fails on two
+// conditions of a properly-iterated new row: an allocs/op increase
+// (allocation counts are deterministic, so an increase is a real
+// regression — this is how CI guards the engine's zero-allocation hot
+// path) and a missing baseline row (otherwise renaming a benchmark would
+// drop it from the gate unnoticed). Timings are printed, never judged.
+func Compare(oldPath, newPath string, out io.Writer) error {
 	oldF, err := load(oldPath)
 	if err != nil {
 		return err
@@ -197,7 +174,6 @@ func Compare(oldPath, newPath string, warnPct float64, failAllocs bool, out io.W
 	}
 	sort.Strings(names)
 
-	warned := 0
 	allocRegressions := 0
 	unbaselined := 0
 	fmt.Fprintf(out, "%-60s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
@@ -206,7 +182,7 @@ func Compare(oldPath, newPath string, warnPct float64, failAllocs bool, out io.W
 		ob, ok := oldBy[n]
 		if !ok || ob.NsPerOp == 0 {
 			mark := ""
-			if !ok && failAllocs && nb.Iterations > 1 {
+			if !ok && nb.Iterations > 1 {
 				mark = "  FAIL: no baseline row"
 				unbaselined++
 			}
@@ -218,23 +194,16 @@ func Compare(oldPath, newPath string, warnPct float64, failAllocs bool, out io.W
 		switch {
 		case ob.Iterations == 1 || nb.Iterations == 1:
 			// A single-iteration side (CI's -benchtime 1x smoke) is not
-			// comparable to a real run: timings are cold and one-time
-			// setup allocations are not amortized, so warning on either
-			// would be pure noise. The row is informational only.
+			// comparable to a real run: one-time setup allocations are not
+			// amortized, so gating on it would be pure noise. The row is
+			// informational only.
 			mark = "  (single-iteration run; informational)"
-		default:
-			if delta > warnPct {
-				mark = "  WARN: regression"
-				warned++
-			}
+		case nb.AllocsPerOp > ob.AllocsPerOp:
 			// Between properly-iterated runs, allocations per op are
 			// deterministic no matter how noisy the timings are, so any
 			// increase is a real regression.
-			if nb.AllocsPerOp > ob.AllocsPerOp {
-				mark += fmt.Sprintf("  WARN: allocs/op %g -> %g", ob.AllocsPerOp, nb.AllocsPerOp)
-				warned++
-				allocRegressions++
-			}
+			mark = fmt.Sprintf("  FAIL: allocs/op %g -> %g", ob.AllocsPerOp, nb.AllocsPerOp)
+			allocRegressions++
 		}
 		fmt.Fprintf(out, "%-60s %14.1f %14.1f %+8.1f%%%s\n", n, ob.NsPerOp, nb.NsPerOp, delta, mark)
 	}
@@ -243,18 +212,13 @@ func Compare(oldPath, newPath string, warnPct float64, failAllocs bool, out io.W
 			fmt.Fprintf(out, "%-60s %14.1f %14s %9s\n", n, oldBy[n].NsPerOp, "-", "gone")
 		}
 	}
-	if warned > 0 {
-		fmt.Fprintf(out, "WARN: %d regression warning(s) (ns/op beyond %.0f%%, or any allocs/op increase). Not failing the build; timing smoke numbers are noisy — confirm with a real -benchtime run.\n",
-			warned, warnPct)
-	} else {
-		fmt.Fprintln(out, "no regressions beyond the threshold")
-	}
-	if failAllocs && allocRegressions > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed allocs/op (-failon allocs)", allocRegressions)
+	if allocRegressions > 0 {
+		return fmt.Errorf("%d benchmark(s) regressed allocs/op", allocRegressions)
 	}
 	if unbaselined > 0 {
-		return fmt.Errorf("%d benchmark(s) have no baseline row (-failon allocs); add them to the baseline", unbaselined)
+		return fmt.Errorf("%d benchmark(s) have no baseline row; add them to the baseline", unbaselined)
 	}
+	fmt.Fprintln(out, "no allocation regressions")
 	return nil
 }
 

@@ -233,9 +233,7 @@ func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, baseline
 	channels := sc.Channels
 
 	// Per-channel recorder factories; each channel gets an obs.Multi over
-	// one recorder per requested side channel. The factories may be
-	// invoked from worker goroutines, so they only index preallocated
-	// state or construct sinks over a sync writer.
+	// one recorder per requested side channel.
 	var mks []func(ch int) lowsensing.Recorder
 	var finishers []func() error
 	if traceOut != "" {
@@ -247,7 +245,6 @@ func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, baseline
 			return err
 		}
 		bw := bufio.NewWriter(f)
-		shared := obs.NewSyncWriter(bw)
 		finishers = append(finishers, func() error {
 			if err := bw.Flush(); err != nil {
 				return err
@@ -255,7 +252,7 @@ func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, baseline
 			return f.Close()
 		})
 		mks = append(mks, func(ch int) lowsensing.Recorder {
-			sink := obs.NewNDJSON(shared)
+			sink := obs.NewNDJSON(bw)
 			sink.SetRun(fmt.Sprintf("ch%02d", ch))
 			return sink
 		})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -236,6 +237,39 @@ func TestRunClusterObservability(t *testing.T) {
 
 	if err := run([]string{"-spec", path, "-trace", filepath.Join(dir, "t.csv")}, &bytes.Buffer{}); err == nil {
 		t.Fatal("cluster -trace .csv accepted")
+	}
+}
+
+// TestRunClusterTraceReproducible: a cluster's -trace file is a pure
+// function of the spec, byte for byte, on a multi-core scheduler and under
+// a backlog-oblivious router (the README's cluster spec).
+func TestRunClusterTraceReproducible(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	path := writeSpec(t, `{
+		"seed": 7,
+		"channels": 16,
+		"arrivals": {"kind": "poisson", "rate": 0.5, "n": 2000},
+		"jammer":   {"kind": "random", "rate": 0.05, "budget": 400},
+		"router":   {"kind": "sticky", "flows": 64}
+	}`)
+	trace := func(name string) []byte {
+		out := filepath.Join(t.TempDir(), name)
+		if err := run([]string{"-spec", path, "-trace", out}, &bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	first, second := trace("a.ndjson"), trace("b.ndjson")
+	if len(first) == 0 {
+		t.Fatal("empty trace")
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two runs of one spec wrote different traces (%d and %d bytes)", len(first), len(second))
 	}
 }
 

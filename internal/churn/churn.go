@@ -7,7 +7,7 @@
 // All processes implement channel.Churn: Joins is the extra arrival stream
 // injected on top of the scenario's base arrivals (nil when the process
 // only removes packets), and LeaveSlot is a pure function of (id, arrival)
-// and construction-time parameters, so sharded cluster execution and
+// and construction-time parameters, so cluster execution and
 // single-engine runs see identical lifetimes.
 package churn
 

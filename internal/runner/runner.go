@@ -88,64 +88,20 @@ func New(workers int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // Run executes all jobs on the pool and returns their results in job
-// order. On error it cancels: no new jobs start after the first failure
-// (in-flight jobs finish), and the reported error is the failing job with
-// the smallest index, so the error too is deterministic under any
-// scheduling. A nil or empty jobs slice returns (nil, nil).
+// order. It is Stream with a reorder window as long as the job list, so a
+// slow job never holds back the claims behind it, and each result is
+// written straight into the returned slice. On error it cancels: no new
+// jobs start after the first failure (in-flight jobs finish), and the
+// reported error is the failing job with the smallest index, so the error
+// too is deterministic under any scheduling. A nil or empty jobs slice
+// returns (nil, nil).
 func Run[T any](p *Pool, jobs []Job[T]) ([]T, error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
 	out := make([]T, len(jobs))
-	if p.workers == 1 || len(jobs) == 1 {
-		for i, j := range jobs {
-			if err := call(j, &out[i]); err != nil {
-				return nil, fmt.Errorf("runner: job %d: %w", i, err)
-			}
-		}
-		return out, nil
-	}
-
-	var (
-		mu       sync.Mutex
-		next     int
-		firstErr error
-		errIdx   int
-	)
-	workers := p.workers
-	if len(jobs) < workers {
-		workers = len(jobs)
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if firstErr != nil || next >= len(jobs) {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-
-				// Job i is this worker's alone, so it writes out[i] unlocked;
-				// wg.Wait orders the write before the caller reads it.
-				err := call(jobs[i], &out[i])
-
-				mu.Lock()
-				if err != nil && (firstErr == nil || i < errIdx) {
-					firstErr, errIdx = err, i
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, fmt.Errorf("runner: job %d: %w", errIdx, firstErr)
+	if err := stream(p, jobs, out, func(int, *T) error { return nil }); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -180,10 +136,23 @@ func Stream[T any](p *Pool, jobs []Job[T], emit func(i int, r T) error) error {
 	if len(jobs) == 0 {
 		return nil
 	}
+	w := 1
+	if p.workers > 1 {
+		w = min(windowPerWorker*min(p.workers, len(jobs)), len(jobs))
+	}
+	return stream(p, jobs, make([]T, w), func(i int, r *T) error { return emit(i, *r) })
+}
+
+// stream is Stream and Run's one loop. Job i's result lands in
+// ring[i%len(ring)], where it waits until the collector, on the caller's
+// goroutine, hands it to emit in index order; a worker claims job i only
+// while i < want + len(ring), where want is the next index to emit.
+func stream[T any](p *Pool, jobs []Job[T], ring []T, emit func(i int, r *T) error) error {
+	w := len(ring)
 	if p.workers == 1 || len(jobs) == 1 {
-		var r T
 		for i, j := range jobs {
-			if err := call(j, &r); err != nil {
+			r := &ring[i%w]
+			if err := call(j, r); err != nil {
 				return fmt.Errorf("runner: job %d: %w", i, err)
 			}
 			if err := emit(i, r); err != nil {
@@ -193,61 +162,59 @@ func Stream[T any](p *Pool, jobs []Job[T], emit func(i int, r T) error) error {
 		return nil
 	}
 
-	workers := min(p.workers, len(jobs))
-	w := min(windowPerWorker*workers, len(jobs))
-	// ring[i%w] holds job i's result from the moment its worker finishes it
-	// until the collector emits it. Claims stay below want+w, so two live
+	// state[i%w] tracks ring[i%w]. Claims stay below want+w, so two live
 	// jobs never share a slot; a worker writes its slot unlocked and
-	// publishes it by setting full under mu.
+	// publishes it by setting full under the lock.
 	type slot struct {
-		r    T
 		err  error
 		full bool
 	}
-	ring := make([]slot, w)
-	var (
-		mu      sync.Mutex
-		room    = sync.NewCond(&mu) // workers: the window moved or the sweep stopped
-		ready   = sync.NewCond(&mu) // collector: slot want was filled
-		next    int                 // next job to claim
-		want    int                 // next job to emit
-		stopped bool
-	)
+	state := make([]slot, w)
+	// The workers capture the cursors and their lock; one struct makes
+	// that one heap allocation instead of one per variable.
+	var c struct {
+		sync.Mutex
+		next, want int // next job to claim, next job to emit
+		stopped    bool
+	}
+	room := sync.NewCond(&c)  // workers: the window moved or the sweep stopped
+	ready := sync.NewCond(&c) // collector: slot want was filled
+	workers := min(p.workers, len(jobs))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for range workers {
 		go func() {
 			defer wg.Done()
 			for {
-				mu.Lock()
-				for !stopped && next < len(jobs) && next >= want+w {
+				c.Lock()
+				for !c.stopped && c.next < len(jobs) && c.next >= c.want+w {
 					room.Wait()
 				}
-				if stopped || next >= len(jobs) {
-					mu.Unlock()
+				if c.stopped || c.next >= len(jobs) {
+					c.Unlock()
 					return
 				}
-				i := next
-				next++
-				mu.Unlock()
+				i := c.next
+				c.next++
+				c.Unlock()
 
-				s := &ring[i%w]
-				s.err = call(jobs[i], &s.r)
+				s := &state[i%w]
+				s.err = call(jobs[i], &ring[i%w])
 
-				mu.Lock()
+				c.Lock()
 				s.full = true
 				if s.err != nil {
-					// Cancel at once, as Run does, rather than when the
-					// collector reaches the failure: no new jobs start after
-					// the first error. Every job below i is already claimed,
-					// so the collector still gets the whole prefix.
-					stopped = true
+					// Cancel at once rather than when the collector reaches
+					// the failure: no new jobs start after the first error.
+					// Every job below i is already claimed, so the collector
+					// still gets the whole prefix.
+					c.stopped = true
 					room.Broadcast()
 				}
-				if i == want {
+				if i == c.want {
 					ready.Signal()
 				}
-				mu.Unlock()
+				c.Unlock()
 			}
 		}()
 	}
@@ -256,29 +223,30 @@ func Stream[T any](p *Pool, jobs []Job[T], emit func(i int, r T) error) error {
 	// collector waits on it: claims run in index order and only a stop
 	// halts them, and a job error stops claims only past its own index.
 	var err error
-	mu.Lock()
-	for want < len(jobs) {
-		s := &ring[want%w]
+	c.Lock()
+	for c.want < len(jobs) {
+		i := c.want
+		s := &state[i%w]
 		for !s.full {
 			ready.Wait()
 		}
-		mu.Unlock()
+		c.Unlock()
 		if s.err != nil {
-			err = fmt.Errorf("runner: job %d: %w", want, s.err)
+			err = fmt.Errorf("runner: job %d: %w", i, s.err)
 		} else {
-			err = emit(want, s.r)
+			err = emit(i, &ring[i%w])
 		}
-		mu.Lock()
+		c.Lock()
 		if err != nil {
-			stopped = true
+			c.stopped = true
 			room.Broadcast()
 			break
 		}
 		s.full = false
-		want++
+		c.want++
 		room.Signal()
 	}
-	mu.Unlock()
+	c.Unlock()
 	wg.Wait()
 	return err
 }

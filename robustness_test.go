@@ -392,9 +392,9 @@ func TestRobustnessValidation(t *testing.T) {
 
 // TestClusterScenarioChurnFaults covers the declarative cluster surface:
 // churn joins are routed like any packets, fault counters merge into
-// Total, the result stays byte-identical at any worker count, the JSON
-// encoding round-trips, and RunWithBaseline fills the whole-cluster
-// degradation row.
+// Total, the result stays byte-identical whatever the deprecated Workers
+// says, the JSON encoding round-trips, and RunWithBaseline fills the
+// whole-cluster degradation row.
 func TestClusterScenarioChurnFaults(t *testing.T) {
 	mkCluster := func() lowsensing.ClusterScenario {
 		return lowsensing.ClusterScenario{

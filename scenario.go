@@ -54,6 +54,7 @@ type Scenario struct {
 	// clock and the arrival stream, Router assigns each packet a channel,
 	// and every channel runs the protocol, its own jammer instance, and the
 	// churn and fault laws from its own derived seed (cluster.ChannelSeed).
+	// The channels are stepped serially on the calling goroutine.
 	// Run then returns the merged Result; ClusterScenario(sc).Run gives the
 	// per-channel breakdown. 0 means the single-channel engine. Clusters
 	// carry neither Classes (station ids are channel-local) nor
@@ -63,11 +64,10 @@ type Scenario struct {
 	// RouterRandom. Setting it requires Channels >= 1.
 	Router RouterSpec `json:"router,omitzero"`
 
-	// Workers bounds a cluster run's parallelism (<= 0 means GOMAXPROCS)
-	// under backlog-oblivious routers; backlog-aware routers always run
-	// serially. An execution detail, not part of the scenario's meaning —
-	// results are byte-identical at any value — so it is not serialized. A
-	// run with attached recorders executes its channels serially.
+	// Workers is not serialized and has no effect.
+	//
+	// Deprecated: a cluster steps its channels serially on the calling
+	// goroutine; run scenarios in parallel with a Sweep instead.
 	Workers int `json:"-"`
 }
 

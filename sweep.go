@@ -33,8 +33,8 @@ import (
 // Clusters sweep like anything else: a base scenario with Channels >= 1
 // makes every job a cluster run (or an axis patch sets "channels" and
 // "router" per point), and the folded Result is the cluster's merged
-// Total. The sweep stays parallel across jobs, so each job runs its
-// channels serially (Workers 1), which keeps the pool fully loaded.
+// Total. Each job steps its channels serially, and the sweep runs jobs in
+// parallel, which keeps the pool fully loaded.
 //
 //	ss, err := lowsensing.ParseSweepSpec([]byte(`{
 //	    "reps": 5,
@@ -121,11 +121,12 @@ func (sw *Sweep) ProgressTo(w io.Writer) *Sweep {
 // (point, replication) job with the job's Point and replication index, and
 // the recorder it returns (nil to skip the job) receives that run's event
 // stream. The factory is called from worker goroutines and must be safe
-// for concurrent use; the recorders it returns are each driven by a single
-// engine. Recorders implementing obs.Flusher are flushed when their job's
-// run completes, and a flush error fails the sweep. To multiplex jobs into
-// one file, give each job's sink a distinguishing label over a shared
-// NewSyncWriter-wrapped writer:
+// for concurrent use; the recorders it returns are each driven by one job
+// on one goroutine (a cluster job's recorder sees its channels' events
+// interleaved in epoch order). Recorders implementing obs.Flusher are
+// flushed when their job's run completes, and a flush error fails the
+// sweep. To multiplex jobs into one file, give each job's sink a
+// distinguishing label over a shared NewSyncWriter-wrapped writer:
 //
 //	shared := obs.NewSyncWriter(f)
 //	sw.Observe(func(p lowsensing.Point, rep int) lowsensing.Recorder {
@@ -251,11 +252,9 @@ func (sw *Sweep) Stream(emit func(PointResult) error) error {
 	jobs := make([]runner.Job[timedResult], 0, len(points)*sw.reps)
 	for pi := range points {
 		// Replications must never retain per-packet tables: the aggregate
-		// is streaming by construction. Cluster jobs run their channels
-		// serially: the sweep already parallelizes across jobs.
+		// is streaming by construction.
 		sc := points[pi].Scenario
 		sc.RetainPackets = false
-		sc.Workers = 1
 		point := points[pi]
 		for rep := 0; rep < sw.reps; rep++ {
 			sc := sc
