@@ -284,26 +284,22 @@ func BenchmarkObserve(b *testing.B) {
 }
 
 // BenchmarkEngineMemory demonstrates the engine's O(backlog) memory model
-// on a 1M-packet Poisson stream: the default streaming mode keeps only the
-// free-listed slot table and constant-size accumulators live, while the
-// opt-in retained mode materializes the full per-packet table. The
-// "live-B/run" metric is the post-GC live-heap delta attributable to the
-// finished run; streaming must sit far more than 10x below retained.
-// Run with -benchmem to see the allocation gap too.
+// on a 1M-packet Poisson stream: only the free-listed slot table and
+// constant-size accumulators stay live. The "live-B/run" metric is the
+// post-GC live-heap delta attributable to the finished run. Run with
+// -benchmem to see the allocation count too.
 func BenchmarkEngineMemory(b *testing.B) {
 	const packets = 1_000_000
-	run := func(b *testing.B, retain bool) {
-		b.Helper()
+	b.Run("streaming", func(b *testing.B) {
 		var liveBytes int64
 		for i := 0; i < b.N; i++ {
 			runtime.GC()
 			var m0 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			r, err := lowsensing.Scenario{
-				Seed:          uint64(i) + 42,
-				Arrivals:      lowsensing.PoissonArrivals(0.2, packets),
-				MaxSlots:      1 << 34,
-				RetainPackets: retain,
+				Seed:     uint64(i) + 42,
+				Arrivals: lowsensing.PoissonArrivals(0.2, packets),
+				MaxSlots: 1 << 34,
 			}.Run()
 			if err != nil {
 				b.Fatal(err)
@@ -320,7 +316,5 @@ func BenchmarkEngineMemory(b *testing.B) {
 			runtime.KeepAlive(r)
 		}
 		b.ReportMetric(float64(liveBytes)/float64(b.N), "live-B/run")
-	}
-	b.Run("streaming", func(b *testing.B) { run(b, false) })
-	b.Run("retained", func(b *testing.B) { run(b, true) })
+	})
 }

@@ -187,9 +187,9 @@ type ReactiveJammer interface {
 
 // RangeJammer is an optional extension of Jammer for pure jammers — those
 // whose Jammed and CountRange are functions of their arguments alone, with
-// no internal state advanced by being queried (fixed intervals, periodic
-// bursts, unions of those; not budgeted-random or adaptive jammers, whose
-// answers depend on the query history).
+// no internal state advanced by being queried (a fixed interval; not
+// budgeted-random or adaptive jammers, whose answers depend on the query
+// history).
 //
 // NextJammedInRange returns the first jammed slot in [from, to) and whether
 // one exists. It must agree exactly with Jammed — the returned slot is
@@ -197,9 +197,9 @@ type ReactiveJammer interface {
 // skipped) freely without perturbing the jammer.
 //
 // No engine path reads it: the engine resolves every slot through Jammed,
-// JammedReactive and CountRange. The interface and its built-in
-// implementations are kept only because the bench module forwards and
-// asserts it.
+// JammedReactive and CountRange. jamming.Interval is its only
+// implementation; the interface is kept only because the bench module
+// forwards and asserts it.
 type RangeJammer interface {
 	Jammer
 	NextJammedInRange(from, to int64) (slot int64, ok bool)
@@ -272,8 +272,3 @@ func (NoJammer) Jammed(int64) bool { return false }
 
 // CountRange always returns 0.
 func (NoJammer) CountRange(int64, int64) int64 { return 0 }
-
-// NextJammedInRange implements RangeJammer: there is never a jammed slot.
-func (NoJammer) NextJammedInRange(int64, int64) (int64, bool) { return 0, false }
-
-var _ RangeJammer = NoJammer{}

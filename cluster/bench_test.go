@@ -16,12 +16,11 @@ func benchConfig(b *testing.B, packets int64, router Router) Config {
 		b.Fatal(err)
 	}
 	return Config{
-		Channels:      16,
-		Seed:          21,
-		Arrivals:      src,
-		Router:        router,
-		NewStation:    core.MustFactory(core.Default()),
-		ReuseStations: true,
+		Channels:   16,
+		Seed:       21,
+		Arrivals:   src,
+		Router:     router,
+		NewStation: core.MustFactory(core.Default()),
 	}
 }
 

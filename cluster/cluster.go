@@ -39,6 +39,7 @@ import (
 
 	"lowsensing/channel"
 	"lowsensing/internal/sim"
+	"lowsensing/internal/stats"
 	"lowsensing/obs"
 	"lowsensing/prng"
 )
@@ -90,7 +91,11 @@ type Config struct {
 	// Router assigns each packet to a channel. Single-use.
 	Router Router
 	// NewStation builds stations, shared by all channels; per-packet rng
-	// streams are already channel-derived, so one factory serves all.
+	// streams are already channel-derived, so one factory serves all. It
+	// must hand out uniformly-configured stations: every channel recycles
+	// stations (sim.Params.ReuseStations), so the factory is consulted
+	// only for a slot-table entry's first packet and a ReusableStation is
+	// Reset for every later one.
 	NewStation channel.StationFactory
 	// NewJammer, if non-nil, builds channel ch's jammer from the
 	// channel's derived seed. Jammers are stateful; never share one
@@ -111,9 +116,6 @@ type Config struct {
 	// serves all channels; each channel draws from its own derived fault
 	// stream.
 	Faults channel.FaultModel
-	// ReuseStations opts every channel into station recycling (see
-	// sim.Params.ReuseStations for the contract).
-	ReuseStations bool
 }
 
 // Result is the outcome of a cluster run: every channel's own Result,
@@ -174,24 +176,15 @@ func merge(per []sim.Result, routed []int64) Result {
 		s.PeakBacklog += cr.EngineStats.PeakBacklog
 		s.PeakSlotTable += cr.EngineStats.PeakSlotTable
 	}
-	r.Fairness = jain(per)
-	return r
-}
-
-// jain computes stats.Jain over per-channel completed counts (1 when
-// nothing completed anywhere), inlined with the same summation order so the
-// recorder-off cluster path's per-run allocation footprint stays fixed.
-func jain(per []sim.Result) float64 {
-	var sum, sumSq float64
+	// A stack buffer keeps the recorder-off cluster path's per-run
+	// allocation footprint fixed up to 64 channels.
+	var buf [64]float64
+	completed := buf[:0]
 	for i := range per {
-		x := float64(per[i].Completed)
-		sum += x
-		sumSq += x * x
+		completed = append(completed, float64(per[i].Completed))
 	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(per)) * sumSq)
+	r.Fairness = stats.Jain(completed)
+	return r
 }
 
 // validate checks the required Config fields.

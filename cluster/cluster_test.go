@@ -39,7 +39,6 @@ func testConfig(t *testing.T, router Router) Config {
 		NewJammer: func(ch int, seed uint64) (channel.Jammer, error) {
 			return jamming.NewRandom(0.05, 100, seed)
 		},
-		ReuseStations: true,
 	}
 }
 
@@ -373,7 +372,7 @@ func TestMergeTotals(t *testing.T) {
 	if want := 49.0 / 58.0; r.Fairness != want {
 		t.Fatalf("fairness %v, want %v", r.Fairness, want)
 	}
-	if jain(nil) != 1 || jain([]sim.Result{{}, {}}) != 1 {
+	if merge(nil, nil).Fairness != 1 || merge([]sim.Result{{}, {}}, []int64{0, 0}).Fairness != 1 {
 		t.Fatal("empty/zero fairness must be 1")
 	}
 }

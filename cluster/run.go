@@ -51,7 +51,7 @@ func channelParams(cfg *Config, ch int, seed uint64, src channel.ArrivalSource) 
 		MaxSlots:      cfg.MaxSlots,
 		Lifetime:      cfg.Lifetime,
 		Faults:        cfg.Faults,
-		ReuseStations: cfg.ReuseStations,
+		ReuseStations: true,
 	}
 	if cfg.NewJammer != nil {
 		j, err := cfg.NewJammer(ch, seed)

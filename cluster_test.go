@@ -196,7 +196,6 @@ func TestParseClusterScenarioErrors(t *testing.T) {
 		"unknown protocol": `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "protocol": {"kind": "nope"}}`,
 		"unknown jammer":   `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "jammer": {"kind": "nope"}}`,
 		"classes":          `{"channels": 2, "classes": [{"name": "a", "arrivals": {"kind": "batch", "n": 4}}]}`,
-		"retain packets":   `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "retain_packets": true}`,
 		"malformed":        `{"channels": `,
 	}
 	for name, spec := range cases {
@@ -317,19 +316,14 @@ func TestSweepClusterJobs(t *testing.T) {
 		}
 	}
 
-	// Bases no cluster can run are rejected when the sweep is built, not
+	// A base no cluster can run is rejected when the sweep is built, not
 	// by every job at run time.
-	for name, base := range map[string]string{
-		"classes":        `{"channels": 2, "classes": [{"name": "a", "arrivals": {"kind": "batch", "n": 4}}]}`,
-		"retain packets": `{"channels": 2, "arrivals": {"kind": "batch", "n": 4}, "retain_packets": true}`,
-	} {
-		ss, err := lowsensing.ParseSweepSpec([]byte(`{"base": ` + base + `}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ss.Sweep(); err == nil {
-			t.Errorf("cluster base with %s built a sweep", name)
-		}
+	bad, err := lowsensing.ParseSweepSpec([]byte(`{"base": {"channels": 2, "classes": [{"name": "a", "arrivals": {"kind": "batch", "n": 4}}]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bad.Sweep(); err == nil {
+		t.Error("cluster base with classes built a sweep")
 	}
 }
 
@@ -478,10 +472,6 @@ func TestScenarioClusterValidation(t *testing.T) {
 		"unknown router": func(sc *lowsensing.Scenario) {
 			sc.Channels = 2
 			sc.Router = lowsensing.RouterSpec{Kind: "nope"}
-		},
-		"cluster with retention": func(sc *lowsensing.Scenario) {
-			sc.Channels = 2
-			sc.RetainPackets = true
 		},
 		"cluster with classes": func(sc *lowsensing.Scenario) {
 			sc.Channels = 1

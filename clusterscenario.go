@@ -159,18 +159,16 @@ func (sc Scenario) clusterConfig() (cluster.Config, error) {
 		return cluster.Config{}, err
 	}
 	cfg := cluster.Config{
-		Channels:   sc.Channels,
-		Seed:       sc.Seed,
-		MaxSlots:   sc.MaxSlots,
-		Arrivals:   w.source,
-		Router:     rt,
+		Channels: sc.Channels,
+		Seed:     sc.Seed,
+		MaxSlots: sc.MaxSlots,
+		Arrivals: w.source,
+		Router:   rt,
+		// Registered protocol kinds produce uniformly-configured stations
+		// (the RegisterProtocol contract), as Config.NewStation requires.
 		NewStation: w.factory,
 		Lifetime:   w.lifetime,
 		Faults:     w.faults,
-		// Registered protocol kinds produce uniformly-configured stations
-		// (the RegisterProtocol contract), so recycling is always safe
-		// here — same rule as the single-channel engine.
-		ReuseStations: true,
 	}
 	if sc.Jammer.Kind != "" {
 		jspec := sc.Jammer

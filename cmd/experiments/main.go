@@ -72,8 +72,8 @@ func runE(args []string, out, errW io.Writer) error {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf  = fs.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 		progress = fs.Bool("progress", false, "with -spec: stream per-job progress (wall time, events/sec, ETA) to stderr")
-		traceOut = fs.String("trace", "", "with -spec: write every job's structured trace (slot + packet events) to this NDJSON file, one labeled stream per job")
-		metrics  = fs.String("metrics", "", "with -spec: write every job's windowed time-series to this NDJSON file, one labeled stream per job")
+		traceOut = fs.String("trace", "", "with -spec: write every job's structured trace (slot + packet events) to this NDJSON file, one labeled stream per job (single-channel points only)")
+		metrics  = fs.String("metrics", "", "with -spec: write every job's windowed time-series to this NDJSON file, one labeled stream per job (single-channel points only)")
 		window   = fs.Int64("window", 0, "metrics window size in slots (0 = 1024)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -228,6 +228,8 @@ type specRun struct {
 // (trace/metrics/progress) attach per-job recorders: every job writes a
 // run-labeled stream into the shared NDJSON file, interleaved safely
 // through a synchronized writer, so one file carries the whole sweep.
+// Trace and metrics refuse cluster points (lsbsim -spec labels each
+// channel); progress works for any sweep.
 func runSpec(o specRun, out, errW io.Writer) error {
 	data, err := os.ReadFile(o.path)
 	if err != nil {
@@ -246,6 +248,16 @@ func runSpec(o specRun, out, errW io.Writer) error {
 	sw, err := ss.Sweep()
 	if err != nil {
 		return err
+	}
+	// A cluster job's recorder sees its channels interleaved in epoch
+	// order, which neither the slot-windowed -metrics series nor the
+	// per-job -trace stream can tell apart.
+	if o.trace != "" || o.metrics != "" {
+		for _, p := range sw.Points() {
+			if p.Scenario.Channels >= 1 {
+				return fmt.Errorf("-trace/-metrics: point %d (%q) runs a %d-channel cluster, whose channels share one unlabeled stream; run its scenario with lsbsim -spec, which labels each channel", p.Index, p, p.Scenario.Channels)
+			}
+		}
 	}
 	sw.Workers(o.workers)
 	if o.prog {

@@ -309,6 +309,43 @@ func TestSpecObservability(t *testing.T) {
 	}
 }
 
+// TestSpecClusterObservabilityRejected: a cluster job's recorder sees its
+// channels interleaved in epoch order, which neither the slot-windowed
+// -metrics series nor a per-job -trace stream can label, so -spec refuses
+// both for any cluster point before running anything. -progress stays
+// allowed.
+func TestSpecClusterObservabilityRejected(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "sweep.json")
+	if err := os.WriteFile(spec, []byte(`{
+		"seed": 3,
+		"base": {"arrivals": {"kind": "poisson", "rate": 0.8, "n": 400}},
+		"axes": [{"name": "net", "variants": [
+			{"label": "single"},
+			{"label": "rr4", "patch": {"channels": 4, "router": {"kind": "roundrobin"}}}
+		]}]
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, flag := range []string{"-trace", "-metrics"} {
+		out := filepath.Join(dir, flag[1:]+".ndjson")
+		err := runE([]string{"-spec", spec, flag, out, "-window", "256"}, &strings.Builder{}, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), `point 1 ("net=rr4")`) || !strings.Contains(err.Error(), "lsbsim -spec") {
+			t.Fatalf("%s on a cluster point: got %v, want an error naming the point and lsbsim -spec", flag, err)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("%s: output file created before the rejection (stat: %v)", flag, err)
+		}
+	}
+	var errOut strings.Builder
+	if err := runE([]string{"-spec", spec, "-progress"}, &strings.Builder{}, &errOut); err != nil {
+		t.Fatalf("-progress on a cluster sweep: %v", err)
+	}
+	if !strings.Contains(errOut.String(), "[2/2]") {
+		t.Fatalf("missing final progress line:\n%s", errOut.String())
+	}
+}
+
 // TestSpecChurnFaults: churn and fault specs in a sweep spec's base
 // scenario reach every job, and the table's abandoned column shows it.
 // The spec file is the only way in: -churn/-faults are not flags.

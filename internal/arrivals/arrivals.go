@@ -238,50 +238,6 @@ func (a *AQT) Next() (int64, int64, bool) {
 
 var _ channel.ArrivalSource = (*AQT)(nil)
 
-// Concat chains several sources, consuming each to exhaustion in order.
-// The caller is responsible for slot monotonicity across the pieces (use
-// Shifted to offset a source).
-type Concat struct {
-	sources []channel.ArrivalSource
-	idx     int
-}
-
-// NewConcat returns a source that replays each given source in order.
-func NewConcat(sources ...channel.ArrivalSource) *Concat {
-	return &Concat{sources: sources}
-}
-
-// Next implements channel.ArrivalSource.
-func (c *Concat) Next() (int64, int64, bool) {
-	for c.idx < len(c.sources) {
-		slot, count, ok := c.sources[c.idx].Next()
-		if ok {
-			return slot, count, true
-		}
-		c.idx++
-	}
-	return 0, 0, false
-}
-
-var _ channel.ArrivalSource = (*Concat)(nil)
-
-// Shifted offsets every slot of an inner source by Delta.
-type Shifted struct {
-	Inner channel.ArrivalSource
-	Delta int64
-}
-
-// Next implements channel.ArrivalSource.
-func (s *Shifted) Next() (int64, int64, bool) {
-	slot, count, ok := s.Inner.Next()
-	if !ok {
-		return 0, 0, false
-	}
-	return slot + s.Delta, count, true
-}
-
-var _ channel.ArrivalSource = (*Shifted)(nil)
-
 // Merge interleaves several sources into one nondecreasing stream, breaking
 // same-slot ties by source index (lower index first) so the merge order —
 // and therefore the packet-id assignment of a run — is deterministic. It

@@ -253,29 +253,6 @@ func TestAQTRespectsWindowBudgetProperty(t *testing.T) {
 	}
 }
 
-func TestConcatAndShifted(t *testing.T) {
-	first, _ := NewTrace([]TraceBatch{{0, 1}, {10, 2}})
-	second, _ := NewTrace([]TraceBatch{{0, 3}})
-	src := NewConcat(first, &Shifted{Inner: second, Delta: 100})
-	got := drain(t, src, 10)
-	want := []TraceBatch{{0, 1}, {10, 2}, {100, 3}}
-	if len(got) != len(want) {
-		t.Fatalf("got %+v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("batch %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestConcatEmpty(t *testing.T) {
-	src := NewConcat()
-	if _, _, ok := src.Next(); ok {
-		t.Fatal("empty concat produced a batch")
-	}
-}
-
 func TestMergeOrderAndTies(t *testing.T) {
 	a, err := NewTrace([]TraceBatch{{Slot: 0, Count: 1}, {Slot: 5, Count: 2}, {Slot: 9, Count: 1}})
 	if err != nil {

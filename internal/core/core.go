@@ -122,11 +122,8 @@ func (c Config) SendProbGivenAccess(w float64) float64 {
 	return clampProb(send)
 }
 
-// UpdateFactor returns the multiplicative step 1 + 1/(c·ln w) used by both
-// back-off (grow) and back-on (shrink).
-func (c Config) UpdateFactor(w float64) float64 { return c.updateFactor(math.Log(w)) }
-
-// updateFactor is UpdateFactor given lnW = ln w.
+// updateFactor returns the multiplicative step 1 + 1/(c·ln w), given
+// lnW = ln w, used by both back-off (grow) and back-on (shrink).
 func (c Config) updateFactor(lnW float64) float64 { return 1 + 1/(c.C*lnW) }
 
 // Backoff returns the window after hearing a noisy slot.

@@ -1,5 +1,5 @@
 // Package jamming implements the noise adversaries of the model: oblivious
-// jammers (random-rate, burst, periodic), adaptive jammers that observe
+// jammers (random-rate, fixed interval), adaptive jammers that observe
 // public history, and reactive jammers that see the current slot's senders
 // before deciding (paper §1.3).
 //
@@ -114,133 +114,6 @@ func (iv *Interval) NextJammedInRange(from, to int64) (int64, bool) {
 }
 
 var _ channel.RangeJammer = (*Interval)(nil)
-
-// Periodic jams Burst consecutive slots at the start of every Period slots,
-// beginning at Phase. Models duty-cycled interference.
-type Periodic struct {
-	Period int64
-	Burst  int64
-	Phase  int64
-}
-
-// NewPeriodic validates and returns a periodic jammer.
-func NewPeriodic(period, burst, phase int64) (*Periodic, error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("jamming: period must be > 0, got %d", period)
-	}
-	if burst <= 0 || burst > period {
-		return nil, fmt.Errorf("jamming: burst must be in [1,period], got %d", burst)
-	}
-	if phase < 0 {
-		return nil, fmt.Errorf("jamming: phase must be >= 0, got %d", phase)
-	}
-	return &Periodic{Period: period, Burst: burst, Phase: phase}, nil
-}
-
-// Jammed implements channel.Jammer.
-func (p *Periodic) Jammed(slot int64) bool {
-	s := slot - p.Phase
-	if s < 0 {
-		return false
-	}
-	return s%p.Period < p.Burst
-}
-
-// CountRange implements channel.Jammer.
-func (p *Periodic) CountRange(from, to int64) int64 {
-	var n int64
-	// Count slot-by-slot per period boundary; ranges the engine skips are
-	// bounded by window sizes, and the closed form below keeps it O(1).
-	n = p.countPrefix(to) - p.countPrefix(from)
-	return n
-}
-
-// countPrefix returns the number of jammed slots in [0, t).
-func (p *Periodic) countPrefix(t int64) int64 {
-	s := t - p.Phase
-	if s <= 0 {
-		return 0
-	}
-	full := s / p.Period
-	rem := s % p.Period
-	n := full * p.Burst
-	if rem > p.Burst {
-		rem = p.Burst
-	}
-	return n + rem
-}
-
-// NextJammedInRange implements channel.RangeJammer: the first slot >= from
-// inside a burst — from itself if it lands mid-burst, otherwise the next
-// period boundary.
-func (p *Periodic) NextJammedInRange(from, to int64) (int64, bool) {
-	s := max(from, p.Phase)
-	if r := (s - p.Phase) % p.Period; r >= p.Burst {
-		s += p.Period - r
-	}
-	if s >= to {
-		return 0, false
-	}
-	return s, true
-}
-
-var _ channel.RangeJammer = (*Periodic)(nil)
-
-// Composite jams a slot if any member jams it. CountRange upper-bounds by
-// summing members, which is exact when member intervals are disjoint (the
-// only composite the experiments use); overlapping probabilistic members
-// would double-count and are rejected at construction.
-type Composite struct {
-	members []channel.Jammer
-}
-
-// NewComposite returns the union of deterministic jammers. To keep
-// CountRange exact it only accepts Interval and Periodic members.
-func NewComposite(members ...channel.Jammer) (*Composite, error) {
-	for i, m := range members {
-		switch m.(type) {
-		case *Interval, *Periodic:
-		default:
-			return nil, fmt.Errorf("jamming: composite member %d must be Interval or Periodic, got %T", i, m)
-		}
-	}
-	return &Composite{members: members}, nil
-}
-
-// Jammed implements channel.Jammer.
-func (c *Composite) Jammed(slot int64) bool {
-	for _, m := range c.members {
-		if m.Jammed(slot) {
-			return true
-		}
-	}
-	return false
-}
-
-// CountRange implements channel.Jammer. Members are assumed disjoint; the
-// experiments construct them that way.
-func (c *Composite) CountRange(from, to int64) int64 {
-	var n int64
-	for _, m := range c.members {
-		n += m.CountRange(from, to)
-	}
-	return n
-}
-
-// NextJammedInRange implements channel.RangeJammer: the earliest member
-// answer. The constructor admits only Interval and Periodic members, so
-// every member is itself a RangeJammer and the union stays pure.
-func (c *Composite) NextJammedInRange(from, to int64) (int64, bool) {
-	best, found := int64(0), false
-	for _, m := range c.members {
-		if s, ok := m.(channel.RangeJammer).NextJammedInRange(from, to); ok && (!found || s < best) {
-			best, found = s, true
-		}
-	}
-	return best, found
-}
-
-var _ channel.RangeJammer = (*Composite)(nil)
 
 // Adaptive jams based on observed public history: it jams the current slot
 // whenever the backlog it can infer exceeds Threshold, up to Budget jams

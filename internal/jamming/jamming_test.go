@@ -106,74 +106,6 @@ func TestInterval(t *testing.T) {
 	}
 }
 
-func TestPeriodicValidation(t *testing.T) {
-	if _, err := NewPeriodic(0, 1, 0); err == nil {
-		t.Fatal("period 0 accepted")
-	}
-	if _, err := NewPeriodic(10, 0, 0); err == nil {
-		t.Fatal("burst 0 accepted")
-	}
-	if _, err := NewPeriodic(10, 11, 0); err == nil {
-		t.Fatal("burst > period accepted")
-	}
-	if _, err := NewPeriodic(10, 2, -1); err == nil {
-		t.Fatal("negative phase accepted")
-	}
-}
-
-func TestPeriodicPattern(t *testing.T) {
-	p, err := NewPeriodic(10, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Jammed slots: 2,3,4, 12,13,14, 22,23,24, ...
-	for slot := int64(0); slot < 100; slot++ {
-		want := slot >= 2 && (slot-2)%10 < 3
-		if got := p.Jammed(slot); got != want {
-			t.Fatalf("Jammed(%d) = %v, want %v", slot, got, want)
-		}
-	}
-}
-
-func TestPeriodicCountRangeMatchesEnumeration(t *testing.T) {
-	p, _ := NewPeriodic(7, 2, 3)
-	for from := int64(0); from < 60; from += 5 {
-		for to := from; to < from+40; to += 7 {
-			var want int64
-			for s := from; s < to; s++ {
-				if p.Jammed(s) {
-					want++
-				}
-			}
-			if got := p.CountRange(from, to); got != want {
-				t.Fatalf("CountRange(%d,%d) = %d, want %d", from, to, got, want)
-			}
-		}
-	}
-}
-
-func TestCompositeValidation(t *testing.T) {
-	r, _ := NewRandom(0.5, 0, 1)
-	if _, err := NewComposite(r); err == nil {
-		t.Fatal("probabilistic member accepted")
-	}
-}
-
-func TestCompositeUnion(t *testing.T) {
-	a, _ := NewInterval(0, 5)
-	b, _ := NewInterval(10, 15)
-	c, err := NewComposite(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Jammed(3) || c.Jammed(7) || !c.Jammed(12) {
-		t.Fatal("union membership wrong")
-	}
-	if got := c.CountRange(0, 20); got != 10 {
-		t.Fatalf("union count = %d", got)
-	}
-}
-
 func TestAdaptiveWithoutEngine(t *testing.T) {
 	a, err := NewAdaptive(3, 0)
 	if err != nil {

@@ -165,19 +165,13 @@ type EnergySummary struct {
 }
 
 // SummarizeEnergy computes per-packet energy and latency statistics from a
-// run result. It reads the run's streaming accumulators (Result.Energy),
-// which the engine maintains in constant memory for every run — no
-// per-packet retention needed. N, Mean, Min and Max are exact; Median, P90
+// run result. It reads only the run's streaming accumulators
+// (Result.Energy), which the engine maintains in constant memory for
+// every run. N, Mean, Min and Max are exact; Median, P90
 // and P99 come from the accumulators' log-bucketed histograms (exact below
-// 16, within 1/8 relative resolution above). Hand-built results with only
-// Packets populated are folded through the same accumulators first.
+// 16, within 1/8 relative resolution above).
 func SummarizeEnergy(r sim.Result) EnergySummary {
 	es := r.Energy
-	if es.Packets() == 0 && len(r.Packets) > 0 {
-		for _, p := range r.Packets {
-			es.AddPacket(p)
-		}
-	}
 	return EnergySummary{
 		Sends:       es.Sends.Summary(),
 		Listens:     es.Listens.Summary(),

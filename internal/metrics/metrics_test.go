@@ -179,10 +179,13 @@ func TestCollectorUnboundPanics(t *testing.T) {
 }
 
 func TestSummarizeEnergyUndelivered(t *testing.T) {
-	r := sim.Result{Packets: []sim.PacketStats{
+	var r sim.Result
+	for _, p := range []sim.PacketStats{
 		{Arrival: 0, Departure: 5, Sends: 2, Listens: 3},
 		{Arrival: 0, Departure: -1, Sends: 7, Listens: 1},
-	}}
+	} {
+		r.Energy.AddPacket(p)
+	}
 	es := SummarizeEnergy(r)
 	if es.Undelivered != 1 {
 		t.Fatalf("undelivered = %d", es.Undelivered)

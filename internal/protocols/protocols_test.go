@@ -13,9 +13,9 @@ import (
 	"lowsensing/prng"
 )
 
-// runBatch runs an n-packet batch and returns its result with Packets
-// holding every packet's record in emission order.
-func runBatch(t *testing.T, factory channel.StationFactory, n, maxSlots int64, seed uint64) sim.Result {
+// runBatch runs an n-packet batch and returns its result and every
+// packet's record in emission order.
+func runBatch(t *testing.T, factory channel.StationFactory, n, maxSlots int64, seed uint64) (sim.Result, []sim.PacketStats) {
 	t.Helper()
 	var packets []sim.PacketStats
 	e, err := sim.NewEngine(sim.Params{
@@ -32,8 +32,7 @@ func runBatch(t *testing.T, factory channel.StationFactory, n, maxSlots int64, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Packets = packets
-	return r
+	return r, packets
 }
 
 func TestBEBValidation(t *testing.T) {
@@ -50,12 +49,12 @@ func TestBEBCompletesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := runBatch(t, f, 256, 1<<22, 3)
+	r, packets := runBatch(t, f, 256, 1<<22, 3)
 	if r.Completed != 256 {
 		t.Fatalf("completed = %d", r.Completed)
 	}
 	// BEB is send-only: listens must be zero.
-	for _, p := range r.Packets {
+	for _, p := range packets {
 		if p.Listens != 0 {
 			t.Fatalf("packet %d listened %d times", p.ID, p.Listens)
 		}
@@ -66,8 +65,8 @@ func TestBEBThroughputDegradesRelativeToGenie(t *testing.T) {
 	// The motivating contrast: at N=1024, BEB's throughput is well below
 	// the genie's ~1/e.
 	fBEB, _ := NewBEBFactory(2, 0)
-	rBEB := runBatch(t, fBEB, 1024, 1<<24, 5)
-	rGenie := runBatch(t, NewGenieAlohaFactory(), 1024, 1<<24, 5)
+	rBEB, _ := runBatch(t, fBEB, 1024, 1<<24, 5)
+	rGenie, _ := runBatch(t, NewGenieAlohaFactory(), 1024, 1<<24, 5)
 	if rBEB.Completed != 1024 || rGenie.Completed != 1024 {
 		t.Fatalf("incomplete: %d / %d", rBEB.Completed, rGenie.Completed)
 	}
@@ -90,7 +89,7 @@ func TestPolyCompletesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := runBatch(t, f, 128, 1<<22, 7)
+	r, _ := runBatch(t, f, 128, 1<<22, 7)
 	if r.Completed != 128 {
 		t.Fatalf("completed = %d", r.Completed)
 	}
@@ -126,7 +125,7 @@ func TestAlohaSendRate(t *testing.T) {
 }
 
 func TestGenieAlohaNearInverseEThroughput(t *testing.T) {
-	r := runBatch(t, NewGenieAlohaFactory(), 1024, 1<<22, 11)
+	r, _ := runBatch(t, NewGenieAlohaFactory(), 1024, 1<<22, 11)
 	if r.Completed != 1024 {
 		t.Fatalf("completed = %d", r.Completed)
 	}
@@ -158,13 +157,13 @@ func TestMWUListensEverySlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := runBatch(t, f, 64, 1<<20, 13)
+	r, packets := runBatch(t, f, 64, 1<<20, 13)
 	if r.Completed != 64 {
 		t.Fatalf("completed = %d", r.Completed)
 	}
 	// Every packet accesses the channel in every slot it is alive, so its
 	// access count equals its latency.
-	for _, p := range r.Packets {
+	for _, p := range packets {
 		if p.Accesses() != p.Latency() {
 			t.Fatalf("packet %d: accesses %d != latency %d", p.ID, p.Accesses(), p.Latency())
 		}

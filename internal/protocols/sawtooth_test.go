@@ -40,7 +40,7 @@ func TestSawtoothIgnoresFeedback(t *testing.T) {
 func TestSawtoothBatchConstantThroughput(t *testing.T) {
 	// The SPAA 2005 guarantee: batches finish in O(n) slots.
 	for _, n := range []int64{64, 256, 1024} {
-		r := runBatch(t, NewSawtoothFactory(), n, 1<<22, 5)
+		r, _ := runBatch(t, NewSawtoothFactory(), n, 1<<22, 5)
 		if r.Completed != n {
 			t.Fatalf("n=%d: completed %d", n, r.Completed)
 		}
@@ -51,8 +51,8 @@ func TestSawtoothBatchConstantThroughput(t *testing.T) {
 }
 
 func TestSawtoothNeverListens(t *testing.T) {
-	r := runBatch(t, NewSawtoothFactory(), 128, 1<<22, 9)
-	for i, p := range r.Packets {
+	_, packets := runBatch(t, NewSawtoothFactory(), 128, 1<<22, 9)
+	for i, p := range packets {
 		if p.Listens != 0 {
 			t.Fatalf("packet %d listened %d times", i, p.Listens)
 		}
@@ -124,7 +124,7 @@ func TestNoCDDegradationHurtsLSB(t *testing.T) {
 	// noisy conflation windows only grow, so some packets stall; under
 	// the empty conflation windows can't grow, so contention stays high.
 	// Either way the run must look much worse than the ternary baseline.
-	base := runBatch(t, core.MustFactory(core.Default()), 128, 1<<18, 11)
+	base, _ := runBatch(t, core.MustFactory(core.Default()), 128, 1<<18, 11)
 	if base.Completed != 128 {
 		t.Fatalf("ternary baseline incomplete: %d", base.Completed)
 	}
@@ -133,7 +133,7 @@ func TestNoCDDegradationHurtsLSB(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := runBatch(t, f, 128, 1<<18, 11)
+		r, _ := runBatch(t, f, 128, 1<<18, 11)
 		degraded := r.Completed < 128 || r.ActiveSlots > 3*base.ActiveSlots
 		if !degraded {
 			t.Fatalf("mode %d: no degradation (completed %d, slots %d vs base %d)",

@@ -246,10 +246,11 @@ type Result struct {
 	// Degradation holds per-class deltas against a fault-free baseline
 	// run. Only RunWithBaseline-style drivers populate it.
 	Degradation []ClassDelta
-	// Packets holds per-packet statistics indexed by packet id. The engine
-	// never populates it; the public Scenario layer fills it when
-	// Scenario.RetainPackets is set (O(arrivals) memory), from the same
-	// Recorder stream any caller can observe.
+	// Packets is always nil.
+	//
+	// Deprecated: nothing populates it. Per-packet records stream out
+	// through a Recorder (obs.PacketFunc, obs.Ring); per-packet statistics
+	// are in Energy.
 	Packets []PacketStats
 	// EngineStats holds the engine's self-metrics, always populated by the
 	// engine. It describes engine mechanics, not protocol behavior, and is
@@ -385,34 +386,9 @@ func (r Result) ImplicitThroughput() float64 {
 }
 
 // MeanAccesses returns the mean number of channel accesses per packet, or
-// 0 if no packets arrived. Engine results answer from the streaming
-// accumulators; hand-built results fall back to iterating Packets.
-func (r Result) MeanAccesses() float64 {
-	if n := r.Energy.Accesses.Count; n > 0 {
-		return float64(r.Energy.Accesses.Sum) / float64(n)
-	}
-	if len(r.Packets) == 0 {
-		return 0
-	}
-	var total int64
-	for _, p := range r.Packets {
-		total += p.Accesses()
-	}
-	return float64(total) / float64(len(r.Packets))
-}
+// 0 if no packets arrived, from the streaming accumulators.
+func (r Result) MeanAccesses() float64 { return r.Energy.Accesses.Mean() }
 
 // MaxAccesses returns the largest number of channel accesses made by any
-// single packet. Engine results answer from the streaming accumulators;
-// hand-built results fall back to iterating Packets.
-func (r Result) MaxAccesses() int64 {
-	if r.Energy.Accesses.Count > 0 {
-		return r.Energy.Accesses.MaxV
-	}
-	var m int64
-	for _, p := range r.Packets {
-		if a := p.Accesses(); a > m {
-			m = a
-		}
-	}
-	return m
-}
+// single packet, from the streaming accumulators.
+func (r Result) MaxAccesses() int64 { return r.Energy.Accesses.MaxV }

@@ -7,7 +7,6 @@ import (
 	"lowsensing/internal/churn"
 	"lowsensing/internal/core"
 	"lowsensing/internal/faults"
-	"lowsensing/internal/jamming"
 	"lowsensing/internal/protocols"
 	"lowsensing/internal/sim"
 )
@@ -154,15 +153,11 @@ func TestDifferentialChurnFaultsJamming(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			jm, err := jamming.NewPeriodic(31, 3, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
 			return sim.Params{
 				Seed:       seed,
 				Arrivals:   arrivals.NewMerge(arrivals.NewBatch(10), c.Joins()),
 				NewStation: core.MustFactory(core.Default()),
-				Jammer:     jm,
+				Jammer:     periodicJam{period: 31, burst: 3, phase: 1},
 				Lifetime:   c.LeaveSlot,
 				Faults:     m,
 				MaxSlots:   1 << 14,

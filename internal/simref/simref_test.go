@@ -13,6 +13,27 @@ import (
 	"lowsensing/prng"
 )
 
+// periodicJam jams burst consecutive slots at the start of every period
+// slots, beginning at phase: a pure duty-cycled jammer whose closed-form
+// CountRange the engine's skipped ranges must agree with.
+type periodicJam struct{ period, burst, phase int64 }
+
+func (p periodicJam) Jammed(slot int64) bool {
+	s := slot - p.phase
+	return s >= 0 && s%p.period < p.burst
+}
+
+func (p periodicJam) CountRange(from, to int64) int64 { return p.prefix(to) - p.prefix(from) }
+
+// prefix counts the jammed slots in [0, t).
+func (p periodicJam) prefix(t int64) int64 {
+	s := t - p.phase
+	if s <= 0 {
+		return 0
+	}
+	return s/p.period*p.burst + min(s%p.period, p.burst)
+}
+
 // eventLog records a run's full Recorder stream, slot and packet events
 // interleaved in emission order.
 type eventLog struct {
@@ -169,15 +190,11 @@ func TestDifferentialWithDeterministicJamming(t *testing.T) {
 		}
 	})
 	diff(t, "periodic-jam", func() sim.Params {
-		pj, err := jamming.NewPeriodic(13, 4, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
 		return sim.Params{
 			Seed:       12,
 			Arrivals:   arrivals.NewBatch(16),
 			NewStation: core.MustFactory(core.Default()),
-			Jammer:     pj,
+			Jammer:     periodicJam{period: 13, burst: 4, phase: 2},
 			MaxSlots:   1 << 16,
 		}
 	})

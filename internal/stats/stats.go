@@ -62,8 +62,8 @@ func Summarize(xs []float64) Summary {
 // single value dominates. An empty or all-zero sample is perfectly fair
 // (1): nothing is distributed, so nothing is distributed unevenly. This is
 // the module's one Jain index: it scores per-class fairness of multi-class
-// scenarios and the per-packet fairness experiment, and cluster per-channel
-// fairness inlines the same formula.
+// scenarios, the per-packet fairness experiment, and cluster per-channel
+// fairness.
 func Jain(xs []float64) float64 {
 	var sum, sumSq float64
 	for _, x := range xs {

@@ -29,8 +29,8 @@
 // Default runs are constant-memory per live packet — the engine state and
 // the Result both stay O(backlog) on arbitrarily long streams, with energy
 // and latency statistics kept in streaming accumulators (Result.Energy).
-// Per-packet records are opt-in via Scenario.RetainPackets, or stream out
-// through WithRecorder(obs.PacketFunc(...)) without retention.
+// Per-packet records stream out through a recorder
+// (WithRecorder(obs.PacketFunc(...)), obs.Ring, or the NDJSON/CSV sinks).
 //
 // # Extension surface
 //
@@ -95,8 +95,8 @@ type Tracer = trace.Tracer
 
 // Recorder consumes a run's structured event stream (slot and packet
 // events); attach one with WithRecorder. The lowsensing/obs package
-// provides composable implementations: fan-out, sampling, ring buffers,
-// windowed time-series, and NDJSON/CSV sinks.
+// provides composable implementations: fan-out, slot-range filtering, ring
+// buffers, windowed time-series, and NDJSON/CSV sinks.
 type Recorder = obs.Recorder
 
 // SlotEvent is the structured record of one resolved slot a Recorder
@@ -208,9 +208,9 @@ func (s *Simulation) Run() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// The run's observers: per-class accounting and packet retention are
-	// recorders like any caller's, and come first so a user recorder sees
-	// a packet after the run has accounted it.
+	// The run's observers: per-class accounting is a recorder like any
+	// caller's, and comes first so a user recorder sees a packet after the
+	// run has accounted it.
 	var recs []Recorder
 	if w.mc != nil {
 		recs = append(recs, w.mc)
@@ -220,11 +220,6 @@ func (s *Simulation) Run() (Result, error) {
 		if jammer, err = s.sc.Jammer.Jammer(s.sc.Seed); err != nil {
 			return Result{}, err
 		}
-	}
-	var retained *packetTable
-	if s.sc.RetainPackets {
-		retained = &packetTable{}
-		recs = append(recs, retained)
 	}
 	recs = append(recs, s.recorders...)
 	// Only past this point can the engine consume custom instances; earlier
@@ -264,23 +259,7 @@ func (s *Simulation) Run() (Result, error) {
 	if w.mc != nil {
 		w.mc.finalize(&res)
 	}
-	if retained != nil {
-		res.Packets = *retained
-	}
 	return res, nil
-}
-
-// packetTable is the recorder behind Scenario.RetainPackets: it keeps
-// every packet's closed record, indexed by packet id.
-type packetTable []PacketStats
-
-func (pt *packetTable) RecordSlot(SlotEvent) {}
-
-func (pt *packetTable) RecordPacket(p PacketEvent) {
-	if n := p.ID + 1; n > int64(len(*pt)) {
-		*pt = append(*pt, make([]PacketStats, n-int64(len(*pt)))...)
-	}
-	(*pt)[p.ID] = p
 }
 
 // WithArrivals supplies a custom arrival source instance, which takes
@@ -314,12 +293,14 @@ func WithJammer(j Jammer) Option {
 // PacketEvent for every packet (delivered packets at departure, churn
 // abandons at their leave slot, survivors at the end of the run with
 // Departure = -1). Multiple recorders compose; see lowsensing/obs for
-// sinks, sampling decorators, windowed time-series, and obs.PacketFunc
-// for a per-packet callback. A recorder implementing sim.EngineBound —
+// sinks, decorators, windowed time-series, and obs.PacketFunc for a
+// per-packet callback. A recorder implementing sim.EngineBound —
 // Collector, for instance — is bound to the run's engine before it starts
 // and may read the engine's accessors from its callbacks. Observing a run
 // never changes how it executes; runs without a recorder pay one
-// predictable branch per slot.
+// predictable branch per slot. A cluster's recorders share one stream
+// with the channels interleaved in epoch order, which a slot-windowed
+// recorder (obs.Windows) cannot consume.
 func WithRecorder(r Recorder) Option {
 	return func(s *Simulation) {
 		if r != nil {

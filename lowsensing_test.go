@@ -49,21 +49,22 @@ func TestBadOptionSurfacesAtRun(t *testing.T) {
 }
 
 func TestDeterminismViaSeed(t *testing.T) {
-	run := func() Result {
-		res, err := Scenario{Seed: 42, Arrivals: BatchArrivals(64), RetainPackets: true}.Run()
+	run := func() (Result, []PacketStats) {
+		var pk []PacketStats
+		res, err := Scenario{Seed: 42, Arrivals: BatchArrivals(64)}.
+			Simulation(WithRecorder(obs.PacketFunc(func(p PacketStats) { pk = append(pk, p) }))).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, pk
 	}
-	a, b := run(), run()
+	a, pa := run()
+	b, pb := run()
 	if a.ActiveSlots != b.ActiveSlots || a.Completed != b.Completed {
 		t.Fatalf("runs differ: %+v vs %+v", a, b)
 	}
-	for i := range a.Packets {
-		if a.Packets[i] != b.Packets[i] {
-			t.Fatalf("packet %d differs", i)
-		}
+	if len(pa) != 64 || !reflect.DeepEqual(pa, pb) {
+		t.Fatalf("packet streams differ (%d vs %d records)", len(pa), len(pb))
 	}
 
 	// The seed reaches the seeded components built at Run time: a Poisson
@@ -84,10 +85,17 @@ func TestDeterminismViaSeed(t *testing.T) {
 }
 
 func TestBaselineOptions(t *testing.T) {
-	sc := Scenario{Seed: 2, Arrivals: BatchArrivals(128), RetainPackets: true}
+	sc := Scenario{Seed: 2, Arrivals: BatchArrivals(128)}
+	// listened counts the run's packets that listened at least once.
+	var listened int
 	run := func(p ProtocolSpec) (Result, error) {
 		sc.Protocol = p
-		return sc.Run()
+		listened = 0
+		return sc.Simulation(WithRecorder(obs.PacketFunc(func(p PacketStats) {
+			if p.Listens != 0 {
+				listened++
+			}
+		}))).Run()
 	}
 	beb, err := run(BEB())
 	if err != nil {
@@ -97,10 +105,8 @@ func TestBaselineOptions(t *testing.T) {
 		t.Fatalf("BEB completed = %d", beb.Completed)
 	}
 	// BEB never listens.
-	for _, p := range beb.Packets {
-		if p.Listens != 0 {
-			t.Fatal("BEB listened")
-		}
+	if listened != 0 {
+		t.Fatal("BEB listened")
 	}
 	mwu, err := run(MWU())
 	if err != nil {
@@ -116,10 +122,8 @@ func TestBaselineOptions(t *testing.T) {
 	if saw.Completed != 128 {
 		t.Fatalf("Sawtooth completed = %d", saw.Completed)
 	}
-	for _, p := range saw.Packets {
-		if p.Listens != 0 {
-			t.Fatal("sawtooth listened")
-		}
+	if listened != 0 {
+		t.Fatal("sawtooth listened")
 	}
 }
 
@@ -229,8 +233,9 @@ func TestCustomStationsOption(t *testing.T) {
 }
 
 // TestPacketRetentionIsOptIn: default runs carry only the streaming
-// accumulators; Scenario.RetainPackets materializes Packets and an
-// obs.PacketFunc recorder streams every packet without retention.
+// accumulators, and per-packet records come from a recorder: an
+// obs.PacketFunc sink sees every packet, and folding what it saw gives
+// back the run's accumulators.
 func TestPacketRetentionIsOptIn(t *testing.T) {
 	sc := Scenario{Seed: 1, Arrivals: BatchArrivals(64)}
 	def, err := sc.Run()
@@ -255,22 +260,12 @@ func TestPacketRetentionIsOptIn(t *testing.T) {
 	if int64(len(sunk)) != res.Arrived {
 		t.Fatalf("sink saw %d of %d packets", len(sunk), res.Arrived)
 	}
-
-	sc.RetainPackets = true
-	ret, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(ret.Packets)) != ret.Arrived {
-		t.Fatalf("retained %d of %d packets", len(ret.Packets), ret.Arrived)
-	}
-	// Same seed: sink, retained, and accumulator views must agree.
+	// Same seed: the sink's records and both runs' accumulators agree.
+	var folded EnergyStats
 	for _, p := range sunk {
-		if ret.Packets[p.ID] != p {
-			t.Fatalf("packet %d: sink %+v vs retained %+v", p.ID, p, ret.Packets[p.ID])
-		}
+		folded.AddPacket(p)
 	}
-	if ret.Energy != def.Energy {
-		t.Fatal("accumulators differ between retention modes")
+	if folded != res.Energy || res.Energy != def.Energy {
+		t.Fatal("sink records disagree with the accumulators")
 	}
 }

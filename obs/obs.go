@@ -10,11 +10,11 @@
 // attached pays one predictable branch per slot and stays
 // allocation-free.
 //
-// Recorders compose. Multi fans events out to several recorders, EveryN
-// and SlotRange thin the slot stream, Ring keeps a bounded in-memory tail
-// with an explicit Dropped counter, PacketFunc adapts a per-packet
-// closure, Windows folds the stream into a windowed time-series, and
-// NDJSON / CSV serialize events to an io.Writer.
+// Recorders compose. Multi fans events out to several recorders,
+// SlotRange restricts the stream to a slot interval, Ring keeps a bounded
+// in-memory tail with an explicit Dropped counter, PacketFunc adapts a
+// per-packet closure, Windows folds the stream into a windowed
+// time-series, and NDJSON / CSV serialize events to an io.Writer.
 // Anything implementing the two-method Recorder interface slots into the
 // same pipeline.
 package obs
@@ -183,36 +183,6 @@ func (m multi) Flush() error {
 	}
 	return first
 }
-
-// everyN forwards every n-th slot event.
-type everyN struct {
-	r    Recorder
-	n    int64
-	seen int64
-}
-
-// EveryN thins the slot stream: the wrapped recorder sees the 1st,
-// (n+1)-th, (2n+1)-th, ... resolved slots. Packet events pass through
-// unthinned (a packet lifecycle has no natural sampling phase). n <= 1
-// returns r unchanged.
-func EveryN(r Recorder, n int64) Recorder {
-	if r == nil || n <= 1 {
-		return r
-	}
-	return &everyN{r: r, n: n}
-}
-
-func (s *everyN) RecordSlot(ev SlotEvent) {
-	if s.seen%s.n == 0 {
-		s.r.RecordSlot(ev)
-	}
-	s.seen++
-}
-
-func (s *everyN) RecordPacket(p PacketEvent) { s.r.RecordPacket(p) }
-
-// Flush forwards to the wrapped recorder.
-func (s *everyN) Flush() error { return Flush(s.r) }
 
 // slotRange restricts events to a half-open slot interval.
 type slotRange struct {

@@ -94,32 +94,6 @@ func TestMultiFanOutAndFlush(t *testing.T) {
 	}
 }
 
-func TestEveryN(t *testing.T) {
-	c := &capture{}
-	r := EveryN(c, 3)
-	for i := int64(0); i < 10; i++ {
-		r.RecordSlot(slot(i))
-	}
-	r.RecordPacket(PacketEvent{ID: 1})
-	if len(c.slots) != 4 { // seen 0, 3, 6, 9
-		t.Fatalf("got %d slot events, want 4", len(c.slots))
-	}
-	for i, want := range []int64{0, 3, 6, 9} {
-		if c.slots[i].Slot != want {
-			t.Errorf("slots[%d].Slot = %d, want %d", i, c.slots[i].Slot, want)
-		}
-	}
-	if len(c.packets) != 1 {
-		t.Fatalf("packet events must pass through unthinned, got %d", len(c.packets))
-	}
-	if EveryN(c, 1) != Recorder(c) || EveryN(c, 0) != Recorder(c) {
-		t.Error("n <= 1 must return the recorder unchanged")
-	}
-	if EveryN(nil, 5) != nil {
-		t.Error("EveryN(nil, n) must stay nil")
-	}
-}
-
 func TestSlotRange(t *testing.T) {
 	c := &capture{}
 	r := SlotRange(c, 10, 20)

@@ -11,7 +11,7 @@ import (
 )
 
 // Scenario is a declarative, serializable description of one simulation
-// run: arrivals, protocol, jammer, slot cap, retention, seed, and — with
+// run: arrivals, protocol, jammer, churn, faults, slot cap, seed, and — with
 // Channels >= 1 — the multi-channel cluster it runs on. It is the one way
 // to describe a run, so specs can live in JSON files, be diffed, and be
 // swept over; Simulation layers on what cannot be data (custom instances
@@ -47,8 +47,6 @@ type Scenario struct {
 	// class carries its own — and results gain per-class accounting
 	// (Result.Classes) plus the cross-class Jain fairness index.
 	Classes []ClassSpec `json:"classes,omitempty"`
-	// RetainPackets materializes Result.Packets (O(arrivals) memory).
-	RetainPackets bool `json:"retain_packets,omitempty"`
 	// Channels, when >= 1, runs the scenario on a cluster of that many
 	// slotted channels (see the cluster package): the channels share the
 	// clock and the arrival stream, Router assigns each packet a channel,
@@ -57,8 +55,7 @@ type Scenario struct {
 	// The channels are stepped serially on the calling goroutine.
 	// Run then returns the merged Result; ClusterScenario(sc).Run gives the
 	// per-channel breakdown. 0 means the single-channel engine. Clusters
-	// carry neither Classes (station ids are channel-local) nor
-	// RetainPackets.
+	// carry no Classes (station ids are channel-local).
 	Channels int `json:"channels,omitempty"`
 	// Router selects the cluster routing policy; the zero value is
 	// RouterRandom. Setting it requires Channels >= 1.
@@ -104,9 +101,8 @@ func (sc Scenario) clone() Scenario {
 // Default runs are constant-memory per live packet: the engine keeps
 // O(backlog) state however many packets stream through, and the Result
 // carries streaming energy/latency accumulators instead of per-packet
-// records. Opt back into per-packet data with RetainPackets (materializes
-// Result.Packets, O(arrivals) memory) or a recorder such as
-// obs.PacketFunc (streams every packet's final stats out of the engine).
+// records. Per-packet data streams out through a recorder: obs.PacketFunc
+// sees every packet's final stats, obs.Ring keeps the last N.
 func (sc Scenario) Simulation(opts ...Option) *Simulation {
 	s := &Simulation{sc: sc}
 	for _, opt := range opts {
@@ -154,8 +150,6 @@ func (sc Scenario) validateShape() error {
 		return fmt.Errorf("lowsensing: a router needs a cluster (channels >= 1)")
 	case sc.Channels >= 1 && len(sc.Classes) > 0:
 		return fmt.Errorf("lowsensing: a cluster scenario (channels >= 1) cannot carry classes: station ids are channel-local")
-	case sc.Channels >= 1 && sc.RetainPackets:
-		return fmt.Errorf("lowsensing: a cluster scenario (channels >= 1) cannot retain packets: packet ids are channel-local")
 	}
 	if len(sc.Classes) == 0 {
 		return nil

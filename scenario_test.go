@@ -50,10 +50,9 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 			MaxSlots: 1 << 18,
 		},
 		"reactive-retained": {
-			Seed:          3,
-			Arrivals:      lowsensing.BatchArrivals(32),
-			Jammer:        lowsensing.ReactiveJamming(0, 8),
-			RetainPackets: true,
+			Seed:     3,
+			Arrivals: lowsensing.BatchArrivals(32),
+			Jammer:   lowsensing.ReactiveJamming(0, 8),
 		},
 	}
 	for name, sc := range scenarios {
@@ -79,9 +78,6 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 			}
 			if !sameResult(want, got) {
 				t.Fatalf("round-tripped scenario runs differently:\n%+v\nvs\n%+v", got, want)
-			}
-			if sc.RetainPackets && len(got.Packets) != int(got.Arrived) {
-				t.Fatalf("retained %d of %d packets", len(got.Packets), got.Arrived)
 			}
 		})
 	}
@@ -144,11 +140,13 @@ func TestParseScenarioStrict(t *testing.T) {
 	if _, err := lowsensing.ParseScenario([]byte(`{"arrivals": {"kind": "batch"}}`)); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
-	// The retired batch-resolver switch fails loudly rather than being
-	// silently ignored.
-	_, err := lowsensing.ParseScenario([]byte(`{"arrivals": {"kind": "batch", "n": 8}, "disable_batching": true}`))
-	if err == nil || !strings.Contains(err.Error(), "disable_batching") {
-		t.Fatalf("retired disable_batching field: got %v, want an error naming it", err)
+	// Retired fields (the batch-resolver switch, per-packet retention)
+	// fail loudly rather than being silently ignored.
+	for _, field := range []string{"disable_batching", "retain_packets"} {
+		_, err := lowsensing.ParseScenario([]byte(`{"arrivals": {"kind": "batch", "n": 8}, "` + field + `": true}`))
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("retired %s field: got %v, want an error naming it", field, err)
+		}
 	}
 	sc, err := lowsensing.ParseScenario([]byte(`{
 		"seed": 1,

@@ -123,7 +123,8 @@ func (sw *Sweep) ProgressTo(w io.Writer) *Sweep {
 // stream. The factory is called from worker goroutines and must be safe
 // for concurrent use; the recorders it returns are each driven by one job
 // on one goroutine (a cluster job's recorder sees its channels' events
-// interleaved in epoch order). Recorders implementing obs.Flusher are
+// interleaved in epoch order, a stream slot-windowed recorders such as
+// obs.Windows cannot consume). Recorders implementing obs.Flusher are
 // flushed when their job's run completes, and a flush error fails the
 // sweep. To multiplex jobs into one file, give each job's sink a
 // distinguishing label over a shared NewSyncWriter-wrapped writer:
@@ -251,10 +252,7 @@ func (sw *Sweep) Stream(emit func(PointResult) error) error {
 	points := sw.Points()
 	jobs := make([]runner.Job[timedResult], 0, len(points)*sw.reps)
 	for pi := range points {
-		// Replications must never retain per-packet tables: the aggregate
-		// is streaming by construction.
 		sc := points[pi].Scenario
-		sc.RetainPackets = false
 		point := points[pi]
 		for rep := 0; rep < sw.reps; rep++ {
 			sc := sc

@@ -141,34 +141,6 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSweepZeroRetention: sweep replications never retain per-packet
-// tables, even when the base scenario asks for retention.
-func TestSweepZeroRetention(t *testing.T) {
-	sw, err := lowsensing.SweepSpec{
-		Reps: 2,
-		Base: lowsensing.Scenario{Arrivals: lowsensing.BatchArrivals(32), RetainPackets: true},
-	}.Sweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Points() reflects the base verbatim; execution strips it.
-	if !sw.Points()[0].Scenario.RetainPackets {
-		t.Fatal("Points() dropped the base's RetainPackets")
-	}
-	results, err := sw.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 {
-		t.Fatalf("axis-free sweep has %d points", len(results))
-	}
-	// The aggregate carries only streaming stats; per-packet data has no
-	// field to live in, and the pooled accumulators must still be complete.
-	if results[0].Energy.Packets() != 64 {
-		t.Fatalf("pooled %d packets, want 64", results[0].Energy.Packets())
-	}
-}
-
 func TestSweepStreamOrderAndErrors(t *testing.T) {
 	var got []string
 	err := twoAxisSweep(t, 4).Stream(func(pr lowsensing.PointResult) error {
