@@ -147,11 +147,13 @@ type StationFactory func(id int64, rng *prng.Source) Station
 
 // ArrivalSource produces the (slot, count) arrival schedule — the arrivals
 // contract. Next returns batches in nondecreasing slot order with count > 0,
-// and ok=false when the schedule is exhausted. Next is called once per
-// batch, after the previous batch has been injected; adaptive sources may
-// consult engine state at that point (history up to, not including, the
-// pending batch's slot). Sources are consumed as they run: a fresh source
-// must be constructed per run.
+// and ok=false when the schedule is exhausted. Batches may share a slot:
+// every batch at slot t is injected before t resolves, so their packets
+// contend in t together. Next is called once per batch, after the previous
+// batch has been injected; adaptive sources may consult engine state at
+// that point (history up to, not including, the previous batch's slot).
+// Sources are consumed as they run: a fresh source must be constructed per
+// run.
 type ArrivalSource interface {
 	Next() (slot int64, count int64, ok bool)
 }

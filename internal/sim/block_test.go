@@ -53,11 +53,14 @@ func dirtyBlocks(t *testing.T) map[string]*engineBlock {
 
 	fan, err := NewEngine(Params{
 		Seed:          2,
-		Arrivals:      arrivals.NewBatch(20_000),
+		Arrivals:      &traceSource{},
 		NewStation:    core.MustFactory(core.Default()),
 		ReuseStations: true,
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fan.InjectAt(0, 20_000); err != nil {
 		t.Fatal(err)
 	}
 	if err := fan.StepTo(30_000); err != nil {

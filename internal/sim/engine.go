@@ -15,7 +15,10 @@ import (
 // default cap); a run that still has packets at MaxSlots is truncated, not
 // an error, so experiments can measure steady state on infinite streams.
 type Params struct {
-	Seed       uint64
+	Seed uint64
+	// Arrivals is the arrival schedule. Only Run draws from it: an engine
+	// driven through the stepped API (StepTo/InjectAt/FinishRun) injects
+	// exactly what InjectAt hands it and never calls Next.
 	Arrivals   ArrivalSource
 	Jammer     Jammer
 	NewStation StationFactory
@@ -104,11 +107,6 @@ type Engine struct {
 	// block holds the wheel's bucket headers and the streaming per-packet
 	// statistics (always on); nil once result() has returned it to the pool.
 	block *engineBlock
-
-	// Pending arrival batch (peeked from the source).
-	pendSlot  int64
-	pendCount int64
-	pendOK    bool
 
 	// Busy-period accounting.
 	activeCount  int64
@@ -208,7 +206,6 @@ func NewEngine(p Params) (*Engine, error) {
 	if b, ok := p.Arrivals.(EngineBound); ok {
 		b.Bind(e)
 	}
-	e.pendSlot, e.pendCount, e.pendOK = p.Arrivals.Next()
 	return e, nil
 }
 
@@ -226,6 +223,11 @@ type EngineBound interface {
 // packets delivered) or until MaxSlots, and returns the result. Run may be
 // called once, and not on an engine driven through the stepped API
 // (StepTo/InjectAt/FinishRun).
+//
+// Run is the stepped API driven by Params.Arrivals: it draws a batch,
+// resolves every slot before the batch's slot, injects the batch, and only
+// then draws the next one. Every batch at slot t is therefore injected
+// before t resolves, however many batches share it.
 func (e *Engine) Run() (Result, error) {
 	if e.ran {
 		return Result{}, fmt.Errorf("sim: Engine.Run called twice")
@@ -234,77 +236,42 @@ func (e *Engine) Run() (Result, error) {
 		return Result{}, fmt.Errorf("sim: Engine.Run mixed with stepped API (StepTo/InjectAt)")
 	}
 	e.ran = true
+	last := int64(math.MinInt64)
+	for {
+		// The source may consult an engine View here (adaptive arrivals):
+		// history reflects slots before the last injected batch's slot.
+		t, count, ok := e.params.Arrivals.Next()
+		if !ok || t > e.params.MaxSlots {
+			break
+		}
+		if t < last {
+			arrivalsBackPanic(t, last)
+		}
+		last = t
+		e.advance(t)
+		e.injectBatch(t, count)
+	}
 	e.advance(math.MaxInt64)
 	return e.result(), nil
 }
 
-// advance is the scheduler loop shared by Run and the stepped API: it
-// resolves slots strictly below limit (and never past MaxSlots), injecting
-// pending arrivals as their slots come due. Run passes MaxInt64; StepTo
-// passes its epoch boundary.
+// advance is the one scheduler loop, shared by Run, StepTo and FinishRun:
+// it resolves every slot strictly below limit (and never past MaxSlots)
+// that some station accesses, handing each resolved slot to the recorder
+// after the slot's departures. A false resolveSlot means every due event
+// was a churn abandon: no station accessed the channel, so there is no
+// slot to record.
 func (e *Engine) advance(limit int64) {
+	bound := min(limit-1, e.params.MaxSlots)
 	for {
-		// One scheduler peek per iteration. The pending arrival slot is
-		// also the peek's limit: it is the earliest slot the engine could
-		// still need to schedule at (an arrival before the event minimum
-		// injects accesses at its own slot), so the wheel's cursor must
-		// not advance past it while searching for the minimum.
-		tArrival := int64(math.MaxInt64)
-		if e.pendOK && e.pendSlot < limit {
-			tArrival = e.pendSlot
-		}
-		t := tArrival
-		bound := tArrival
-		if limit-1 < bound {
-			bound = limit - 1
-		}
-		tEvent, evOK := e.events.nextAtMost(bound)
-		if evOK {
-			t = tEvent // nextAtMost guarantees tEvent <= bound
-		}
-		if t == math.MaxInt64 {
-			break // no events, no arrivals below limit: done
-		}
-		if t > e.params.MaxSlots {
-			break
+		t, ok := e.events.nextAtMost(bound)
+		if !ok {
+			return
 		}
 		e.curSlot = t
-
-		// Inject arrivals first so a packet arriving at slot t can act in
-		// slot t, as the model allows.
-		resolve := evOK && tEvent == t
-		if e.pendOK && e.pendSlot == t {
-			e.inject(t)
-			if !resolve {
-				// Re-peek only on this path: every pre-existing event is
-				// after t, but the injection may have scheduled a first
-				// access at slot t itself.
-				_, resolve = e.events.nextAtMost(t)
-			}
+		if e.resolveSlot(t) && e.params.Recorder != nil {
+			e.params.Recorder.RecordSlot(e.LastSlotEvent())
 		}
-
-		// Resolve the channel only if some station accesses slot t.
-		if resolve {
-			e.resolveRecorded(t)
-		}
-	}
-}
-
-// resolveRecorded resolves slot t through the general resolver and hands
-// the slot to the recorder. A false resolveSlot means every due event was
-// a churn abandon: no station accessed the channel, so there is no slot to
-// record.
-func (e *Engine) resolveRecorded(t int64) {
-	if e.resolveSlot(t) {
-		e.recordSlot()
-	}
-}
-
-// recordSlot emits the just-resolved slot to the recorder, if any, once per
-// resolved slot, after the slot's departures.
-func (e *Engine) recordSlot() {
-	if e.params.Recorder != nil {
-		e.params.Recorder.RecordSlot(e.LastSlotEvent())
 	}
 }
 
@@ -313,10 +280,11 @@ func (e *Engine) recordSlot() {
 // The stepped API drives an engine in externally-clocked epochs, so a
 // coordinator (the cluster package) can interleave many engines under one
 // shared clock: StepTo(s) resolves everything before slot s, InjectAt(s, n)
-// then adds arrivals at s, and FinishRun drains the remainder. A stepped
-// run is bit-identical to Run over an arrival source yielding the same
-// (slot, count) batches, because epochs cut the scheduler loop exactly
-// where a pending arrival batch would have bounded it anyway.
+// then adds arrivals at s, and FinishRun drains the remainder. Only Run
+// draws from Params.Arrivals; a stepped engine injects exactly what
+// InjectAt hands it and never consults the source. Run is itself this API
+// driven by the source, so a stepped run is bit-identical to Run over a
+// source yielding the same (slot, count) batches.
 
 // beginStep enters stepped mode.
 func (e *Engine) beginStep() error {
@@ -357,9 +325,6 @@ func (e *Engine) InjectAt(t, count int64) error {
 	if t > e.params.MaxSlots {
 		return fmt.Errorf("sim: InjectAt(%d) past MaxSlots %d", t, e.params.MaxSlots)
 	}
-	// Mirror the scheduler loop, which sets curSlot at arrival slots even
-	// when nothing resolves there (adaptive components read it).
-	e.curSlot = t
 	e.injectBatch(t, count)
 	return nil
 }
@@ -375,30 +340,16 @@ func (e *Engine) FinishRun() (Result, error) {
 	return e.result(), nil
 }
 
-// inject creates stations for the pending arrival batch at slot t and
-// advances the arrival source. The steady-state path allocates nothing:
-// the packet's slot-table entry comes off the free list, its rng stream is
-// reinitialized in place, and a recycled ReusableStation is Reset instead
-// of reconstructed.
-//
-//lsbvet:hotpath
-func (e *Engine) inject(t int64) {
-	e.injectBatch(t, e.pendCount)
-	// Advance to the next batch. The source may consult an engine View at
-	// this point (adaptive arrivals); history reflects slots < t.
-	nextSlot, nextCount, ok := e.params.Arrivals.Next()
-	if ok && nextSlot < t {
-		arrivalsBackPanic(nextSlot, t)
-	}
-	e.pendSlot, e.pendCount, e.pendOK = nextSlot, nextCount, ok
-}
-
-// injectBatch constructs count stations arriving at slot t. It is the body
-// of inject without the source advance, so the stepped API (InjectAt) can
-// feed externally-routed arrivals through the identical lifecycle.
+// injectBatch constructs count stations arriving at slot t, for Run and
+// InjectAt alike. The steady-state path allocates nothing: the packet's
+// slot-table entry comes off the free list, its rng stream is reinitialized
+// in place, and a recycled ReusableStation is Reset instead of
+// reconstructed. It marks t as the current slot even if nothing resolves
+// there (adaptive components read it).
 //
 //lsbvet:hotpath
 func (e *Engine) injectBatch(t, count int64) {
+	e.curSlot = t
 	for i := int64(0); i < count; i++ {
 		id := e.nextID
 		e.nextID++
@@ -487,7 +438,10 @@ func (e *Engine) resolveSlot(t int64) bool {
 			break
 		}
 		if ss := &e.stations[ev.idx]; ss.leaveAt >= 0 && t >= ss.leaveAt {
-			e.abandonStation(ev.idx)
+			// A churn abandon: a departure's lifecycle, minus the delivery.
+			e.abandoned++
+			e.activeCount--
+			e.retire(ev.idx, DepartureAbandoned, ss.leaveAt)
 			continue
 		}
 		e.slotStations = append(e.slotStations, ev.idx)
@@ -582,7 +536,7 @@ func (e *Engine) resolveSlot(t int64) bool {
 			ss.st.Observe(Observation{Slot: t, Outcome: outcome, Sent: sent, Succeeded: succeeded})
 		}
 		if succeeded {
-			e.depart(idx, t)
+			e.retire(idx, t, -1)
 			e.completed++
 			e.activeCount--
 			continue
@@ -605,35 +559,6 @@ func (e *Engine) resolveSlot(t int64) bool {
 		e.busy = false
 	}
 	return true
-}
-
-// abandonStation removes a packet that reached its churn leave slot: its
-// statistics are folded with Departure = DepartureAbandoned, its live-list
-// link removed, and its slot-table entry recycled — exactly a departure's
-// lifecycle, minus the delivery.
-//
-//lsbvet:hotpath
-func (e *Engine) abandonStation(idx int32) {
-	ss := &e.stations[idx]
-	e.abandoned++
-	e.activeCount--
-	e.finishPacket(ss, DepartureAbandoned, ss.leaveAt)
-	if ss.prevLive >= 0 {
-		e.stations[ss.prevLive].nextLive = ss.nextLive
-	} else {
-		e.liveHead = ss.nextLive
-	}
-	if ss.nextLive >= 0 {
-		e.stations[ss.nextLive].prevLive = ss.prevLive
-	} else {
-		e.liveTail = ss.prevLive
-	}
-	var reuse ReusableStation
-	if e.params.ReuseStations {
-		reuse, _ = ss.st.(ReusableStation)
-	}
-	*ss = stationState{reuse: reuse}
-	e.freeList = append(e.freeList, idx)
 }
 
 // crashStation rebuilds a crashed station cold — it loses every bit of
@@ -666,14 +591,15 @@ func (e *Engine) crashStation(idx int32, t, down int64) {
 	e.events.Push(event{slot: evSlot, id: ss.id, idx: idx})
 }
 
-// depart finalizes a delivered packet: folds its statistics into the
-// accumulators (and the recorder), unlinks it from the live list, and
-// recycles its slot-table entry.
+// retire finalizes a packet leaving the system — departure is its delivery
+// slot or DepartureAbandoned, leftAt its churn abandon slot (-1 otherwise):
+// folds its statistics into the accumulators (and the recorder), unlinks it
+// from the live list, and recycles its slot-table entry.
 //
 //lsbvet:hotpath
-func (e *Engine) depart(idx int32, t int64) {
+func (e *Engine) retire(idx int32, departure, leftAt int64) {
 	ss := &e.stations[idx]
-	e.finishPacket(ss, t, -1)
+	e.finishPacket(ss, departure, leftAt)
 	if ss.prevLive >= 0 {
 		e.stations[ss.prevLive].nextLive = ss.nextLive
 	} else {

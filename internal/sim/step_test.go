@@ -51,15 +51,6 @@ func stepParams(t *testing.T, arr ArrivalSource) Params {
 	}
 }
 
-// scrubWheelStats zeroes the wheel-mechanics counters. Cutting a run into
-// epochs moves the wheel cursor differently (StepTo walks it to each
-// limit), so cascade/overflow counts are execution details the stepped
-// contract does not promise; everything else must be bit-equal.
-func scrubWheelStats(r *Result) {
-	r.EngineStats.WheelCascades = 0
-	r.EngineStats.HeapOverflows = 0
-}
-
 // stepRun drives an engine through the stepped API over stepTrace,
 // injecting perPacket (one InjectAt per packet) or per batch.
 func stepRun(t *testing.T, perPacket bool) Result {
@@ -91,8 +82,7 @@ func stepRun(t *testing.T, perPacket bool) Result {
 
 // TestSteppedMatchesRun: driving the engine with StepTo/InjectAt/FinishRun
 // over an arrival schedule is bit-equal to Run over the same schedule as a
-// trace source — per-packet or per-batch injection — modulo the
-// wheel-mechanics counters.
+// trace source — per-packet or per-batch injection — EngineStats included.
 func TestSteppedMatchesRun(t *testing.T) {
 	eng, err := NewEngine(stepParams(t, &traceSource{batches: stepTrace}))
 	if err != nil {
@@ -102,13 +92,11 @@ func TestSteppedMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scrubWheelStats(&want)
 	if want.Completed != want.Arrived || want.Arrived != 64 {
 		t.Fatalf("reference run did not deliver everything: %+v", want)
 	}
 	for _, perPacket := range []bool{false, true} {
 		got := stepRun(t, perPacket)
-		scrubWheelStats(&got)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("stepped (perPacket=%v) differs from Run:\n got %+v\nwant %+v",
 				perPacket, got, want)
@@ -209,5 +197,33 @@ func TestSteppedAPIMisuse(t *testing.T) {
 	}
 	if err := eng.StepTo(10); err == nil {
 		t.Fatal("StepTo accepted after Run")
+	}
+}
+
+// TestSteppedIgnoresArrivalSource: only Run draws from Params.Arrivals. A
+// stepped engine injects exactly what InjectAt hands it, so StepTo and
+// FinishRun over a source that still holds batches inject nothing and
+// leave the source undrawn.
+func TestSteppedIgnoresArrivalSource(t *testing.T) {
+	src := &traceSource{batches: stepTrace}
+	eng, err := NewEngine(stepParams(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.StepTo(2000); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Arrived() != 0 {
+		t.Fatalf("StepTo injected %d packets from the source", eng.Arrived())
+	}
+	r, err := eng.FinishRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Arrived != 0 || r.ActiveSlots != 0 || r.EngineStats.SlotsResolved != 0 {
+		t.Fatalf("stepped run consumed the source: %+v", r)
+	}
+	if src.pos != 0 {
+		t.Fatalf("stepped run drew %d batches from the source", src.pos)
 	}
 }

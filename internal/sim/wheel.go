@@ -78,19 +78,19 @@ import (
 //
 // Push requires ev.slot >= cur, and at most one pending event per idx
 // (the engine's one-event-per-live-packet invariant). The engine's time
-// is monotone but its next slot is min(next event, next arrival), and an
-// arrival earlier than the event minimum may inject accesses at its own
-// (earlier) slot — so the cursor must never overshoot the next arrival
-// while peeking. nextAtMost and popAtMost therefore take an explicit
-// limit: the cursor only advances to min(event minimum, limit), and the
-// search reports "nothing at or before limit" without disturbing later
-// events. The driver passes the pending arrival slot (or MaxInt64 once
-// arrivals are exhausted) as the limit, which is exactly the smallest
-// slot the engine might still push. Alongside cur the wheel maintains
-// floor — a proven lower bound on every pending slot, tightened by every
-// miss and every emptied bucket, loosened by any earlier push — which
-// turns the engine's per-slot terminating probe ("anything else at this
-// slot?") into a single compare.
+// is monotone, but an arrival batch at slot s, injected once every slot
+// before s has resolved, may push accesses at s itself, earlier than the
+// event minimum — so the cursor must never overshoot s while peeking.
+// nextAtMost and popAtMost therefore take an explicit limit: the cursor
+// only advances to min(event minimum, limit), and the search reports
+// "nothing at or before limit" without disturbing later events. The
+// scheduler loop resolves slots strictly below its step limit, so it
+// peeks with limit-1 (capped at MaxSlots): the cursor stays below the
+// next injection slot, the smallest slot the engine might still push.
+// Alongside cur the wheel maintains floor — a proven lower bound on every
+// pending slot, tightened by every miss and every emptied bucket,
+// loosened by any earlier push — which turns the engine's per-slot
+// terminating probe ("anything else at this slot?") into a single compare.
 type timingWheel struct {
 	cur   int64 // lower bound on every pending slot; monotone
 	floor int64 // proven lower bound on every pending slot; >= cur

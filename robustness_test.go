@@ -581,3 +581,54 @@ func TestChurnAndFaultsOnScenario(t *testing.T) {
 	}
 	checkConservation(t, res)
 }
+
+// slotOrder is a Recorder that counts slot events whose slot is not
+// strictly after the previous event's.
+type slotOrder struct {
+	last     int64
+	events   int
+	repeated int
+}
+
+func (s *slotOrder) RecordSlot(ev lowsensing.SlotEvent) {
+	if s.events > 0 && ev.Slot <= s.last {
+		s.repeated++
+	}
+	s.last = ev.Slot
+	s.events++
+}
+
+func (*slotOrder) RecordPacket(lowsensing.PacketEvent) {}
+
+// TestSameSlotBatchesResolveOnce: when two arrival streams fire in the
+// same slot — two classes' batches, or a churn join beside a regular
+// arrival — both batches arrive before the slot resolves, so every slot is
+// resolved and recorded once and SlotEvent.Slot strictly increases.
+func TestSameSlotBatchesResolveOnce(t *testing.T) {
+	for name, sc := range map[string]lowsensing.Scenario{
+		"two batch classes": {
+			Seed: 11,
+			Classes: []lowsensing.ClassSpec{
+				{Name: "a", Arrivals: lowsensing.BatchArrivals(50)},
+				{Name: "b", Arrivals: lowsensing.BatchArrivals(50)},
+			},
+		},
+		"churn joins": {
+			Seed:     5,
+			Arrivals: lowsensing.PoissonArrivals(0.5, 600),
+			Churn:    lowsensing.PoissonChurn(0.3, 400, 0.001),
+		},
+	} {
+		rec := &slotOrder{}
+		res, err := sc.Simulation(lowsensing.WithRecorder(rec)).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.repeated != 0 {
+			t.Errorf("%s: %d of %d slot events repeat or precede an earlier slot", name, rec.repeated, rec.events)
+		}
+		if int64(rec.events) != res.EngineStats.SlotsResolved {
+			t.Errorf("%s: %d slot events for %d resolved slots", name, rec.events, res.EngineStats.SlotsResolved)
+		}
+	}
+}
