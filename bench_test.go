@@ -4,11 +4,11 @@
 package lowsensing_test
 
 // This file is the benchmark harness entry point (deliverable (d)): one
-// testing.B target per experiment of DESIGN.md §5. Each BenchmarkE*/A*
-// target re-runs the corresponding harness experiment end to end at small
-// scale; `go run ./cmd/experiments` regenerates the full-scale tables
-// recorded in EXPERIMENTS.md. Additional micro-benchmarks measure the
-// simulator substrate itself.
+// testing.B target per experiment in the harness registry (E1–E15,
+// A1–A3). Each BenchmarkE*/A* target re-runs the corresponding harness
+// experiment end to end at small scale; `go run ./cmd/experiments`
+// regenerates the full-scale tables recorded in EXPERIMENTS.md. Additional
+// micro-benchmarks measure the simulator substrate itself.
 
 import (
 	"runtime"
@@ -267,7 +267,9 @@ func BenchmarkScheduleNext(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkObserve measures the window-update cost.
+// BenchmarkObserve measures the window-update cost. Alternating noise and
+// silence reaches a new window on almost every call, so nearly every call
+// misses the window memo and recomputes.
 func BenchmarkObserve(b *testing.B) {
 	p, err := core.NewPacket(core.Default())
 	if err != nil {
@@ -280,6 +282,30 @@ func BenchmarkObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Observe(obs[i&1])
+	}
+}
+
+// BenchmarkObserveRevisit measures the window-update cost when the packet
+// revisits windows: two noisy slots then three silent ones return the
+// default configuration's packet to WMin, so after the first cycle every
+// move is a memo hit or the copy of the WMin state.
+func BenchmarkObserveRevisit(b *testing.B) {
+	cfg := core.Default()
+	p, err := core.NewPacket(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	noisy, empty := sim.Observation{Outcome: sim.OutcomeNoisy}, sim.Observation{Outcome: sim.OutcomeEmpty}
+	cycle := []sim.Observation{noisy, noisy, empty, empty, empty}
+	for _, o := range cycle {
+		p.Observe(o)
+	}
+	if p.Window() != cfg.WMin {
+		b.Fatalf("the cycle ends at window %v, not WMin = %v", p.Window(), cfg.WMin)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Observe(cycle[i%len(cycle)])
 	}
 }
 

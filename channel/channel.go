@@ -143,6 +143,12 @@ type Windowed interface {
 // its storage. The rngretain analyzer enforces this for factories exactly
 // as it does for Station methods — the pointer may be drawn from and
 // passed onward, never kept.
+//
+// A factory, and the stations it builds, serve one goroutine at a time:
+// one engine, or one cluster's serially stepped channels. Stations of one
+// factory may share mutable state (LOW-SENSING BACKOFF packets share a
+// window memo), so runs that execute concurrently each need their own
+// factory.
 type StationFactory func(id int64, rng *prng.Source) Station
 
 // ArrivalSource produces the (slot, count) arrival schedule — the arrivals

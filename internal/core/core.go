@@ -40,7 +40,7 @@ type Config struct {
 	LnPower float64
 	// Update selects the window update rule. The zero value is the paper's
 	// slow multiplicative rule; UpdateDoubling is the classic-backoff
-	// ablation (DESIGN.md §6).
+	// ablation (experiment A1 in internal/harness).
 	Update UpdateRule
 }
 
@@ -94,8 +94,47 @@ func (c Config) Validate() error {
 // a packet's cached window state all evaluate them here, so the cache is
 // bit-identical to the methods by construction.
 func (c Config) rawProbs(w, lnW float64) (access, send float64) {
-	lnk := math.Pow(lnW, c.LnPower)
+	lnk := lnPow(lnW, c.LnPower)
 	return c.C * lnk / w, 1 / (c.C * lnk)
+}
+
+// maxIntPow is the largest exponent intPow evaluates itself.
+const maxIntPow = 8
+
+// lnPow returns math.Pow(x, k), bit for bit, for every x that math.Log
+// returns other than NaN. Integer exponents up to maxIntPow, the paper's
+// k = 3 among them, skip math.Pow's special-case dispatch and Frexp/Ldexp
+// scaling through intPow.
+func lnPow(x, k float64) float64 {
+	if p, ok := intPow(x, k); ok {
+		return p
+	}
+	return math.Pow(x, k)
+}
+
+// intPow returns x^k when k is an integer in [0, maxIntPow], and ok = false
+// otherwise. It multiplies in the order math.Pow does (a *= x on each set
+// bit of k, low bit first, x *= x after each), but on x itself rather than
+// on its Frexp mantissa. Scaling by a power of two rounds no differently,
+// so the two agree bit for bit whenever no product leaves the normal range:
+// for x = ln w, |x| is 0 or lies in [2^-53, 745], and the largest product
+// formed, x^16, stays inside it.
+func intPow(x, k float64) (p float64, ok bool) {
+	if !(k >= 0 && k <= maxIntPow) {
+		return 0, false
+	}
+	n := int(k)
+	if float64(n) != k {
+		return 0, false
+	}
+	p = 1
+	for ; n != 0; n >>= 1 {
+		if n&1 == 1 {
+			p *= x
+		}
+		x *= x
+	}
+	return p, true
 }
 
 // clampProb caps a probability at 1.
@@ -157,7 +196,8 @@ func (c Config) backon(w, lnW float64) float64 {
 // window is everything a packet derives from its window w: ln w, the
 // clamped conditional send probability, and the sampler of the gap to the
 // next access, whose p is the clamped access probability. It is a function
-// of w alone, so a packet recomputes it only when its window moves.
+// of w alone, so a packet recomputes it only when its window moves to one
+// its factory's memo does not hold.
 type window struct {
 	w, lnW, send float64
 	access       dist.Geom
@@ -177,25 +217,70 @@ type shared struct {
 	wmin window
 }
 
-// newShared validates cfg and computes its WMin state.
-func newShared(cfg Config) (*shared, error) {
+// memoBits sizes the window memo at 1<<memoBits entries. Sixteen entries
+// (640 B) catch most of the revisits a table of 64 does; a larger table
+// costs resident memory in sweeps that build a factory per job and look up
+// only a few windows in each.
+const memoBits = 4
+
+// memoSize is the number of entries in the window memo.
+const memoSize = 1 << memoBits
+
+// local is the one allocation a NewFactory or NewPacket call makes for
+// its packets: the shared state they read, and a direct-mapped memo of
+// window states, keyed on the window's bits, that they write. Window state
+// is a pure function of w, so a hit returns exactly what recomputing would.
+// The memo is allocated on the first miss, so validating a configuration or
+// building a factory that never moves a window allocates none.
+type local struct {
+	shared
+	memo *[memoSize]window
+}
+
+// newLocal validates cfg and returns the state for its packets, with the
+// WMin state computed and the memo not yet allocated.
+func newLocal(cfg Config) (*local, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &shared{cfg: cfg, wmin: cfg.window(cfg.WMin)}, nil
+	return &local{shared: shared{cfg: cfg, wmin: cfg.window(cfg.WMin)}}, nil
+}
+
+// memoSlot maps a window to its memo entry by a multiplicative hash of its
+// bits.
+func memoSlot(w float64) uint64 {
+	return math.Float64bits(w) * 0x9e3779b97f4a7c15 >> (64 - memoBits)
+}
+
+// lookup returns the memo entry holding the window state at w, computing
+// it into the entry on a miss. Windows are at least WMin > 2, so an entry
+// never written (w = 0) never matches.
+func (l *local) lookup(w float64) *window {
+	m := l.memo
+	if m == nil {
+		m = new([memoSize]window)
+		l.memo = m
+	}
+	e := &m[memoSlot(w)]
+	if math.Float64bits(e.w) != math.Float64bits(w) {
+		*e = l.cfg.window(w)
+	}
+	return e
 }
 
 // Packet is one packet running LOW-SENSING BACKOFF. It implements
 // channel.Station (event-driven scheduling) as well as the per-slot Decide
 // that the package's reference tests step slot by slot. A Packet is not
-// safe for concurrent use.
+// safe for concurrent use, and neither are the other packets of its
+// factory: they share one window memo.
 //
 // A packet caches its window state next to the window, so an access that
 // leaves the window where it is, or returns it to WMin, costs one logarithm
-// (the geometric draw's); only a move to a new window recomputes ln w, the
-// power and log1p.
+// (the geometric draw's). A move to any other window looks the state up in
+// the factory's 16-entry memo: a hit copies 40 bytes, and only a miss
+// recomputes ln w, the power and log1p.
 type Packet struct {
-	sh  *shared
+	lc  *local
 	win window
 }
 
@@ -208,22 +293,27 @@ var (
 // NewPacket returns a packet in its initial state (window WMin). It returns
 // an error if the configuration is invalid.
 func NewPacket(cfg Config) (*Packet, error) {
-	sh, err := newShared(cfg)
+	lc, err := newLocal(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Packet{sh: sh, win: sh.wmin}, nil
+	return &Packet{lc: lc, win: lc.wmin}, nil
 }
 
 // NewFactory validates cfg once and returns a channel.StationFactory producing
 // LOW-SENSING BACKOFF packets.
+//
+// The packets of one factory share a window memo that they write as their
+// windows move, so a factory serves one goroutine at a time: one engine, or
+// one cluster's serially stepped channels. Runs that execute concurrently
+// each need their own factory.
 func NewFactory(cfg Config) (channel.StationFactory, error) {
-	sh, err := newShared(cfg)
+	lc, err := newLocal(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return func(_ int64, _ *prng.Source) channel.Station {
-		return &Packet{sh: sh, win: sh.wmin}
+		return &Packet{lc: lc, win: lc.wmin}
 	}, nil
 }
 
@@ -241,13 +331,13 @@ func MustFactory(cfg Config) channel.StationFactory {
 // window WMin, exactly as NewFactory constructs it, by copying the shared
 // WMin state (the factory draws nothing from the rng, so neither does
 // Reset).
-func (p *Packet) Reset(_ int64, _ *prng.Source) { p.win = p.sh.wmin }
+func (p *Packet) Reset(_ int64, _ *prng.Source) { p.win = p.lc.wmin }
 
 // Window returns the packet's current window size.
 func (p *Packet) Window() float64 { return p.win.w }
 
 // Config returns the packet's configuration.
-func (p *Packet) Config() Config { return p.sh.cfg }
+func (p *Packet) Config() Config { return p.lc.cfg }
 
 // ScheduleNext implements channel.Station. The access probability is constant
 // between accesses (the window changes only on access), so the gap to the
@@ -285,23 +375,23 @@ func (p *Packet) Observe(obs channel.Observation) {
 	case obs.Succeeded:
 		// Departing; no state to maintain.
 	case obs.Outcome == channel.OutcomeNoisy:
-		p.moveTo(p.sh.cfg.backoff(p.win.w, p.win.lnW))
+		p.moveTo(p.lc.cfg.backoff(p.win.w, p.win.lnW))
 	case obs.Outcome == channel.OutcomeEmpty:
-		p.moveTo(p.sh.cfg.backon(p.win.w, p.win.lnW))
+		p.moveTo(p.lc.cfg.backon(p.win.w, p.win.lnW))
 	case obs.Outcome == channel.OutcomeSuccess:
 		// Someone else succeeded: no change.
 	}
 }
 
 // moveTo sets the window to w, keeping the state when w is the current
-// window, copying the shared state when w is WMin, and recomputing it
-// otherwise.
+// window, copying the shared state when w is WMin, and taking it from the
+// memo otherwise.
 func (p *Packet) moveTo(w float64) {
 	switch w {
 	case p.win.w:
-	case p.sh.wmin.w:
-		p.win = p.sh.wmin
+	case p.lc.wmin.w:
+		p.win = p.lc.wmin
 	default:
-		p.win = p.sh.cfg.window(w)
+		p.win = *p.lc.lookup(w)
 	}
 }

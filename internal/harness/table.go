@@ -1,6 +1,7 @@
 // Package harness defines the experiment registry that regenerates every
-// table and figure of the reproduction (DESIGN.md §5), with ASCII and CSV
-// rendering, parameter sweeps, and multi-seed replication.
+// table and figure of the reproduction (experiments E1–E15 and ablations
+// A1–A3; README "Reproducing the paper"), with ASCII and CSV rendering,
+// parameter sweeps, and multi-seed replication.
 package harness
 
 import (

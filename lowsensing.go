@@ -277,6 +277,10 @@ func WithArrivals(src ArrivalSource) Option {
 // closure may legally vary its output per packet id). Protocols from
 // registered kinds additionally get station recycling; see
 // ReusableStation.
+//
+// The engine calls f from the goroutine that runs the Simulation. A
+// factory serves one run at a time (see channel.StationFactory): give
+// Simulations that run concurrently a factory each.
 func WithStations(f StationFactory) Option {
 	return func(s *Simulation) { s.customFactory = f }
 }

@@ -395,6 +395,12 @@ func GenieAloha() ProtocolSpec { return ProtocolSpec{Kind: ProtocolGenie} }
 
 // Factory constructs the station factory the spec describes, resolving the
 // kind through the protocol registry ("" resolves as ProtocolLSB).
+//
+// The factory serves one goroutine at a time: its stations may share
+// mutable state, such as the window memo of LOW-SENSING BACKOFF packets.
+// Each run of a Scenario resolves a fresh one, so Scenarios run
+// concurrently without sharing; a caller running factories itself must
+// build one per concurrent run.
 func (p ProtocolSpec) Factory() (StationFactory, error) {
 	kind := p.Kind
 	if kind == "" {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"lowsensing"
@@ -337,5 +338,43 @@ func TestCustomInstancesOverrideScenario(t *testing.T) {
 	}
 	if _, err := sim.Run(); !errors.Is(err, lowsensing.ErrReused) {
 		t.Fatalf("second Run with custom instances: err = %v, want ErrReused", err)
+	}
+}
+
+// TestConcurrentLSBScenariosMatchSerial runs two LSB scenarios, one on a
+// single channel and one on a cluster, at the same time and compares each
+// result with a serial run's. An LSB factory carries a window memo its
+// packets write, so each run must resolve its own factory; under -race this
+// test catches a factory shared between concurrent runs.
+func TestConcurrentLSBScenariosMatchSerial(t *testing.T) {
+	scenarios := []lowsensing.Scenario{
+		{Seed: 3, Arrivals: lowsensing.PoissonArrivals(0.2, 2000), Jammer: lowsensing.RandomJamming(0.1, 0)},
+		{Seed: 5, Arrivals: lowsensing.BatchArrivals(1024), Channels: 4, Router: lowsensing.StickyRouting(16)},
+	}
+	want := make([]lowsensing.Result, len(scenarios))
+	for i, sc := range scenarios {
+		var err error
+		if want[i], err = sc.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]lowsensing.Result, len(scenarios))
+	errs := make([]error, len(scenarios))
+	var wg sync.WaitGroup
+	for i, sc := range scenarios {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = sc.Run()
+		}()
+	}
+	wg.Wait()
+	for i := range scenarios {
+		if errs[i] != nil {
+			t.Fatalf("scenario %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("scenario %d: concurrent run differs from the serial run", i)
+		}
 	}
 }
