@@ -169,7 +169,6 @@ func merge(per []sim.Result, routed []int64) Result {
 		s.SlotsResolved += cr.EngineStats.SlotsResolved
 		s.EventsScheduled += cr.EngineStats.EventsScheduled
 		s.WheelCascades += cr.EngineStats.WheelCascades
-		s.HeapOverflows += cr.EngineStats.HeapOverflows
 		s.StationsBuilt += cr.EngineStats.StationsBuilt
 		s.StationsReused += cr.EngineStats.StationsReused
 		s.EntriesRecycled += cr.EngineStats.EntriesRecycled

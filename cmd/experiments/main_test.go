@@ -13,7 +13,8 @@ import (
 )
 
 // TestListFlag: -list prints every registered experiment ID with a
-// one-line description and runs nothing.
+// one-line description and runs nothing. Claims cite the paper, never a
+// design document the repository does not have.
 func TestListFlag(t *testing.T) {
 	var buf strings.Builder
 	if err := run([]string{"-list"}, &buf); err != nil {
@@ -31,6 +32,9 @@ func TestListFlag(t *testing.T) {
 		}
 		if !strings.Contains(lines[i], exp.Title) {
 			t.Fatalf("line %d misses title %q: %q", i, exp.Title, lines[i])
+		}
+		if strings.Contains(lines[i], "DESIGN") {
+			t.Fatalf("line %d cites a nonexistent DESIGN document: %q", i, lines[i])
 		}
 	}
 }

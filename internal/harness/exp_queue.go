@@ -41,13 +41,13 @@ func init() {
 	register(Experiment{
 		ID:    "A1",
 		Title: "Ablation: slow multiplicative updates vs binary doubling",
-		Claim: "DESIGN §6.1: the 1+1/(c·ln w) factor is what makes slow feedback stable; doubling overshoots",
+		Claim: "Figure 1: the 1+1/(c·ln w) update factor is what makes slow feedback stable; doubling overshoots",
 		Run:   runA1,
 	})
 	register(Experiment{
 		ID:    "A2",
 		Title: "Ablation: sensitivity to c and w_min",
-		Claim: "DESIGN §6.3: constants trade throughput against energy inside the region c·ln³(w_min) <= w_min",
+		Claim: "Figure 1's constants c and w_min trade throughput against energy inside the region w_min/ln^k(w_min) >= c",
 		Run:   runA2,
 	})
 	register(Experiment{

@@ -11,7 +11,7 @@ import (
 )
 
 // farStation listens forever with a fixed gap between accesses, so a mix
-// of gaps parks events at every wheel level and in the overflow heap.
+// of gaps parks events across the wheel's levels, up to the top one.
 type farStation struct{ gap int64 }
 
 func (s farStation) ScheduleNext(from int64, _ *prng.Source) (int64, bool) {
@@ -21,12 +21,12 @@ func (s farStation) ScheduleNext(from int64, _ *prng.Source) (int64, bool) {
 func (farStation) Observe(Observation) {}
 
 // dirtyBlocks returns fixed-size blocks left behind by engines stopped
-// mid-run: one with events pending at wheel level 0, every upper level and
-// the overflow heap, and one from a 20k-packet batch whose same-slot
+// mid-run: one with events pending at wheel level 0, the first four upper
+// levels and the far levels of 2^45 and 2^62 gaps, and one from a 20k-packet batch whose same-slot
 // fan-in filled the drain and whose departures filled the accumulators.
 func dirtyBlocks(t *testing.T) map[string]*engineBlock {
 	t.Helper()
-	gaps := []int64{3, 2000, 100_000, 5_000_000, 1 << 29}
+	gaps := []int64{3, 2000, 100_000, 5_000_000, 1 << 29, 1 << 45, 1 << 62}
 	far, err := NewEngine(Params{
 		Seed:     1,
 		Arrivals: &traceSource{},
@@ -47,8 +47,16 @@ func dirtyBlocks(t *testing.T) map[string]*engineBlock {
 		t.Fatal(err)
 	}
 	w := &far.events
-	if w.occ0sum == 0 || w.occUp[0] == 0 || w.occUp[1] == 0 || w.occUp[2] == 0 || w.over.Len() == 0 {
-		t.Fatalf("far engine left a level empty: occ0sum %x occUp %x overflow %d", w.occ0sum, w.occUp, w.over.Len())
+	if w.occ0sum == 0 {
+		t.Fatal("far engine left level 0 empty")
+	}
+	// An event sits at upper level l when its slot and the cursor first
+	// differ in bits [10+6l, 16+6l): the 2^29, 2^45 and 2^62 gaps park at
+	// levels 3, 5 and the top level, 8.
+	for _, l := range []int{0, 1, 2, 3, 5, 8} {
+		if w.occUp[l] == 0 {
+			t.Fatalf("far engine left upper level %d empty: occUp %x", l, w.occUp)
+		}
 	}
 
 	fan, err := NewEngine(Params{

@@ -684,9 +684,9 @@ func (e *Engine) result() Result {
 const slotScratch = 64
 
 // engineBlock is the engine's fixed-size state: the timing wheel's bucket
-// headers (~29KB), the streaming energy accumulators (~16KB) and the
+// headers (~38KB), the streaming energy accumulators (~16KB) and the
 // per-slot scratch arrays. It is recycled through blockPool so that the
-// thousands of short runs of a sweep do not each allocate and zero 45KB.
+// thousands of short runs of a sweep do not each allocate and zero 55KB.
 // Reuse is bit-identical: attach zeroes the accumulators, a recycled wheel
 // header is never read before the new wheel's (empty) occupancy bitmaps
 // say it was written, and the scratch arrays are overwritten slot by slot
@@ -783,7 +783,6 @@ func (e *Engine) Stats() EngineStats {
 	s := e.stats
 	s.EventsScheduled = e.events.pushes
 	s.WheelCascades = e.events.cascades
-	s.HeapOverflows = e.events.overflows
 	s.PeakSlotTable = int64(len(e.stations))
 	return s
 }

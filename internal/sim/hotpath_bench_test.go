@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"lowsensing/internal/arrivals"
@@ -15,8 +16,8 @@ type schedQueue interface {
 	popAtMost(limit int64) (event, bool)
 }
 
-// heapQueue adapts the 4-ary heap (the previous scheduler, still the
-// wheel's overflow level) to the wheel's popAtMost surface.
+// heapQueue adapts the reference 4-ary heap (the previous scheduler, now
+// test-only) to the wheel's popAtMost surface.
 type heapQueue struct{ q eventQueue }
 
 func (h *heapQueue) Push(ev event) { h.q.Push(ev) }
@@ -130,8 +131,8 @@ func BenchmarkEngineHotPath(b *testing.B) {
 		}
 	}
 	for _, live := range []int{256, 4096, 65536} {
-		b.Run("queue/wheel/live="+itoa(live), wheelBench(live))
-		b.Run("queue/heap/live="+itoa(live), heapBench(live))
+		b.Run("queue/wheel/live="+strconv.Itoa(live), wheelBench(live))
+		b.Run("queue/heap/live="+strconv.Itoa(live), heapBench(live))
 	}
 
 	b.Run("lsb/bernoulli", func(b *testing.B) {

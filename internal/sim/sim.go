@@ -19,8 +19,7 @@
 // The engine is built for streaming scale: live state is O(backlog), not
 // O(total arrivals), and the steady-state packet lifecycle allocates
 // nothing. The timing wheel threads its buckets through one node array
-// indexed by slot-table entry (an inlined 4-ary min-heap is its
-// far-future overflow level), departed packets' slot-table entries are
+// indexed by slot-table entry, departed packets' slot-table entries are
 // recycled through a free list — including the entry's embedded rng,
 // reinitialized in place, and its Station object when the protocol
 // implements channel.ReusableStation — and per-packet statistics are
@@ -153,11 +152,12 @@ type EngineStats struct {
 	// per packet.
 	EventsScheduled int64
 	// WheelCascades counts cursor advances that relocated a higher-level
-	// bucket (or pulled in a due overflow region). Each event cascades O(1)
-	// amortized times; a blow-up here means pathological scheduling.
+	// bucket. Each event cascades O(1) amortized times; a blow-up here
+	// means pathological scheduling.
 	WheelCascades int64
-	// HeapOverflows counts events scheduled past the wheel's 2^28-slot
-	// horizon into the far-future 4-ary min-heap — huge backoff windows.
+	// HeapOverflows is always 0: the timing wheel's levels span every
+	// slot, so the engine has no overflow heap and no engine path writes
+	// this field. It is kept only because the bench module still reads it.
 	HeapOverflows int64
 	// BatchedSlots is always 0: the engine has one slot resolver, and no
 	// engine path writes this field. It is kept only because the bench

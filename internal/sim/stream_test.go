@@ -245,44 +245,3 @@ func TestFreeListBoundsLiveState(t *testing.T) {
 		t.Fatalf("free list %d != table %d at end of a drained run", len(e.freeList), len(e.stations))
 	}
 }
-
-// TestEventQueueOrdering: the specialized queue pops in strict (slot, id)
-// order under interleaved pushes.
-func TestEventQueueOrdering(t *testing.T) {
-	var q eventQueue
-	rng := prng.New(99)
-	type key struct{ slot, id int64 }
-	pushed := 0
-	popped := 0
-	var last key
-	lastValid := false
-	for round := 0; round < 2000; round++ {
-		if q.Len() == 0 || rng.Bernoulli(0.55) {
-			q.Push(event{slot: int64(rng.Intn(500)), id: int64(pushed), idx: int32(pushed % 64)})
-			pushed++
-			lastValid = false // a push can introduce earlier keys than the last pop
-			continue
-		}
-		ev := q.Pop()
-		k := key{ev.slot, ev.id}
-		if lastValid && (k.slot < last.slot || (k.slot == last.slot && k.id < last.id)) {
-			t.Fatalf("pop %d: (%d,%d) after (%d,%d)", popped, k.slot, k.id, last.slot, last.id)
-		}
-		last, lastValid = k, true
-		popped++
-	}
-	// Drain fully sorted.
-	lastValid = false
-	for q.Len() > 0 {
-		ev := q.Pop()
-		k := key{ev.slot, ev.id}
-		if lastValid && (k.slot < last.slot || (k.slot == last.slot && k.id < last.id)) {
-			t.Fatalf("drain: (%d,%d) after (%d,%d)", k.slot, k.id, last.slot, last.id)
-		}
-		last, lastValid = k, true
-		popped++
-	}
-	if popped != pushed {
-		t.Fatalf("popped %d != pushed %d", popped, pushed)
-	}
-}

@@ -13,7 +13,7 @@ import (
 //
 // The wheel keeps a time cursor cur — a lower bound on every pending
 // event's slot, advanced monotonically as events are located — a wide
-// exact level 0, and three upper levels of wheelSize buckets each, sized
+// exact level 0, and nine upper levels of wheelSize buckets each, sized
 // in powers of two; an event lands at the lowest level whose span still
 // distinguishes it from the cursor (its slot and cur first differ in that
 // level's digit of the slot number):
@@ -22,6 +22,7 @@ import (
 //	level 1:  64 buckets of 1024 slots    — the cursor's 64K-slot block
 //	level 2:  64 buckets of 64K slots     — the cursor's 4M-slot block
 //	level 3:  64 buckets of 4M slots      — the cursor's 256M-slot block
+//	level k:  64 buckets of 2^(6k+4) slots — the cursor's 2^(6k+10)-slot block
 //
 // Level 0 is deliberately much wider than the upper levels: backoff
 // windows in the hundreds of slots are the engine's steady state, and a
@@ -31,12 +32,13 @@ import (
 // 64-bit words plus one summary word whose bit i says word i is nonempty —
 // so "first pending slot" is still just two TrailingZeros64 scans.
 //
-// Events scheduled beyond the top level's horizon (slot - cur >= 2^28, the
-// far future: huge backoff windows) overflow into the existing 4-ary min-
-// heap (eventQueue), and are pulled back into the wheel when the cursor
-// reaches their 2^28-slot region. Every event therefore cascades down at
-// most a constant number of times over its life — O(1) amortized — and
-// locating the minimum is a few bitmap scans.
+// The top level, 9, spans 2^64 slots, so every non-negative int64 slot has
+// a level and the wheel has no horizon: a gap up to dist's 2^62 clamp, or
+// a custom station's math.MaxInt64, lands in the wheel like any other.
+// This is Varghese & Lauck's answer to the horizon problem (hierarchical
+// timing wheels, SOSP 1987): add levels until they span the key range.
+// An event cascades down at most once per level over its life — O(1)
+// amortized — and locating the minimum is a few bitmap scans.
 //
 // # Memory
 //
@@ -47,7 +49,7 @@ import (
 // itself and allocates nothing: a push writes a header or links a node, a
 // cascade relinks them. The steady-state sparse case (one event per
 // bucket, the common shape under large backoff windows) runs entirely in
-// the header arrays — ~29KB, of which only the touched cache lines are
+// the header arrays — ~38KB, of which only the touched cache lines are
 // ever resident — and never touches the node array at all. The headers are
 // a fixed-size block the engine recycles across runs (engineBlock), so a
 // short run does not pay to allocate and zero them. Total footprint is
@@ -60,19 +62,19 @@ import (
 //
 // # Ordering
 //
-// The engine requires pops in strict (slot, id) order (eventLess), so the
-// goldens stay byte-identical. Level >= 1
-// buckets are unordered (cascading re-distributes them), but a level-0
-// bucket holds events of exactly one slot: popAtMost serves a single-event
-// bucket directly from its header (the steady-state sparse case pays for
-// no buffering at all), and moves a multi-event bucket into the drain
-// buffer, sorts it by id once, and serves pops from the front, folding in
-// any same-slot events pushed mid-drain. The id sort never goes through a
-// comparator closure: small buckets use a direct insertion sort and large
-// ones an LSD radix sort over the id bytes (ids are non-negative by
-// contract — the engine's are arrival indices), which is what keeps deep
-// same-slot fan-in (a batch backlog resolving 64k stations) O(1)-ish per
-// event instead of paying O(log k) indirect comparisons.
+// The engine requires pops in strict (slot, id) order, so the goldens stay
+// byte-identical. Level >= 1 buckets are unordered (cascading
+// re-distributes them), but a level-0 bucket holds events of exactly one
+// slot: popAtMost serves a single-event bucket directly from its header
+// (the steady-state sparse case pays for no buffering at all), and moves a
+// multi-event bucket into the drain buffer, sorts it by id once, and
+// serves pops from the front, folding in any same-slot events pushed
+// mid-drain. The id sort never goes through a comparator closure: small
+// buckets use a direct insertion sort and large ones an LSD radix sort
+// over the id bytes (ids are non-negative by contract — the engine's are
+// arrival indices), which is what keeps deep same-slot fan-in (a batch
+// backlog resolving 64k stations) O(1)-ish per event instead of paying
+// O(log k) indirect comparisons.
 //
 // # The cursor contract
 //
@@ -94,7 +96,7 @@ import (
 type timingWheel struct {
 	cur   int64 // lower bound on every pending slot; monotone
 	floor int64 // proven lower bound on every pending slot; >= cur
-	n     int   // pending events, including overflow and drain remainder
+	n     int   // pending events, including the drain remainder
 	// Level-0 occupancy: occ0[i] covers buckets [i*64, i*64+64), and
 	// occ0sum bit i is set iff occ0[i] is nonzero — the two-level bitmap
 	// that keeps the 1024-bucket scan at two TrailingZeros64 ops.
@@ -121,16 +123,11 @@ type timingWheel struct {
 	// run-long.
 	keyBuf  []uint64
 	sortBuf []event
-	// over holds far-future events (slot - cur >= wheelSpan at push time),
-	// ordered by the same (slot, id) key the wheel pops in.
-	over eventQueue
 
-	// Self-metrics (surfaced through EngineStats): lifetime pushes, cursor
-	// cascades (level relocations and overflow pull-ins), and pushes that
-	// overflowed past the wheel horizon into the far-future heap.
-	pushes    int64
-	cascades  int64
-	overflows int64
+	// Self-metrics (surfaced through EngineStats): lifetime pushes and
+	// cursor cascades (upper-level bucket relocations).
+	pushes   int64
+	cascades int64
 }
 
 const (
@@ -140,11 +137,21 @@ const (
 	wheelL0Bits = 10
 	wheelL0Size = 1 << wheelL0Bits // exact-slot buckets at level 0
 	wheelL0Mask = wheelL0Size - 1
-	wheelUpper  = 3 // levels above the exact level
-	// wheelSpan is the top level's horizon: events at slot - cur beyond it
-	// overflow to the heap.
-	wheelSpan = int64(1) << (wheelL0Bits + wheelUpper*wheelBits)
+	// wheelUpper is the number of levels above the exact level: 10 + 9·6
+	// = 64 bits, so the top level spans every non-negative int64 slot.
+	wheelUpper = 9
 )
+
+// event is one pending channel access: the station occupying slot-table
+// entry idx (carrying packet id) will access the channel at slot. The
+// packet id rides along because slot-table entries are recycled, so idx
+// alone does not encode arrival order; ordering by (slot, id) keeps the
+// engine's within-slot processing in arrival order.
+type event struct {
+	slot int64
+	id   int64
+	idx  int32
+}
 
 // bucket is one bucket's header: its first event held inline — the
 // steady-state sparse case pops straight from here, one cache line, no
@@ -157,7 +164,7 @@ type bucket struct {
 	next int32
 }
 
-// wheelHeads is the wheel's ~29KB of bucket headers: each bucket's first
+// wheelHeads is the wheel's ~38KB of bucket headers: each bucket's first
 // event inline plus the chain head of any further events in nodes. A
 // header is valid only where the wheel's occupancy bit is set, so a block
 // recycled from another engine needs no clearing — the new wheel's bitmaps
@@ -218,18 +225,8 @@ func (w *timingWheel) Push(ev event) {
 		w.chain(b, idx, slot, id)
 		return
 	}
-	var l uint
-	switch {
-	case d < 1<<(wheelL0Bits+wheelBits):
-		l = 0
-	case d < 1<<(wheelL0Bits+2*wheelBits):
-		l = 1
-	case d < 1<<(wheelL0Bits+3*wheelBits):
-		l = 2
-	default:
-		w.toOverflow(idx, slot, id)
-		return
-	}
+	// d >= wheelL0Size: the highest differing bit picks the upper level.
+	l := uint(bits.Len64(d)-1-wheelL0Bits) / wheelBits
 	bi := uint64(slot>>(wheelL0Bits+wheelBits*l)) & wheelMask
 	b := &w.headUp[l][bi]
 	if w.occUp[l]&(1<<bi) == 0 {
@@ -249,11 +246,10 @@ func (w *timingWheel) pushPanic(slot int64) {
 }
 
 // link routes an event to its level and bucket relative to the current
-// cursor, or to the overflow heap. The level is where slot and cur first
-// differ: all higher digits agree, so the bucket index — the slot's own
-// digit at that level — is unambiguous within the cursor's block. An
-// empty bucket takes the event inline; an occupied one chains it through
-// the node array.
+// cursor. The level is where slot and cur first differ: all higher digits
+// agree, so the bucket index — the slot's own digit at that level — is
+// unambiguous within the cursor's block. An empty bucket takes the event
+// inline; an occupied one chains it through the node array.
 //
 //lsbvet:hotpath
 func (w *timingWheel) link(idx int32, slot, id int64) {
@@ -275,18 +271,8 @@ func (w *timingWheel) link(idx int32, slot, id int64) {
 		w.chain(b, idx, slot, id)
 		return
 	}
-	var l uint
-	switch {
-	case d < 1<<(wheelL0Bits+wheelBits):
-		l = 0
-	case d < 1<<(wheelL0Bits+2*wheelBits):
-		l = 1
-	case d < 1<<(wheelL0Bits+3*wheelBits):
-		l = 2
-	default:
-		w.toOverflow(idx, slot, id)
-		return
-	}
+	// d >= wheelL0Size: the highest differing bit picks the upper level.
+	l := uint(bits.Len64(d)-1-wheelL0Bits) / wheelBits
 	bi := uint64(slot>>(wheelL0Bits+wheelBits*l)) & wheelMask
 	b := &w.headUp[l][bi]
 	if w.occUp[l]&(1<<bi) == 0 {
@@ -298,12 +284,6 @@ func (w *timingWheel) link(idx int32, slot, id int64) {
 		return
 	}
 	w.chain(b, idx, slot, id)
-}
-
-//go:noinline
-func (w *timingWheel) toOverflow(idx int32, slot, id int64) {
-	w.overflows++
-	w.over.Push(event{slot: slot, id: id, idx: idx})
 }
 
 // chain threads an event behind a bucket's inline head through the shared
@@ -322,11 +302,11 @@ func (w *timingWheel) chain(b *bucket, idx int32, slot, id int64) {
 }
 
 // nextAtMost returns the earliest pending slot if it is <= limit,
-// advancing the cursor to it (cascading higher-level buckets and due
-// overflow events down as it goes), so after a hit the caller may push at
-// that slot or later. When the earliest slot exceeds limit — or no events
-// are pending — it reports false and leaves the cursor at most at limit,
-// so the caller remains free to push anything >= its own time floor.
+// advancing the cursor to it (cascading higher-level buckets down as it
+// goes), so after a hit the caller may push at that slot or later. When
+// the earliest slot exceeds limit — or no events are pending — it reports
+// false and leaves the cursor at most at limit, so the caller remains free
+// to push anything >= its own time floor.
 //
 //lsbvet:hotpath
 func (w *timingWheel) nextAtMost(limit int64) (int64, bool) {
@@ -347,9 +327,9 @@ func (w *timingWheel) nextAtMost(limit int64) (int64, bool) {
 	}
 	for {
 		// Level 0 holds exact slots within the cursor's 1024-slot block,
-		// and every upper level (and the overflow heap) holds strictly
-		// later slots, so its first occupied bucket is the global minimum:
-		// summary word → first nonempty occupancy word → first set bit.
+		// and every upper level holds strictly later slots, so its first
+		// occupied bucket is the global minimum: summary word → first
+		// nonempty occupancy word → first set bit.
 		if sum := w.occ0sum; sum != 0 {
 			wi := uint(bits.TrailingZeros64(sum))
 			o := int64(wi)<<6 | int64(bits.TrailingZeros64(w.occ0[wi]))
@@ -369,10 +349,10 @@ func (w *timingWheel) nextAtMost(limit int64) (int64, bool) {
 }
 
 // cascade advances the cursor to the next occupied region at or before
-// limit — the first occupied bucket of the lowest nonempty level, or the
-// overflow heap's due region — and re-places its events relative to the
-// new cursor (each lands at a strictly lower level). It reports whether
-// it moved anything; false means every pending event is beyond limit.
+// limit — the first occupied bucket of the lowest nonempty level — and
+// re-places its events relative to the new cursor (each lands at a
+// strictly lower level). It reports whether it moved anything; false
+// means every pending event is beyond limit (or none is pending).
 //
 //lsbvet:hotpath
 func (w *timingWheel) cascade(limit int64) bool {
@@ -383,6 +363,8 @@ func (w *timingWheel) cascade(limit int64) bool {
 		}
 		shift := wheelL0Bits + wheelBits*l
 		bi := int64(bits.TrailingZeros64(occ))
+		// At the top level shift+wheelBits is 64, and Go shifts a
+		// non-negative cur that far to 0, so base is just bi<<shift.
 		base := w.cur>>(shift+wheelBits)<<(shift+wheelBits) | bi<<shift
 		if base > limit {
 			w.floor = base
@@ -430,21 +412,7 @@ func (w *timingWheel) cascade(limit int64) bool {
 		}
 		return true
 	}
-	// All levels empty: the minimum lives in the overflow heap. Jump the
-	// cursor to it and pull in every overflow event of its 2^28-slot
-	// region (re-placement order does not matter above level 0).
-	m := w.over.Min().slot
-	if m > limit {
-		w.floor = m
-		return false
-	}
-	w.cascades++
-	w.cur = m
-	for w.over.Len() > 0 && w.over.Min().slot^w.cur < wheelSpan {
-		ev := w.over.Pop()
-		w.link(ev.idx, ev.slot, ev.id)
-	}
-	return true
+	return false
 }
 
 // popAtMost removes and returns the earliest pending event if its slot is

@@ -48,6 +48,6 @@ func TestWheelMemoryIsBacklogBounded(t *testing.T) {
 	if e.block != nil || w.wheelHeads != nil {
 		t.Fatal("the finished engine still holds its fixed-size block")
 	}
-	t.Logf("nodes %d, drain cap %d/%d, scratch cap %d/%d, overflow cap %d",
-		len(w.nodes), cap(w.drainKeys), cap(w.drain), cap(w.keyBuf), cap(w.sortBuf), cap(w.over.ev))
+	t.Logf("nodes %d, drain cap %d/%d, scratch cap %d/%d",
+		len(w.nodes), cap(w.drainKeys), cap(w.drain), cap(w.keyBuf), cap(w.sortBuf))
 }

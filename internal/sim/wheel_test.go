@@ -12,11 +12,13 @@ import (
 // observable behavior ever diverges: pop order (slots AND ids AND payload),
 // limited peeks, and sizes. The byte protocol is what the fuzzer mutates:
 //
-//	op%8 in 0..3: push — three bytes of magnitude and a shift byte build a
-//	  slot delta that crosses every wheel level boundary (including past
-//	  the 2^28 overflow horizon); two more bytes scramble the id's high
-//	  bits so same-slot events arrive in non-id order and exercise the
-//	  lazy bucket sort.
+//	op%8 in 0..3: push — three bytes of magnitude and a shift byte (mod
+//	  40) build a slot delta in [0, 2^62], dist's clamp, that crosses
+//	  every wheel level boundary up to the top level; the delta is cut
+//	  where the slot would pass math.MaxInt64, so a floor past 2^62 also
+//	  reaches the last slot. Two more bytes scramble the id's high bits so
+//	  same-slot events arrive in non-id order and exercise the lazy
+//	  bucket sort.
 //	op%8 in 4..5: pop — both queues pop, results must be identical.
 //	op%8 in 6..7: limited peek — nextAtMost with a limit at or past the
 //	  floor; the expected answer is computed from the heap, and a miss
@@ -43,8 +45,8 @@ func wheelVsHeap(t *testing.T, data []byte) {
 		switch op := next() % 8; {
 		case op < 4: // push
 			u := int64(next()) | int64(next())<<8 | int64(next())<<16
-			shift := uint(next()) % 8
-			delta := (u << shift) % (1 << 30)
+			shift := uint(next()) % 40
+			delta := min(u<<shift, 1<<62, math.MaxInt64-floor)
 			// Ids must be unique for a deterministic pop order, but their
 			// order must not follow push order: scramble the high bits.
 			id := int64(next())<<40 | int64(next())<<32 | idCounter
@@ -97,9 +99,9 @@ func wheelVsHeap(t *testing.T, data []byte) {
 
 // TestWheelMatchesHeapRandom is the property test: long random operation
 // sequences (from the module's own deterministic prng) must keep the wheel
-// and the heap behaviorally identical. The delta distribution is tuned so
-// every level and the overflow heap are hit: most pushes are near-future,
-// a tail reaches past 2^28.
+// and the heap behaviorally identical. The shift byte spreads deltas over
+// every level: a fifth of the pushes land below 2^31, the rest reach up to
+// the 2^62 clamp.
 func TestWheelMatchesHeapRandom(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := prng.New(seed)
@@ -113,16 +115,22 @@ func TestWheelMatchesHeapRandom(t *testing.T) {
 
 // TestWheelLevelBoundaries pins the cascade logic at every level boundary:
 // events exactly at, one below, and one above each level's horizon (the
-// 1024-slot exact level, then each 64-wide upper level), plus overflow
-// events, all pushed from slot 0, must pop in (slot, id) order.
+// 1024-slot exact level, then each 64-wide upper level), plus dist's 2^62
+// clamp and the last int64 slot, all pushed from slot 0, must pop in
+// (slot, id) order.
 func TestWheelLevelBoundaries(t *testing.T) {
 	deltas := []int64{
 		0, 1, 62, 63, 64, 65, 127, 128,
 		1023, 1024, 1025, // level 0 / level 1
 		1<<16 - 1, 1 << 16, 1<<16 + 1, // level 1 / level 2
 		1<<22 - 1, 1 << 22, 1<<22 + 1, // level 2 / level 3
-		1<<28 - 1, 1 << 28, 1<<28 + 1, // overflow horizon
-		1 << 30, 1 << 40, // deep overflow
+		1<<28 - 1, 1 << 28, 1<<28 + 1, // level 3 / level 4
+		1<<34 - 1, 1 << 34, 1<<34 + 1, // level 4 / level 5
+		1<<40 - 1, 1 << 40, 1<<40 + 1, // level 5 / level 6
+		1<<46 - 1, 1 << 46, 1<<46 + 1, // level 6 / level 7
+		1<<52 - 1, 1 << 52, 1<<52 + 1, // level 7 / level 8
+		1<<58 - 1, 1 << 58, 1<<58 + 1, // level 8 / level 9
+		1 << 30, 1 << 62, math.MaxInt64, // dist's clamp, the last slot
 	}
 	w := timingWheel{wheelHeads: new(wheelHeads)}
 	var h eventQueue
@@ -192,9 +200,9 @@ func TestWheelPushBehindCursorPanics(t *testing.T) {
 
 // FuzzWheelCascade fuzzes the wheel-vs-heap equivalence through the same
 // byte protocol as the property test. The seed corpus aims mutations at
-// the cascade logic: pushes that straddle each level boundary, the
-// overflow horizon, same-slot ties, and limited peeks that advance the
-// cursor between pushes.
+// the cascade logic: pushes that straddle each level boundary up to the
+// top level, dist's 2^62 clamp, the last int64 slot, same-slot ties, and
+// limited peeks that advance the cursor between pushes.
 func FuzzWheelCascade(f *testing.F) {
 	// op byte, then per-op operands (see wheelVsHeap).
 	push := func(lo, mid, hi, shift, idHi1, idHi2 byte) []byte {
@@ -216,7 +224,7 @@ func FuzzWheelCascade(f *testing.F) {
 		push(0, 0, 4, 0, 0, 0), pop, pop, pop, pop))
 	// Level-2/3 boundaries via the shift operand (0xffff<<4 > 2^18).
 	f.Add(cat(push(255, 255, 0, 4, 0, 0), push(255, 255, 3, 0, 2, 0), pop, pop))
-	// Overflow horizon: 3-byte magnitude shifted past 2^28, then a
+	// Level 3/4 boundary: 3-byte magnitude shifted past 2^28, then a
 	// near-future push, then pops that must interleave correctly.
 	f.Add(cat(push(255, 255, 255, 7, 0, 0), push(1, 0, 0, 0, 0, 0), pop, pop))
 	// Limited peeks that miss (advancing the cursor) between pushes.
@@ -225,6 +233,17 @@ func FuzzWheelCascade(f *testing.F) {
 	// spread over multiple exact slots plus duplicates.
 	f.Add(cat(push(70, 0, 0, 0, 3, 0), push(70, 0, 0, 0, 1, 0), push(71, 0, 0, 0, 2, 0),
 		push(100, 0, 0, 0, 0, 0), pop, pop, pop, pop))
+	// Each boundary from 2^34 to 2^58: one below (2^24-1 << b-24), at
+	// (2^23 << b-23) and above (2^23+1 << b-23), then a near-future push,
+	// drained in order.
+	for b := byte(34); b <= 58; b += 6 {
+		f.Add(cat(push(255, 255, 255, b-24, 0, 0), push(0, 0, 128, b-23, 1, 0),
+			push(1, 0, 128, b-23, 0, 0), push(9, 0, 0, 0, 0, 0), pop, pop, pop, pop))
+	}
+	// dist's 2^62 clamp twice: the second push, from a floor of 2^62, is
+	// cut to the last int64 slot.
+	f.Add(cat(push(255, 255, 255, 39, 0, 0), pop, push(255, 255, 255, 39, 0, 0),
+		push(0, 0, 1, 0, 0, 0), pop, pop))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wheelVsHeap(t, data)
 	})
