@@ -179,27 +179,27 @@ func (sc Scenario) clusterConfig() (cluster.Config, error) {
 	return cfg, nil
 }
 
-// runCluster is Simulation.Run for a Channels != 0 scenario (negative
-// counts fail in clusterConfig's shape check): it runs the
-// cluster executor and returns the merged Total. Every channel builds its
+// runCluster is Simulation.runInto for a Channels != 0 scenario (negative
+// counts fail in clusterConfig's shape check): it runs the cluster
+// executor and writes the merged Total into *r. Every channel builds its
 // own components from the spec, so custom instances cannot take part, and
 // a recorder bound to one engine has no cluster-wide meaning. Attached
 // recorders are shared by every channel, and see the channels' events
 // interleaved in epoch order. Like the single-channel path, Run leaves
 // flushing to the caller — the executor's per-channel flush is hidden
 // from shared recorders.
-func (s *Simulation) runCluster() (Result, error) {
+func (s *Simulation) runCluster(r *Result) error {
 	if s.customArrivals != nil || s.customFactory != nil || s.customJammer != nil {
-		return Result{}, fmt.Errorf("lowsensing: WithArrivals/WithStations/WithJammer cannot combine with a cluster scenario (every channel builds its own components from the spec)")
+		return fmt.Errorf("lowsensing: WithArrivals/WithStations/WithJammer cannot combine with a cluster scenario (every channel builds its own components from the spec)")
 	}
-	for _, r := range s.recorders {
-		if _, ok := r.(sim.EngineBound); ok {
-			return Result{}, fmt.Errorf("lowsensing: engine-bound recorder %T cannot observe a cluster run (it binds to a single engine)", r)
+	for _, rec := range s.recorders {
+		if _, ok := rec.(sim.EngineBound); ok {
+			return fmt.Errorf("lowsensing: engine-bound recorder %T cannot observe a cluster run (it binds to a single engine)", rec)
 		}
 	}
 	cfg, err := s.sc.clusterConfig()
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	if rec := obs.Multi(s.recorders...); rec != nil {
 		shared := sharedRecorder{rec}
@@ -207,9 +207,10 @@ func (s *Simulation) runCluster() (Result, error) {
 	}
 	cr, err := cluster.Run(cfg)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	return cr.Total, nil
+	*r = cr.Total
+	return nil
 }
 
 // sharedRecorder forwards a recorder's events but not its Flush, so the

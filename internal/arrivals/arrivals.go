@@ -123,7 +123,7 @@ var _ channel.ArrivalSource = (*Bernoulli)(nil)
 // the exact probability 1 - e^-λ and then drawing the batch size from the
 // zero-truncated Poisson distribution.
 type Poisson struct {
-	lambda  float64
+	size    dist.Pois // the batch size, redrawn until nonzero
 	busy    dist.Geom // slots to the next nonempty slot: Geometric(1 - e^-λ)
 	total   int64
 	emitted int64
@@ -138,11 +138,11 @@ func NewPoisson(lambda float64, total int64, seed uint64) (*Poisson, error) {
 		return nil, fmt.Errorf("arrivals: Poisson lambda must be > 0, got %v", lambda)
 	}
 	return &Poisson{
-		lambda: lambda,
-		busy:   dist.NewGeom(-math.Expm1(-lambda)), // 1 - e^-λ, computed stably
-		total:  total,
-		slot:   -1,
-		rng:    prng.NewStream(seed, 0x706f6973),
+		size:  dist.NewPois(lambda),
+		busy:  dist.NewGeom(-math.Expm1(-lambda)), // 1 - e^-λ, computed stably
+		total: total,
+		slot:  -1,
+		rng:   prng.NewStream(seed, 0x706f6973),
 	}, nil
 }
 
@@ -156,7 +156,7 @@ func (p *Poisson) Next() (int64, int64, bool) {
 	// well below the regime where zero is rare.
 	var k int64
 	for k == 0 {
-		k = dist.Poisson(p.rng, p.lambda)
+		k = p.size.Draw(p.rng)
 	}
 	if p.total > 0 && p.emitted+k > p.total {
 		k = p.total - p.emitted

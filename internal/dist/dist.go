@@ -93,64 +93,94 @@ func geometricPanic(p float64) {
 const poissonPTRSCutover = 10
 
 // Poisson returns a draw from the Poisson distribution with mean lambda:
-// support {0, 1, ...}, variance lambda.
-//
-// For lambda < 10 it uses Knuth's exact product-of-uniforms method; for
-// larger lambda it uses Hörmann's PTRS transformed rejection, which is also
-// exact and needs O(1) uniforms regardless of lambda. Edge cases:
-// lambda == 0 returns 0 (the degenerate distribution); lambda < 0 or NaN
-// panics; huge lambda (beyond ~2^52, where the support no longer fits the
-// float64 integer range) panics rather than silently losing mass.
+// support {0, 1, ...}, variance lambda. It is NewPois(lambda).Draw(rng);
+// callers drawing repeatedly at one lambda hold the Pois instead, which
+// takes e^-λ (or the PTRS constants) off every draw.
 func Poisson(rng *prng.Source, lambda float64) int64 {
-	switch {
-	case lambda == 0:
-		return 0
-	case !(lambda > 0): // negative or NaN
-		panic(fmt.Sprintf("dist: Poisson requires lambda >= 0, got %v", lambda))
-	case lambda >= 1<<52:
-		panic(fmt.Sprintf("dist: Poisson lambda %v too large for exact sampling", lambda))
-	}
-	if lambda < poissonPTRSCutover {
-		return poissonKnuth(rng, lambda)
-	}
-	return poissonPTRS(rng, lambda)
+	return NewPois(lambda).Draw(rng)
 }
 
-// poissonKnuth multiplies uniforms until the product drops below e^-λ; the
-// number of factors minus one is Poisson(λ).
-func poissonKnuth(rng *prng.Source, lambda float64) int64 {
-	limit := math.Exp(-lambda)
+// Pois is a Poisson sampler with its λ-dependent constants precomputed:
+// e^-λ for the product method below the PTRS cutover, the transformed-
+// rejection constants above it. The zero value samples λ = 0.
+type Pois struct {
+	lambda float64
+	// limit is e^-λ, the product method's stopping bound (λ < 10).
+	limit float64
+	// PTRS constants (λ >= 10).
+	logLambda, a, b, invAlpha, vr float64
+}
+
+// NewPois returns the Poisson sampler for mean lambda. It never panics: a
+// lambda outside [0, 2^52) is reported by Draw, where Poisson has always
+// reported it.
+func NewPois(lambda float64) Pois {
+	p := Pois{lambda: lambda}
+	if lambda < poissonPTRSCutover {
+		p.limit = math.Exp(-lambda)
+	} else {
+		p.logLambda = math.Log(lambda)
+		p.b = 0.931 + 2.53*math.Sqrt(lambda)
+		p.a = -0.059 + 0.02483*p.b
+		p.invAlpha = 1.1239 + 1.1328/(p.b-3.4)
+		p.vr = 0.9277 - 3.6224/(p.b-2)
+	}
+	return p
+}
+
+// Draw returns a draw from the Poisson distribution with mean λ.
+//
+// For λ < 10 it uses Knuth's exact product-of-uniforms method; for larger
+// λ it uses Hörmann's PTRS transformed rejection, which is also exact and
+// needs O(1) uniforms regardless of λ. Edge cases: λ == 0 returns 0 (the
+// degenerate distribution); λ < 0 or NaN panics; huge λ (beyond ~2^52,
+// where the support no longer fits the float64 integer range) panics
+// rather than silently losing mass.
+func (p Pois) Draw(rng *prng.Source) int64 {
+	switch {
+	case p.lambda == 0:
+		return 0
+	case !(p.lambda > 0): // negative or NaN
+		panic(fmt.Sprintf("dist: Poisson requires lambda >= 0, got %v", p.lambda))
+	case p.lambda >= 1<<52:
+		panic(fmt.Sprintf("dist: Poisson lambda %v too large for exact sampling", p.lambda))
+	}
+	if p.lambda < poissonPTRSCutover {
+		return p.knuth(rng)
+	}
+	return p.ptrs(rng)
+}
+
+// knuth multiplies uniforms until the product drops below e^-λ; the number
+// of factors minus one is Poisson(λ).
+func (p Pois) knuth(rng *prng.Source) int64 {
 	var k int64
 	prod := rng.Float64Open()
-	for prod > limit {
+	for prod > p.limit {
 		k++
 		prod *= rng.Float64Open()
 	}
 	return k
 }
 
-// poissonPTRS implements the transformed-rejection sampler of Hörmann
-// ("The transformed rejection method for generating Poisson random
-// variables", 1993), exact for λ >= 10.
-func poissonPTRS(rng *prng.Source, lambda float64) int64 {
-	logLambda := math.Log(lambda)
-	b := 0.931 + 2.53*math.Sqrt(lambda)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
+// ptrs implements the transformed-rejection sampler of Hörmann ("The
+// transformed rejection method for generating Poisson random variables",
+// 1993), exact for λ >= 10.
+func (p Pois) ptrs(rng *prng.Source) int64 {
+	a, b := p.a, p.b
 	for {
 		u := rng.Float64() - 0.5
 		v := rng.Float64Open()
 		us := 0.5 - math.Abs(u)
-		kf := math.Floor((2*a/us+b)*u + lambda + 0.43)
-		if us >= 0.07 && v <= vr {
+		kf := math.Floor((2*a/us+b)*u + p.lambda + 0.43)
+		if us >= 0.07 && v <= p.vr {
 			return int64(kf)
 		}
 		if kf < 0 || (us < 0.013 && v > us) {
 			continue
 		}
 		lg, _ := math.Lgamma(kf + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= kf*logLambda-lambda-lg {
+		if math.Log(v*p.invAlpha/(a/(us*us)+b)) <= kf*p.logLambda-p.lambda-lg {
 			return int64(kf)
 		}
 	}

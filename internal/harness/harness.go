@@ -132,8 +132,9 @@ func sweep[T any](rc RunConfig, expID string, points int, body func(point, rep i
 			point, rep := point, rep
 			jobs = append(jobs, runner.Job[T]{
 				Seed: runner.DeriveSeed(rc.Seed, expID, point, rep),
-				Run: func(seed uint64) (T, error) {
-					return body(point, rep, seed)
+				Run: func(seed uint64, out *T) (err error) {
+					*out, err = body(point, rep, seed)
+					return err
 				},
 			})
 		}

@@ -77,9 +77,12 @@ func (s *Sawtooth) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 		w := s.window()
 		g := dist.Geometric(rng, 1/float64(w))
 		if g <= s.remaining {
+			// The send ends the sub-phase when it lands on its last slot;
+			// advancing here, not in a deferred call, keeps the loop free of
+			// the heap-allocated defer record a loop body's defer costs.
 			s.remaining -= g
 			if s.remaining == 0 {
-				defer s.advance()
+				s.advance()
 			}
 			return from + offset + g - 1, true
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lowsensing/channel"
+	"lowsensing/internal/dist"
 	"lowsensing/prng"
 )
 
@@ -121,5 +122,72 @@ func TestSawtoothPhaseStructure(t *testing.T) {
 	}
 	if s.Window() != 4 {
 		t.Fatalf("Window() = %v", s.Window())
+	}
+}
+
+// scheduleNextDeferred is Sawtooth.ScheduleNext as it was written with a
+// deferred advance inside its loop: the reference the direct version must
+// match draw for draw.
+func scheduleNextDeferred(s *Sawtooth, from int64, rng *prng.Source) (int64, bool) {
+	offset := int64(0)
+	for {
+		w := s.window()
+		g := dist.Geometric(rng, 1/float64(w))
+		if g <= s.remaining {
+			s.remaining -= g
+			if s.remaining == 0 {
+				defer s.advance()
+			}
+			return from + offset + g - 1, true
+		}
+		offset += s.remaining
+		s.advance()
+	}
+}
+
+// TestSawtoothScheduleNextNoAllocs walks a station through many sub-phase
+// and epoch ends, checks every (slot, send) and the state after each call
+// against the deferred-advance reference, and requires the walk to
+// allocate nothing.
+func TestSawtoothScheduleNextNoAllocs(t *testing.T) {
+	const calls = 400
+	var s, ref Sawtooth
+	s.Reset(0, nil)
+	ref.Reset(0, nil)
+	rng, refRng := prng.New(11), prng.New(11)
+	from := int64(0)
+	phaseEnds, epochs := 0, 0
+	for i := range calls {
+		epoch := s.epoch
+		slot, send := s.ScheduleNext(from, rng)
+		wantSlot, wantSend := scheduleNextDeferred(&ref, from, refRng)
+		if slot != wantSlot || send != wantSend || s != ref {
+			t.Fatalf("call %d: (%d, %v) state %+v, deferred reference (%d, %v) state %+v",
+				i, slot, send, s, wantSlot, wantSend, ref)
+		}
+		if s.remaining == s.window() { // the send took a sub-phase's last slot
+			phaseEnds++
+		}
+		if s.epoch != epoch {
+			epochs++
+		}
+		from = slot + 1
+	}
+	if rng.Uint64() != refRng.Uint64() {
+		t.Fatal("the direct and deferred walks drew different rng streams")
+	}
+	if phaseEnds < calls/10 || epochs < 3 {
+		t.Fatalf("walk crossed %d sub-phase ends and %d epoch ends; want many of both", phaseEnds, epochs)
+	}
+
+	if a := testing.AllocsPerRun(20, func() {
+		s.Reset(0, nil)
+		from := int64(0)
+		for range calls {
+			slot, _ := s.ScheduleNext(from, rng)
+			from = slot + 1
+		}
+	}); a != 0 {
+		t.Fatalf("a %d-call ScheduleNext walk allocates %v times, want 0", calls, a)
 	}
 }

@@ -18,6 +18,12 @@
 //
 // Together these make the output a pure function of the base seed: one
 // worker or sixty-four, the tables are byte-identical.
+//
+// A result is written once, in place: a job writes it straight into its
+// slot — an element of Run's returned slice, or of Stream's reorder
+// window — and Stream hands emit a pointer to that slot. A simulation
+// Result is ~16 KB, and on a sweep of short jobs every copy of it between
+// the engine and the fold shows in the per-job cost.
 package runner
 
 import (
@@ -45,28 +51,29 @@ func DeriveSeed(base uint64, expID string, point, rep int) uint64 {
 }
 
 // Job is one simulation invocation: a deterministic seed plus the work to
-// run with it. Run must be safe to call concurrently with other jobs' Run
-// functions (jobs share no mutable state in the harness; each builds its
-// own engine from the seed). A panic in Run is recovered and fails the job
-// like a returned error, naming the panic value and the seed.
+// run with it. Run writes its result into *out, a slot the runner owns and
+// reuses: it may hold an earlier job's result, so Run must overwrite every
+// part of it, and the runner reads it only if Run returns nil. Run must be
+// safe to call concurrently with other jobs' Run functions (jobs share no
+// mutable state in the harness; each builds its own engine from the seed).
+// A panic in Run is recovered and fails the job like a returned error,
+// naming the panic value and the seed.
 type Job[T any] struct {
 	Seed uint64
-	Run  func(seed uint64) (T, error)
+	Run  func(seed uint64, out *T) error
 }
 
 // call runs j into *out, recovering a panic into an error that carries the
 // panic value and the job's seed, so one broken job fails its sweep with a
-// reproducible error instead of taking down the process. It writes the
-// result through out rather than returning it: a Result is ~16 KB, and
-// every extra copy of it shows up on sweeps of short jobs.
+// reproducible error instead of taking down the process. The result is
+// written once, by the job itself, into the slot out points at.
 func call[T any](j Job[T], out *T) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("panic (seed %#x): %v", j.Seed, v)
 		}
 	}()
-	*out, err = j.Run(j.Seed)
-	return err
+	return j.Run(j.Seed, out)
 }
 
 // Pool is a fixed-size worker pool. The zero value is not usable;
@@ -118,6 +125,9 @@ const windowPerWorker = 16
 // strict job order, calling emit from the caller's goroutine as results
 // become available. This lets callers aggregate a long sweep (into stats
 // accumulators, tables, or files) without holding every result at once.
+// emit receives a pointer into the reorder window: the result is valid
+// until emit returns, after which its slot takes a later job's result, so
+// emit must copy out whatever it keeps.
 //
 // Memory is O(workers), whatever the job count or durations: results pass
 // through a reorder window of W = windowPerWorker × workers slots,
@@ -132,7 +142,7 @@ const windowPerWorker = 16
 // failing index, in order — the same prefix the one-worker path emits — so
 // both the error and what was emitted before it are deterministic under any
 // scheduling.
-func Stream[T any](p *Pool, jobs []Job[T], emit func(i int, r T) error) error {
+func Stream[T any](p *Pool, jobs []Job[T], emit func(i int, r *T) error) error {
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -140,7 +150,7 @@ func Stream[T any](p *Pool, jobs []Job[T], emit func(i int, r T) error) error {
 	if p.workers > 1 {
 		w = min(windowPerWorker*min(p.workers, len(jobs)), len(jobs))
 	}
-	return stream(p, jobs, make([]T, w), func(i int, r *T) error { return emit(i, *r) })
+	return stream(p, jobs, make([]T, w), emit)
 }
 
 // stream is Stream and Run's one loop. Job i's result lands in

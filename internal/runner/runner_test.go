@@ -51,8 +51,9 @@ func squareJobs(n int) []Job[uint64] {
 		i := i
 		jobs[i] = Job[uint64]{
 			Seed: DeriveSeed(99, "test", i, 0),
-			Run: func(seed uint64) (uint64, error) {
-				return prng.Mix64(seed) ^ uint64(i), nil
+			Run: func(seed uint64, out *uint64) error {
+				*out = prng.Mix64(seed) ^ uint64(i)
+				return nil
 			},
 		}
 	}
@@ -81,6 +82,42 @@ func TestRunOrderedAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestResultsWrittenInPlace: a job's result is written once, into the slot
+// the runner hands it, and Stream's emit (and Run's returned slice) read
+// that same slot, with no copy in between.
+func TestResultsWrittenInPlace(t *testing.T) {
+	const n = 200
+	for _, workers := range []int{1, 2, 4} {
+		slots := make([]*int, n)
+		jobs := make([]Job[int], n)
+		for i := range jobs {
+			jobs[i] = Job[int]{Run: func(_ uint64, out *int) error {
+				slots[i] = out
+				*out = i
+				return nil
+			}}
+		}
+		err := Stream(New(workers), jobs, func(i int, r *int) error {
+			if r != slots[i] || *r != i {
+				t.Fatalf("workers=%d: emit(%d) got slot %p holding %d; the job wrote %d into %p", workers, i, r, *r, i, slots[i])
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Run(New(workers), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range out {
+			if &out[i] != slots[i] {
+				t.Fatalf("workers=%d: Run's result %d is not the slot its job wrote", workers, i)
+			}
+		}
+	}
+}
+
 func TestRunEmpty(t *testing.T) {
 	out, err := Run[int](New(4), nil)
 	if err != nil || out != nil {
@@ -94,12 +131,13 @@ func TestRunCancelsOnError(t *testing.T) {
 	jobs := make([]Job[int], 1000)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job[int]{Run: func(uint64) (int, error) {
+		jobs[i] = Job[int]{Run: func(_ uint64, out *int) error {
 			started.Add(1)
 			if i == 3 {
-				return 0, boom
+				return boom
 			}
-			return i, nil
+			*out = i
+			return nil
 		}}
 	}
 	_, err := Run(New(4), jobs)
@@ -121,13 +159,14 @@ func TestRunReportsSmallestFailingIndex(t *testing.T) {
 	jobs := make([]Job[int], 64)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job[int]{Run: func(uint64) (int, error) {
+		jobs[i] = Job[int]{Run: func(_ uint64, out *int) error {
 			if i%2 == 1 {
 				// Late odd failures: the smallest failing index is 1.
 				time.Sleep(time.Duration(i) * time.Microsecond)
-				return 0, fmt.Errorf("fail %d", i)
+				return fmt.Errorf("fail %d", i)
 			}
-			return i, nil
+			*out = i
+			return nil
 		}}
 	}
 	for trial := 0; trial < 10; trial++ {
@@ -149,11 +188,11 @@ func TestStreamInOrder(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 16} {
 		var got []uint64
-		err := Stream(New(workers), jobs, func(i int, r uint64) error {
+		err := Stream(New(workers), jobs, func(i int, r *uint64) error {
 			if i != len(got) {
 				t.Fatalf("workers=%d: emit index %d, want %d", workers, i, len(got))
 			}
-			got = append(got, r)
+			got = append(got, *r)
 			return nil
 		})
 		if err != nil {
@@ -175,15 +214,16 @@ func TestStreamJobError(t *testing.T) {
 	jobs := make([]Job[int], 50)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job[int]{Run: func(uint64) (int, error) {
+		jobs[i] = Job[int]{Run: func(_ uint64, out *int) error {
 			if i == 10 {
-				return 0, boom
+				return boom
 			}
-			return i, nil
+			*out = i
+			return nil
 		}}
 	}
 	var emitted int
-	err := Stream(New(4), jobs, func(i int, _ int) error {
+	err := Stream(New(4), jobs, func(i int, _ *int) error {
 		if i >= 10 {
 			t.Fatalf("emitted index %d past the failure", i)
 		}
@@ -202,7 +242,7 @@ func TestStreamEmitError(t *testing.T) {
 	stop := errors.New("stop")
 	jobs := squareJobs(50)
 	var emitted int
-	err := Stream(New(4), jobs, func(i int, _ uint64) error {
+	err := Stream(New(4), jobs, func(i int, _ *uint64) error {
 		if i == 5 {
 			return stop
 		}
@@ -218,7 +258,7 @@ func TestStreamEmitError(t *testing.T) {
 }
 
 func TestStreamEmpty(t *testing.T) {
-	if err := Stream[int](New(4), nil, func(int, int) error {
+	if err := Stream[int](New(4), nil, func(int, *int) error {
 		t.Fatal("emit called")
 		return nil
 	}); err != nil {
@@ -263,16 +303,17 @@ func TestStreamCancelsOnError(t *testing.T) {
 	jobs := make([]Job[int], 1000)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job[int]{Run: func(uint64) (int, error) {
+		jobs[i] = Job[int]{Run: func(_ uint64, out *int) error {
 			started.Add(1)
 			if i == 3 {
-				return 0, boom
+				return boom
 			}
-			return i, nil
+			*out = i
+			return nil
 		}}
 	}
 	var emitted atomic.Int64
-	err := Stream(New(4), jobs, func(i int, _ int) error {
+	err := Stream(New(4), jobs, func(i int, _ *int) error {
 		emitted.Add(1)
 		return nil
 	})
@@ -304,15 +345,16 @@ func TestStreamEmitErrorStopsJobs(t *testing.T) {
 	jobs := make([]Job[int], 1000)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job[int]{Run: func(uint64) (int, error) {
+		jobs[i] = Job[int]{Run: func(_ uint64, out *int) error {
 			started.Add(1)
 			if i >= 8 {
 				<-gate
 			}
-			return i, nil
+			*out = i
+			return nil
 		}}
 	}
-	err := Stream(New(4), jobs, func(i int, _ int) error {
+	err := Stream(New(4), jobs, func(i int, _ *int) error {
 		if i == 0 {
 			// Release the gated workers well after the collector has
 			// processed this error and flagged cancellation.
@@ -341,20 +383,21 @@ func TestStreamDeterministicPrefix(t *testing.T) {
 	jobs := make([]Job[int], n)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job[int]{Run: func(uint64) (int, error) {
+		jobs[i] = Job[int]{Run: func(_ uint64, out *int) error {
 			time.Sleep(time.Duration(prng.Mix64(uint64(i))%200) * time.Microsecond)
 			if i == k {
-				return 0, boom
+				return boom
 			}
-			return i, nil
+			*out = i
+			return nil
 		}}
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		for trial := 0; trial < 5; trial++ {
 			var got []int
-			err := Stream(New(workers), jobs, func(i int, r int) error {
-				if r != i {
-					t.Fatalf("workers=%d: emit(%d, %d)", workers, i, r)
+			err := Stream(New(workers), jobs, func(i int, r *int) error {
+				if *r != i {
+					t.Fatalf("workers=%d: emit(%d, %d)", workers, i, *r)
 				}
 				got = append(got, i)
 				return nil
@@ -383,11 +426,12 @@ func TestJobPanicContained(t *testing.T) {
 	jobs := make([]Job[int], n)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job[int]{Seed: uint64(1000 + i), Run: func(uint64) (int, error) {
+		jobs[i] = Job[int]{Seed: uint64(1000 + i), Run: func(_ uint64, out *int) error {
 			if i == k {
 				panic("station table corrupt")
 			}
-			return i, nil
+			*out = i
+			return nil
 		}}
 	}
 	check := func(what string, workers int, err error) {
@@ -409,7 +453,7 @@ func TestJobPanicContained(t *testing.T) {
 		}
 
 		var got []int
-		err = Stream(New(workers), jobs, func(i int, r int) error {
+		err = Stream(New(workers), jobs, func(i int, r *int) error {
 			got = append(got, i)
 			return nil
 		})
@@ -438,7 +482,7 @@ func TestStreamWindowBoundsClaims(t *testing.T) {
 	jobs := make([]Job[int], n)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job[int]{Run: func(uint64) (int, error) {
+		jobs[i] = Job[int]{Run: func(_ uint64, out *int) error {
 			started.Add(1)
 			for {
 				m := maxStarted.Load()
@@ -452,14 +496,15 @@ func TestStreamWindowBoundsClaims(t *testing.T) {
 			if finished.Add(1)-emitted.Load() > int64(w) {
 				overfull.Store(true)
 			}
-			return i, nil
+			*out = i
+			return nil
 		}}
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- Stream(New(workers), jobs, func(i int, r int) error {
-			if r != i {
-				t.Errorf("emit(%d, %d)", i, r)
+		done <- Stream(New(workers), jobs, func(i int, r *int) error {
+			if *r != i {
+				t.Errorf("emit(%d, %d)", i, *r)
 			}
 			emitted.Add(1)
 			return nil
@@ -504,19 +549,20 @@ func TestStreamFullWindowErrors(t *testing.T) {
 			jobs := make([]Job[int], n)
 			for i := range jobs {
 				i := i
-				jobs[i] = Job[int]{Run: func(uint64) (int, error) {
+				jobs[i] = Job[int]{Run: func(_ uint64, out *int) error {
 					defer finished.Add(1)
 					if i == 0 {
 						<-release
-						return 0, tc.jobErr
+						return tc.jobErr
 					}
-					return i, nil
+					*out = i
+					return nil
 				}}
 			}
 			var emitted atomic.Int64
 			done := make(chan error, 1)
 			go func() {
-				done <- Stream(New(workers), jobs, func(int, int) error {
+				done <- Stream(New(workers), jobs, func(int, *int) error {
 					emitted.Add(1)
 					return tc.emitErr
 				})

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"lowsensing/channel"
@@ -105,7 +106,7 @@ type Engine struct {
 	events timingWheel
 
 	// block holds the wheel's bucket headers and the streaming per-packet
-	// statistics (always on); nil once result() has returned it to the pool.
+	// statistics (always on); nil once resultInto has returned it to the pool.
 	block *engineBlock
 
 	// Busy-period accounting.
@@ -138,7 +139,7 @@ type Engine struct {
 	lastJammed    bool
 
 	// Self-metrics; wheel-level counters live in events and are folded in
-	// by result().
+	// by resultInto.
 	stats EngineStats
 
 	// Stepped-execution state (StepTo/InjectAt/FinishRun). stepFloor is
@@ -220,7 +221,18 @@ type EngineBound interface {
 }
 
 // Run executes the simulation to completion (arrivals exhausted and all
-// packets delivered) or until MaxSlots, and returns the result. Run may be
+// packets delivered) or until MaxSlots, and returns the result. It is
+// RunInto on a fresh Result.
+func (e *Engine) Run() (Result, error) {
+	var r Result
+	err := e.RunInto(&r)
+	return r, err
+}
+
+// RunInto is Run writing the result into *r, which it overwrites in full:
+// no field of a previous result survives, so a caller can run job after
+// job into one reused Result (the sweep runner's ring slots) and never
+// copy the ~16 KB value. On error *r is left untouched. RunInto may be
 // called once, and not on an engine driven through the stepped API
 // (StepTo/InjectAt/FinishRun).
 //
@@ -228,12 +240,12 @@ type EngineBound interface {
 // resolves every slot before the batch's slot, injects the batch, and only
 // then draws the next one. Every batch at slot t is therefore injected
 // before t resolves, however many batches share it.
-func (e *Engine) Run() (Result, error) {
+func (e *Engine) RunInto(r *Result) error {
 	if e.ran {
-		return Result{}, fmt.Errorf("sim: Engine.Run called twice")
+		return fmt.Errorf("sim: Engine.Run called twice")
 	}
 	if e.stepping {
-		return Result{}, fmt.Errorf("sim: Engine.Run mixed with stepped API (StepTo/InjectAt)")
+		return fmt.Errorf("sim: Engine.Run mixed with stepped API (StepTo/InjectAt)")
 	}
 	e.ran = true
 	last := int64(math.MinInt64)
@@ -252,7 +264,8 @@ func (e *Engine) Run() (Result, error) {
 		e.injectBatch(t, count)
 	}
 	e.advance(math.MaxInt64)
-	return e.result(), nil
+	e.resultInto(r)
+	return nil
 }
 
 // advance is the one scheduler loop, shared by Run, StepTo and FinishRun:
@@ -337,7 +350,9 @@ func (e *Engine) FinishRun() (Result, error) {
 	}
 	e.ran = true
 	e.advance(math.MaxInt64)
-	return e.result(), nil
+	var r Result
+	e.resultInto(&r)
+	return r, nil
 }
 
 // injectBatch constructs count stations arriving at slot t, for Run and
@@ -350,6 +365,14 @@ func (e *Engine) FinishRun() (Result, error) {
 //lsbvet:hotpath
 func (e *Engine) injectBatch(t, count int64) {
 	e.curSlot = t
+	if need := count - int64(len(e.freeList)); need > 0 {
+		// Grow the slot table once for the packets the free list cannot
+		// seat, rather than letting append grow it step by step, and tell
+		// the wheel the table's new length so its node array, if it needs
+		// one, grows to match in one step too.
+		e.stations = slices.Grow(e.stations, int(need))
+		e.events.nodeHint = len(e.stations) + int(need)
+	}
 	for i := int64(0); i < count; i++ {
 		id := e.nextID
 		e.nextID++
@@ -642,23 +665,26 @@ func (e *Engine) finishPacket(ss *stationState, departure, leftAt int64) {
 	}
 }
 
-func (e *Engine) result() Result {
-	r := Result{
-		Arrived:     e.nextID,
-		Completed:   e.completed,
-		Abandoned:   e.abandoned,
-		ActiveSlots: e.closedActive,
-		JammedSlots: e.jammedSlots,
-		LastSlot:    e.curSlot,
-		Faults:      e.faultStats,
-	}
+// resultInto writes the finished run's Result into *r and returns the
+// engine's block to the pool. It assigns every field of *r, each once and
+// in place: r may be a slot still holding a previous job's Result, and a
+// composite-literal assignment through a pointer would build the ~16 KB
+// value in a temporary and copy it.
+func (e *Engine) resultInto(r *Result) {
+	r.Arrived = e.nextID
+	r.Completed = e.completed
+	r.Abandoned = e.abandoned
+	r.ActiveSlots = e.closedActive
+	r.JammedSlots = e.jammedSlots
+	r.LastSlot = e.curSlot
+	r.Truncated = e.busy
+	r.Faults = e.faultStats
 	if e.busy {
 		// Truncated: count the open busy period and its unobserved jams. The
 		// period extends through MaxSlots — every slot in it had live packets
 		// even though the last access (curSlot) may be well before the cap —
 		// so the tail (curSlot, MaxSlots] is active and its jams were
 		// observed by no one, exactly like any other skipped range.
-		r.Truncated = true
 		end := e.params.MaxSlots
 		r.ActiveSlots += end - e.busyStart + 1
 		if end+1 > e.jamCursor {
@@ -674,9 +700,14 @@ func (e *Engine) result() Result {
 		idx = next
 	}
 	r.Energy = e.block.energy
+	// The layers above the engine fill these after the run (Packets stays
+	// nil); clearing them keeps a reused slot from showing a previous run's.
+	r.Classes = nil
+	r.ClassFairness = 0
+	r.Degradation = nil
+	r.Packets = nil
 	r.EngineStats = e.Stats()
 	e.release()
-	return r
 }
 
 // slotScratch is the per-slot accessor count the engine's scratch buffers
@@ -709,7 +740,7 @@ func (e *Engine) attach(blk *engineBlock) {
 	e.slotSenders = blk.senders[:0]
 }
 
-// release returns the engine's block to the pool. result() calls it last,
+// release returns the engine's block to the pool. resultInto calls it last,
 // once Result holds its own copy of Energy; Stats reads only per-engine
 // counters, so it keeps working on a finished engine.
 func (e *Engine) release() {

@@ -227,3 +227,65 @@ func TestSteppedIgnoresArrivalSource(t *testing.T) {
 		t.Fatalf("stepped run drew %d batches from the source", src.pos)
 	}
 }
+
+// TestRunIntoOverwritesStaleResult runs an engine into a Result still
+// holding another run's values — truncated where this one is not and the
+// reverse, with the fields only the layers above the engine fill
+// (Classes, ClassFairness, Degradation, Packets) set — and requires
+// exactly what Run returns. This is the reuse a sweep's runner slots see,
+// and the field check makes any new Result field part of it.
+func TestRunIntoOverwritesStaleResult(t *testing.T) {
+	run := func(maxSlots int64) Result {
+		p := stepParams(t, &traceSource{batches: stepTrace})
+		p.MaxSlots = maxSlots
+		e, err := NewEngine(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	full, truncated := run(1<<20), run(70)
+	if full.Truncated || !truncated.Truncated {
+		t.Fatal("the two runs do not differ in truncation")
+	}
+	for _, tc := range []struct {
+		name     string
+		stale    Result
+		maxSlots int64
+		want     Result
+	}{
+		{"truncated slot, full run", truncated, 1 << 20, full},
+		{"full slot, truncated run", full, 70, truncated},
+	} {
+		stale := tc.stale
+		stale.Abandoned += 5
+		stale.Faults.Crashes += 3
+		stale.Classes = []ClassResult{{Name: "stale"}}
+		stale.ClassFairness = 0.5
+		stale.Degradation = []ClassDelta{{Name: "stale"}}
+		stale.Packets = []PacketStats{{ID: 7}}
+		sv, wv := reflect.ValueOf(stale), reflect.ValueOf(tc.want)
+		for i := range sv.NumField() {
+			if reflect.DeepEqual(sv.Field(i).Interface(), wv.Field(i).Interface()) {
+				t.Fatalf("%s: the stale Result's %s equals the run's; make it differ so a field RunInto skips shows",
+					tc.name, sv.Type().Field(i).Name)
+			}
+		}
+		p := stepParams(t, &traceSource{batches: stepTrace})
+		p.MaxSlots = tc.maxSlots
+		e, err := NewEngine(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RunInto(&stale); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stale, tc.want) {
+			t.Fatalf("%s: RunInto left\n%+v\nwant Run's\n%+v", tc.name, stale, tc.want)
+		}
+	}
+}

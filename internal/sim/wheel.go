@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // timingWheel is the engine's event scheduler: a hierarchical timing wheel
@@ -107,6 +108,9 @@ type timingWheel struct {
 	// engine takes from its pool (see engineBlock).
 	*wheelHeads
 	nodes []wheelNode
+	// nodeHint is the engine's slot-table length: every idx pushed is
+	// below it, so chain grows nodes straight to it.
+	nodeHint int
 	// The drain is the sorted same-slot buffer popAtMost serves from;
 	// positions [drainPos:drainLen] are pending at drainSlot. While every
 	// id fits 31 bits — always, for the engine's arrival-index ids — it
@@ -287,12 +291,14 @@ func (w *timingWheel) link(idx int32, slot, id int64) {
 }
 
 // chain threads an event behind a bucket's inline head through the shared
-// node array (growing it to cover idx — the only place the array grows).
+// node array (growing it to cover idx and nodeHint — the only place the
+// array grows).
 //
 //lsbvet:hotpath
 func (w *timingWheel) chain(b *bucket, idx int32, slot, id int64) {
-	for int(idx) >= len(w.nodes) {
-		w.nodes = append(w.nodes, wheelNode{})
+	if int(idx) >= len(w.nodes) {
+		n := max(int(idx)+1, w.nodeHint)
+		w.nodes = slices.Grow(w.nodes, n-len(w.nodes))[:n]
 	}
 	nd := &w.nodes[idx]
 	nd.slot = slot

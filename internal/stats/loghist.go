@@ -72,8 +72,16 @@ func (h *LogHist) N() int64 { return h.n }
 // Merge folds another histogram into this one: the result is identical to
 // having Added both observation streams to a single histogram.
 func (h *LogHist) Merge(o *LogHist) {
-	for i, c := range o.counts {
-		h.counts[i] += c
+	h.mergeBuckets(o, 0, logHistBuckets-1)
+}
+
+// mergeBuckets is Merge for a histogram whose observations all lie in
+// buckets lo..hi: it adds only that range, which is what keeps folding a
+// short run's Tally from touching all 488 buckets.
+func (h *LogHist) mergeBuckets(o *LogHist, lo, hi int) {
+	dst, src := h.counts[lo:hi+1], o.counts[lo:hi+1]
+	for i, c := range src {
+		dst[i] += c
 	}
 	h.n += o.n
 }
@@ -162,6 +170,8 @@ func (t *Tally) Add(v int64) {
 // Merge folds another accumulator into this one: the result is identical
 // to having Added both observation streams to a single Tally. Sweep
 // aggregation uses this to combine replications without retaining samples.
+// Every observation of o lies between its MinV and MaxV (clamped to 0 as
+// Add clamps them), so only the buckets of that range are added.
 func (t *Tally) Merge(o *Tally) {
 	if o.Count == 0 {
 		return
@@ -179,7 +189,7 @@ func (t *Tally) Merge(o *Tally) {
 	t.Count += o.Count
 	t.Sum += o.Sum
 	t.SumSq += o.SumSq
-	t.Hist.Merge(&o.Hist)
+	t.Hist.mergeBuckets(&o.Hist, logHistIndex(max(o.MinV, 0)), logHistIndex(max(o.MaxV, 0)))
 }
 
 // Mean returns the exact mean (0 if empty): the sum is kept as an integer,

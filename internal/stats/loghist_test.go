@@ -237,3 +237,64 @@ func TestLogHistMerge(t *testing.T) {
 		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
 	}
 }
+
+// TestTallyMergeRangedMatchesFull is the property behind Tally.Merge adding
+// only the buckets between the merged side's MinV and MaxV: on random
+// streams — negative values (Add clamps them to bucket 0), the top bucket,
+// single-valued sides (MinV == MaxV) and empty sides — the merged
+// histogram equals a full LogHist.Merge and the whole-stream tally's.
+func TestTallyMergeRangedMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	draw := func(shape int) int64 {
+		switch shape {
+		case 0: // small, some negative
+			return rng.Int63n(40) - 8
+		case 1: // any magnitude, either sign
+			v := rng.Int63() >> rng.Intn(63)
+			if rng.Intn(4) == 0 {
+				v = -v
+			}
+			return v
+		default: // the extremes: the top bucket and the most negative value
+			return []int64{math.MaxInt64, math.MaxInt64 - 1, 1 << 62, math.MinInt64, -1, 0}[rng.Intn(6)]
+		}
+	}
+	fill := func(tl *Tally, whole *Tally) {
+		n, shape := rng.Intn(6), rng.Intn(3)
+		if rng.Intn(3) == 0 {
+			n = rng.Intn(200)
+		}
+		constant := rng.Intn(4) == 0 // every observation equal: MinV == MaxV
+		c := draw(shape)
+		for range n {
+			v := c
+			if !constant {
+				v = draw(shape)
+			}
+			tl.Add(v)
+			whole.Add(v)
+		}
+	}
+	for trial := 0; trial < 5000; trial++ {
+		var a, b, whole Tally
+		fill(&a, &whole)
+		fill(&b, &whole)
+		want := a.Hist
+		want.Merge(&b.Hist)
+
+		got := a
+		got.Merge(&b)
+		if got.Hist != want || got.Hist != whole.Hist {
+			t.Fatalf("trial %d: ranged merge histogram differs from the full merge (a: %+v, b: %+v)",
+				trial, a.Summary(), b.Summary())
+		}
+		// SumSq is a float sum, so its value depends on the summation
+		// order; everything else is exact.
+		if got.Count != whole.Count || got.Sum != whole.Sum || got.MinV != whole.MinV || got.MaxV != whole.MaxV {
+			t.Fatalf("trial %d: merged %+v, whole stream %+v", trial, got, whole)
+		}
+		if got.SumSq != a.SumSq+b.SumSq && b.Count > 0 && a.Count > 0 {
+			t.Fatalf("trial %d: merged SumSq %v, want %v", trial, got.SumSq, a.SumSq+b.SumSq)
+		}
+	}
+}

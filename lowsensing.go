@@ -195,18 +195,30 @@ type Option func(*Simulation)
 // cluster executor and returns the cluster's merged Result; its recorders
 // are shared by every channel (see Scenario.Channels).
 func (s *Simulation) Run() (Result, error) {
-	if s.sc.Channels != 0 {
-		return s.runCluster()
-	}
-	if err := s.sc.validateShape(); err != nil {
+	var r Result
+	if err := s.runInto(&r); err != nil {
 		return Result{}, err
 	}
+	return r, nil
+}
+
+// runInto is Run writing the result into *r, which it overwrites in full
+// (see sim.Engine.RunInto); a sweep job runs straight into its runner
+// slot this way. On error *r may hold part of a result and must not be
+// read.
+func (s *Simulation) runInto(r *Result) error {
+	if s.sc.Channels != 0 {
+		return s.runCluster(r)
+	}
+	if err := s.sc.validateShape(); err != nil {
+		return err
+	}
 	if s.ran && (s.customArrivals != nil || s.customJammer != nil) {
-		return Result{}, ErrReused
+		return ErrReused
 	}
 	w, err := s.sc.resolve(s.customArrivals, s.customFactory)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	// The run's observers: per-class accounting is a recorder like any
 	// caller's, and comes first so a user recorder sees a packet after the
@@ -218,7 +230,7 @@ func (s *Simulation) Run() (Result, error) {
 	jammer := s.customJammer
 	if jammer == nil {
 		if jammer, err = s.sc.Jammer.Jammer(s.sc.Seed); err != nil {
-			return Result{}, err
+			return err
 		}
 	}
 	recs = append(recs, s.recorders...)
@@ -245,21 +257,20 @@ func (s *Simulation) Run() (Result, error) {
 		ReuseStations: s.customFactory == nil && w.mc == nil,
 	})
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	for _, r := range s.recorders {
 		if b, ok := r.(sim.EngineBound); ok {
 			b.Bind(e)
 		}
 	}
-	res, err := e.Run()
-	if err != nil {
-		return Result{}, err
+	if err := e.RunInto(r); err != nil {
+		return err
 	}
 	if w.mc != nil {
-		w.mc.finalize(&res)
+		w.mc.finalize(r)
 	}
-	return res, nil
+	return nil
 }
 
 // WithArrivals supplies a custom arrival source instance, which takes

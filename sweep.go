@@ -203,8 +203,9 @@ func (pr PointResult) DeliveredFrac() float64 {
 	return float64(pr.Completed) / float64(pr.Arrived)
 }
 
-// fold accumulates one replication's result.
-func (pr *PointResult) fold(r Result) {
+// fold accumulates one replication's result, read in place from the
+// runner's slot.
+func (pr *PointResult) fold(r *Result) {
 	pr.Reps++
 	if r.Truncated {
 		pr.Truncated++
@@ -250,42 +251,15 @@ func (sw *Sweep) Stream(emit func(PointResult) error) error {
 		return fmt.Errorf("lowsensing: sweep workers must be >= 0, got %d", sw.workers)
 	}
 	points := sw.Points()
-	jobs := make([]runner.Job[timedResult], 0, len(points)*sw.reps)
-	for pi := range points {
-		sc := points[pi].Scenario
-		point := points[pi]
-		for rep := 0; rep < sw.reps; rep++ {
-			sc := sc
-			rep := rep
-			jobs = append(jobs, runner.Job[timedResult]{
-				Seed: runner.DeriveSeed(sw.seed, sw.id, pi, rep),
-				Run: func(seed uint64) (timedResult, error) {
-					start := time.Now() //lsbvet:wallclock per-job wall time is reported, never folded into results
-					sc.Seed = seed
-					var rec Recorder
-					if sw.observe != nil {
-						rec = sw.observe(point, rep)
-					}
-					r, err := sc.Simulation(WithRecorder(rec)).Run()
-					if err == nil {
-						// A recorder holding buffered or partial state (a
-						// sink, a windowed accumulator) is flushed once, as
-						// part of the job, on the worker.
-						err = obs.Flush(rec)
-					}
-					return timedResult{r: r, wall: time.Since(start)}, err //lsbvet:wallclock per-job wall time is reported, never folded into results
-				},
-			})
-		}
-	}
+	jobs := sw.jobs(points)
 	startAll := time.Now() //lsbvet:wallclock progress/ETA reporting only
 	var acc PointResult
-	return runner.Stream(runner.New(sw.workers), jobs, func(i int, tr timedResult) error {
+	return runner.Stream(runner.New(sw.workers), jobs, func(i int, tr *timedResult) error {
 		pi := i / sw.reps
 		if i%sw.reps == 0 {
 			acc = PointResult{Point: points[pi]}
 		}
-		acc.fold(tr.r)
+		acc.fold(&tr.r)
 		if sw.progress != nil {
 			// Delivery is in grid order, so job i is the (i+1)-th done; the
 			// ETA extrapolates the mean completed-job rate over the jobs
@@ -310,6 +284,42 @@ func (sw *Sweep) Stream(emit func(PointResult) error) error {
 		}
 		return nil
 	})
+}
+
+// jobs builds the sweep's runner jobs, one per (point, replication) in
+// grid order. Each job runs its simulation straight into the runner slot
+// it is handed, so its Result is written once, where the fold reads it.
+func (sw *Sweep) jobs(points []Point) []runner.Job[timedResult] {
+	jobs := make([]runner.Job[timedResult], 0, len(points)*sw.reps)
+	for pi := range points {
+		sc := points[pi].Scenario
+		point := points[pi]
+		for rep := 0; rep < sw.reps; rep++ {
+			sc := sc
+			rep := rep
+			jobs = append(jobs, runner.Job[timedResult]{
+				Seed: runner.DeriveSeed(sw.seed, sw.id, pi, rep),
+				Run: func(seed uint64, out *timedResult) error {
+					start := time.Now() //lsbvet:wallclock per-job wall time is reported, never folded into results
+					sc.Seed = seed
+					var rec Recorder
+					if sw.observe != nil {
+						rec = sw.observe(point, rep)
+					}
+					err := sc.Simulation(WithRecorder(rec)).runInto(&out.r)
+					if err == nil {
+						// A recorder holding buffered or partial state (a
+						// sink, a windowed accumulator) is flushed once, as
+						// part of the job, on the worker.
+						err = obs.Flush(rec)
+					}
+					out.wall = time.Since(start) //lsbvet:wallclock per-job wall time is reported, never folded into results
+					return err
+				},
+			})
+		}
+	}
+	return jobs
 }
 
 // timedResult pairs a job's Result with its wall-clock run time, measured
