@@ -51,8 +51,8 @@ func benchSteadyState(b *testing.B, router func() Router) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Total.Arrived != packets {
-			b.Fatalf("arrived %d packets, want %d", r.Total.Arrived, packets)
+		if r.Arrived != packets {
+			b.Fatalf("arrived %d packets, want %d", r.Arrived, packets)
 		}
 	}
 	run() // warm-up

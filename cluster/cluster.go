@@ -28,10 +28,11 @@
 // is everything an attached recorder sees.
 //
 // The public entry points are the lowsensing root package's Scenario with
-// Channels >= 1 (declarative, registry-resolved; Scenario.Run returns the
-// merged Total, ClusterScenario(sc).Run this package's full Result) and
-// this package's Run (programmatic). Register new router kinds with
-// lowsensing.RegisterRouter.
+// Channels >= 1 (declarative, registry-resolved) and this package's Run
+// (programmatic); both return one merged Result carrying the per-channel
+// breakdown. A recorder observes a cluster as it does one channel, and
+// sees every event labeled with its channel. Register new router kinds
+// with lowsensing.RegisterRouter.
 package cluster
 
 import (
@@ -101,10 +102,12 @@ type Config struct {
 	// channel's derived seed. Jammers are stateful; never share one
 	// instance across channels.
 	NewJammer func(ch int, seed uint64) (channel.Jammer, error)
-	// NewRecorder, if non-nil, builds channel ch's obs.Recorder. Each
-	// channel's recorder receives that channel's event stream; recorders
-	// are flushed (obs.Flush) when their channel finishes.
-	NewRecorder func(ch int) obs.Recorder
+	// Recorder, if non-nil, observes every channel: it receives each
+	// channel's events with Channel set to the channel index, interleaved
+	// in epoch order (obs.ByChannel splits the stream back into one per
+	// channel). Run never flushes it; that is the caller's job, as on a
+	// single channel.
+	Recorder obs.Recorder
 	// Lifetime, if non-nil, gives packets finite patience (population
 	// churn): it is consulted at injection with the packet's
 	// channel-local id and arrival slot, exactly as sim.Params.Lifetime —
@@ -118,26 +121,6 @@ type Config struct {
 	Faults channel.FaultModel
 }
 
-// Result is the outcome of a cluster run: every channel's own Result,
-// the routing tally, the merged totals, and the Jain fairness index.
-type Result struct {
-	// PerChannel holds channel ch's single-channel Result at index ch.
-	PerChannel []sim.Result
-	// Routed counts the packets assigned to each channel.
-	Routed []int64
-	// Total merges the per-channel results: counters are summed, Energy
-	// tallies merged, LastSlot is the max, Truncated reports whether any
-	// channel truncated. EngineStats fields are summed across channels —
-	// including the Peak* fields, which therefore read as the cluster's
-	// aggregate footprint, not a single engine's peak.
-	Total sim.Result
-	// Fairness is the Jain index (sum x)^2 / (C * sum x^2) over
-	// per-channel completed-packet counts: 1.0 when perfectly balanced,
-	// 1/C when one channel got everything. It is 1 when no packets
-	// completed anywhere.
-	Fairness float64
-}
-
 // ChannelSeed derives channel ch's engine seed from the cluster base
 // seed, in the same SplitMix64-chain style as runner.DeriveSeed, under a
 // cluster-specific domain constant so channel streams collide with
@@ -147,25 +130,26 @@ func ChannelSeed(base uint64, ch int) uint64 {
 	return prng.Mix64(h ^ uint64(ch))
 }
 
-// merge folds the per-channel results and routing tally into a Result.
-func merge(per []sim.Result, routed []int64) Result {
-	r := Result{PerChannel: per, Routed: routed}
+// merge folds the per-channel results and routing tally into the
+// cluster's Result (see Run).
+func merge(per []sim.Result, routed []int64) sim.Result {
+	r := sim.Result{PerChannel: per, Routed: routed}
 	for i := range per {
 		cr := &per[i]
-		r.Total.Arrived += cr.Arrived
-		r.Total.Completed += cr.Completed
-		r.Total.Abandoned += cr.Abandoned
-		r.Total.ActiveSlots += cr.ActiveSlots
-		r.Total.JammedSlots += cr.JammedSlots
-		r.Total.Faults.Merge(cr.Faults)
-		if cr.LastSlot > r.Total.LastSlot {
-			r.Total.LastSlot = cr.LastSlot
+		r.Arrived += cr.Arrived
+		r.Completed += cr.Completed
+		r.Abandoned += cr.Abandoned
+		r.ActiveSlots += cr.ActiveSlots
+		r.JammedSlots += cr.JammedSlots
+		r.Faults.Merge(cr.Faults)
+		if cr.LastSlot > r.LastSlot {
+			r.LastSlot = cr.LastSlot
 		}
 		if cr.Truncated {
-			r.Total.Truncated = true
+			r.Truncated = true
 		}
-		r.Total.Energy.Merge(&cr.Energy)
-		s := &r.Total.EngineStats
+		r.Energy.Merge(&cr.Energy)
+		s := &r.EngineStats
 		s.SlotsResolved += cr.EngineStats.SlotsResolved
 		s.EventsScheduled += cr.EngineStats.EventsScheduled
 		s.WheelCascades += cr.EngineStats.WheelCascades
@@ -182,7 +166,7 @@ func merge(per []sim.Result, routed []int64) Result {
 	for i := range per {
 		completed = append(completed, float64(per[i].Completed))
 	}
-	r.Fairness = stats.Jain(completed)
+	r.ChannelFairness = stats.Jain(completed)
 	return r
 }
 

@@ -89,7 +89,7 @@ func TestEpochShardedChurnFaultsIdentical(t *testing.T) {
 			if !reflect.DeepEqual(again, ref) {
 				t.Fatalf("rerun differs under churn/faults:\nfirst  %+v\nsecond %+v", ref, again)
 			}
-			tot := ref.Total
+			tot := ref
 			if tot.Abandoned == 0 {
 				t.Fatal("churn abandoned nothing; the check is vacuous")
 			}
@@ -113,8 +113,8 @@ func TestEpochShardedIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ref.Total.Arrived != 800 {
-				t.Fatalf("arrived %d, want 800", ref.Total.Arrived)
+			if ref.Arrived != 800 {
+				t.Fatalf("arrived %d, want 800", ref.Arrived)
 			}
 			again, err := Run(testConfig(t, mk()))
 			if err != nil {
@@ -153,7 +153,7 @@ func TestEpochStartsNoGoroutines(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig(t, mk())
 			probe := &goroutineProbe{}
-			cfg.NewRecorder = func(int) obs.Recorder { return probe }
+			cfg.Recorder = probe
 			probe.max = runtime.NumGoroutine()
 			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
@@ -165,6 +165,56 @@ func TestEpochStartsNoGoroutines(t *testing.T) {
 				t.Fatalf("%d of %d events saw more than the %d goroutines alive before Run", n, probe.events.Load(), probe.max)
 			}
 		})
+	}
+}
+
+// channelCounter counts packet and slot events per channel, and flushes.
+type channelCounter struct {
+	packets, slots [16]int64
+	flushes        int
+}
+
+func (c *channelCounter) RecordSlot(ev obs.SlotEvent)    { c.slots[ev.Channel]++ }
+func (c *channelCounter) RecordPacket(p obs.PacketEvent) { c.packets[p.Channel]++ }
+func (c *channelCounter) Flush() error                   { c.flushes++; return nil }
+
+// TestRecorderSeesChannelLabels: the cluster's one recorder sees every
+// channel's events labeled with that channel — per channel, one packet
+// event for each packet the channel's Result counts — and Run leaves the
+// flush to the caller. Observing changes nothing. An obs.ByChannel with
+// fewer recorders than channels panics on the first event of a channel it
+// lacks, and Run returns that panic as its error.
+func TestRecorderSeesChannelLabels(t *testing.T) {
+	want, err := Run(testConfig(t, NewRoundRobin()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(t, NewRoundRobin())
+	rec := &channelCounter{}
+	cfg.Recorder = rec
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("observed run differs from the unobserved one")
+	}
+	for ch := range got.PerChannel {
+		if rec.packets[ch] != got.PerChannel[ch].Arrived || rec.slots[ch] == 0 {
+			t.Fatalf("channel %d: recorder saw %d packets and %d slots, channel arrived %d",
+				ch, rec.packets[ch], rec.slots[ch], got.PerChannel[ch].Arrived)
+		}
+	}
+	if rec.flushes != 0 {
+		t.Fatalf("Run flushed the recorder %d times", rec.flushes)
+	}
+
+	cfg = testConfig(t, NewRoundRobin())
+	cfg.Recorder = obs.ByChannel(obs.NewRing(4), obs.NewRing(4), obs.NewRing(4))
+	_, err = Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "cluster: panic on channel 3") ||
+		!strings.Contains(err.Error(), "index out of range [3] with length 3") {
+		t.Fatalf("out-of-range ByChannel: got %v, want the run's error to name channel 3", err)
 	}
 }
 
@@ -362,17 +412,20 @@ func TestMergeTotals(t *testing.T) {
 		{Arrived: 5, Completed: 5, ActiveSlots: 12, JammedSlots: 0, LastSlot: 90, Truncated: true},
 	}
 	r := merge(per, []int64{3, 5})
-	if r.Total.Arrived != 8 || r.Total.Completed != 7 || r.Total.ActiveSlots != 22 {
-		t.Fatalf("bad sums: %+v", r.Total)
+	if r.Arrived != 8 || r.Completed != 7 || r.ActiveSlots != 22 {
+		t.Fatalf("bad sums: %+v", r)
 	}
-	if r.Total.LastSlot != 90 || !r.Total.Truncated {
-		t.Fatalf("LastSlot/Truncated: %+v", r.Total)
+	if r.LastSlot != 90 || !r.Truncated {
+		t.Fatalf("LastSlot/Truncated: %+v", r)
+	}
+	if len(r.PerChannel) != 2 || r.Routed[1] != 5 {
+		t.Fatalf("breakdown not kept: %+v, %v", r.PerChannel, r.Routed)
 	}
 	// Jain over completed counts (2, 5): 49 / (2 * 29).
-	if want := 49.0 / 58.0; r.Fairness != want {
-		t.Fatalf("fairness %v, want %v", r.Fairness, want)
+	if want := 49.0 / 58.0; r.ChannelFairness != want {
+		t.Fatalf("fairness %v, want %v", r.ChannelFairness, want)
 	}
-	if merge(nil, nil).Fairness != 1 || merge([]sim.Result{{}, {}}, []int64{0, 0}).Fairness != 1 {
+	if merge(nil, nil).ChannelFairness != 1 || merge([]sim.Result{{}, {}}, []int64{0, 0}).ChannelFairness != 1 {
 		t.Fatal("empty/zero fairness must be 1")
 	}
 }

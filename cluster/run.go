@@ -15,13 +15,18 @@ import (
 // calling goroutine, so Run starts no goroutines and the router reads exact
 // live backlogs at every decision.
 //
+// The Result's PerChannel, Routed and ChannelFairness hold the breakdown;
+// its other fields merge the channels: counters and EngineStats summed
+// (so Peak* read as the cluster's aggregate footprint), Energy merged,
+// LastSlot the max, Truncated if any channel truncated.
+//
 // The global arrival source is consumed on the calling goroutine and is
 // never engine-bound: adaptive sources that Bind to a single engine have
 // no meaningful cluster-wide analogue. Arrivals after MaxSlots are
 // dropped, exactly as a single-channel run would leave them uninjected.
-func Run(cfg Config) (Result, error) {
+func Run(cfg Config) (sim.Result, error) {
 	if err := cfg.validate(); err != nil {
-		return Result{}, err
+		return sim.Result{}, err
 	}
 	maxSlots := cfg.MaxSlots
 	if maxSlots == 0 {
@@ -40,6 +45,23 @@ type view struct {
 func (v *view) Channels() int        { return v.channels }
 func (v *view) Routed(ch int) int64  { return v.routed[ch] }
 func (v *view) Backlog(ch int) int64 { return v.engines[ch].Backlog() }
+
+// labeled forwards one channel's events to the cluster's recorder with
+// Channel set to that channel.
+type labeled struct {
+	obs.Recorder
+	ch int
+}
+
+func (l *labeled) RecordSlot(ev obs.SlotEvent) {
+	ev.Channel = l.ch
+	l.Recorder.RecordSlot(ev)
+}
+
+func (l *labeled) RecordPacket(p obs.PacketEvent) {
+	p.Channel = l.ch
+	l.Recorder.RecordPacket(p)
+}
 
 // channelParams builds channel ch's engine params from the shared config
 // and the channel's derived seed.
@@ -60,8 +82,8 @@ func channelParams(cfg *Config, ch int, seed uint64, src channel.ArrivalSource) 
 		}
 		p.Jammer = j
 	}
-	if cfg.NewRecorder != nil {
-		p.Recorder = cfg.NewRecorder(ch)
+	if cfg.Recorder != nil {
+		p.Recorder = &labeled{cfg.Recorder, ch}
 	}
 	return p, nil
 }
@@ -87,10 +109,10 @@ func routeOne(cfg *Config, v *view, id, slot int64) (int, error) {
 // (sweeps, the runner), never across its own channels.
 //
 // Stepping runs caller-supplied code (stations, jammers, fault models,
-// recorders, the router) on the calling goroutine, so a panic in it is
+// the recorder, the router) on the calling goroutine, so a panic in it is
 // recovered into this run's error, naming the slot being stepped and the
 // channel when one is involved.
-func runEpoch(cfg Config, maxSlots int64) (_ Result, err error) {
+func runEpoch(cfg Config, maxSlots int64) (_ sim.Result, err error) {
 	C := cfg.Channels
 	ch, slot := -1, int64(0) // what is being stepped, for the panic error
 	defer func() {
@@ -103,19 +125,17 @@ func runEpoch(cfg Config, maxSlots int64) (_ Result, err error) {
 		}
 	}()
 	engines := make([]*sim.Engine, C)
-	recs := make([]obs.Recorder, C)
 	for ch = 0; ch < C; ch++ {
 		src, err := arrivals.NewTrace(nil)
 		if err != nil {
-			return Result{}, err
+			return sim.Result{}, err
 		}
 		p, err := channelParams(&cfg, ch, ChannelSeed(cfg.Seed, ch), src)
 		if err != nil {
-			return Result{}, err
+			return sim.Result{}, err
 		}
-		recs[ch] = p.Recorder
 		if engines[ch], err = sim.NewEngine(p); err != nil {
-			return Result{}, err
+			return sim.Result{}, err
 		}
 	}
 	v := &view{channels: C, routed: make([]int64, C), engines: engines}
@@ -133,7 +153,7 @@ func runEpoch(cfg Config, maxSlots int64) (_ Result, err error) {
 		// arrival.
 		for ch = 0; ch < C; ch++ {
 			if err := engines[ch].StepTo(slot); err != nil {
-				return Result{}, err
+				return sim.Result{}, err
 			}
 		}
 		// Route and inject per packet, so later packets of the batch see
@@ -142,11 +162,11 @@ func runEpoch(cfg Config, maxSlots int64) (_ Result, err error) {
 			ch = -1
 			to, err := routeOne(&cfg, v, id, slot)
 			if err != nil {
-				return Result{}, err
+				return sim.Result{}, err
 			}
 			ch = to
 			if err := engines[ch].InjectAt(slot, 1); err != nil {
-				return Result{}, err
+				return sim.Result{}, err
 			}
 			id++
 		}
@@ -156,12 +176,7 @@ func runEpoch(cfg Config, maxSlots int64) (_ Result, err error) {
 	per := make([]sim.Result, C)
 	for ch = 0; ch < C; ch++ {
 		if per[ch], err = engines[ch].FinishRun(); err != nil {
-			return Result{}, err
-		}
-		if r := recs[ch]; r != nil {
-			if err := obs.Flush(r); err != nil {
-				return Result{}, err
-			}
+			return sim.Result{}, err
 		}
 	}
 	return merge(per, v.routed), nil

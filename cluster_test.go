@@ -208,34 +208,80 @@ func TestParseClusterScenarioErrors(t *testing.T) {
 	}
 }
 
-// TestClusterRunObserved: per-channel recorders each see exactly their own
-// channel's stream, and the merged window series accounts for every
-// delivered packet in the cluster.
+// TestClusterRunObserved: on a cluster, obs.ByChannel gives each channel
+// a recorder of its own through the one WithRecorder hook. Child ch sees
+// exactly channel ch's stream — every event labeled ch, in the order the
+// run emitted it, one packet event per packet the channel's Result counts,
+// one slot event per slot its engine resolved — the stream the per-channel
+// recorders of cmd/lsbsim's cluster goldens were written from. The merged
+// window series accounts for every delivered packet, once the caller has
+// flushed the demux (Run does not).
 func TestClusterRunObserved(t *testing.T) {
-	sc := lowsensing.ClusterScenario{
+	sc := lowsensing.Scenario{
 		Seed:     9,
 		Channels: 4,
 		Arrivals: lowsensing.PoissonArrivals(0.2, 200),
 		Router:   lowsensing.RouterSpec{Kind: lowsensing.RouterRoundRobin},
 	}
 	wins := make([]*obs.Windows, sc.Channels)
+	rings := make([]*obs.Ring, sc.Channels)
+	children := make([]lowsensing.Recorder, sc.Channels)
 	for ch := range wins {
 		wins[ch] = obs.NewWindows(256, nil)
+		rings[ch] = obs.NewRing(1 << 12)
+		children[ch] = obs.Multi(wins[ch], rings[ch])
 	}
-	r, err := sc.RunObserved(func(ch int) lowsensing.Recorder { return wins[ch] })
+	demux := obs.ByChannel(children...)
+	all := obs.NewRing(1 << 14)
+	r, err := sc.Simulation(lowsensing.WithRecorder(demux), lowsensing.WithRecorder(all)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if all.Dropped() != 0 {
+		t.Fatal("the shared ring dropped events; enlarge it")
+	}
+	closed := make([]int, sc.Channels)
+	for ch, w := range wins {
+		closed[ch] = len(w.Stats())
+	}
+	if err := obs.Flush(demux); err != nil {
+		t.Fatal(err)
+	}
+	for ch, w := range wins {
+		if len(w.Stats()) != closed[ch]+1 {
+			t.Fatalf("channel %d: flushing the demux closed %d windows, want its one open window", ch, len(w.Stats())-closed[ch])
+		}
+	}
 	series := make([][]obs.WindowStat, sc.Channels)
 	for ch, w := range wins {
+		pc := &r.PerChannel[ch]
+		var slots []lowsensing.SlotEvent
+		var packets []lowsensing.PacketEvent
+		for _, ev := range all.Slots() {
+			if ev.Channel == ch {
+				slots = append(slots, ev)
+			}
+		}
+		for _, p := range all.Packets() {
+			if p.Channel == ch {
+				packets = append(packets, p)
+			}
+		}
+		if !reflect.DeepEqual(rings[ch].Slots(), slots) || !reflect.DeepEqual(rings[ch].Packets(), packets) {
+			t.Fatalf("channel %d: its child's stream is not the shared stream's channel-%d events", ch, ch)
+		}
+		if int64(len(packets)) != pc.Arrived || int64(len(slots)) != pc.EngineStats.SlotsResolved {
+			t.Fatalf("channel %d: child saw %d packets and %d slots; the channel arrived %d and resolved %d",
+				ch, len(packets), len(slots), pc.Arrived, pc.EngineStats.SlotsResolved)
+		}
 		series[ch] = w.Stats()
 		var departed int64
 		for _, ws := range series[ch] {
 			departed += ws.Departures
 		}
-		if departed != r.PerChannel[ch].Completed {
+		if departed != pc.Completed {
 			t.Fatalf("channel %d windows saw %d departures, engine completed %d",
-				ch, departed, r.PerChannel[ch].Completed)
+				ch, departed, pc.Completed)
 		}
 	}
 	merged := obs.MergeWindowSeries(series...)
@@ -246,8 +292,8 @@ func TestClusterRunObserved(t *testing.T) {
 			t.Fatalf("merged series not strictly ordered at %d: %v >= %v", i, merged[i-1].Index, ws.Index)
 		}
 	}
-	if departed != r.Total.Completed {
-		t.Fatalf("merged windows saw %d departures, cluster completed %d", departed, r.Total.Completed)
+	if departed != r.Completed {
+		t.Fatalf("merged windows saw %d departures, cluster completed %d", departed, r.Completed)
 	}
 }
 
@@ -375,55 +421,75 @@ func TestScenarioClusterDifferential(t *testing.T) {
 	}
 }
 
-// countingRecorder counts the events it sees and how often it is flushed.
+// countingRecorder counts the events it sees, per channel, and how often
+// it is flushed.
 type countingRecorder struct {
-	slots, packets, flushes int64
+	slots, packets []int64
+	flushes        int64
 }
 
-func (c *countingRecorder) RecordSlot(lowsensing.SlotEvent)     { c.slots++ }
-func (c *countingRecorder) RecordPacket(lowsensing.PacketEvent) { c.packets++ }
-func (c *countingRecorder) Flush() error                        { c.flushes++; return nil }
+func newCountingRecorder(channels int) *countingRecorder {
+	return &countingRecorder{slots: make([]int64, channels), packets: make([]int64, channels)}
+}
+
+func (c *countingRecorder) RecordSlot(ev lowsensing.SlotEvent)    { c.slots[ev.Channel]++ }
+func (c *countingRecorder) RecordPacket(p lowsensing.PacketEvent) { c.packets[p.Channel]++ }
+func (c *countingRecorder) Flush() error                          { c.flushes++; return nil }
 
 // TestSimulationClusterRecorders: on a cluster scenario, WithRecorder
-// attaches one recorder every channel shares — it sees every channel's
-// packets and slots, the run is the unobserved run, and Run leaves the
-// flush to the caller (a sweep job flushes exactly once). Components a
-// cluster cannot use are rejected by name.
+// attaches one recorder that sees every channel's events labeled with the
+// channel — summed per channel, its packet and slot events are exactly
+// what that channel's Result counts, and an obs.ByChannel child sees the
+// same — the run is the unobserved run, and Run leaves the flush to the
+// caller (a sweep job flushes exactly once). Components a cluster cannot
+// use are rejected by name.
 func TestSimulationClusterRecorders(t *testing.T) {
 	for _, router := range []lowsensing.RouterSpec{
 		{Kind: lowsensing.RouterRoundRobin}, {Kind: lowsensing.RouterLeastBacklog},
 	} {
 		sc := lowsensing.Scenario(testCluster(router))
 		sc.Channels = 4
-		want, err := lowsensing.ClusterScenario(sc).Run()
+		want, err := sc.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
+		rec := newCountingRecorder(sc.Channels)
+		children := make([]lowsensing.Recorder, sc.Channels)
 		perChannel := make([]*countingRecorder, sc.Channels)
-		if _, err := lowsensing.ClusterScenario(sc).RunObserved(func(ch int) lowsensing.Recorder {
-			perChannel[ch] = &countingRecorder{}
-			return perChannel[ch]
-		}); err != nil {
-			t.Fatal(err)
+		for ch := range perChannel {
+			perChannel[ch] = newCountingRecorder(sc.Channels)
+			children[ch] = perChannel[ch]
 		}
-		var slots int64
-		for _, r := range perChannel {
-			slots += r.slots
-		}
-		rec := &countingRecorder{}
-		got, err := sc.Simulation(lowsensing.WithRecorder(rec)).Run()
+		got, err := sc.Simulation(lowsensing.WithRecorder(rec), lowsensing.WithRecorder(obs.ByChannel(children...))).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want.Total) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: observed cluster run differs from unobserved", router.Kind)
 		}
-		if rec.packets != want.Total.Arrived || rec.slots != slots || rec.flushes != 0 {
-			t.Fatalf("%s: shared recorder saw %d packets, %d slots, %d flushes; want %d, %d, 0",
-				router.Kind, rec.packets, rec.slots, rec.flushes, want.Total.Arrived, slots)
+		for ch := range want.PerChannel {
+			pc := &want.PerChannel[ch]
+			if rec.packets[ch] != pc.Arrived || rec.slots[ch] != pc.EngineStats.SlotsResolved {
+				t.Fatalf("%s: channel %d: shared recorder saw %d packets, %d slots; want %d, %d",
+					router.Kind, ch, rec.packets[ch], rec.slots[ch], pc.Arrived, pc.EngineStats.SlotsResolved)
+			}
+			child := perChannel[ch]
+			for other := range child.packets {
+				wantP, wantS := int64(0), int64(0)
+				if other == ch {
+					wantP, wantS = rec.packets[ch], rec.slots[ch]
+				}
+				if child.packets[other] != wantP || child.slots[other] != wantS {
+					t.Fatalf("%s: channel %d's child saw %d packets, %d slots of channel %d; want %d, %d",
+						router.Kind, ch, child.packets[other], child.slots[other], other, wantP, wantS)
+				}
+			}
+		}
+		if rec.flushes != 0 || perChannel[0].flushes != 0 {
+			t.Fatalf("%s: Run flushed a recorder", router.Kind)
 		}
 
-		swRec := &countingRecorder{}
+		swRec := newCountingRecorder(sc.Channels)
 		sw, err := lowsensing.SweepSpec{Base: sc}.Sweep()
 		if err != nil {
 			t.Fatal(err)

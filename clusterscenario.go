@@ -10,10 +10,9 @@ import (
 
 // This file is the declarative surface of the cluster subsystem: a
 // Scenario with Channels >= 1 describes a C-channel run (see the cluster
-// package for the execution model), ClusterScenario exposes its
-// per-channel breakdown, and RouterSpec describes its router as data,
-// resolved through the router registry exactly like protocols, arrivals,
-// and jammers.
+// package for the execution model) whose Result carries the per-channel
+// breakdown, and RouterSpec describes its router as data, resolved through
+// the router registry exactly like protocols, arrivals, and jammers.
 
 // Router is the cluster routing contract: it decides which of the C
 // channels each arriving packet joins. See cluster.Router for the full
@@ -24,10 +23,17 @@ type Router = cluster.Router
 // packet. See cluster.View.
 type RouterView = cluster.View
 
-// ClusterResult is the outcome of a cluster run: per-channel Results, the
-// routing tally, merged totals, and the Jain fairness index. See
-// cluster.Result.
-type ClusterResult = cluster.Result
+// ClusterResult is the outcome of ClusterScenario.Run: Total is the
+// Result Scenario.Run returns, and PerChannel, Routed and Fairness are its
+// PerChannel, Routed and ChannelFairness.
+//
+// Deprecated: use Scenario.Run's Result.
+type ClusterResult struct {
+	PerChannel []Result
+	Routed     []int64
+	Total      Result
+	Fairness   float64
+}
 
 // Built-in router kinds. The set is open: RegisterRouter adds new kinds
 // that resolve everywhere these do.
@@ -81,12 +87,12 @@ func (r RouterSpec) Router(seed uint64) (Router, error) {
 	return factory(r, seed)
 }
 
-// ClusterScenario is a cluster Scenario (Channels >= 1) viewed through its
-// per-channel breakdown: where Scenario.Run returns the merged Result,
-// ClusterScenario(sc).Run returns the whole ClusterResult — every
-// channel's Result, the routing tally, and the fairness index. It is the
-// same data with the same JSON encoding; convert freely in either
-// direction.
+// ClusterScenario is a cluster Scenario (Channels >= 1) whose Run returns
+// a ClusterResult. It is the same data with the same JSON encoding;
+// convert freely in either direction.
+//
+// Deprecated: run the Scenario itself; its Result carries the per-channel
+// breakdown.
 type ClusterScenario Scenario
 
 // checkChannels rejects a ClusterScenario that describes no cluster.
@@ -97,32 +103,25 @@ func (cs ClusterScenario) checkChannels() error {
 	return nil
 }
 
-// Run executes the cluster scenario once. All stateful components are
-// constructed fresh, so Run may be called repeatedly and concurrently on
-// copies.
-func (cs ClusterScenario) Run() (ClusterResult, error) { return cs.RunObserved(nil) }
-
-// RunObserved executes the scenario with a per-channel recorder built by
-// mk (called once per channel with the channel index; a nil return leaves
-// that channel unobserved). Each recorder receives its own channel's
-// event stream and is flushed when the channel finishes. Observing a
-// channel never changes how it executes.
-func (cs ClusterScenario) RunObserved(mk func(ch int) Recorder) (ClusterResult, error) {
+// Run executes the cluster scenario once through Scenario.Run and
+// regroups its Result as a ClusterResult.
+//
+// Deprecated: use Scenario.Run.
+func (cs ClusterScenario) Run() (ClusterResult, error) {
 	if err := cs.checkChannels(); err != nil {
 		return ClusterResult{}, err
 	}
-	cfg, err := Scenario(cs).clusterConfig()
+	r, err := Scenario(cs).Run()
 	if err != nil {
 		return ClusterResult{}, err
 	}
-	if mk != nil {
-		cfg.NewRecorder = func(ch int) obs.Recorder { return mk(ch) }
-	}
-	return cluster.Run(cfg)
+	return ClusterResult{PerChannel: r.PerChannel, Routed: r.Routed, Total: r, Fairness: r.ChannelFairness}, nil
 }
 
 // Validate checks that the scenario describes a cluster and that every
 // part of it is constructible (see Scenario.Validate).
+//
+// Deprecated: use Scenario.Validate.
 func (cs ClusterScenario) Validate() error {
 	if err := cs.checkChannels(); err != nil {
 		return err
@@ -132,6 +131,8 @@ func (cs ClusterScenario) Validate() error {
 
 // ParseClusterScenario is ParseScenario for specs that must describe a
 // cluster: it additionally rejects Channels < 1.
+//
+// Deprecated: use ParseScenario.
 func ParseClusterScenario(data []byte) (ClusterScenario, error) {
 	sc, err := ParseScenario(data)
 	if err != nil {
@@ -144,19 +145,34 @@ func ParseClusterScenario(data []byte) (ClusterScenario, error) {
 	return cs, nil
 }
 
-// clusterConfig builds the cluster.Config a Channels >= 1 scenario
-// describes, constructing the seeded components.
-func (sc Scenario) clusterConfig() (cluster.Config, error) {
+// runCluster is Simulation.runInto for a Channels != 0 scenario (negative
+// counts fail the shape check): it builds the cluster.Config the scenario
+// describes, runs the cluster executor, and writes its merged Result,
+// breakdown included, into *r. Every channel builds its own components
+// from the spec, so custom instances cannot take part, and a recorder
+// bound to one engine has no cluster-wide meaning. Attached recorders see
+// every channel's events labeled with the channel, and, as on a single
+// channel, Run leaves flushing them to the caller.
+func (s *Simulation) runCluster(r *Result) error {
+	sc := s.sc
+	if s.customArrivals != nil || s.customFactory != nil || s.customJammer != nil {
+		return fmt.Errorf("lowsensing: WithArrivals/WithStations/WithJammer cannot combine with a cluster scenario (every channel builds its own components from the spec)")
+	}
+	for _, rec := range s.recorders {
+		if _, ok := rec.(sim.EngineBound); ok {
+			return fmt.Errorf("lowsensing: engine-bound recorder %T cannot observe a cluster run (it binds to a single engine)", rec)
+		}
+	}
 	if err := sc.validateShape(); err != nil {
-		return cluster.Config{}, err
+		return err
 	}
 	w, err := sc.resolve(nil, nil)
 	if err != nil {
-		return cluster.Config{}, err
+		return err
 	}
 	rt, err := sc.Router.Router(sc.Seed)
 	if err != nil {
-		return cluster.Config{}, err
+		return err
 	}
 	cfg := cluster.Config{
 		Channels: sc.Channels,
@@ -167,6 +183,7 @@ func (sc Scenario) clusterConfig() (cluster.Config, error) {
 		// Registered protocol kinds produce uniformly-configured stations
 		// (the RegisterProtocol contract), as Config.NewStation requires.
 		NewStation: w.factory,
+		Recorder:   obs.Multi(s.recorders...),
 		Lifetime:   w.lifetime,
 		Faults:     w.faults,
 	}
@@ -176,44 +193,10 @@ func (sc Scenario) clusterConfig() (cluster.Config, error) {
 			return jspec.Jammer(seed)
 		}
 	}
-	return cfg, nil
-}
-
-// runCluster is Simulation.runInto for a Channels != 0 scenario (negative
-// counts fail in clusterConfig's shape check): it runs the cluster
-// executor and writes the merged Total into *r. Every channel builds its
-// own components from the spec, so custom instances cannot take part, and
-// a recorder bound to one engine has no cluster-wide meaning. Attached
-// recorders are shared by every channel, and see the channels' events
-// interleaved in epoch order. Like the single-channel path, Run leaves
-// flushing to the caller — the executor's per-channel flush is hidden
-// from shared recorders.
-func (s *Simulation) runCluster(r *Result) error {
-	if s.customArrivals != nil || s.customFactory != nil || s.customJammer != nil {
-		return fmt.Errorf("lowsensing: WithArrivals/WithStations/WithJammer cannot combine with a cluster scenario (every channel builds its own components from the spec)")
-	}
-	for _, rec := range s.recorders {
-		if _, ok := rec.(sim.EngineBound); ok {
-			return fmt.Errorf("lowsensing: engine-bound recorder %T cannot observe a cluster run (it binds to a single engine)", rec)
-		}
-	}
-	cfg, err := s.sc.clusterConfig()
+	res, err := cluster.Run(cfg)
 	if err != nil {
 		return err
 	}
-	if rec := obs.Multi(s.recorders...); rec != nil {
-		shared := sharedRecorder{rec}
-		cfg.NewRecorder = func(int) obs.Recorder { return shared }
-	}
-	cr, err := cluster.Run(cfg)
-	if err != nil {
-		return err
-	}
-	*r = cr.Total
+	*r = res
 	return nil
 }
-
-// sharedRecorder forwards a recorder's events but not its Flush, so the
-// cluster executor's per-channel flush skips a recorder every channel
-// shares.
-type sharedRecorder struct{ obs.Recorder }

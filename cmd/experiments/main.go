@@ -72,8 +72,8 @@ func runE(args []string, out, errW io.Writer) error {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf  = fs.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 		progress = fs.Bool("progress", false, "with -spec: stream per-job progress (wall time, events/sec, ETA) to stderr")
-		traceOut = fs.String("trace", "", "with -spec: write every job's structured trace (slot + packet events) to this NDJSON file, one labeled stream per job (single-channel points only)")
-		metrics  = fs.String("metrics", "", "with -spec: write every job's windowed time-series to this NDJSON file, one labeled stream per job (single-channel points only)")
+		traceOut = fs.String("trace", "", "with -spec: write every job's structured trace (slot + packet events) to this NDJSON file, one labeled stream per job (per channel on cluster points)")
+		metrics  = fs.String("metrics", "", "with -spec: write every job's windowed time-series to this NDJSON file, one labeled stream per job (per channel on cluster points)")
 		window   = fs.Int64("window", 0, "metrics window size in slots (0 = 1024)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -227,9 +227,8 @@ type specRun struct {
 // Non-zero seed/reps override the spec file's values. Observability taps
 // (trace/metrics/progress) attach per-job recorders: every job writes a
 // run-labeled stream into the shared NDJSON file, interleaved safely
-// through a synchronized writer, so one file carries the whole sweep.
-// Trace and metrics refuse cluster points (lsbsim -spec labels each
-// channel); progress works for any sweep.
+// through a synchronized writer, so one file carries the whole sweep. A
+// cluster job writes one stream per channel, labeled with the channel.
 func runSpec(o specRun, out, errW io.Writer) error {
 	data, err := os.ReadFile(o.path)
 	if err != nil {
@@ -248,16 +247,6 @@ func runSpec(o specRun, out, errW io.Writer) error {
 	sw, err := ss.Sweep()
 	if err != nil {
 		return err
-	}
-	// A cluster job's recorder sees its channels interleaved in epoch
-	// order, which neither the slot-windowed -metrics series nor the
-	// per-job -trace stream can tell apart.
-	if o.trace != "" || o.metrics != "" {
-		for _, p := range sw.Points() {
-			if p.Scenario.Channels >= 1 {
-				return fmt.Errorf("-trace/-metrics: point %d (%q) runs a %d-channel cluster, whose channels share one unlabeled stream; run its scenario with lsbsim -spec, which labels each channel", p.Index, p, p.Scenario.Channels)
-			}
-		}
 	}
 	sw.Workers(o.workers)
 	if o.prog {
@@ -292,8 +281,9 @@ func runSpec(o specRun, out, errW io.Writer) error {
 		}
 	}
 	if traceW != nil || metricsW != nil {
-		sw.Observe(func(p lowsensing.Point, rep int) lowsensing.Recorder {
-			label := fmt.Sprintf("%s r%d", p, rep)
+		// observe builds one stream's recorder: its events to -trace, its
+		// windowed series to -metrics, both labeled.
+		observe := func(label string) lowsensing.Recorder {
 			var recs []lowsensing.Recorder
 			if traceW != nil {
 				s := obs.NewNDJSON(traceW)
@@ -306,6 +296,18 @@ func runSpec(o specRun, out, errW io.Writer) error {
 				recs = append(recs, obs.NewWindows(o.window, s.RecordWindow))
 			}
 			return obs.Multi(recs...)
+		}
+		sw.Observe(func(p lowsensing.Point, rep int) lowsensing.Recorder {
+			label := fmt.Sprintf("%s r%d", p, rep)
+			if p.Scenario.Channels == 0 {
+				return observe(label)
+			}
+			// A cluster job's events carry their channel: one stream each.
+			recs := make([]lowsensing.Recorder, p.Scenario.Channels)
+			for ch := range recs {
+				recs[ch] = observe(fmt.Sprintf("%s ch%02d", label, ch))
+			}
+			return obs.ByChannel(recs...)
 		})
 	}
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 
 	"lowsensing"
 	"lowsensing/internal/harness"
+	"lowsensing/internal/runner"
 )
 
 // TestListFlag: -list prints every registered experiment ID with a
@@ -313,40 +315,104 @@ func TestSpecObservability(t *testing.T) {
 	}
 }
 
-// TestSpecClusterObservabilityRejected: a cluster job's recorder sees its
-// channels interleaved in epoch order, which neither the slot-windowed
-// -metrics series nor a per-job -trace stream can label, so -spec refuses
-// both for any cluster point before running anything. -progress stays
-// allowed.
-func TestSpecClusterObservabilityRejected(t *testing.T) {
+// TestSpecClusterObservability: -trace and -metrics observe cluster
+// points too. A cluster job writes one labeled stream per channel
+// ("<point> r<rep> chNN"), its events split out of the run's
+// channel-labeled stream by obs.ByChannel: each label's packet lines are
+// exactly that channel's arrivals, and its windows' departures that
+// channel's deliveries. Single-channel points keep one stream per job, and
+// -progress reports every job.
+func TestSpecClusterObservability(t *testing.T) {
 	dir := t.TempDir()
 	spec := filepath.Join(dir, "sweep.json")
-	if err := os.WriteFile(spec, []byte(`{
+	body := []byte(`{
+		"id": "net",
 		"seed": 3,
+		"reps": 2,
 		"base": {"arrivals": {"kind": "poisson", "rate": 0.8, "n": 400}},
 		"axes": [{"name": "net", "variants": [
 			{"label": "single"},
 			{"label": "rr4", "patch": {"channels": 4, "router": {"kind": "roundrobin"}}}
 		]}]
-	}`), 0o644); err != nil {
+	}`)
+	if err := os.WriteFile(spec, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, flag := range []string{"-trace", "-metrics"} {
-		out := filepath.Join(dir, flag[1:]+".ndjson")
-		err := runE([]string{"-spec", spec, flag, out, "-window", "256"}, &strings.Builder{}, &strings.Builder{})
-		if err == nil || !strings.Contains(err.Error(), `point 1 ("net=rr4")`) || !strings.Contains(err.Error(), "lsbsim -spec") {
-			t.Fatalf("%s on a cluster point: got %v, want an error naming the point and lsbsim -spec", flag, err)
-		}
-		if _, err := os.Stat(out); !os.IsNotExist(err) {
-			t.Fatalf("%s: output file created before the rejection (stat: %v)", flag, err)
-		}
-	}
+	tracePath := filepath.Join(dir, "trace.ndjson")
+	metricsPath := filepath.Join(dir, "metrics.ndjson")
 	var errOut strings.Builder
-	if err := runE([]string{"-spec", spec, "-progress"}, &strings.Builder{}, &errOut); err != nil {
-		t.Fatalf("-progress on a cluster sweep: %v", err)
+	if err := runE([]string{"-spec", spec, "-parallel", "2", "-progress", "-trace", tracePath,
+		"-metrics", metricsPath, "-window", "256"}, &strings.Builder{}, &errOut); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(errOut.String(), "[2/2]") {
+	if !strings.Contains(errOut.String(), "[4/4]") {
 		t.Fatalf("missing final progress line:\n%s", errOut.String())
+	}
+
+	// Per label: packet lines in the trace, departures in the metrics.
+	packets, departures := map[string]int64{}, map[string]int64{}
+	for _, path := range []string{tracePath, metricsPath} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			var rec struct {
+				Type       string `json:"type"`
+				Run        string `json:"run"`
+				Departures int64  `json:"departures"`
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("%s: bad NDJSON line %q: %v", path, line, err)
+			}
+			switch rec.Type {
+			case "packet":
+				packets[rec.Run]++
+			case "window":
+				departures[rec.Run] += rec.Departures
+			}
+		}
+	}
+
+	// Reproduce every job to read what each channel arrived and delivered.
+	ss, err := lowsensing.ParseSweepSpec(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := ss.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, p := range sw.Points() {
+		for rep := 0; rep < ss.Reps; rep++ {
+			sc := p.Scenario
+			sc.Seed = runner.DeriveSeed(ss.Seed, ss.ID, p.Index, rep)
+			r, err := sc.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s r%d", p, rep)
+			if sc.Channels == 0 {
+				want++
+				if packets[label] != r.Arrived || departures[label] != r.Completed {
+					t.Fatalf("%s: %d packet lines and %d departures, the run arrived %d and delivered %d",
+						label, packets[label], departures[label], r.Arrived, r.Completed)
+				}
+				continue
+			}
+			for ch, pc := range r.PerChannel {
+				want++
+				l := fmt.Sprintf("%s ch%02d", label, ch)
+				if packets[l] != pc.Arrived || departures[l] != pc.Completed || pc.Arrived == 0 {
+					t.Fatalf("%s: %d packet lines and %d departures, channel %d arrived %d and delivered %d",
+						l, packets[l], departures[l], ch, pc.Arrived, pc.Completed)
+				}
+			}
+		}
+	}
+	if len(packets) != want || want != 2+2*4 {
+		t.Fatalf("trace carries %d labels, want %d (2 single-channel jobs, 2 jobs x 4 channels): %v", len(packets), want, packets)
 	}
 }
 

@@ -31,12 +31,14 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"lowsensing"
@@ -97,39 +99,26 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	protoLbl := protocolLabel(sc)
-	// Cluster mode: the scenario runs on a multi-channel cluster behind
-	// its router.
-	if sc.Channels >= 1 {
-		return runCluster(out, sc, protoLbl, *baseline, *traceOut, *metrics_, *window)
-	}
-
 	// Observability side channels: -trace streams raw slot/packet events,
 	// -metrics streams the windowed time-series. Both attach as recorders;
 	// a run without them pays one predictable branch per slot.
 	var opts []lowsensing.Option
 	var finishers []func() error
 	if *traceOut != "" {
-		sink, done, err := openSink(*traceOut)
+		rec, done, err := openTrace(*traceOut, sc.Channels)
 		if err != nil {
 			return err
 		}
-		opts = append(opts, lowsensing.WithRecorder(sink))
+		opts = append(opts, lowsensing.WithRecorder(rec))
 		finishers = append(finishers, done)
 	}
 	if *metrics_ != "" {
-		sink, done, err := openSink(*metrics_)
+		rec, done, err := openMetrics(*metrics_, *window, sc.Channels)
 		if err != nil {
 			return err
 		}
-		ws := obs.NewWindows(*window, sink.RecordWindow)
-		opts = append(opts, lowsensing.WithRecorder(ws))
-		finishers = append(finishers, func() error {
-			if err := ws.Flush(); err != nil {
-				return err
-			}
-			return done()
-		})
+		opts = append(opts, lowsensing.WithRecorder(rec))
+		finishers = append(finishers, done)
 	}
 
 	r, err := sc.Simulation(opts...).Run()
@@ -153,7 +142,10 @@ func run(args []string, out io.Writer) error {
 		r.Degradation = sim.DegradationVs(r, base)
 	}
 
-	fmt.Fprintf(out, "protocol            %s\n", protoLbl)
+	if sc.Channels >= 1 {
+		return printCluster(out, sc, r)
+	}
+	fmt.Fprintf(out, "protocol            %s\n", protocolLabel(sc))
 	return printSummary(out, r)
 }
 
@@ -222,83 +214,77 @@ func printDegradation(out io.Writer, rows []lowsensing.ClassDelta) {
 	}
 }
 
-// runCluster executes a validated cluster scenario (Channels >= 1) and
-// prints the cluster summary: the merged block in the single-channel
-// format, the routing balance, and one line per channel. -trace
-// multiplexes every channel's NDJSON stream into one file with ch%02d run
-// labels; -metrics rolls the per-channel windowed series up into one
-// cluster-wide series (obs.MergeWindowSeries).
-func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, baseline bool, traceOut, metricsOut string, window int64) error {
-	cs := lowsensing.ClusterScenario(sc)
-	channels := sc.Channels
+// printCluster prints a cluster run's summary: the cluster header and
+// routing balance, the degradation rows of a -baseline run, the merged
+// block in the single-channel format, and one line per channel.
+func printCluster(out io.Writer, sc lowsensing.Scenario, r lowsensing.Result) error {
+	fmt.Fprintf(out, "cluster             %d channels, router %s\n", sc.Channels, cmp.Or(sc.Router.Kind, lowsensing.RouterRandom))
+	fmt.Fprintf(out, "protocol            %s\n", protocolLabel(sc))
+	fmt.Fprintf(out, "routed/channel      min %d  max %d\n", slices.Min(r.Routed), slices.Max(r.Routed))
+	fmt.Fprintf(out, "fairness (jain)     %.4f\n", r.ChannelFairness)
+	printDegradation(out, r.Degradation)
+	r.Degradation = nil // printed above the merged block
+	sumErr := printSummary(out, r)
+	for ch := range r.PerChannel {
+		pc := &r.PerChannel[ch]
+		fmt.Fprintf(out, "  ch%02d  routed %6d  delivered %6d  throughput %.4f\n",
+			ch, r.Routed[ch], pc.Completed, pc.Throughput())
+	}
+	return sumErr
+}
 
-	// Per-channel recorder factories; each channel gets an obs.Multi over
-	// one recorder per requested side channel.
-	var mks []func(ch int) lowsensing.Recorder
-	var finishers []func() error
-	if traceOut != "" {
-		if strings.HasSuffix(traceOut, ".csv") {
-			return fmt.Errorf("-trace in cluster mode multiplexes NDJSON run labels; .csv is not supported")
-		}
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriter(f)
-		finishers = append(finishers, func() error {
-			if err := bw.Flush(); err != nil {
+// openTrace opens the -trace file and returns the recorder that writes it
+// and a finisher. A cluster writes every channel into the one NDJSON file:
+// obs.ByChannel hands channel ch's events to a sink labeled chNN. CSV has
+// no run-label multiplexing, so a cluster's trace must be NDJSON.
+func openTrace(path string, channels int) (lowsensing.Recorder, func() error, error) {
+	if channels >= 1 && strings.HasSuffix(path, ".csv") {
+		return nil, nil, fmt.Errorf("-trace in cluster mode multiplexes NDJSON run labels; .csv is not supported")
+	}
+	sinks, done, err := openSinks(path, max(channels, 1))
+	if err != nil {
+		return nil, nil, err
+	}
+	if channels == 0 {
+		return sinks[0], done, nil
+	}
+	recs := make([]lowsensing.Recorder, channels)
+	for ch, s := range sinks {
+		s.SetRun(fmt.Sprintf("ch%02d", ch))
+		recs[ch] = s
+	}
+	return obs.ByChannel(recs...), done, nil
+}
+
+// openMetrics opens the -metrics file and returns the recorder that feeds
+// it and a finisher. One channel streams its windows into the file as they
+// close. A cluster collects one series per channel (obs.ByChannel over a
+// Windows each), and the finisher writes their cluster-wide roll-up
+// (obs.MergeWindowSeries).
+func openMetrics(path string, window int64, channels int) (lowsensing.Recorder, func() error, error) {
+	sinks, done, err := openSinks(path, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	sink := sinks[0]
+	if channels == 0 {
+		ws := obs.NewWindows(window, sink.RecordWindow)
+		return ws, func() error {
+			if err := ws.Flush(); err != nil {
 				return err
 			}
-			return f.Close()
-		})
-		mks = append(mks, func(ch int) lowsensing.Recorder {
-			sink := obs.NewNDJSON(bw)
-			sink.SetRun(fmt.Sprintf("ch%02d", ch))
-			return sink
-		})
+			return done()
+		}, nil
 	}
-	var wins []*obs.Windows
-	if metricsOut != "" {
-		wins = make([]*obs.Windows, channels)
-		for ch := range wins {
-			wins[ch] = obs.NewWindows(window, nil)
-		}
-		mks = append(mks, func(ch int) lowsensing.Recorder { return wins[ch] })
+	wins := make([]*obs.Windows, channels)
+	recs := make([]lowsensing.Recorder, channels)
+	for ch := range wins {
+		wins[ch] = obs.NewWindows(window, nil)
+		recs[ch] = wins[ch]
 	}
-
-	var cr lowsensing.ClusterResult
-	var err error
-	if len(mks) > 0 {
-		cr, err = cs.RunObserved(func(ch int) lowsensing.Recorder {
-			recs := make([]lowsensing.Recorder, len(mks))
-			for i, mk := range mks {
-				recs[i] = mk(ch)
-			}
-			return obs.Multi(recs...)
-		})
-	} else {
-		cr, err = cs.Run()
-	}
-	for _, done := range finishers {
-		if ferr := done(); err == nil {
-			err = ferr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	var degradation []lowsensing.ClassDelta
-	if baseline {
-		base, err := sc.FaultFree().Run()
-		if err != nil {
-			return fmt.Errorf("fault-free baseline: %w", err)
-		}
-		degradation = sim.DegradationVs(cr.Total, base)
-	}
-
-	if metricsOut != "" {
-		sink, done, err := openSink(metricsOut)
-		if err != nil {
+	demux := obs.ByChannel(recs...)
+	return demux, func() error {
+		if err := obs.Flush(demux); err != nil {
 			return err
 		}
 		series := make([][]obs.WindowStat, channels)
@@ -308,36 +294,8 @@ func runCluster(out io.Writer, sc lowsensing.Scenario, protoLbl string, baseline
 		for _, ws := range obs.MergeWindowSeries(series...) {
 			sink.RecordWindow(ws)
 		}
-		if err := done(); err != nil {
-			return err
-		}
-	}
-
-	label := sc.Router.Kind
-	if label == "" {
-		label = lowsensing.RouterRandom
-	}
-	fmt.Fprintf(out, "cluster             %d channels, router %s\n", channels, label)
-	fmt.Fprintf(out, "protocol            %s\n", protoLbl)
-	minR, maxR := cr.Routed[0], cr.Routed[0]
-	for _, n := range cr.Routed[1:] {
-		if n < minR {
-			minR = n
-		}
-		if n > maxR {
-			maxR = n
-		}
-	}
-	fmt.Fprintf(out, "routed/channel      min %d  max %d\n", minR, maxR)
-	fmt.Fprintf(out, "fairness (jain)     %.4f\n", cr.Fairness)
-	printDegradation(out, degradation)
-	sumErr := printSummary(out, cr.Total)
-	for ch := range cr.PerChannel {
-		r := &cr.PerChannel[ch]
-		fmt.Fprintf(out, "  ch%02d  routed %6d  delivered %6d  throughput %.4f\n",
-			ch, cr.Routed[ch], r.Completed, r.Throughput())
-	}
-	return sumErr
+		return done()
+	}, nil
 }
 
 // recordSink is the slice of the obs sink surface lsbsim drives: raw
@@ -350,23 +308,30 @@ type recordSink interface {
 	Flush() error
 }
 
-// openSink creates path and returns a buffered sink for it — CSV if the
-// path ends in .csv, NDJSON otherwise — plus a finisher that flushes both
-// layers and closes the file.
-func openSink(path string) (recordSink, func() error, error) {
+// openSinks creates path and returns n sinks writing to it through one
+// buffer — CSV if the path ends in .csv, NDJSON otherwise — plus a
+// finisher that flushes every layer and closes the file.
+func openSinks(path string, n int) ([]recordSink, func() error, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	bw := bufio.NewWriter(f)
-	var s recordSink
-	if strings.HasSuffix(path, ".csv") {
-		s = obs.NewCSV(bw)
-	} else {
-		s = obs.NewNDJSON(bw)
+	sinks := make([]recordSink, n)
+	for i := range sinks {
+		if strings.HasSuffix(path, ".csv") {
+			sinks[i] = obs.NewCSV(bw)
+		} else {
+			sinks[i] = obs.NewNDJSON(bw)
+		}
 	}
 	done := func() error {
-		err := s.Flush()
+		var err error
+		for _, s := range sinks {
+			if e := s.Flush(); err == nil {
+				err = e
+			}
+		}
 		if e := bw.Flush(); err == nil {
 			err = e
 		}
@@ -375,7 +340,7 @@ func openSink(path string) (recordSink, func() error, error) {
 		}
 		return err
 	}
-	return s, done, nil
+	return sinks, done, nil
 }
 
 // loadSpecFile loads and validates a declarative JSON scenario.

@@ -188,9 +188,9 @@ func TestRunClusterMode(t *testing.T) {
 		}
 	}
 
-	// The summary's merged block is the ClusterScenario Total of the same
-	// run, so the CLI path and the library path cannot drift.
-	cr, err := lowsensing.ClusterScenario{
+	// The summary's merged block is Scenario.Run of the same run, so the
+	// CLI path and the library path cannot drift.
+	r, err := lowsensing.Scenario{
 		Seed:     3,
 		Channels: 4,
 		Arrivals: lowsensing.BatchArrivals(64),
@@ -199,8 +199,8 @@ func TestRunClusterMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.Total.Arrived != 64 || cr.Total.Completed != 64 {
-		t.Fatalf("library run disagrees with CLI expectations: %+v", cr.Total)
+	if r.Arrived != 64 || r.Completed != 64 || len(r.PerChannel) != 4 {
+		t.Fatalf("library run disagrees with CLI expectations: %+v", r)
 	}
 }
 
@@ -346,7 +346,7 @@ func TestRunChurnFaultsSpec(t *testing.T) {
 		}
 	}
 
-	// Cluster mode threads the same specs through ClusterScenario.
+	// Cluster mode threads the same specs through the cluster executor.
 	path = writeSpec(t, `{
 		"seed": 5,
 		"channels": 2,
@@ -363,6 +363,52 @@ func TestRunChurnFaultsSpec(t *testing.T) {
 	for _, frag := range []string{"cluster             2 channels", "crashes", "degradation (all)"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("cluster output missing %q:\n%s", frag, out)
+		}
+	}
+}
+
+// TestRunClusterGoldens pins the cluster CLI's bytes across commits: the
+// summary, the -trace file and the -metrics file of a 3-channel spec, and
+// the -baseline summary of a churn+faults cluster spec (whose degradation
+// rows print before the merged block). The goldens in testdata were
+// written by an earlier build of this command and are never regenerated,
+// so any change to what a cluster run prints or records fails here.
+func TestRunClusterGoldens(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "trace.ndjson")
+	metrics := filepath.Join(dir, "metrics.ndjson")
+	for _, c := range []struct {
+		args  []string
+		files map[string]string // golden name -> file the run wrote
+	}{
+		{
+			[]string{"-spec", "testdata/cluster3.json", "-trace", trace, "-metrics", metrics, "-window", "64"},
+			map[string]string{"cluster3.txt": "", "cluster3.trace.ndjson": trace, "cluster3.metrics.ndjson": metrics},
+		},
+		{
+			[]string{"-spec", "testdata/cluster_churn_faults.json", "-baseline"},
+			map[string]string{"cluster_churn_faults.txt": ""},
+		},
+	} {
+		var buf bytes.Buffer
+		if err := run(c.args, &buf); err != nil {
+			t.Fatalf("%q: %v", c.args, err)
+		}
+		for golden, path := range c.files {
+			got := buf.Bytes()
+			if path != "" {
+				var err error
+				if got, err = os.ReadFile(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: output diverged from golden\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
+			}
 		}
 	}
 }

@@ -5,9 +5,9 @@
 // routing does to fairness, throughput, and per-packet energy when every
 // channel runs LOW-SENSING BACKOFF.
 //
-// It then re-runs the round-robin cluster observed, collecting each
-// channel's windowed time-series and rolling them up with
-// obs.MergeWindowSeries into one cluster-wide series.
+// It then re-runs the round-robin cluster observed: obs.ByChannel gives
+// each channel a windowed time-series, and obs.MergeWindowSeries rolls
+// them up into one cluster-wide series.
 //
 // Run with:
 //
@@ -22,8 +22,8 @@ import (
 	"lowsensing/obs"
 )
 
-// scenario is an ordinary Scenario; Channels makes it a cluster, and the
-// ClusterScenario conversion below exposes the per-channel breakdown.
+// scenario is an ordinary Scenario; Channels makes it a cluster, whose
+// Result carries the per-channel breakdown next to the merged totals.
 func scenario(router lowsensing.RouterSpec) lowsensing.Scenario {
 	return lowsensing.Scenario{
 		Seed:     7,
@@ -46,24 +46,30 @@ func main() {
 		{Kind: lowsensing.RouterLeastBacklog},
 		lowsensing.StickyRouting(64),
 	} {
-		r, err := lowsensing.ClusterScenario(scenario(router)).Run()
+		r, err := scenario(router).Run()
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-14s %9d %9.4f %10.4f %9.1f %9.0f\n",
-			router.Kind, r.Total.Completed, r.Fairness, r.Total.Throughput(),
-			r.Total.Energy.Accesses.Mean(), r.Total.Energy.Accesses.Quantile(0.99))
+			router.Kind, r.Completed, r.ChannelFairness, r.Throughput(),
+			r.Energy.Accesses.Mean(), r.Energy.Accesses.Quantile(0.99))
 	}
 
-	// Observed run: one windowed accumulator per channel, merged into a
-	// cluster-wide series afterward.
+	// Observed run: one windowed accumulator per channel. Run leaves the
+	// flush that closes every channel's last window to the caller.
 	sc := scenario(lowsensing.RouterSpec{Kind: lowsensing.RouterRoundRobin})
 	wins := make([]*obs.Windows, sc.Channels)
+	recs := make([]lowsensing.Recorder, sc.Channels)
 	for ch := range wins {
 		wins[ch] = obs.NewWindows(1024, nil)
+		recs[ch] = wins[ch]
 	}
-	r, err := lowsensing.ClusterScenario(sc).RunObserved(func(ch int) lowsensing.Recorder { return wins[ch] })
+	demux := obs.ByChannel(recs...)
+	r, err := sc.Simulation(lowsensing.WithRecorder(demux)).Run()
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := obs.Flush(demux); err != nil {
 		log.Fatal(err)
 	}
 	series := make([][]obs.WindowStat, sc.Channels)
@@ -81,9 +87,9 @@ func main() {
 		fmt.Printf("%-8d %9d %10.4f %9d %8.3f\n",
 			ws.Index, ws.Departures, ws.Throughput(), ws.Backlog, ws.JamRate())
 	}
-	if departed != r.Total.Completed {
-		log.Fatalf("window roll-up lost packets: %d vs %d", departed, r.Total.Completed)
+	if departed != r.Completed {
+		log.Fatalf("window roll-up lost packets: %d vs %d", departed, r.Completed)
 	}
 	fmt.Printf("\nevery one of the %d delivered packets is in exactly one merged window\n",
-		r.Total.Completed)
+		r.Completed)
 }

@@ -369,9 +369,12 @@ func (e *Engine) injectBatch(t, count int64) {
 		// Grow the slot table once for the packets the free list cannot
 		// seat, rather than letting append grow it step by step, and tell
 		// the wheel the table's new length so its node array, if it needs
-		// one, grows to match in one step too.
+		// one, grows to match in one step too. The free list, never longer
+		// than the table, is reserved with it so retire never grows it.
 		e.stations = slices.Grow(e.stations, int(need))
-		e.events.nodeHint = len(e.stations) + int(need)
+		n := len(e.stations) + int(need)
+		e.events.nodeHint = n
+		e.freeList = slices.Grow(e.freeList, n-len(e.freeList))
 	}
 	for i := int64(0); i < count; i++ {
 		id := e.nextID
@@ -705,28 +708,31 @@ func (e *Engine) resultInto(r *Result) {
 	r.Classes = nil
 	r.ClassFairness = 0
 	r.Degradation = nil
+	r.PerChannel, r.Routed, r.ChannelFairness = nil, nil, 0
 	r.Packets = nil
 	r.EngineStats = e.Stats()
 	e.release()
 }
 
-// slotScratch is the per-slot accessor count the engine's scratch buffers
-// hold before they grow onto the heap.
+// slotScratch is the per-slot accessor (and same-slot event) count the
+// engine's scratch buffers hold before they grow onto the heap.
 const slotScratch = 64
 
 // engineBlock is the engine's fixed-size state: the timing wheel's bucket
 // headers (~38KB), the streaming energy accumulators (~16KB) and the
-// per-slot scratch arrays. It is recycled through blockPool so that the
+// per-slot scratch arrays (the slot's accessors, and the wheel's drain of
+// same-slot events). It is recycled through blockPool so that the
 // thousands of short runs of a sweep do not each allocate and zero 55KB.
 // Reuse is bit-identical: attach zeroes the accumulators, a recycled wheel
 // header is never read before the new wheel's (empty) occupancy bitmaps
 // say it was written, and the scratch arrays are overwritten slot by slot
 // before they are read.
 type engineBlock struct {
-	heads    wheelHeads
-	energy   EnergyStats
-	stations [slotScratch]int32
-	senders  [slotScratch]int64
+	heads     wheelHeads
+	energy    EnergyStats
+	stations  [slotScratch]int32
+	senders   [slotScratch]int64
+	drainKeys [slotScratch]uint64
 }
 
 var blockPool = sync.Pool{New: func() any { return new(engineBlock) }}
@@ -738,6 +744,7 @@ func (e *Engine) attach(blk *engineBlock) {
 	e.events.wheelHeads = &blk.heads
 	e.slotStations = blk.stations[:0]
 	e.slotSenders = blk.senders[:0]
+	e.events.drainKeys = blk.drainKeys[:0]
 }
 
 // release returns the engine's block to the pool. resultInto calls it last,
@@ -748,6 +755,7 @@ func (e *Engine) release() {
 	e.block = nil
 	e.events.wheelHeads = nil
 	e.slotStations, e.slotSenders = nil, nil
+	e.events.drainKeys = nil
 	blockPool.Put(blk)
 }
 

@@ -246,6 +246,15 @@ type Result struct {
 	// Degradation holds per-class deltas against a fault-free baseline
 	// run. Only RunWithBaseline-style drivers populate it.
 	Degradation []ClassDelta
+	// PerChannel, Routed and ChannelFairness are a cluster run's breakdown
+	// (see cluster.Run), unset on a single-channel run: channel ch's own
+	// Result, the packets routed to it, and Jain's index over per-channel
+	// completed counts (1 when balanced or when nothing completed, 1/C
+	// when one channel got everything). Every other field merges the
+	// channels.
+	PerChannel      []Result
+	Routed          []int64
+	ChannelFairness float64
 	// Packets is always nil.
 	//
 	// Deprecated: nothing populates it. Per-packet records stream out

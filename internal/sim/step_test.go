@@ -231,9 +231,10 @@ func TestSteppedIgnoresArrivalSource(t *testing.T) {
 // TestRunIntoOverwritesStaleResult runs an engine into a Result still
 // holding another run's values — truncated where this one is not and the
 // reverse, with the fields only the layers above the engine fill
-// (Classes, ClassFairness, Degradation, Packets) set — and requires
-// exactly what Run returns. This is the reuse a sweep's runner slots see,
-// and the field check makes any new Result field part of it.
+// (Classes, ClassFairness, Degradation, the cluster breakdown, Packets)
+// set — and requires exactly what Run returns. This is the reuse a
+// sweep's runner slots see, and the field check makes any new Result
+// field part of it.
 func TestRunIntoOverwritesStaleResult(t *testing.T) {
 	run := func(maxSlots int64) Result {
 		p := stepParams(t, &traceSource{batches: stepTrace})
@@ -267,6 +268,9 @@ func TestRunIntoOverwritesStaleResult(t *testing.T) {
 		stale.Classes = []ClassResult{{Name: "stale"}}
 		stale.ClassFairness = 0.5
 		stale.Degradation = []ClassDelta{{Name: "stale"}}
+		stale.PerChannel = []Result{{Arrived: 3}}
+		stale.Routed = []int64{3}
+		stale.ChannelFairness = 1
 		stale.Packets = []PacketStats{{ID: 7}}
 		sv, wv := reflect.ValueOf(stale), reflect.ValueOf(tc.want)
 		for i := range sv.NumField() {

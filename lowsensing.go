@@ -192,8 +192,9 @@ type Simulation struct {
 type Option func(*Simulation)
 
 // Run executes the simulation. A scenario with Channels >= 1 runs on the
-// cluster executor and returns the cluster's merged Result; its recorders
-// are shared by every channel (see Scenario.Channels).
+// cluster executor and returns the cluster's merged Result, per-channel
+// breakdown included; its recorders observe every channel (see
+// WithRecorder).
 func (s *Simulation) Run() (Result, error) {
 	var r Result
 	if err := s.runInto(&r); err != nil {
@@ -313,9 +314,10 @@ func WithJammer(j Jammer) Option {
 // Collector, for instance — is bound to the run's engine before it starts
 // and may read the engine's accessors from its callbacks. Observing a run
 // never changes how it executes; runs without a recorder pay one
-// predictable branch per slot. A cluster's recorders share one stream
-// with the channels interleaved in epoch order, which a slot-windowed
-// recorder (obs.Windows) cannot consume.
+// predictable branch per slot. On a cluster, a recorder sees every
+// channel's events interleaved in epoch order, each carrying its Channel;
+// obs.ByChannel gives each channel a stream of its own, as a slot-windowed
+// recorder (obs.Windows) needs. Run never flushes a recorder.
 func WithRecorder(r Recorder) Option {
 	return func(s *Simulation) {
 		if r != nil {

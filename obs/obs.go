@@ -10,7 +10,8 @@
 // attached pays one predictable branch per slot and stays
 // allocation-free.
 //
-// Recorders compose. Multi fans events out to several recorders,
+// Recorders compose. Multi fans events out to several recorders, ByChannel
+// splits a cluster's channel-labeled stream into one per channel,
 // SlotRange restricts the stream to a slot interval, Ring keeps a bounded
 // in-memory tail with an explicit Dropped counter, PacketFunc adapts a
 // per-packet closure, Windows folds the stream into a windowed
@@ -24,7 +25,8 @@ import "lowsensing/channel"
 // SlotEvent describes one resolved slot: a slot in which at least one
 // station accessed the channel (idle slots are not resolved and produce no
 // event). Backlog is the number of packets in the system after the slot
-// resolved.
+// resolved. Channel is the cluster channel the slot belongs to, 0 on a
+// single-channel run.
 type SlotEvent struct {
 	Slot      int64
 	Outcome   channel.Outcome
@@ -32,6 +34,7 @@ type SlotEvent struct {
 	Senders   int
 	Accessors int
 	Backlog   int64
+	Channel   int
 }
 
 // Glyph returns the single-character ASCII classification of the slot used
@@ -58,14 +61,15 @@ const DepartureAbandoned = int64(-2)
 
 // PacketEvent describes one packet's closed lifecycle; it is the engine's
 // only per-packet record (sim.PacketStats is this type). ID is the
-// packet's global arrival index. Delivered packets are emitted at
-// departure, in departure order; packets abandoning through churn are
-// emitted at their leave slot with Departure = DepartureAbandoned and
-// LeftAt set; packets still in the system when the run ends are emitted
-// once at the end, in arrival order, with Departure = -1. FirstSend is the
-// slot of the packet's first transmission, or -1 if it never sent. Energy
-// in the paper's sense is Sends + Listens: each slot in which the packet
-// accessed the channel costs one unit.
+// packet's arrival index on its channel, which Channel names (0 on a
+// single-channel run). Delivered packets are emitted at departure, in
+// departure order; packets abandoning through churn are emitted at their
+// leave slot with Departure = DepartureAbandoned and LeftAt set; packets
+// still in the system when the run ends are emitted once at the end, in
+// arrival order, with Departure = -1. FirstSend is the slot of the
+// packet's first transmission, or -1 if it never sent. Energy in the
+// paper's sense is Sends + Listens: each slot in which the packet accessed
+// the channel costs one unit.
 type PacketEvent struct {
 	ID        int64
 	Arrival   int64
@@ -76,6 +80,7 @@ type PacketEvent struct {
 	LeftAt  int64
 	Sends   int64
 	Listens int64
+	Channel int
 }
 
 // Accesses returns the packet's total channel accesses — its energy cost.
@@ -183,6 +188,22 @@ func (m multi) Flush() error {
 	}
 	return first
 }
+
+// byChannel hands each event to the recorder of its channel.
+type byChannel []Recorder
+
+// ByChannel returns a recorder that demultiplexes a cluster's labeled
+// stream: recs[ch] sees exactly channel ch's events, in order. An event on
+// a channel with no recorder panics (index out of range); a cluster run
+// turns that panic into its error. Flush flushes the recorders in channel
+// order and returns the first error.
+func ByChannel(recs ...Recorder) Recorder { return byChannel(append([]Recorder(nil), recs...)) }
+
+func (b byChannel) RecordSlot(ev SlotEvent)    { b[ev.Channel].RecordSlot(ev) }
+func (b byChannel) RecordPacket(p PacketEvent) { b[p.Channel].RecordPacket(p) }
+
+// Flush flushes every recorder in channel order, as multi does.
+func (b byChannel) Flush() error { return multi(b).Flush() }
 
 // slotRange restricts events to a half-open slot interval.
 type slotRange struct {

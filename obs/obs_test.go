@@ -2,6 +2,8 @@ package obs
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"lowsensing/channel"
@@ -91,6 +93,79 @@ func TestMultiFanOutAndFlush(t *testing.T) {
 	}
 	if err := Flush(nil); err != nil {
 		t.Fatalf("Flush(nil) = %v", err)
+	}
+}
+
+// orderedFlush records, into a shared log, the order it was flushed in.
+type orderedFlush struct {
+	capture
+	name string
+	log  *[]string
+	err  error
+}
+
+func (o *orderedFlush) Flush() error { *o.log = append(*o.log, o.name); return o.err }
+
+// TestByChannelRouting: each event reaches exactly the recorder of its
+// Channel, in order.
+func TestByChannelRouting(t *testing.T) {
+	a, b, c := &capture{}, &capture{}, &capture{}
+	d := ByChannel(a, b, c)
+	for _, ch := range []int{2, 0, 1, 2, 0} {
+		ev := slot(int64(10 + ch))
+		ev.Channel = ch
+		d.RecordSlot(ev)
+		d.RecordPacket(PacketEvent{ID: int64(ch), Channel: ch})
+	}
+	for ch, got := range []*capture{a, b, c} {
+		if want := 2 - ch%2; len(got.slots) != want || len(got.packets) != want {
+			t.Fatalf("channel %d got %d slots, %d packets; want %d and %d", ch, len(got.slots), len(got.packets), want, want)
+		}
+		for i := range got.slots {
+			if got.slots[i].Channel != ch || got.slots[i].Slot != int64(10+ch) || got.packets[i].ID != int64(ch) {
+				t.Fatalf("channel %d got another channel's event: %+v %+v", ch, got.slots[i], got.packets[i])
+			}
+		}
+	}
+	recs := []Recorder{a}
+	d = ByChannel(recs...)
+	recs[0] = c
+	d.RecordPacket(PacketEvent{ID: 9})
+	if a.packets[len(a.packets)-1].ID != 9 {
+		t.Fatal("ByChannel kept the caller's slice; changing it rerouted events")
+	}
+}
+
+// TestByChannelFlushOrder: Flush flushes every recorder in channel order,
+// skipping recorders without Flush, and returns the first error after
+// flushing them all.
+func TestByChannelFlushOrder(t *testing.T) {
+	var log []string
+	mk := func(name string, err error) *orderedFlush { return &orderedFlush{name: name, log: &log, err: err} }
+	d := ByChannel(mk("ch0", nil), PacketFunc(func(PacketEvent) {}), mk("ch2", errors.New("ch2 failed")),
+		mk("ch3", errors.New("ch3 failed")))
+	if err := Flush(d); err == nil || err.Error() != "ch2 failed" {
+		t.Fatalf("Flush error = %v, want channel 2's", err)
+	}
+	if got := strings.Join(log, ","); got != "ch0,ch2,ch3" {
+		t.Fatalf("flush order %s, want ch0,ch2,ch3", got)
+	}
+}
+
+// TestByChannelOutOfRange: an event on a channel with no recorder panics
+// with an error naming the channel (the cluster executor turns it into
+// the run's error; see cluster.TestRecorderSeesChannelLabels).
+func TestByChannelOutOfRange(t *testing.T) {
+	for _, ch := range []int{2, -1} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("index out of range [%d]", ch)) {
+					t.Fatalf("channel %d: panic %v does not name the channel", ch, err)
+				}
+			}()
+			ByChannel(&capture{}, &capture{}).RecordPacket(PacketEvent{Channel: ch})
+		}()
 	}
 }
 

@@ -53,8 +53,10 @@ type Scenario struct {
 	// and every channel runs the protocol, its own jammer instance, and the
 	// churn and fault laws from its own derived seed (cluster.ChannelSeed).
 	// The channels are stepped serially on the calling goroutine.
-	// Run then returns the merged Result; ClusterScenario(sc).Run gives the
-	// per-channel breakdown. 0 means the single-channel engine. Clusters
+	// Run then returns the merged Result, with the per-channel breakdown
+	// in Result.PerChannel, Routed and ChannelFairness, and a recorder
+	// sees every event labeled with its channel (obs.ByChannel splits the
+	// stream per channel). 0 means the single-channel engine. Clusters
 	// carry no Classes (station ids are channel-local).
 	Channels int `json:"channels,omitempty"`
 	// Router selects the cluster routing policy; the zero value is
@@ -112,7 +114,7 @@ func (sc Scenario) Simulation(opts ...Option) *Simulation {
 }
 
 // Run executes the scenario once — on the cluster executor when Channels
-// >= 1, returning the merged Result. All stateful components are
+// >= 1, returning the merged Result with its per-channel breakdown. All stateful components are
 // constructed fresh, so Run may be called repeatedly and concurrently on
 // copies.
 func (sc Scenario) Run() (Result, error) { return sc.Simulation().Run() }

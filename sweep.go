@@ -33,7 +33,7 @@ import (
 // Clusters sweep like anything else: a base scenario with Channels >= 1
 // makes every job a cluster run (or an axis patch sets "channels" and
 // "router" per point), and the folded Result is the cluster's merged
-// Total. Each job steps its channels serially, and the sweep runs jobs in
+// Result. Each job steps its channels serially, and the sweep runs jobs in
 // parallel, which keeps the pool fully loaded.
 //
 //	ss, err := lowsensing.ParseSweepSpec([]byte(`{
@@ -123,8 +123,8 @@ func (sw *Sweep) ProgressTo(w io.Writer) *Sweep {
 // stream. The factory is called from worker goroutines and must be safe
 // for concurrent use; the recorders it returns are each driven by one job
 // on one goroutine (a cluster job's recorder sees its channels' events
-// interleaved in epoch order, a stream slot-windowed recorders such as
-// obs.Windows cannot consume). Recorders implementing obs.Flusher are
+// interleaved in epoch order, each labeled with its channel; return an
+// obs.ByChannel to give every channel a recorder of its own). Recorders implementing obs.Flusher are
 // flushed when their job's run completes, and a flush error fails the
 // sweep. To multiplex jobs into one file, give each job's sink a
 // distinguishing label over a shared NewSyncWriter-wrapped writer:

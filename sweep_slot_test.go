@@ -8,11 +8,12 @@ import (
 )
 
 // slotReuseSpec is a sweep whose consecutive jobs alternate between
-// single-class and multi-class runs and between truncated and untruncated
-// ones, so a runner slot that is reused — by the next job at Workers 1, by
-// the job a reorder window further on at more workers — always held a run
-// of another shape. Shape cycles with period 6 jobs and the cap with
-// period 18, neither of which divides a window of 32 or 64 slots.
+// single-class, multi-class and cluster runs (of 3 and of 2 channels) and
+// between truncated and untruncated ones, so a runner slot that is reused
+// — by the next job at Workers 1, by the job a reorder window further on
+// at more workers — always held a run of another shape. Shape cycles with
+// period 10 jobs and the cap with period 30, neither of which divides a
+// window of 32 or 64 slots.
 const slotReuseSpec = `{
 	"id": "slot-reuse",
 	"seed": 31,
@@ -29,7 +30,9 @@ const slotReuseSpec = `{
 			{"label": "multi", "patch": {"classes": [
 				{"name": "a", "arrivals": {"kind": "batch", "n": 6}},
 				{"name": "b", "arrivals": {"kind": "bernoulli", "rate": 0.2, "n": 6}, "protocol": {"kind": "beb"}}]}},
-			{"label": "single-beb", "patch": {"arrivals": {"kind": "bernoulli", "rate": 0.1, "n": 10}, "protocol": {"kind": "beb"}}}]}
+			{"label": "single-beb", "patch": {"arrivals": {"kind": "bernoulli", "rate": 0.1, "n": 10}, "protocol": {"kind": "beb"}}},
+			{"label": "cluster3", "patch": {"arrivals": {"kind": "batch", "n": 12}, "channels": 3, "router": {"kind": "roundrobin"}}},
+			{"label": "cluster2", "patch": {"arrivals": {"kind": "bernoulli", "rate": 0.2, "n": 10}, "channels": 2, "router": {"kind": "leastbacklog"}}}]}
 	]}`
 
 // TestSweepSlotReuseLeaksNothing runs every job of slotReuseSpec into the
@@ -61,7 +64,7 @@ func TestSweepSlotReuseLeaksNothing(t *testing.T) {
 		}
 		want[pi].fold(&fresh[i])
 	}
-	var truncFlips, classFlips int
+	var truncFlips, classFlips, channelFlips int
 	for i := 1; i < n; i++ {
 		if fresh[i].Truncated != fresh[i-1].Truncated {
 			truncFlips++
@@ -69,9 +72,18 @@ func TestSweepSlotReuseLeaksNothing(t *testing.T) {
 		if (fresh[i].Classes == nil) != (fresh[i-1].Classes == nil) {
 			classFlips++
 		}
+		if len(fresh[i].PerChannel) != len(fresh[i-1].PerChannel) {
+			channelFlips++
+		}
 	}
-	if truncFlips < n/6 || classFlips < n/3 {
-		t.Fatalf("consecutive jobs flip truncation %d times and class shape %d times in %d jobs; the grid no longer alternates", truncFlips, classFlips, n)
+	if truncFlips < n/6 || classFlips < n/6 || channelFlips < n/4 {
+		t.Fatalf("consecutive jobs flip truncation %d times, class shape %d times and channel count %d times in %d jobs; the grid no longer alternates",
+			truncFlips, classFlips, channelFlips, n)
+	}
+	for i := range fresh {
+		if r := &fresh[i]; (points[i/sw.reps].Scenario.Channels >= 1) != (r.Routed != nil && r.ChannelFairness > 0) {
+			t.Fatalf("job %d: channels %d but Routed %v, ChannelFairness %v", i, points[i/sw.reps].Scenario.Channels, r.Routed, r.ChannelFairness)
+		}
 	}
 
 	for _, workers := range []int{1, 2, 4} {
