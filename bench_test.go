@@ -6,9 +6,9 @@ package lowsensing_test
 // This file is the benchmark harness entry point (deliverable (d)): one
 // testing.B target per experiment in the harness registry (E1–E15,
 // A1–A3). Each BenchmarkE*/A* target re-runs the corresponding harness
-// experiment end to end at small scale; `go run ./cmd/experiments`
-// regenerates the full-scale tables recorded in EXPERIMENTS.md. Additional
-// micro-benchmarks measure the simulator substrate itself.
+// experiment end to end at small scale; `go run ./cmd/experiments -scale
+// full` regenerates the full-scale tables. Additional micro-benchmarks
+// measure the simulator substrate itself.
 
 import (
 	"runtime"

@@ -28,8 +28,8 @@ import (
 // sufficiently large constant with WMin > 2 and WMin/ln^k(WMin) >= c; the
 // latter guarantees the access probability never exceeds 1. Those constants
 // trade constant-factor throughput against the polylog energy constant;
-// Default returns a practical operating point (see ablation A2 in
-// EXPERIMENTS.md for the sensitivity map).
+// Default returns a practical operating point (ablation A2 of the
+// `experiments -scale full` run maps the sensitivity).
 type Config struct {
 	// C is the constant c of the algorithm.
 	C float64

@@ -12,14 +12,15 @@ import (
 )
 
 // Scale selects how large the experiment sweeps are. Tests and benchmarks
-// use ScaleSmall; cmd/experiments regenerates EXPERIMENTS.md at ScaleFull.
+// use ScaleSmall; `experiments -scale full` runs ScaleFull.
 type Scale int
 
 // Experiment scales.
 const (
 	// ScaleSmall shrinks sweeps so every experiment finishes in seconds.
 	ScaleSmall Scale = iota + 1
-	// ScaleFull is the sweep recorded in EXPERIMENTS.md.
+	// ScaleFull is the reproduction's sweep, run by `experiments -scale
+	// full`.
 	ScaleFull
 )
 

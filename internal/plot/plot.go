@@ -1,7 +1,8 @@
 // Package plot renders small ASCII charts for the experiment tools: line
 // charts for time series (backlog, Φ(t), implicit throughput) and log-x
 // scatter charts for sweep results. Terminal-grade output only — the
-// reproduction's "figures" are these plus the tables in EXPERIMENTS.md.
+// reproduction's "figures" are these plus the tables `experiments -scale
+// full` prints.
 package plot
 
 import (

@@ -165,7 +165,6 @@ type stationState struct {
 	arrival   int64
 	sends     int64
 	listens   int64
-	nextSlot  int64
 	firstSend int64 // slot of the packet's first transmission; -1 if none yet
 	leaveAt   int64 // churn leave slot; -1 means the packet never leaves
 	prevLive  int32
@@ -271,18 +270,19 @@ func (e *Engine) RunInto(r *Result) error {
 // advance is the one scheduler loop, shared by Run, StepTo and FinishRun:
 // it resolves every slot strictly below limit (and never past MaxSlots)
 // that some station accesses, handing each resolved slot to the recorder
-// after the slot's departures. A false resolveSlot means every due event
-// was a churn abandon: no station accessed the channel, so there is no
-// slot to record.
+// after the slot's departures. Each slot is found once: advance pops its
+// first event and resolveSlot pops the rest. A false resolveSlot means
+// every due event was a churn abandon: no station accessed the channel,
+// so there is no slot to record.
 func (e *Engine) advance(limit int64) {
 	bound := min(limit-1, e.params.MaxSlots)
 	for {
-		t, ok := e.events.nextAtMost(bound)
+		ev, ok := e.events.popAtMost(bound)
 		if !ok {
 			return
 		}
-		e.curSlot = t
-		if e.resolveSlot(t) && e.params.Recorder != nil {
+		e.curSlot = ev.slot
+		if e.resolveSlot(ev) && e.params.Recorder != nil {
 			e.params.Recorder.RecordSlot(e.LastSlotEvent())
 		}
 	}
@@ -415,7 +415,6 @@ func (e *Engine) injectBatch(t, count int64) {
 		ss.arrival = t
 		ss.sends = 0
 		ss.listens = 0
-		ss.nextSlot = next
 		ss.firstSend = -1
 		ss.leaveAt = leaveAt
 		ss.prevLive = e.liveTail
@@ -446,7 +445,8 @@ func (e *Engine) injectBatch(t, count int64) {
 	}
 }
 
-// resolveSlot pops every station due at slot t — separating churn
+// resolveSlot pops every station due at slot t = first.slot, starting
+// from first, the slot's already-popped first event — separating churn
 // abandons (processed first, in id order) from channel accessors —
 // resolves the channel, delivers observations (possibly corrupted or lost
 // to faults), and reschedules survivors. It reports whether the slot was
@@ -455,14 +455,11 @@ func (e *Engine) injectBatch(t, count int64) {
 // observer saw the slot.
 //
 //lsbvet:hotpath
-func (e *Engine) resolveSlot(t int64) bool {
+func (e *Engine) resolveSlot(first event) bool {
+	t := first.slot
 	e.slotStations = e.slotStations[:0]
 	e.slotSenders = e.slotSenders[:0]
-	for {
-		ev, ok := e.events.popAtMost(t)
-		if !ok {
-			break
-		}
+	for ev, ok := first, true; ok; ev, ok = e.events.popAtMost(t) {
 		if ss := &e.stations[ev.idx]; ss.leaveAt >= 0 && t >= ss.leaveAt {
 			// A churn abandon: a departure's lifecycle, minus the delivery.
 			e.abandoned++
@@ -571,7 +568,6 @@ func (e *Engine) resolveSlot(t int64) bool {
 		if next <= t {
 			reschedPanic(ss.id, next, t)
 		}
-		ss.nextSlot = next
 		ss.willSend = send
 		evSlot := next
 		if ss.leaveAt >= 0 && ss.leaveAt < evSlot {
@@ -608,7 +604,6 @@ func (e *Engine) crashStation(idx int32, t, down int64) {
 	if next < from {
 		schedBehindPanic(ss.id, next, from)
 	}
-	ss.nextSlot = next
 	ss.willSend = send
 	evSlot := next
 	if ss.leaveAt >= 0 && ss.leaveAt < evSlot {

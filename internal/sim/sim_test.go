@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"lowsensing/obs"
 	"lowsensing/prng"
@@ -81,6 +82,15 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(Params{Arrivals: &batchSource{count: 1}, NewStation: factory, MaxSlots: -1}); err == nil {
 		t.Fatal("negative MaxSlots not rejected")
+	}
+}
+
+// TestStationStateFitsTwoCacheLines pins the slot-table entry's size: every
+// channel access reads its packet's entry, so each byte past two 64-byte
+// cache lines costs a third line per access on large backlogs.
+func TestStationStateFitsTwoCacheLines(t *testing.T) {
+	if got := unsafe.Sizeof(stationState{}); got > 128 {
+		t.Fatalf("stationState is %d bytes, want <= 128", got)
 	}
 }
 

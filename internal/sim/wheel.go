@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -70,12 +71,13 @@ import (
 // (the steady-state sparse case pays for no buffering at all), and moves a
 // multi-event bucket into the drain buffer, sorts it by id once, and
 // serves pops from the front, folding in any same-slot events pushed
-// mid-drain. The id sort never goes through a comparator closure: small
-// buckets use a direct insertion sort and large ones an LSD radix sort
-// over the id bytes (ids are non-negative by contract — the engine's are
-// arrival indices), which is what keeps deep same-slot fan-in (a batch
-// backlog resolving 64k stations) O(1)-ish per event instead of paying
-// O(log k) indirect comparisons.
+// mid-drain. While every id fits 31 bits — always, for the engine's
+// arrival-index ids — the drain holds packed (id<<32 | idx) keys, sorted
+// without data-dependent branches: one compare-exchange for a pair, a
+// Batcher network up to 16 keys, an LSD radix sort over the id bytes past
+// that, which is what keeps deep same-slot fan-in (a batch backlog
+// resolving 64k stations) O(1)-ish per event. Wider ids, a cold path no
+// engine run reaches, fall back to event structs and slices.SortFunc.
 //
 // # The cursor contract
 //
@@ -83,17 +85,18 @@ import (
 // (the engine's one-event-per-live-packet invariant). The engine's time
 // is monotone, but an arrival batch at slot s, injected once every slot
 // before s has resolved, may push accesses at s itself, earlier than the
-// event minimum — so the cursor must never overshoot s while peeking.
-// nextAtMost and popAtMost therefore take an explicit limit: the cursor
-// only advances to min(event minimum, limit), and the search reports
+// event minimum — so the cursor must never overshoot s while searching.
+// popAtMost, the wheel's only scan, therefore takes an explicit limit: the
+// cursor only advances to min(event minimum, limit), and a miss reports
 // "nothing at or before limit" without disturbing later events. The
-// scheduler loop resolves slots strictly below its step limit, so it
-// peeks with limit-1 (capped at MaxSlots): the cursor stays below the
-// next injection slot, the smallest slot the engine might still push.
-// Alongside cur the wheel maintains floor — a proven lower bound on every
-// pending slot, tightened by every miss and every emptied bucket,
-// loosened by any earlier push — which turns the engine's per-slot
-// terminating probe ("anything else at this slot?") into a single compare.
+// scheduler loop resolves slots strictly below its step limit, so it pops
+// each slot's first event with limit-1 (capped at MaxSlots) — the cursor
+// stays below the next injection slot, the smallest slot the engine might
+// still push — and the rest of slot t with limit t. Alongside cur the
+// wheel maintains floor — a proven lower bound on every pending slot,
+// tightened by every miss and every emptied bucket, loosened by any
+// earlier push — which turns the engine's per-slot terminating pop
+// ("anything else at this slot?") into a single compare.
 type timingWheel struct {
 	cur   int64 // lower bound on every pending slot; monotone
 	floor int64 // proven lower bound on every pending slot; >= cur
@@ -123,10 +126,8 @@ type timingWheel struct {
 	drainLen    int
 	drainSlot   int64
 	drainPacked bool
-	// keyBuf and sortBuf are the radix sorts' scratch space, reused
-	// run-long.
-	keyBuf  []uint64
-	sortBuf []event
+	// keyBuf is radixKeys' scratch space, reused run-long.
+	keyBuf []uint64
 
 	// Self-metrics (surfaced through EngineStats): lifetime pushes and
 	// cursor cascades (upper-level bucket relocations).
@@ -307,53 +308,6 @@ func (w *timingWheel) chain(b *bucket, idx int32, slot, id int64) {
 	b.next = idx
 }
 
-// nextAtMost returns the earliest pending slot if it is <= limit,
-// advancing the cursor to it (cascading higher-level buckets down as it
-// goes), so after a hit the caller may push at that slot or later. When
-// the earliest slot exceeds limit — or no events are pending — it reports
-// false and leaves the cursor at most at limit, so the caller remains free
-// to push anything >= its own time floor.
-//
-//lsbvet:hotpath
-func (w *timingWheel) nextAtMost(limit int64) (int64, bool) {
-	// The floor is a proven lower bound on every pending slot, so a limit
-	// below it is a miss before any scanning — this is the engine's common
-	// "anything else at this slot?" probe after the slot's bucket emptied.
-	if limit < w.floor || w.n == 0 {
-		return 0, false
-	}
-	// A partially drained slot is by construction the minimum: the cursor
-	// sits on it and nothing earlier can have been pushed since.
-	if w.drainPos < w.drainLen {
-		if w.drainSlot > limit {
-			w.floor = w.drainSlot
-			return 0, false
-		}
-		return w.drainSlot, true
-	}
-	for {
-		// Level 0 holds exact slots within the cursor's 1024-slot block,
-		// and every upper level holds strictly later slots, so its first
-		// occupied bucket is the global minimum: summary word → first
-		// nonempty occupancy word → first set bit.
-		if sum := w.occ0sum; sum != 0 {
-			wi := uint(bits.TrailingZeros64(sum))
-			o := int64(wi)<<6 | int64(bits.TrailingZeros64(w.occ0[wi]))
-			s := w.cur&^int64(wheelL0Mask) | o
-			if s > limit {
-				w.floor = s
-				return 0, false
-			}
-			w.cur = s
-			return s, true
-		}
-		if w.cascade(limit) {
-			continue
-		}
-		return 0, false
-	}
-}
-
 // cascade advances the cursor to the next occupied region at or before
 // limit — the first occupied bucket of the lowest nonempty level — and
 // re-places its events relative to the new cursor (each lands at a
@@ -380,35 +334,6 @@ func (w *timingWheel) cascade(limit int64) bool {
 		w.cur = base
 		b := w.headUp[l][bi]
 		w.occUp[l] &^= 1 << uint64(bi)
-		if l == 0 {
-			// The hot cascade: a level-1 bucket spans exactly the cursor's
-			// new 1024-slot block, so every event lands at level 0 — relink
-			// inline, skipping link's level routing per event.
-			idx, slot, id := b.idx, b.slot, b.id
-			next := b.next
-			for {
-				b0 := uint64(slot) & wheelL0Mask
-				t := &w.head0[b0]
-				wi := b0 >> 6
-				bit := uint64(1) << (b0 & 63)
-				if w.occ0[wi]&bit == 0 {
-					w.occ0[wi] |= bit
-					w.occ0sum |= 1 << wi
-					t.slot = slot
-					t.id = id
-					t.idx = idx
-					t.next = -1
-				} else {
-					w.chain(t, idx, slot, id)
-				}
-				if next < 0 {
-					return true
-				}
-				idx = next
-				nd := &w.nodes[idx]
-				slot, id, next = nd.slot, nd.id, nd.next
-			}
-		}
 		w.link(b.idx, b.slot, b.id)
 		for idx := b.next; idx >= 0; {
 			nd := &w.nodes[idx]
@@ -422,10 +347,10 @@ func (w *timingWheel) cascade(limit int64) bool {
 }
 
 // popAtMost removes and returns the earliest pending event if its slot is
-// <= limit. Successive pops yield strict (slot, id) order. The body fuses
-// nextAtMost's scan with the extraction so the hot singleton case — one
-// event at the minimum slot, nothing buffered — runs straight-line: floor
-// check, bitmap scan, one bucket-header read, done.
+// <= limit. Successive pops yield strict (slot, id) order. It is the
+// wheel's only scan, and the hot singleton case — one event at the minimum
+// slot, nothing buffered — runs straight-line: floor check, bitmap scan,
+// one bucket-header read, done.
 //
 //lsbvet:hotpath
 func (w *timingWheel) popAtMost(limit int64) (event, bool) {
@@ -446,6 +371,10 @@ func (w *timingWheel) popAtMost(limit int64) (event, bool) {
 		return w.serveDrain(), true
 	}
 	for {
+		// Level 0 holds exact slots within the cursor's 1024-slot block,
+		// and every upper level holds strictly later slots, so its first
+		// occupied bucket is the global minimum: summary word → first
+		// nonempty occupancy word → first set bit.
 		if sum := w.occ0sum; sum != 0 {
 			wi := uint(bits.TrailingZeros64(sum))
 			word := w.occ0[wi]
@@ -458,8 +387,7 @@ func (w *timingWheel) popAtMost(limit int64) (event, bool) {
 			w.cur = s
 			bi := uint64(s) & wheelL0Mask
 			b := &w.head0[bi]
-			h := b.next
-			if h < 0 {
+			if b.next < 0 {
 				// Singleton bucket — the steady-state sparse case — serves
 				// straight from the header, paying for no buffering or
 				// sorting at all, and proves the remaining minimum is past
@@ -472,20 +400,6 @@ func (w *timingWheel) popAtMost(limit int64) (event, bool) {
 				w.n--
 				w.floor = s + 1
 				return event{slot: s, id: b.id, idx: b.idx}, true
-			}
-			if nd := &w.nodes[h]; nd.next < 0 {
-				// Exactly two events: serve the smaller id and demote the
-				// other to a singleton header — no buffering or sorting.
-				w.n--
-				if nd.id < b.id {
-					b.next = -1
-					return event{slot: s, id: nd.id, idx: h}, true
-				}
-				ev := event{slot: s, id: b.id, idx: b.idx}
-				b.id = nd.id
-				b.idx = h
-				b.next = -1
-				return ev, true
 			}
 			w.foldBucket(bi, s)
 			return w.serveDrain(), true
@@ -555,8 +469,11 @@ func (w *timingWheel) foldBucket(bi uint64, s int64) {
 	}
 	w.clearL0(bi)
 	w.drainLen = len(w.drain)
-	w.sortDrainTail()
+	slices.SortFunc(w.drain[w.drainPos:], eventByID)
 }
+
+// eventByID orders the struct drain by id (unique within a slot).
+func eventByID(a, b event) int { return cmp.Compare(a.id, b.id) }
 
 // clearL0 clears level-0 bucket bi's occupancy bit, dropping the summary
 // bit when its word empties.
@@ -632,67 +549,6 @@ func (w *timingWheel) radixKeys(a []uint64) {
 		for _, k := range src {
 			d := uint8(k >> shift)
 			dst[count[d]] = k
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
-}
-
-// sortDrainTail id-sorts the unconsumed drain tail without going through a
-// comparator closure: small tails use a direct insertion sort, large ones
-// an LSD radix sort over the id bytes (ids are non-negative by the Push
-// contract, so unsigned byte order is value order). This is what keeps
-// deep same-slot fan-in — a batch backlog resolving tens of thousands of
-// stations at one slot — near O(1) per event instead of O(log k) indirect
-// comparisons each.
-func (w *timingWheel) sortDrainTail() {
-	a := w.drain[w.drainPos:]
-	if len(a) <= 32 {
-		for i := 1; i < len(a); i++ {
-			ev := a[i]
-			j := i - 1
-			for j >= 0 && a[j].id > ev.id {
-				a[j+1] = a[j]
-				j--
-			}
-			a[j+1] = ev
-		}
-		return
-	}
-	w.radixSortByID(a)
-}
-
-// radixSortByID sorts a by id ascending: one counting pass per significant
-// id byte, ping-ponging between a and the run-long scratch buffer, copying
-// back if the final pass landed in scratch.
-func (w *timingWheel) radixSortByID(a []event) {
-	var maxID int64
-	for i := range a {
-		if a[i].id > maxID {
-			maxID = a[i].id
-		}
-	}
-	if cap(w.sortBuf) < len(a) {
-		w.sortBuf = make([]event, len(a))
-	}
-	src, dst := a, w.sortBuf[:len(a)]
-	for shift := uint(0); shift == 0 || maxID>>shift != 0; shift += 8 {
-		var count [256]int32
-		for i := range src {
-			count[uint8(src[i].id>>shift)]++
-		}
-		var pos int32
-		for i := range count {
-			c := count[i]
-			count[i] = pos
-			pos += c
-		}
-		for i := range src {
-			d := uint8(src[i].id >> shift)
-			dst[count[d]] = src[i]
 			count[d]++
 		}
 		src, dst = dst, src

@@ -53,7 +53,6 @@ func TestWheelMemoryIsBacklogBounded(t *testing.T) {
 		"packed drain": probe.max,
 		"struct drain": cap(w.drain),
 		"key scratch":  cap(w.keyBuf),
-		"sort scratch": cap(w.sortBuf),
 	} {
 		if c > n {
 			t.Fatalf("%s capacity %d exceeds peak backlog %d", name, c, n)
@@ -65,6 +64,6 @@ func TestWheelMemoryIsBacklogBounded(t *testing.T) {
 	if e.block != nil || w.wheelHeads != nil || w.drainKeys != nil {
 		t.Fatal("the finished engine still holds its fixed-size block")
 	}
-	t.Logf("nodes %d, drain cap %d/%d, scratch cap %d/%d",
-		len(w.nodes), probe.max, cap(w.drain), cap(w.keyBuf), cap(w.sortBuf))
+	t.Logf("nodes %d, drain cap %d/%d, scratch cap %d",
+		len(w.nodes), probe.max, cap(w.drain), cap(w.keyBuf))
 }

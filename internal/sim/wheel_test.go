@@ -10,7 +10,7 @@ import (
 // wheelVsHeap drives a timingWheel and the reference 4-ary heap through an
 // identical operation sequence decoded from data, failing if their
 // observable behavior ever diverges: pop order (slots AND ids AND payload),
-// limited peeks, and sizes. The byte protocol is what the fuzzer mutates:
+// limited pops, and sizes. The byte protocol is what the fuzzer mutates:
 //
 //	op%8 in 0..3: push — three bytes of magnitude and a shift byte (mod
 //	  40) build a slot delta in [0, 2^62], dist's clamp, that crosses
@@ -20,13 +20,14 @@ import (
 //	  same-slot events arrive in non-id order and exercise the lazy
 //	  bucket sort.
 //	op%8 in 4..5: pop — both queues pop, results must be identical.
-//	op%8 in 6..7: limited peek — nextAtMost with a limit at or past the
-//	  floor; the expected answer is computed from the heap, and a miss
-//	  advances the floor to the limit, exactly like an engine arrival
-//	  landing before the event minimum.
+//	op%8 in 6..7: limited pop — popAtMost with a limit at or past the
+//	  floor must miss exactly when the heap's minimum is past the limit,
+//	  and on a hit return the heap's pop; a miss advances the floor to the
+//	  limit, exactly like an engine arrival landing before the event
+//	  minimum.
 //
-// The floor models engine time: pushes never go below it, pops/peeks
-// advance it. That is the wheel's documented cursor contract.
+// The floor models engine time: pushes never go below it, pops advance
+// it. That is the wheel's documented cursor contract.
 func wheelVsHeap(t *testing.T, data []byte) {
 	t.Helper()
 	w := timingWheel{wheelHeads: new(wheelHeads)}
@@ -64,22 +65,20 @@ func wheelVsHeap(t *testing.T, data []byte) {
 				t.Fatalf("pop: wheel (%+v, %v), heap %+v", got, ok, want)
 			}
 			floor = want.slot
-		default: // limited peek
+		default: // limited pop
 			limit := floor + int64(next())
-			wantS, wantOK := int64(0), false
-			if h.Len() > 0 && h.Min().slot <= limit {
-				wantS, wantOK = h.Min().slot, true
+			got, ok := w.popAtMost(limit)
+			if wantOK := h.Len() > 0 && h.Min().slot <= limit; ok != wantOK {
+				t.Fatalf("popAtMost(%d) hit = %v, want %v", limit, ok, wantOK)
 			}
-			gotS, gotOK := w.nextAtMost(limit)
-			if gotOK != wantOK || (gotOK && gotS != wantS) {
-				t.Fatalf("nextAtMost(%d): wheel (%d, %v), heap (%d, %v)",
-					limit, gotS, gotOK, wantS, wantOK)
-			}
-			if wantOK {
-				floor = wantS
-			} else {
+			if !ok {
 				floor = limit
+				break
 			}
+			if want := h.Pop(); got != want {
+				t.Fatalf("popAtMost(%d): wheel %+v, heap %+v", limit, got, want)
+			}
+			floor = got.slot
 		}
 		if w.Len() != h.Len() {
 			t.Fatalf("size skew: wheel %d, heap %d", w.Len(), h.Len())
@@ -163,17 +162,17 @@ func TestWheelLevelBoundaries(t *testing.T) {
 func TestWheelLimitDoesNotOvershoot(t *testing.T) {
 	w := timingWheel{wheelHeads: new(wheelHeads)}
 	w.Push(event{slot: 100000, id: 1, idx: 0})
-	if s, ok := w.nextAtMost(500); ok {
-		t.Fatalf("nextAtMost(500) = (%d, true), want miss", s)
+	if ev, ok := w.popAtMost(500); ok {
+		t.Fatalf("popAtMost(500) = (%+v, true), want miss", ev)
 	}
 	// An "arrival" at slot 600 schedules below the pending minimum.
 	w.Push(event{slot: 600, id: 2, idx: 1})
-	if s, ok := w.nextAtMost(600); !ok || s != 600 {
-		t.Fatalf("nextAtMost(600) = (%d, %v), want (600, true)", s, ok)
+	ev, ok := w.popAtMost(600)
+	if !ok || ev != (event{slot: 600, id: 2, idx: 1}) {
+		t.Fatalf("popAtMost(600) = (%+v, %v), want id 2 at slot 600", ev, ok)
 	}
-	ev, ok := w.popAtMost(math.MaxInt64)
-	if !ok || ev.id != 2 {
-		t.Fatalf("first pop = (%+v, %v), want id 2", ev, ok)
+	if ev, ok := w.popAtMost(600); ok {
+		t.Fatalf("popAtMost(600) again = (%+v, true), want miss", ev)
 	}
 	ev, ok = w.popAtMost(math.MaxInt64)
 	if !ok || ev.id != 1 {
@@ -202,14 +201,17 @@ func TestWheelPushBehindCursorPanics(t *testing.T) {
 // byte protocol as the property test. The seed corpus aims mutations at
 // the cascade logic: pushes that straddle each level boundary up to the
 // top level, dist's 2^62 clamp, the last int64 slot, same-slot ties, and
-// limited peeks that advance the cursor between pushes.
+// limited pops that advance the cursor between pushes. Further seeds aim
+// at the same-slot drain: two-event buckets in both id orders, cascades
+// that fill one level-0 slot, same-slot pushes folded mid-drain, and wide
+// ids (past 31 bits, which the packed drain keys cannot hold).
 func FuzzWheelCascade(f *testing.F) {
 	// op byte, then per-op operands (see wheelVsHeap).
 	push := func(lo, mid, hi, shift, idHi1, idHi2 byte) []byte {
 		return []byte{0, lo, mid, hi, shift, idHi1, idHi2}
 	}
 	pop := []byte{4}
-	peek := func(d byte) []byte { return []byte{6, d} }
+	limited := func(d byte) []byte { return []byte{6, d} }
 	cat := func(chunks ...[]byte) []byte {
 		var out []byte
 		for _, c := range chunks {
@@ -227,8 +229,8 @@ func FuzzWheelCascade(f *testing.F) {
 	// Level 3/4 boundary: 3-byte magnitude shifted past 2^28, then a
 	// near-future push, then pops that must interleave correctly.
 	f.Add(cat(push(255, 255, 255, 7, 0, 0), push(1, 0, 0, 0, 0, 0), pop, pop))
-	// Limited peeks that miss (advancing the cursor) between pushes.
-	f.Add(cat(push(0, 4, 0, 0, 0, 0), peek(20), push(30, 0, 0, 0, 0, 0), pop, pop, peek(255)))
+	// Limited pops that miss (advancing the cursor) between pushes.
+	f.Add(cat(push(0, 4, 0, 0, 0, 0), limited(20), push(30, 0, 0, 0, 0, 0), pop, pop, limited(255)))
 	// Dense same-slot ties across a cascade: a level-1 bucket whose events
 	// spread over multiple exact slots plus duplicates.
 	f.Add(cat(push(70, 0, 0, 0, 3, 0), push(70, 0, 0, 0, 1, 0), push(71, 0, 0, 0, 2, 0),
@@ -244,6 +246,27 @@ func FuzzWheelCascade(f *testing.F) {
 	// cut to the last int64 slot.
 	f.Add(cat(push(255, 255, 255, 39, 0, 0), pop, push(255, 255, 255, 39, 0, 0),
 		push(0, 0, 1, 0, 0, 0), pop, pop))
+	// Exactly two events in one slot, the smaller id in the bucket header:
+	// one compare-exchange of packed keys.
+	f.Add(cat(push(5, 0, 0, 0, 0, 0), push(5, 0, 0, 0, 0, 0), pop, pop))
+	// Exactly two events in one slot, the smaller id chained behind the
+	// header: the level-1 bucket at 2000-2001 relinks its chain head first,
+	// so slot 2001 gets id 2 in its header and id 1 behind it.
+	f.Add(cat(push(0xd0, 7, 0, 0, 0, 0), push(0xd1, 7, 0, 0, 0, 0), push(0xd1, 7, 0, 0, 0, 0),
+		pop, pop, pop))
+	// A level-1 bucket cascading four events into one level-0 slot.
+	f.Add(cat(push(0xd1, 7, 0, 0, 0, 0), push(0xd1, 7, 0, 0, 0, 0), push(0xd1, 7, 0, 0, 0, 0),
+		push(0xd1, 7, 0, 0, 0, 0), limited(9), pop, pop, pop, pop))
+	// Same-slot pushes after a pop (delta 0), folded mid-drain.
+	f.Add(cat(push(5, 0, 0, 0, 0, 0), push(5, 0, 0, 0, 0, 0), push(5, 0, 0, 0, 0, 0), pop,
+		push(0, 0, 0, 0, 0, 0), limited(0), push(0, 0, 0, 0, 0, 0), pop, pop, pop))
+	// Wide ids: one alone in its bucket, then two in reversed id order.
+	f.Add(cat(push(9, 0, 0, 0, 7, 3), push(12, 0, 0, 0, 9, 0), push(12, 0, 0, 0, 0, 1),
+		pop, pop, pop))
+	// A wide id arriving mid-drain after packed keys (the drain converts
+	// to structs), then a packed-range id that must sort before it.
+	f.Add(cat(push(5, 0, 0, 0, 0, 0), push(5, 0, 0, 0, 0, 0), push(5, 0, 0, 0, 0, 0), pop,
+		push(0, 0, 0, 0, 1, 0), pop, push(0, 0, 0, 0, 0, 0), pop, pop, pop))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wheelVsHeap(t, data)
 	})

@@ -3,11 +3,11 @@
 //
 // The simulator needs reproducibility guarantees that math/rand does not
 // promise across Go versions: identical seeds must yield identical event
-// trajectories forever, because experiment tables in EXPERIMENTS.md are
-// regenerated from fixed seeds. We therefore implement SplitMix64 (for
-// seeding and as a stateless per-slot PRF) and xoshiro256** (as the general
-// stream generator), both with published reference outputs that are locked
-// down by unit tests.
+// trajectories forever, because the experiment tables (`experiments -scale
+// full` and the checked-in small-scale goldens) are regenerated from fixed
+// seeds. We therefore implement SplitMix64 (for seeding and as a stateless
+// per-slot PRF) and xoshiro256** (as the general stream generator), both
+// with published reference outputs that are locked down by unit tests.
 //
 // The package is public because it is part of the extension surface: the
 // channel.Station contract hands every station a *Source, and custom
