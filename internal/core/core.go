@@ -269,10 +269,9 @@ func (l *local) lookup(w float64) *window {
 }
 
 // Packet is one packet running LOW-SENSING BACKOFF. It implements
-// channel.Station (event-driven scheduling) as well as the per-slot Decide
-// that the package's reference tests step slot by slot. A Packet is not
-// safe for concurrent use, and neither are the other packets of its
-// factory: they share one window memo.
+// channel.Station (event-driven scheduling). A Packet is not safe for
+// concurrent use, and neither are the other packets of its factory: they
+// share one window memo.
 //
 // A packet caches its window state next to the window, so an access that
 // leaves the window where it is, or returns it to WMin, costs one logarithm
@@ -348,20 +347,6 @@ func (p *Packet) ScheduleNext(from int64, rng *prng.Source) (int64, bool) {
 	gap := p.win.access.Draw(rng)
 	send := rng.Bernoulli(p.win.send)
 	return from + gap - 1, send
-}
-
-// Decide makes the per-slot decision directly: whether the packet accesses
-// the channel this slot and, if so, whether it sends. It is equivalent in
-// distribution to ScheduleNext; the per-slot reference run in this
-// package's tests uses it as an implementation independent of the
-// event-driven engine.
-//
-//lsbvet:hotpath
-func (p *Packet) Decide(rng *prng.Source) (access, send bool) {
-	if !rng.Bernoulli(p.win.access.P()) {
-		return false, false
-	}
-	return true, rng.Bernoulli(p.win.send)
 }
 
 // Observe implements channel.Station: apply the multiplicative window update

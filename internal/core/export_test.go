@@ -1,5 +1,19 @@
 package core
 
+import "lowsensing/prng"
+
+// Decide makes the per-slot decision directly: whether the packet accesses
+// the channel this slot and, if so, whether it sends. It is equivalent in
+// distribution to ScheduleNext; the per-slot reference run in this
+// package's tests uses it as an implementation independent of the
+// event-driven engine.
+func (p *Packet) Decide(rng *prng.Source) (access, send bool) {
+	if !rng.Bernoulli(p.win.access.P()) {
+		return false, false
+	}
+	return true, rng.Bernoulli(p.win.send)
+}
+
 // CachedProbs returns the access and send probabilities p holds for its
 // current window.
 func CachedProbs(p *Packet) (access, send float64) { return p.win.access.P(), p.win.send }

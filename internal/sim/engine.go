@@ -390,19 +390,13 @@ func (e *Engine) injectBatch(t, count int64) {
 		}
 		ss := &e.stations[idx]
 		ss.rng.Reinit(e.params.Seed, uint64(id)+1)
-		var st Station
 		if ss.reuse != nil {
-			st = ss.reuse
+			ss.st = ss.reuse
 			ss.reuse.Reset(id, &ss.rng)
 			e.stats.StationsReused++
 		} else {
-			st = e.params.NewStation(id, &ss.rng)
+			ss.st = e.params.NewStation(id, &ss.rng)
 			e.stats.StationsBuilt++
-		}
-		ss.st = st
-		next, send := st.ScheduleNext(t, &ss.rng)
-		if next < t {
-			schedBehindPanic(id, next, t)
 		}
 		leaveAt := int64(-1)
 		if e.params.Lifetime != nil {
@@ -419,20 +413,13 @@ func (e *Engine) injectBatch(t, count int64) {
 		ss.leaveAt = leaveAt
 		ss.prevLive = e.liveTail
 		ss.nextLive = -1
-		ss.willSend = send
 		if e.liveTail >= 0 {
 			e.stations[e.liveTail].nextLive = idx
 		} else {
 			e.liveHead = idx
 		}
 		e.liveTail = idx
-		// Cap the event at the leave slot: the station is woken there to
-		// abandon instead of to act.
-		evSlot := next
-		if leaveAt >= 0 && leaveAt < evSlot {
-			evSlot = leaveAt
-		}
-		e.events.Push(event{slot: evSlot, id: id, idx: idx})
+		e.schedule(ss, idx, t)
 		if e.activeCount == 0 {
 			e.busy = true
 			e.busyStart = t
@@ -564,16 +551,7 @@ func (e *Engine) resolveSlot(first event) bool {
 			e.activeCount--
 			continue
 		}
-		next, send := ss.st.ScheduleNext(t+1, &ss.rng)
-		if next <= t {
-			reschedPanic(ss.id, next, t)
-		}
-		ss.willSend = send
-		evSlot := next
-		if ss.leaveAt >= 0 && ss.leaveAt < evSlot {
-			evSlot = ss.leaveAt
-		}
-		e.events.Push(event{slot: evSlot, id: ss.id, idx: idx})
+		e.schedule(ss, idx, t+1)
 	}
 
 	if e.activeCount == 0 && e.busy {
@@ -599,17 +577,27 @@ func (e *Engine) crashStation(idx int32, t, down int64) {
 	if down < 0 {
 		down = 0
 	}
-	from := t + 1 + down
+	e.schedule(ss, idx, t+1+down)
+}
+
+// schedule draws the next access of the station in entry idx, at or after
+// slot from, records whether it sends, and pushes its event — capped at
+// the churn leave slot, where the station is woken to abandon instead of
+// to act. It is the engine's one call to ScheduleNext: injection,
+// rescheduling after an observation and restart after a crash all come
+// through here.
+//
+//lsbvet:hotpath
+func (e *Engine) schedule(ss *stationState, idx int32, from int64) {
 	next, send := ss.st.ScheduleNext(from, &ss.rng)
 	if next < from {
 		schedBehindPanic(ss.id, next, from)
 	}
 	ss.willSend = send
-	evSlot := next
-	if ss.leaveAt >= 0 && ss.leaveAt < evSlot {
-		evSlot = ss.leaveAt
+	if ss.leaveAt >= 0 && ss.leaveAt < next {
+		next = ss.leaveAt
 	}
-	e.events.Push(event{slot: evSlot, id: ss.id, idx: idx})
+	e.events.Push(event{slot: next, id: ss.id, idx: idx})
 }
 
 // retire finalizes a packet leaving the system — departure is its delivery
@@ -837,11 +825,6 @@ func (e *Engine) VisitActiveWindows(fn func(w float64)) {
 // formatting machinery must stay out of their bodies (and out of their
 // inlining budget), so invariant-violation panics are built here, behind
 // //go:noinline, exactly like the timing wheel's pushPanic.
-
-//go:noinline
-func reschedPanic(id, next, t int64) {
-	panic(fmt.Sprintf("sim: station %d rescheduled slot %d not after %d", id, next, t))
-}
 
 //go:noinline
 func schedBehindPanic(id, next, t int64) {

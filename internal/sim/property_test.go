@@ -2,6 +2,7 @@ package sim
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -191,6 +192,77 @@ func TestEnginePanicsOnPastReschedule(t *testing.T) {
 		}
 	}()
 	_, _ = e.Run()
+}
+
+// behindStation schedules at from and sends, except that its call-th
+// ScheduleNext call (counting from 1; 0 = never) returns a slot before from.
+type behindStation struct{ call, calls int }
+
+func (s *behindStation) ScheduleNext(from int64, _ *prng.Source) (int64, bool) {
+	s.calls++
+	if s.calls == s.call {
+		return from - 1, true
+	}
+	return from, true
+}
+
+func (s *behindStation) Observe(Observation) {}
+
+// crashOne crashes station id, down slots, every time it is consulted, and
+// leaves every outcome and every other station alone.
+type crashOne struct{ id, down int64 }
+
+func (c crashOne) Corrupt(_, _ int64, o Outcome, _ *prng.Source) Outcome { return o }
+
+func (c crashOne) Crash(id, _ int64, _ *prng.Source) (int64, bool) { return c.down, id == c.id }
+
+// TestScheduleBehindPanics checks the engine's one scheduling invariant at
+// each point it schedules: a station whose ScheduleNext returns a slot
+// before the one it was asked from panics, naming the station. Stations 0
+// and 1 arrive at slot 5 and collide there; station 1 misbehaves at
+// injection, on the reschedule after that collision, or on the restart
+// after a crash that keeps it down 3 slots.
+func TestScheduleBehindPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// The ScheduleNext call station 1 goes behind on, when first
+		// built and when rebuilt after a crash (0 = never).
+		first, rebuilt int
+		faults         FaultModel
+		want           string
+	}{
+		{"injection", 1, 0, nil, "station 1 scheduled slot 4 before current slot 5"},
+		{"reschedule", 2, 0, nil, "station 1 scheduled slot 5 before current slot 6"},
+		{"crash restart", 0, 1, crashOne{id: 1, down: 3}, "station 1 scheduled slot 8 before current slot 9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			built := 0
+			e, err := NewEngine(Params{
+				Arrivals: &batchSource{slot: 5, count: 2},
+				NewStation: func(id int64, _ *prng.Source) Station {
+					built++
+					switch {
+					case built > 2:
+						return &behindStation{call: tc.rebuilt}
+					case id == 1:
+						return &behindStation{call: tc.first}
+					}
+					return &behindStation{}
+				},
+				Faults:   tc.faults,
+				MaxSlots: 100,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one containing %q", msg, tc.want)
+				}
+			}()
+			_, _ = e.Run()
+		})
+	}
 }
 
 // backwardsArrivals violates the ArrivalSource contract.

@@ -73,11 +73,12 @@ import (
 // serves pops from the front, folding in any same-slot events pushed
 // mid-drain. While every id fits 31 bits — always, for the engine's
 // arrival-index ids — the drain holds packed (id<<32 | idx) keys, sorted
-// without data-dependent branches: one compare-exchange for a pair, a
-// Batcher network up to 16 keys, an LSD radix sort over the id bytes past
-// that, which is what keeps deep same-slot fan-in (a batch backlog
-// resolving 64k stations) O(1)-ish per event. Wider ids, a cold path no
-// engine run reaches, fall back to event structs and slices.SortFunc.
+// as plain uint64s: slices.Sort for a tail of up to 16 keys (a steady
+// stream's same-slot buckets, nearly all of 8 or fewer), an LSD radix sort
+// over the id bytes past that, which is what keeps deep same-slot fan-in
+// (a batch backlog resolving 64k stations) O(1)-ish per event. Wider ids,
+// a cold path no engine run reaches, fall back to event structs and
+// slices.SortFunc.
 //
 // # The cursor contract
 //
@@ -117,8 +118,8 @@ type timingWheel struct {
 	// The drain is the sorted same-slot buffer popAtMost serves from;
 	// positions [drainPos:drainLen] are pending at drainSlot. While every
 	// id fits 31 bits — always, for the engine's arrival-index ids — it
-	// holds packed (id<<32 | idx) keys in drainKeys, which is what lets
-	// the bucket sort run branchless (networks, radix); wider ids fall
+	// holds packed (id<<32 | idx) keys in drainKeys, which sort as plain
+	// uint64s (slices.Sort, or radix over the id bytes); wider ids fall
 	// back to []event structs in drain.
 	drainKeys   []uint64
 	drain       []event
@@ -207,42 +208,7 @@ func (w *timingWheel) Push(ev event) {
 	}
 	w.n++
 	w.pushes++
-	// The body below is link, spelled out: the push→link call sat on the
-	// hottest edge in the engine profile, and the compiler's inlining
-	// budget will not fuse them for us. The level-0 branch comes first and
-	// straight-line — it is where the steady-state schedule lands.
-	slot, id, idx := ev.slot, ev.id, ev.idx
-	d := uint64(slot ^ w.cur)
-	if d < wheelL0Size {
-		bi := uint64(slot) & wheelL0Mask
-		b := &w.head0[bi]
-		wi := bi >> 6
-		bit := uint64(1) << (bi & 63)
-		if w.occ0[wi]&bit == 0 {
-			w.occ0[wi] |= bit
-			w.occ0sum |= 1 << wi
-			b.slot = slot
-			b.id = id
-			b.idx = idx
-			b.next = -1
-			return
-		}
-		w.chain(b, idx, slot, id)
-		return
-	}
-	// d >= wheelL0Size: the highest differing bit picks the upper level.
-	l := uint(bits.Len64(d)-1-wheelL0Bits) / wheelBits
-	bi := uint64(slot>>(wheelL0Bits+wheelBits*l)) & wheelMask
-	b := &w.headUp[l][bi]
-	if w.occUp[l]&(1<<bi) == 0 {
-		w.occUp[l] |= 1 << bi
-		b.slot = slot
-		b.id = id
-		b.idx = idx
-		b.next = -1
-		return
-	}
-	w.chain(b, idx, slot, id)
+	w.link(ev.idx, ev.slot, ev.id)
 }
 
 //go:noinline
@@ -501,20 +467,15 @@ func (w *timingWheel) depackDrain() {
 }
 
 // sortKeyTail sorts the drain's pending packed keys ascending — by id,
-// with the idx low bits breaking (never-occurring) ties — entirely without
-// data-dependent branches: one compare-exchange for a pair, a Batcher
-// network for small tails, LSD radix over the id bytes for large ones.
+// with the idx low bits breaking (never-occurring) ties: slices.Sort up to
+// 16 keys, LSD radix over the id bytes past that. Both sides of the cutoff
+// are measured end to end: radix for every tail slows a stream of small
+// same-slot buckets, and slices.Sort for every tail slows deep batch
+// fan-in.
 func (w *timingWheel) sortKeyTail() {
-	a := w.drainKeys[w.drainPos:]
-	switch {
-	case len(a) <= 1:
-	case len(a) == 2:
-		a[0], a[1] = min(a[0], a[1]), max(a[0], a[1])
-	case len(a) <= 8:
-		sortNet8(a)
-	case len(a) <= 16:
-		sortNet16(a)
-	default:
+	if a := w.drainKeys[w.drainPos:]; len(a) <= 16 {
+		slices.Sort(a)
+	} else {
 		w.radixKeys(a)
 	}
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"lowsensing/prng"
@@ -247,7 +249,7 @@ func FuzzWheelCascade(f *testing.F) {
 	f.Add(cat(push(255, 255, 255, 39, 0, 0), pop, push(255, 255, 255, 39, 0, 0),
 		push(0, 0, 1, 0, 0, 0), pop, pop))
 	// Exactly two events in one slot, the smaller id in the bucket header:
-	// one compare-exchange of packed keys.
+	// a two-key drain.
 	f.Add(cat(push(5, 0, 0, 0, 0, 0), push(5, 0, 0, 0, 0, 0), pop, pop))
 	// Exactly two events in one slot, the smaller id chained behind the
 	// header: the level-1 bucket at 2000-2001 relinks its chain head first,
@@ -270,4 +272,47 @@ func FuzzWheelCascade(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wheelVsHeap(t, data)
 	})
+}
+
+// TestSortKeyTail checks the drain's packed-key sort against slices.Sort
+// on tails of 0–300 keys, across the slices.Sort/radix cutoff (16 and 17
+// straddle it), with and without an already-served drain prefix, which
+// must stay put. Ids are unique, as the engine's are, and use one to four
+// significant bytes; one case holds id byte 1 constant, a byte radix
+// skips.
+func TestSortKeyTail(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 9))
+	var w timingWheel
+	for _, tc := range []struct {
+		idBits   int  // ids are below 1<<idBits, capped at the packed 31
+		constMid bool // id byte 1 is 0x5a in every key
+	}{{8, false}, {16, false}, {24, false}, {31, false}, {24, true}} {
+		for _, pos := range []int{0, 3} {
+			for n := 0; n <= 300 && n <= 1<<tc.idBits; n++ {
+				w.drainKeys = w.drainKeys[:0]
+				for range pos {
+					w.drainKeys = append(w.drainKeys, ^uint64(0))
+				}
+				seen := map[uint64]bool{}
+				for len(w.drainKeys) < pos+n {
+					id := rng.Uint64N(1 << tc.idBits)
+					if tc.constMid {
+						id = id&^0xff00 | 0x5a00
+					}
+					if !seen[id] {
+						seen[id] = true
+						w.drainKeys = append(w.drainKeys, id<<32|uint64(rng.Uint32()>>1))
+					}
+				}
+				want := slices.Clone(w.drainKeys)
+				slices.Sort(want[pos:])
+				w.drainPos = pos
+				w.sortKeyTail()
+				if !slices.Equal(w.drainKeys, want) {
+					t.Fatalf("idBits=%d constMid=%v pos=%d n=%d: got %x, want %x",
+						tc.idBits, tc.constMid, pos, n, w.drainKeys, want)
+				}
+			}
+		}
+	}
 }

@@ -288,23 +288,22 @@ func (sw *Sweep) Stream(emit func(PointResult) error) error {
 
 // jobs builds the sweep's runner jobs, one per (point, replication) in
 // grid order. Each job runs its simulation straight into the runner slot
-// it is handed, so its Result is written once, where the fold reads it.
+// it is handed, so its Result is written once, where the fold reads it. A
+// job captures only its indices and reads its point when it runs, so the
+// closures copy no Scenario.
 func (sw *Sweep) jobs(points []Point) []runner.Job[timedResult] {
 	jobs := make([]runner.Job[timedResult], 0, len(points)*sw.reps)
 	for pi := range points {
-		sc := points[pi].Scenario
-		point := points[pi]
 		for rep := 0; rep < sw.reps; rep++ {
-			sc := sc
-			rep := rep
 			jobs = append(jobs, runner.Job[timedResult]{
 				Seed: runner.DeriveSeed(sw.seed, sw.id, pi, rep),
 				Run: func(seed uint64, out *timedResult) error {
 					start := time.Now() //lsbvet:wallclock per-job wall time is reported, never folded into results
+					sc := points[pi].Scenario
 					sc.Seed = seed
 					var rec Recorder
 					if sw.observe != nil {
-						rec = sw.observe(point, rep)
+						rec = sw.observe(points[pi], rep)
 					}
 					err := sc.Simulation(WithRecorder(rec)).runInto(&out.r)
 					if err == nil {
