@@ -7,12 +7,32 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"lowsensing/internal/arrivals"
 	"lowsensing/internal/dist"
 	"lowsensing/internal/sim"
 	"lowsensing/prng"
 )
+
+// TestStateSizes pins the sizes every live packet pays for: the sampler
+// (p and 1/ln(1-p)), the window state that holds it, and the Packet that
+// holds that. One more float in Geom takes a Packet from 48 bytes to 56,
+// which the allocator rounds to its 64-byte size class.
+func TestStateSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"dist.Geom", unsafe.Sizeof(dist.Geom{}), 16},
+		{"window", WindowSize, 40},
+		{"Packet", unsafe.Sizeof(Packet{}), 48},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
+}
 
 // TestValidateRejectsUnderflow: with WMin < e, ln(WMin) < 1 and a large k
 // drives ln^k(WMin) to 0, so the access probability at WMin is 0 and every

@@ -274,10 +274,10 @@ func (l *local) lookup(w float64) *window {
 // share one window memo.
 //
 // A packet caches its window state next to the window, so an access that
-// leaves the window where it is, or returns it to WMin, costs one logarithm
-// (the geometric draw's). A move to any other window looks the state up in
+// leaves the window where it is, or returns it to WMin, costs the geometric
+// draw's table logarithm. A move to any other window looks the state up in
 // the factory's 16-entry memo: a hit copies 40 bytes, and only a miss
-// recomputes ln w, the power and log1p.
+// recomputes ln w, the power and the sampler's 1/ln(1-p).
 type Packet struct {
 	lc  *local
 	win window

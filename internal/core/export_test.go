@@ -1,6 +1,10 @@
 package core
 
-import "lowsensing/prng"
+import (
+	"unsafe"
+
+	"lowsensing/prng"
+)
 
 // Decide makes the per-slot decision directly: whether the packet accesses
 // the channel this slot and, if so, whether it sends. It is equivalent in
@@ -42,3 +46,6 @@ var MemoSlot = memoSlot
 
 // IntPow is the integer-exponent kernel lnPow tries before math.Pow.
 var IntPow = intPow
+
+// WindowSize is the size of a packet's cached window state.
+const WindowSize = unsafe.Sizeof(window{})

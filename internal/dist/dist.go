@@ -25,22 +25,28 @@ const maxGeometric = int64(1) << 62
 // Geometric returns the number of independent Bernoulli(p) trials up to and
 // including the first success: support {1, 2, ...}, mean 1/p. It is
 // NewGeom(p).Draw(rng); callers drawing repeatedly at one p hold the Geom
-// instead, which takes the log1p off every draw.
+// instead, which takes 1/ln(1-p) off every draw.
 func Geometric(rng *prng.Source, p float64) int64 {
 	return NewGeom(p).Draw(rng)
 }
 
-// Geom is a geometric sampler with ln(1-p) precomputed, so a draw costs one
-// uniform and one logarithm. The zero value samples p = 0: its draws panic.
-type Geom struct {
-	p, ln1mp float64
-}
+// Geom is a geometric sampler with inv = 1/ln(1-p) precomputed (0 for p
+// outside (0, 1), where Draw never reads it), so a draw costs one uniform
+// and one table logarithm. The zero value samples p = 0: its draws panic.
+type Geom struct{ p, inv float64 }
 
 // NewGeom returns the geometric sampler for success probability p. It
 // never panics: a p outside (0, ∞) is reported by Draw, where Geometric
-// has always reported it.
+// has always reported it. -ln(1-p) is p + p²/2 + … + p⁶/6 below p = 2^-8
+// (the first omitted term is under 2^-50.8 of it), and fastLn(1-p) above.
 func NewGeom(p float64) Geom {
-	return Geom{p: p, ln1mp: math.Log1p(-p)}
+	if !(p > 0 && p < 1) {
+		return Geom{p: p}
+	}
+	if p >= 0x1p-8 {
+		return Geom{p: p, inv: 1 / fastLn(1-p)}
+	}
+	return Geom{p: p, inv: -1 / (p * (1 + p*(1.0/2+p*(1.0/3+p*(1.0/4+p*(1.0/5+p*(1.0/6)))))))}
 }
 
 // P returns the sampler's success probability.
@@ -49,9 +55,9 @@ func (g Geom) P() float64 { return g.p }
 // Draw returns the number of independent Bernoulli(p) trials up to and
 // including the first success.
 //
-// The draw uses the exact inverse CDF, X = ceil(ln U / ln(1-p)) for uniform
-// U in (0,1), with ln(1-p) computed by log1p for accuracy at small p. Edge
-// cases: p >= 1 always returns 1 (success on the first trial) without
+// The draw is the exact inverse CDF, X = ceil(ln U / ln(1-p)) for one
+// uniform U in (0,1), with math.Log over math.Log1p's bits, though almost
+// no draw calls either (see gap). Edge cases: p >= 1 returns 1 without
 // drawing; p <= 0 or NaN panics, since the waiting time would be infinite;
 // draws that would exceed 2^62 (possible only for p below ~1e-18) are
 // truncated there so slot arithmetic cannot overflow.
@@ -64,17 +70,70 @@ func (g Geom) Draw(rng *prng.Source) int64 {
 	if g.p >= 1 {
 		return 1
 	}
-	// ln(1-p) is finite and negative here because 0 < p < 1.
-	x := math.Ceil(math.Log(rng.Float64Open()) / g.ln1mp)
-	if x < 1 {
-		// Float64Open can return values so close to 1 that the ratio rounds
-		// to 0; the inverse CDF maps that region to the minimum value 1.
-		return 1
+	x, _ := g.gap(rng.Float64Open())
+	return x
+}
+
+// gap returns exact(u), and whether it called it, for 0 < p < 1 and a
+// normal u in (0,1), certifying Ziv-style the ceiling of a = fastLn(u)·inv
+// where it can. Go's Log and Log1p are within 1 ulp (their FreeBSD msun
+// sources state it), so exact's quotient q is ρ = ln u/ln(1-p) to within
+// 2^-50, relative, and with the product's 2^-53
+//
+//	|a - q| <= ρ·(2^-50 + geomInvErr + fastLnRelErr + 2^-53) + |inv|·fastLnAbsErr·(1+2^-39)
+//	        <  ρ·2^-39.9 + |inv|·2^-48.9,
+//
+// over 50× inside d = a·2^-34 + |inv|·2^-40 in each term, rounding of d
+// and a ± d included. With c = ceil(a+d), a-d >= 1 and a-d > c-1 give
+// ceil(q) = c; a-d < 1 and c < 2 give c = 1 >= q, which exact clamps to 1.
+// max(a-d, 1) > c-1 tests both with no branch to mispredict at LSB's WMin
+// probability; c < 2^50 keeps the clamps out; NaN and Inf fall back.
+func (g Geom) gap(u float64) (x int64, fellBack bool) {
+	a := fastLn(u) * g.inv
+	d := a*0x1p-34 - g.inv*0x1p-40
+	c := math.Ceil(a + d)
+	if max(a-d, 1) > c-1 && c < 0x1p50 {
+		return int64(c), false
 	}
-	if x >= float64(maxGeometric) {
-		return maxGeometric
+	return g.exact(u), true
+}
+
+// exact is gap's definition: ceil(math.Log(u)/math.Log1p(-p)) in [1, 2^62].
+//
+//go:noinline
+func (g Geom) exact(u float64) int64 {
+	return int64(min(max(math.Ceil(math.Log(u)/math.Log1p(-g.p)), 1), float64(maxGeometric)))
+}
+
+// The errors gap assumes, pinned by TestFastLnError and TestGeomInvError:
+// |fastLn(x) - ln x| <= fastLnAbsErr + fastLnRelErr·|ln x|, and inv is
+// 1/ln(1-p) to within geomInvErr relative (the series' under 2^-50; above
+// p = 2^-8, |ln(1-p)| > 2^-8 keeps fastLn's under 2^-41).
+const (
+	fastLnAbsErr = 0x1p-49
+	fastLnRelErr = 0x1p-50
+	geomInvErr   = 0x1p-40
+)
+
+// lnTable holds 1/c, rounded, for the midpoint c of each mantissa interval
+// [1+j/128, 1+(j+1)/128), and ln of the rounded value's inverse.
+var lnTable = func() (t [128]struct{ invc, lnc float64 }) {
+	for j := range t {
+		t[j].invc = 1 / (1 + (float64(j)+0.5)/128)
+		t[j].lnc = -math.Log(t[j].invc)
 	}
-	return int64(x)
+	return t
+}()
+
+// fastLn returns ln x for a normal x > 0, Tang-style: k·ln 2 + ln c +
+// log1p(r) for x = 2^k·m, the table's c for m and r = m/c - 1, |r| <=
+// 2^-8, with log1p's degree-5 Taylor polynomial (off by <= r⁶/6 <= 2^-50.5).
+func fastLn(x float64) float64 {
+	b := math.Float64bits(x)
+	t := &lnTable[b>>45&127]
+	r := math.Float64frombits(b&(1<<52-1)|1023<<52)*t.invc - 1
+	r2 := r * r
+	return float64(int(b>>52)-1023)*math.Ln2 + t.lnc + r + r2*(-1.0/2+r*(1.0/3)+r2*(-1.0/4+r*(1.0/5)))
 }
 
 // geometricPanic builds Draw's parameter panic behind //go:noinline, so
